@@ -402,26 +402,8 @@ def cmd_rcd(cfg: dict, out_dir: Path) -> int:
     }
     derived = None
     for name, m, rng in (("m1", params.m1, range1), ("m2", params.m2, range2)):
-        if rng is None:
-            verdicts.append({
-                "condition_id": f"{name}_in_range", "status": "Fail",
-                "witness": None, "boxes_explored": 0,
-                "max_depth_reached": False,
-                "note": f"admissible range for {name} is empty"})
-        elif not (rng.lo < m < rng.hi):
-            bound = "lower" if m <= rng.lo else "upper"
-            verdicts.append({
-                "condition_id": f"{name}_in_range", "status": "Fail",
-                "witness": {"lhs": m, "rhs": rng.lo if bound == "lower" else rng.hi,
-                            "gap": 0.0},
-                "boxes_explored": 0, "max_depth_reached": False,
-                "note": f"{name}={m} violates the {bound} bound of "
-                        f"({rng.lo}, {rng.hi})"})
-        else:
-            verdicts.append({
-                "condition_id": f"{name}_in_range", "status": "Pass",
-                "witness": None, "boxes_explored": 0,
-                "max_depth_reached": False, "note": ""})
+        verdicts.append(_scalar_verdict_entry(f"{name}_in_range",
+                                              rcd.check_m_range(name, m, rng)))
 
     if all(v["status"] == "Pass" for v in verdicts[1:]):
         derived = rcd.build_params(params)

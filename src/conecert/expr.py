@@ -16,9 +16,19 @@ breakpoints at 1/2 and 1; negative arguments are clamped to 0 (operators
 only ever feed nonnegative functions, but quadrature round-off may produce
 -eps).
 
-Evaluation comes in three flavours sharing one tree walk where possible:
-pointwise (floats), vectorised (numpy arrays, used by the solver and the
-grid oracle) and interval (rigorous range enclosure).
+Evaluation is one recursive walk over the tree, run over one of two
+arithmetic tables: plain floats and numpy arrays (pointwise, and vectorised
+for the solver and the grid oracle), or outward-rounded Intervals (rigorous
+range enclosure).  +, -, * and negation are the operators both value
+types share; each table supplies the rest: constant lifting, the named
+constants, /, ^ and the builtins.  Both tables signal a domain violation with
+DomainError, which the walk turns into an EvalError at the node's source
+offset.
+
+The ramps are monotone (phi and psi nondecreasing, capphi nonincreasing) and
+exact in float arithmetic (2z - 1 and 2 - 2z by Sterbenz's lemma on
+[1/2, 1]), so the interval image of a ramp is the float ramp applied to the
+two endpoints.
 """
 
 from __future__ import annotations
@@ -45,7 +55,12 @@ class ParseError(Exception):
 
 
 class EvalError(Exception):
-    """Evaluation failure, attributed to a node's source offset."""
+    """Evaluation failure, attributed to a node's source offset.
+
+    A failure that depends on the arguments (division by zero, ln of a
+    nonpositive value, an interval divisor containing 0) carries the
+    DomainError as its ``__cause__``; a failure of the expression itself
+    (a non-constant exponent in interval mode) carries none."""
 
     def __init__(self, offset: int, message: str):
         self.offset = offset
@@ -111,7 +126,7 @@ BUILTIN_ARITY = {
     "max": 2,
 }
 
-NAMED_CONSTS = {"pi": (math.pi, PI), "e": (math.e, E)}
+NAMED_CONSTS = ("pi", "e")
 
 
 # ---------------------------------------------------------------------------
@@ -299,204 +314,152 @@ def unparse(node: ExprAst) -> str:
 
 
 # ---------------------------------------------------------------------------
-# piecewise builtins (paper-style saturating ramps), pointwise/vectorised
+# evaluation: one walk over two arithmetic tables
 
-def _phi_values(z):
-    z = np.maximum(z, 0.0)
-    return np.where(z <= 0.5, 0.0, np.where(z <= 1.0, 2.0 * z - 1.0, 1.0))
-
-
-def _psi_values(z):
-    return np.minimum(np.maximum(z, 0.0), 1.0)
+def _clip01(v):
+    return np.minimum(np.maximum(v, 0.0), 1.0)
 
 
-def _capphi_values(z):
-    z = np.maximum(z, 0.0)
-    return np.where(z <= 0.5, 1.0, np.where(z <= 1.0, 2.0 - 2.0 * z, 0.0))
+def _phi(z):
+    return _clip01(2.0 * z - 1.0)
 
 
-def _eval_values(node: ExprAst, x1, x2):
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, NamedConst):
-        return NAMED_CONSTS[node.name][0]
-    if isinstance(node, Var):
-        return x1 if node.name == "x1" else x2
-    if isinstance(node, Neg):
-        return -_eval_values(node.operand, x1, x2)
+def _psi(z):
+    return _clip01(z)
+
+
+def _capphi(z):
+    return _clip01(2.0 - 2.0 * z)
+
+
+def _div(a, b):
+    if np.any(np.asarray(b) == 0.0):
+        raise DomainError("division by zero")
+    return a / b
+
+
+def _pow(a, b):
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        out = np.power(np.asarray(a, dtype=float), b)
+    if not np.all(np.isfinite(out)):
+        raise DomainError("power produced a non-finite value")
+    return out
+
+
+def _exp(a):
+    with np.errstate(over="ignore"):
+        out = np.exp(a)
+    if not np.all(np.isfinite(out)):
+        raise DomainError("exp overflow")
+    return out
+
+
+def _ln(a):
+    if np.any(np.asarray(a) <= 0.0):
+        raise DomainError("ln of a nonpositive value")
+    return np.log(a)
+
+
+def _rising(ramp):
+    return lambda z: Interval(ramp(z.lo), ramp(z.hi))
+
+
+def _falling(ramp):
+    return lambda z: Interval(ramp(z.hi), ramp(z.lo))
+
+
+@dataclass(frozen=True)
+class _Arithmetic:
+    const: object              # float -> value
+    named: dict                # "pi" | "e" -> value
+    div: object
+    pow: object                # (base, exponent value or natural int) -> value
+    unary: dict
+    binary: dict
+    natural_exponent: bool     # ^ takes a constant natural exponent only
+
+
+_FLOATS = _Arithmetic(
+    const=float,
+    named={"pi": math.pi, "e": math.e},
+    div=_div,
+    pow=_pow,
+    unary={"exp": _exp, "cos": np.cos, "sin": np.sin, "ln": _ln, "abs": np.abs,
+           "phi": _phi, "psi": _psi, "capphi": _capphi},
+    binary={"min": np.minimum, "max": np.maximum},
+    natural_exponent=False)
+
+_INTERVALS = _Arithmetic(
+    const=Interval.point,
+    named={"pi": PI, "e": E},
+    div=Interval.__truediv__,
+    pow=Interval.pow_nat,
+    unary={"exp": Interval.exp, "cos": Interval.cos, "sin": Interval.sin,
+           "ln": Interval.log, "abs": Interval.abs, "phi": _rising(_phi),
+           "psi": _rising(_psi), "capphi": _falling(_capphi)},
+    binary={"min": Interval.min_with, "max": Interval.max_with},
+    natural_exponent=True)
+
+
+def _natural_exponent(node: BinOp) -> int:
+    e = node.right
+    if not isinstance(e, Const) or e.value < 0 or not e.value.is_integer():
+        raise EvalError(node.offset,
+                        "interval mode requires a constant natural exponent")
+    return int(e.value)
+
+
+def _walk(node: ExprAst, x1, x2, ar: _Arithmetic):
     if isinstance(node, BinOp):
-        a = _eval_values(node.left, x1, x2)
-        b = _eval_values(node.right, x1, x2)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if np.any(np.asarray(b) == 0.0):
-                raise EvalError(node.offset, "division by zero")
-            return a / b
-        # '^'
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            out = np.power(np.asarray(a, dtype=float), b)
-        if not np.all(np.isfinite(out)):
-            raise EvalError(node.offset, "power produced a non-finite value")
-        return out
-    a = _eval_values(node.args[0], x1, x2)
-    fn = node.fn
-    if fn == "exp":
-        with np.errstate(over="ignore"):
-            out = np.exp(a)
-        if not np.all(np.isfinite(out)):
-            raise EvalError(node.offset, "exp overflow")
-        return out
-    if fn == "cos":
-        return np.cos(a)
-    if fn == "sin":
-        return np.sin(a)
-    if fn == "ln":
-        if np.any(np.asarray(a) <= 0.0):
-            raise EvalError(node.offset, "ln of a nonpositive value")
-        return np.log(a)
-    if fn == "abs":
-        return np.abs(a)
-    if fn == "phi":
-        return _phi_values(a)
-    if fn == "psi":
-        return _psi_values(a)
-    if fn == "capphi":
-        return _capphi_values(a)
-    b = _eval_values(node.args[1], x1, x2)
-    if fn == "min":
-        return np.minimum(a, b)
-    return np.maximum(a, b)
+        a = _walk(node.left, x1, x2, ar)
+        op = node.op
+        if op == "^":
+            fn = ar.pow
+            b = (_natural_exponent(node) if ar.natural_exponent
+                 else _walk(node.right, x1, x2, ar))
+        else:
+            b = _walk(node.right, x1, x2, ar)
+            if op == "+":
+                return a + b
+            if op == "-":
+                return a - b
+            if op == "*":
+                return a * b
+            fn = ar.div
+    elif isinstance(node, Var):
+        return x1 if node.name == "x1" else x2
+    elif isinstance(node, Const):
+        return ar.const(node.value)
+    elif isinstance(node, Call):
+        args = node.args
+        a = _walk(args[0], x1, x2, ar)
+        if len(args) == 2:
+            return ar.binary[node.fn](a, _walk(args[1], x1, x2, ar))
+        fn, b = ar.unary[node.fn], None
+    elif isinstance(node, Neg):
+        return -_walk(node.operand, x1, x2, ar)
+    else:
+        return ar.named[node.name]
+    # only /, ^ and the unary builtins can leave their domain
+    try:
+        return fn(a) if b is None else fn(a, b)
+    except DomainError as err:
+        raise EvalError(node.offset, str(err)) from err
 
 
 def eval_point(e: ExprAst, x1: float, x2: float) -> float:
     """Evaluate at a point in plain float arithmetic."""
-    return float(_eval_values(e, np.float64(x1), np.float64(x2)))
+    return float(_walk(e, np.float64(x1), np.float64(x2), _FLOATS))
 
 
 def eval_values(e: ExprAst, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Vectorised evaluation over numpy arrays (broadcasting applies)."""
-    out = _eval_values(e, np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
+    out = _walk(e, np.asarray(x1, dtype=float), np.asarray(x2, dtype=float),
+                _FLOATS)
     return np.broadcast_to(np.asarray(out, dtype=float),
                            np.broadcast_shapes(np.shape(x1), np.shape(x2))).copy()
 
 
-# ---------------------------------------------------------------------------
-# interval evaluation
-
-def _clamp01(iv: Interval) -> Interval:
-    return Interval(min(max(iv.lo, 0.0), 1.0), min(max(iv.hi, 0.0), 1.0))
-
-
-def _pieces(z: Interval):
-    """Clamp to z >= 0 and intersect with the three breakpoint pieces."""
-    z = Interval(max(z.lo, 0.0), max(z.hi, 0.0))
-    out = []
-    if z.lo <= 0.5:
-        out.append(("low", Interval(z.lo, min(z.hi, 0.5))))
-    if z.hi >= 0.5 and z.lo <= 1.0:
-        out.append(("mid", Interval(max(z.lo, 0.5), min(z.hi, 1.0))))
-    if z.hi > 1.0:
-        out.append(("high", Interval(max(z.lo, 1.0), z.hi)))
-    return out
-
-
-def _hull_all(parts: list[Interval]) -> Interval:
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = acc.hull(p)
-    return acc
-
-
-def _phi_interval(z: Interval) -> Interval:
-    parts = []
-    for tag, piece in _pieces(z):
-        if tag == "low":
-            parts.append(Interval(0.0, 0.0))
-        elif tag == "mid":
-            # increasing ramp; 2t is exact and 2t - 1 is exact by Sterbenz
-            # for t in [1/2, 1], so no outward step is needed
-            parts.append(_clamp01(Interval(2.0 * piece.lo - 1.0,
-                                           2.0 * piece.hi - 1.0)))
-        else:
-            parts.append(Interval(1.0, 1.0))
-    return _hull_all(parts)
-
-
-def _psi_interval(z: Interval) -> Interval:
-    z = Interval(max(z.lo, 0.0), max(z.hi, 0.0))
-    return Interval(min(z.lo, 1.0), min(z.hi, 1.0))
-
-
-def _capphi_interval(z: Interval) -> Interval:
-    parts = []
-    for tag, piece in _pieces(z):
-        if tag == "low":
-            parts.append(Interval(1.0, 1.0))
-        elif tag == "mid":
-            # decreasing ramp; exact for t in [1/2, 1] as in _phi_interval
-            parts.append(_clamp01(Interval(2.0 - 2.0 * piece.hi,
-                                           2.0 - 2.0 * piece.lo)))
-        else:
-            parts.append(Interval(0.0, 0.0))
-    return _hull_all(parts)
-
-
 def eval_interval(e: ExprAst, x1: Interval, x2: Interval) -> Interval:
     """Rigorous enclosure of the pointwise range of e over the box x1 x x2."""
-    if isinstance(e, Const):
-        return Interval.point(e.value)
-    if isinstance(e, NamedConst):
-        return NAMED_CONSTS[e.name][1]
-    if isinstance(e, Var):
-        return x1 if e.name == "x1" else x2
-    if isinstance(e, Neg):
-        return -eval_interval(e.operand, x1, x2)
-    if isinstance(e, BinOp):
-        a = eval_interval(e.left, x1, x2)
-        if e.op == "^":
-            if not isinstance(e.right, Const) or e.right.value != int(e.right.value) \
-                    or e.right.value < 0:
-                raise EvalError(e.offset,
-                                "interval mode requires a constant natural exponent")
-            return a.pow_nat(int(e.right.value))
-        b = eval_interval(e.right, x1, x2)
-        try:
-            if e.op == "+":
-                return a + b
-            if e.op == "-":
-                return a - b
-            if e.op == "*":
-                return a * b
-            return a / b
-        except DomainError as err:
-            raise EvalError(e.offset, str(err)) from err
-    a = eval_interval(e.args[0], x1, x2)
-    fn = e.fn
-    try:
-        if fn == "exp":
-            return a.exp()
-        if fn == "cos":
-            return a.cos()
-        if fn == "sin":
-            return a.sin()
-        if fn == "ln":
-            return a.log()
-        if fn == "abs":
-            return a.abs()
-        if fn == "phi":
-            return _phi_interval(a)
-        if fn == "psi":
-            return _psi_interval(a)
-        if fn == "capphi":
-            return _capphi_interval(a)
-    except DomainError as err:
-        raise EvalError(e.offset, str(err)) from err
-    b = eval_interval(e.args[1], x1, x2)
-    if fn == "min":
-        return a.min_with(b)
-    return a.max_with(b)
+    return _walk(e, x1, x2, _INTERVALS)

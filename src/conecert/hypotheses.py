@@ -15,6 +15,10 @@ which are decided by interval branch and bound:
   deterministic regardless of exploration order.
 * Unknown -- the box/depth budget ran out with neither outcome.
 
+A box whose enclosure leaves an operation's domain (a divisor enclosure
+containing 0, say) is simply not certified and gets split; only a failing
+point evaluation is reported as an error.
+
 A plain-arithmetic grid oracle (dense lattice extrema) runs alongside as an
 independent cross-check; it can never certify, only agree or disagree.
 """
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conespace import RegionLabel, RegionSpec
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .expr import EvalError, ExprAst, eval_interval, eval_point, eval_values
 from .interval import Interval
 from .kernels import DirichletNeumann, ReactionConvectionDiffusion
@@ -124,11 +128,20 @@ def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
         try:
             enc = eval_interval(q.expr, b1, b2)
         except EvalError as err:
-            raise EvalError(err.offset,
-                            f"{err.message} on sub-box {b1} x {b2}") from err
-        if certified(enc):
+            # a domain error of the enclosure (a divisor enclosure that
+            # contains 0, say) only means the box is too coarse; an error
+            # without one is a property of the expression and ends the run
+            if not isinstance(err.__cause__, DomainError):
+                raise
+            enc = None
+        if enc is not None and certified(enc):
             continue
-        val = eval_point(q.expr, b1.mid, b2.mid)
+        try:
+            val = eval_point(q.expr, b1.mid, b2.mid)
+        except EvalError as err:
+            raise EvalError(err.offset, f"{err.message} at the midpoint "
+                            f"({b1.mid!r}, {b2.mid!r}) of sub-box {b1} x {b2}"
+                            ) from err
         if violates(val):
             witness = _first_lattice_violation(q, witness_n)
             if witness is None:

@@ -142,6 +142,20 @@ def m_ranges(k1: float, k2: float, r1: float, r2: float
     return range1, range2
 
 
+def check_m_range(name: str, m: float, rng: Interval | None) -> CertVerdict:
+    """m must lie strictly inside its admissible open range `rng` (None when
+    the range is empty); a Fail witness is (m, violated endpoint, 0)."""
+    if rng is None:
+        return CertVerdict("Fail", None,
+                           note=f"admissible range for {name} is empty")
+    if rng.lo < m < rng.hi:
+        return CertVerdict("Pass", None)
+    bound, end = ("lower", rng.lo) if m <= rng.lo else ("upper", rng.hi)
+    return CertVerdict("Fail", (m, end, 0.0),
+                       note=f"{name}={m} violates the {bound} bound of "
+                            f"({rng.lo}, {rng.hi})")
+
+
 @dataclass(frozen=True)
 class RcdParams:
     beta1: float
@@ -218,20 +232,10 @@ def build_params(p: RcdParams) -> DerivedParams:
     """Derive (p_j, q_j) from the admissible (m1, m2) and re-verify the
     scaled-ratio inequalities by direct evaluation."""
     range1, range2 = m_ranges(p.k1, p.k2, p.r1, p.r2)
-    if range1 is None:
-        raise ConfigError("empty admissible range for m1 (gate inequality fails)")
-    if range2 is None:
-        raise ConfigError("empty admissible range for m2 (gate inequality fails)")
-    if not (range1.lo < p.m1 < range1.hi):
-        bound = "lower" if p.m1 <= range1.lo else "upper"
-        raise ConfigError(
-            f"m1={p.m1} violates the {bound} bound of its admissible range "
-            f"({range1.lo}, {range1.hi})")
-    if not (range2.lo < p.m2 < range2.hi):
-        bound = "lower" if p.m2 <= range2.lo else "upper"
-        raise ConfigError(
-            f"m2={p.m2} violates the {bound} bound of its admissible range "
-            f"({range2.lo}, {range2.hi})")
+    for name, m, rng in (("m1", p.m1, range1), ("m2", p.m2, range2)):
+        verdict = check_m_range(name, m, rng)
+        if verdict.status != "Pass":
+            raise ConfigError(verdict.note)
     s1, st1 = s_pair(p.k1)
     s2, st2 = s_pair(p.k2)
     derived = DerivedParams(

@@ -29,16 +29,19 @@ from .conespace import (GridFunction, RegionLabel, RegionSpec, classify,
                         nontrivial, sup_norm)
 from .errors import ConfigError, OutsideAmbientError
 from .expr import EvalError, ExprAst, eval_point, eval_values
-
-log = logging.getLogger(__name__)
 from .kernels import (DirichletNeumann, KernelKind, QuadratureRule,
                       green_matrix, make_rule, same_rule)
+
+log = logging.getLogger(__name__)
 
 MODES = ("nine", "hybrid", "thm53")
 
 # iterates whose sup norm exceeds this multiple of the ambient bound are
 # treated as spurious far-field points and dropped as non-converged
 FAR_FIELD_FACTOR = 10.0
+
+# forward-difference step of the Newton Jacobian
+FD_STEP = 1e-7
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,6 @@ class SolverParams:
     damping: float = 0.5
     newton_tol: float = 1e-8
     max_newton: int = 25
-    fd_step: float = 1e-7
     dedupe: float | None = None  # default 1e-3 * ambient bound per component
     nontrivial_eps: float = 1e-6
 
@@ -122,8 +124,9 @@ class DiscreteOperator:
         t1, t2 = self.apply(v1, v2)
         return float(max(np.max(np.abs(v1 - t1)), np.max(np.abs(v2 - t2))))
 
-    def jacobian(self, v1, v2, h: float) -> np.ndarray:
+    def jacobian(self, v1, v2) -> np.ndarray:
         """Jacobian of F(v) = v - T(v) via forward differences of f at the nodes."""
+        h = FD_STEP
         f1 = self._eval(self.problem.f1, v1, v2)
         f2 = self._eval(self.problem.f2, v1, v2)
         d11 = (self._eval(self.problem.f1, v1 + h, v2) - f1) / h
@@ -234,7 +237,7 @@ def solve_from(problem: ProblemSpec, seed1: GridFunction, seed2: GridFunction,
                 converged = True
                 break
             try:
-                jac = op.jacobian(v1, v2, params.fd_step)
+                jac = op.jacobian(v1, v2)
                 step = np.linalg.solve(jac, np.concatenate((v1 - t1, v2 - t2)))
             except EvalError:
                 break

@@ -97,6 +97,35 @@ def test_verify_evaluation_error_is_config_exit(tmp_path, capsys):
     assert "evaluation error" in capsys.readouterr().err
 
 
+def test_verify_interval_domain_error_splits_to_pass(tmp_path):
+    # the divisor x1 - x1 + 1 is 1, but its enclosure contains 0 on boxes
+    # of x1 width >= 1: those boxes are split instead of ending the run
+    cfg = nine_config()
+    cfg["problem"]["f1"] = \
+        "4.5 + 5*phi(x1)*psi(x2) - 4*capphi(x1)/(x1 - x1 + 1)"
+    path = write_config(tmp_path, cfg)
+    assert main(["verify", path, "--out", str(tmp_path)]) == 0
+    report = read_report(tmp_path)
+    assert all(v["status"] == "Pass" for v in report["verdicts"])
+    assert report["verdicts"][0]["boxes_explored"] > 1
+
+
+def test_verify_point_domain_error_is_exit_3(tmp_path, capsys):
+    cfg = nine_config()
+    cfg["problem"]["f1"] = "1/(x1 - 2.5)"  # the ambient box's midpoint
+    path = write_config(tmp_path, cfg)
+    assert main(["verify", path, "--out", str(tmp_path)]) == 3
+    assert "division by zero at the midpoint" in capsys.readouterr().err
+
+
+def test_verify_nonnatural_exponent_is_exit_3(tmp_path, capsys):
+    cfg = nine_config()
+    cfg["problem"]["f1"] = "4.5 + 5*phi(x1)*psi(x2) - 4*capphi(x1) + x1^1.5"
+    path = write_config(tmp_path, cfg)
+    assert main(["verify", path, "--out", str(tmp_path)]) == 3
+    assert "constant natural exponent" in capsys.readouterr().err
+
+
 def test_verify_budget_exhaustion_is_inconclusive(tmp_path):
     # the x2 - x2 term makes the enclosure over-wide until the box is split
     # fine enough, so a two-box budget cannot settle any condition

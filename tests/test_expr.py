@@ -166,13 +166,21 @@ def test_eval_ln_nonpositive():
         eval_point(parse_expr("ln(x1)"), -1.0, 0.0)
 
 
+RAMP_POOL = ["phi(x1)", "psi(x1)", "capphi(x1)", "phi(x1 - x2)",
+             "capphi(2*x2 - 1) + psi(x1/2)", "phi(-x1)*capphi(-x2)"]
+RAMP_ENDPOINTS = (-0.3, 0.0, 0.5, 0.75, 1.0, 2.0)
+
+
 def test_eval_values_vectorised_matches_point():
-    tree = parse_expr("exp(x2^2/32) + 0.1*cos(pi*x1)")
-    x1 = np.linspace(0, 5, 17)
-    x2 = np.linspace(0, 5, 17)
-    vals = eval_values(tree, x1, x2)
-    for i in range(17):
-        assert vals[i] == pytest.approx(eval_point(tree, x1[i], x2[i]), abs=0)
+    # arrays and scalars run the same walk, so every value agrees exactly,
+    # including negative ramp arguments and the breakpoints 1/2 and 1
+    grid = np.array([-0.3, -0.0, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 5.0])
+    x1, x2 = (a.ravel() for a in np.meshgrid(grid, grid, indexing="ij"))
+    for src in EXPR_POOL + RAMP_POOL:
+        tree = parse_expr(src)
+        vals = eval_values(tree, x1, x2)
+        for i in range(len(x1)):
+            assert vals[i] == eval_point(tree, x1[i], x2[i]), (src, x1[i], x2[i])
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +203,22 @@ def test_capphi_interval_decreasing():
     assert iv.contains(0.4) and iv.contains(0.8)
 
 
+def test_ramp_interval_is_endpoint_image():
+    # phi and psi are nondecreasing, capphi nonincreasing, and all three are
+    # exact in floats, so the enclosure is the image of the two endpoints
+    for fn, rising in (("phi", True), ("psi", True), ("capphi", False)):
+        tree = parse_expr(f"{fn}(x1)")
+        for lo in RAMP_ENDPOINTS:
+            for hi in RAMP_ENDPOINTS:
+                if hi < lo:
+                    continue
+                iv = eval_interval(tree, Interval(lo, hi), Interval(0, 0))
+                ends = (eval_point(tree, lo, 0.0), eval_point(tree, hi, 0.0))
+                assert (iv.lo, iv.hi) == (ends if rising else ends[::-1])
+                lattice = eval_values(tree, np.linspace(lo, hi, 101), 0.0)
+                assert np.all((iv.lo <= lattice) & (lattice <= iv.hi)), (fn, lo, hi)
+
+
 def test_nonlinearity_range_matches_grid_oracle():
     # dense-lattice oracle for the range over [0,5]^2, then the enclosure
     tree = parse_expr("0.5+5*phi(x1)*psi(x2)")
@@ -214,6 +238,8 @@ def test_interval_power_requires_natural_constant():
         eval_interval(parse_expr("x1^x2"), Interval(1, 2), Interval(1, 2))
     with pytest.raises(EvalError):
         eval_interval(parse_expr("x1^1.5"), Interval(1, 2), Interval(1, 2))
+    with pytest.raises(EvalError):
+        eval_interval(parse_expr("x1^1e999"), Interval(1, 2), Interval(1, 2))
     iv = eval_interval(parse_expr("x1^2"), Interval(-1, 2), Interval(0, 0))
     assert iv.lo == 0.0 and iv.hi >= 4.0
 

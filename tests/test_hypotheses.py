@@ -4,7 +4,7 @@ import pytest
 
 from conecert.conespace import RegionSpec
 from conecert.errors import ConfigError
-from conecert.expr import parse_expr
+from conecert.expr import EvalError, parse_expr
 from conecert.hypotheses import (BoxIneq, certify_box, check_theorem,
                                  expand_conditions, grid_oracle, oracle_agrees)
 from conecert.interval import Interval
@@ -65,6 +65,21 @@ def test_certify_unknown_then_pass_with_budget():
     assert small.boxes_explored == 3
     big = certify_box(q)
     assert big.status == "Pass"
+
+
+def test_certify_splits_past_interval_domain_error():
+    # the divisor enclosure [1 - w, 1 + w] contains 0 until the x1 width w
+    # drops below 1, but f is 1 everywhere
+    q = BoxIneq(parse_expr("1/(x1 - x1 + 1)"), box(0, 5, 0, 5), "<=", 2.0, "t")
+    v = certify_box(q)
+    assert v.status == "Pass" and v.boxes_explored > 1
+
+
+def test_certify_nonconstant_exponent_raises_at_once():
+    # a property of the expression, not of the box: no box is split for it
+    q = BoxIneq(parse_expr("x1^1.5"), box(0, 5, 0, 5), "<=", 200.0, "t")
+    with pytest.raises(EvalError):
+        certify_box(q, budget=1)
 
 
 def test_certify_unknown_depth_cap():

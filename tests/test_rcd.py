@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conecert.errors import ConfigError, DomainError
-from conecert.rcd import (RcdParams, build_params, check_5_11,
+from conecert.rcd import (RcdParams, build_params, check_5_11, check_m_range,
                           check_5_16, diffusion_thresholds, g_eval, h_root,
                           h_root_bracket, m_ranges, monotonicity_profile,
                           s_pair, scaled_ratios)
@@ -181,6 +181,18 @@ def test_build_params_m_out_of_range():
     with pytest.raises(ConfigError) as err:
         build_params(params)
     assert "m1" in str(err.value) and "lower" in str(err.value)
+
+
+def test_check_m_range_verdicts():
+    rng = m_ranges(8.0, 10.0, 8.0, 10.0)[0]
+    assert check_m_range("m1", 3.0, rng).status == "Pass"
+    empty = check_m_range("m1", 3.0, None)
+    assert empty.status == "Fail" and "empty" in empty.note
+    for m, bound, end in ((rng.lo, "lower", rng.lo), (0.1, "lower", rng.lo),
+                          (rng.hi, "upper", rng.hi), (50.0, "upper", rng.hi)):
+        v = check_m_range("m1", m, rng)
+        assert v.status == "Fail" and bound in v.note
+        assert v.witness == (m, end, 0.0)
 
 
 def test_scaled_ratios_straddle_one():
