@@ -15,8 +15,8 @@ from .kernels import (DirichletNeumann, KernelKind, QuadratureRule,
                       ReactionConvectionDiffusion, green, green_matrix,
                       kernel_row_integral, make_rule)
 from .rcd import (DerivedParams, RcdParams, build_params, check_5_11,
-                  check_5_16, g_eval, h_root, h_root_bracket, m_ranges,
-                  monotonicity_profile, s_pair)
+                  check_5_16, check_all, g_eval, h_root, h_root_bracket,
+                  m_ranges, monotonicity_profile, s_pair)
 from .solver import (ProblemSpec, Solution, SolverParams, apply_T,
                      multi_start, residual, solve_from)
 

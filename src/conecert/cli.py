@@ -13,6 +13,7 @@ Exit codes: 0 all checks passed / run completed, 1 some check failed,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import numbers
@@ -83,12 +84,69 @@ def _emit(x, out: list[str]):
 # config parsing
 
 
+def _number(value, name: str) -> float:
+    """A finite real config value (not a bool or a string) as a float."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _as_pair(value, name: str) -> tuple[float, float]:
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         if len(value) != 2:
             raise ConfigError(f"{name} must be a number or a pair")
-        return float(value[0]), float(value[1])
-    return float(value), float(value)
+        return _number(value[0], name), _number(value[1], name)
+    return _number(value, name), _number(value, name)
+
+
+_REQUIRED = object()
+
+_CHECKER_DEFAULTS = {"budget": hypotheses.DEFAULT_BUDGET,
+                     "depth": hypotheses.DEFAULT_DEPTH,
+                     "oracle_n": hypotheses.DEFAULT_ORACLE_N}
+_SOLVER_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SolverParams)}
+_RCD_KEYS = dict.fromkeys((f.name for f in dataclasses.fields(RcdParams)),
+                          _REQUIRED)
+
+
+def _read_block(cfg: dict, name: str, defaults: dict,
+                overrides: dict | None = None) -> dict:
+    """The numeric block `cfg[name]`, one entry per key of `defaults`.
+
+    Each value comes from `overrides`, else the block, else the default; a
+    null counts as absent.  A `_REQUIRED` default makes the key mandatory
+    and a None default may stay None.  Every other value must be a positive
+    finite number, and an integer wherever the default is an int."""
+    block = {} if cfg.get(name) is None else cfg[name]
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} must be an object")
+    given = {key: value for source in (block, overrides or {})
+             for key, value in source.items() if value is not None}
+    out = {}
+    for key, default in defaults.items():
+        raw = out[key] = given.get(key, default)
+        if raw is _REQUIRED:
+            raise ConfigError(f"{name} config is missing {key!r}")
+        if raw is None:
+            continue
+        where = f"{name}.{key}"
+        value = _number(raw, where)
+        if not value > 0.0:
+            raise ConfigError(f"{where} must be positive, got {raw!r}")
+        if isinstance(default, int) and not value.is_integer():
+            raise ConfigError(f"{where} must be an integer, got {raw!r}")
+        out[key] = int(value) if isinstance(default, int) else value
+    return out
+
+
+def _output(cfg: dict) -> dict:
+    """The output block: report name and CSV directory, both strings."""
+    block = cfg.get("output", {})
+    if not isinstance(block, dict) or not all(
+            isinstance(v, str) for v in block.values()):
+        raise ConfigError("output must be an object of strings")
+    return {"report": "report.json", "csv_dir": "solutions"} | block
 
 
 def _parse_kernel(obj, name: str) -> KernelKind:
@@ -102,7 +160,7 @@ def _parse_kernel(obj, name: str) -> KernelKind:
     if kind == "rcd":
         if "beta" not in obj:
             raise ConfigError(f"{name}: rcd kernel requires 'beta'")
-        return ReactionConvectionDiffusion(float(obj["beta"]))
+        return ReactionConvectionDiffusion(_number(obj["beta"], f"{name}.beta"))
     raise ConfigError(f"{name}: unknown kernel kind {kind!r}")
 
 
@@ -117,6 +175,8 @@ def _window_for(kernel: KernelKind) -> float:
 
 
 def build_problem(cfg: dict) -> ProblemSpec:
+    if not isinstance(cfg, dict):
+        raise ConfigError("problem must be an object")
     for key in ("mode", "kernel1", "kernel2", "f1", "f2", "region"):
         if key not in cfg:
             raise ConfigError(f"problem config is missing {key!r}")
@@ -131,20 +191,13 @@ def build_problem(cfg: dict) -> ProblemSpec:
     if not isinstance(reg, dict):
         raise ConfigError("region must be an object")
     for key in ("d", "a", "c"):
-        if key not in reg:
+        if reg.get(key) is None:
             raise ConfigError(f"region config is missing {key!r}")
-    annulus = None
-    if reg.get("annulus") is not None:
-        ann = reg["annulus"]
-        if not isinstance(ann, (list, tuple)) or len(ann) != 2:
-            raise ConfigError("annulus must be a pair [r, R]")
-        annulus = (float(ann[0]), float(ann[1]))
-    region = RegionSpec(
-        d=_as_pair(reg["d"], "d"), a=_as_pair(reg["a"], "a"),
-        c=_as_pair(reg["c"], "c"),
-        b=_as_pair(reg["b"], "b") if reg.get("b") is not None else None,
-        annulus=annulus,
-        window=(_window_for(kernel1), _window_for(kernel2)))
+    pairs = {key: _as_pair(reg[key], f"region.{key}")
+             for key in ("d", "a", "c", "b", "annulus")
+             if reg.get(key) is not None}
+    region = RegionSpec(**pairs,
+                        window=(_window_for(kernel1), _window_for(kernel2)))
     return ProblemSpec(kernel1=kernel1, kernel2=kernel2, f1=f1, f2=f2,
                        region=region, mode=str(cfg["mode"]))
 
@@ -164,50 +217,6 @@ def _problem_echo(cfg: dict, problem: ProblemSpec) -> dict:
             "annulus": list(region.annulus) if region.annulus else None,
             "window": list(region.window),
         },
-    }
-
-
-def _checker_settings(cfg: dict, oracle_n: int | None) -> dict:
-    block = cfg.get("checker", {})
-    out = {
-        "budget": int(block.get("budget", hypotheses.DEFAULT_BUDGET)),
-        "depth": int(block.get("depth", hypotheses.DEFAULT_DEPTH)),
-        "oracle_n": int(oracle_n if oracle_n is not None
-                        else block.get("oracle_n", hypotheses.DEFAULT_ORACLE_N)),
-    }
-    for key, value in out.items():
-        if value <= 0:
-            raise ConfigError(f"checker.{key} must be positive, got {value}")
-    return out
-
-
-def _solver_params(cfg: dict, grid_n: int | None) -> SolverParams:
-    block = cfg.get("solver", {})
-    params = SolverParams(
-        grid_n=int(grid_n if grid_n is not None else block.get("grid_n", 129)),
-        picard_steps=int(block.get("picard_steps", 200)),
-        damping=float(block.get("damping", 0.5)),
-        newton_tol=float(block.get("newton_tol", 1e-8)),
-        max_newton=int(block.get("max_newton", 25)),
-        dedupe=(float(block["dedupe"]) if block.get("dedupe") is not None
-                else None),
-        nontrivial_eps=float(block.get("nontrivial_eps", 1e-6)))
-    positives = {"grid_n": params.grid_n, "picard_steps": params.picard_steps,
-                 "damping": params.damping, "newton_tol": params.newton_tol,
-                 "max_newton": params.max_newton,
-                 "nontrivial_eps": params.nontrivial_eps}
-    for key, value in positives.items():
-        if value <= 0:
-            raise ConfigError(f"solver.{key} must be positive, got {value}")
-    return params
-
-
-def _solver_echo(params: SolverParams) -> dict:
-    return {
-        "grid_n": params.grid_n, "picard_steps": params.picard_steps,
-        "damping": params.damping, "newton_tol": params.newton_tol,
-        "max_newton": params.max_newton, "dedupe": params.dedupe,
-        "nontrivial_eps": params.nontrivial_eps,
     }
 
 
@@ -255,7 +264,9 @@ def cmd_verify(cfg: dict, out_dir: Path, oracle_n: int | None = None) -> int:
     if "problem" not in cfg:
         raise ConfigError("config is missing the 'problem' block")
     problem = build_problem(cfg["problem"])
-    checker = _checker_settings(cfg, oracle_n)
+    checker = _read_block(cfg, "checker", _CHECKER_DEFAULTS,
+                          {"oracle_n": oracle_n})
+    output = _output(cfg)
     remark52 = bool(cfg["problem"].get("remark52", False))
     theorem_id = _theorem_id(problem, remark52)
 
@@ -305,7 +316,7 @@ def cmd_verify(cfg: dict, out_dir: Path, oracle_n: int | None = None) -> int:
     report["promised"] = promised
     report["timings"] = {"boxes_explored_total": boxes_total,
                          "oracle_points": oracle_points}
-    _write_report(report, out_dir / cfg.get("output", {}).get("report", "report.json"))
+    _write_report(report, out_dir / output["report"])
     print(f"overall: {report_data.overall}")
     print(f"[{time.monotonic() - started:.3f}s]", file=sys.stderr)
     return {"AllPass": EXIT_ALL_PASS, "SomeFail": EXIT_SOME_FAIL,
@@ -317,11 +328,13 @@ def cmd_solve(cfg: dict, out_dir: Path, grid_n: int | None = None,
     if "problem" not in cfg:
         raise ConfigError("config is missing the 'problem' block")
     problem = build_problem(cfg["problem"])
-    params = _solver_params(cfg, grid_n)
+    params = SolverParams(**_read_block(cfg, "solver", _SOLVER_DEFAULTS,
+                                        {"grid_n": grid_n}))
+    output = _output(cfg)
     started = time.monotonic()
     solutions = solver.multi_start(problem, params, seed_list=seed_list)
 
-    csv_dir = out_dir / cfg.get("output", {}).get("csv_dir", "solutions")
+    csv_dir = out_dir / output["csv_dir"]
     entries = []
     iterations_total = 0
     for sol in solutions:
@@ -349,13 +362,13 @@ def cmd_solve(cfg: dict, out_dir: Path, grid_n: int | None = None,
     report = _report_skeleton({
         "command": "solve",
         "problem": _problem_echo(cfg["problem"], problem),
-        "solver": _solver_echo(params),
+        "solver": dataclasses.asdict(params),
         "seed_list": sorted(seed_list) if seed_list else None,
     })
     report["solutions"] = entries
     report["timings"] = {"solutions_found": len(entries),
                          "iterations_total": iterations_total}
-    _write_report(report, out_dir / cfg.get("output", {}).get("report", "report.json"))
+    _write_report(report, out_dir / output["report"])
     print(f"solutions: {len(entries)}")
     print(f"[{time.monotonic() - started:.3f}s]", file=sys.stderr)
     return EXIT_ALL_PASS
@@ -370,82 +383,50 @@ def _write_solution_csv(sol, path: Path):
 
 
 def _scalar_verdict_entry(condition_id: str, verdict) -> dict:
-    entry = _verdict_json(verdict)
-    entry["condition_id"] = condition_id
-    if entry["witness"] is not None:
+    entry = _verdict_json(verdict) | {"condition_id": condition_id}
+    if verdict.witness is not None:
         # scalar checks carry (lhs, rhs, gap) rather than a sample point
-        lhs, rhs, gap = (entry["witness"]["x1"], entry["witness"]["x2"],
-                         entry["witness"]["value"])
-        entry["witness"] = {"lhs": lhs, "rhs": rhs, "gap": gap}
+        entry["witness"] = dict(zip(("lhs", "rhs", "gap"), verdict.witness))
     return entry
 
 
 def cmd_rcd(cfg: dict, out_dir: Path) -> int:
     if "rcd" not in cfg:
         raise ConfigError("config is missing the 'rcd' block")
-    block = cfg["rcd"]
-    for key in ("beta1", "beta2", "k1", "k2", "r1", "r2", "m1", "m2"):
-        if key not in block:
-            raise ConfigError(f"rcd config is missing {key!r}")
-    params = RcdParams(**{k: float(block[k]) for k in
-                          ("beta1", "beta2", "k1", "k2", "r1", "r2", "m1", "m2")})
+    values = _read_block(cfg, "rcd", _RCD_KEYS)
+    output = _output(cfg)
+    params = RcdParams(**values)
     started = time.monotonic()
 
-    verdicts = [_scalar_verdict_entry("ineq_5_11",
-                                      rcd.check_5_11(params.k1, params.k2))]
-    range1, range2 = rcd.m_ranges(params.k1, params.k2, params.r1, params.r2)
+    checks, (range1, range2), derived = rcd.check_all(params)
+    s1, st1 = rcd.s_pair(params.k1)
+    s2, st2 = rcd.s_pair(params.k2)
+    bracket = rcd.h_root_bracket()
     rcd_section: dict = {
-        "s1": rcd.s_pair(params.k1)[0], "st1": rcd.s_pair(params.k1)[1],
-        "s2": rcd.s_pair(params.k2)[0], "st2": rcd.s_pair(params.k2)[1],
+        "s1": s1, "st1": st1, "s2": s2, "st2": st2,
         "m1_range": [range1.lo, range1.hi] if range1 else None,
         "m2_range": [range2.lo, range2.hi] if range2 else None,
+        "z0_bracket": list(bracket), "z0": 0.5 * (bracket[0] + bracket[1]),
     }
-    derived = None
-    for name, m, rng in (("m1", params.m1, range1), ("m2", params.m2, range2)):
-        verdicts.append(_scalar_verdict_entry(f"{name}_in_range",
-                                              rcd.check_m_range(name, m, rng)))
-
-    if all(v["status"] == "Pass" for v in verdicts[1:]):
-        derived = rcd.build_params(params)
-        ratios = rcd.scaled_ratios(derived)
-        for name, value, status in rcd.ratio_checks(derived):
-            verdicts.append({
-                "condition_id": f"ratio_{name}", "status": status,
-                "witness": None, "boxes_explored": 0,
-                "max_depth_reached": False,
-                "note": f"{name} = {value!r}"})
-        verdicts.append(_scalar_verdict_entry(
-            "ineq_5_16", rcd.check_5_16(derived, params.beta1, params.beta2)))
-        thresholds = rcd.diffusion_thresholds(derived)
+    if derived is not None:
         rcd_section.update({
             "p1": derived.p1, "p2": derived.p2,
             "q1": derived.q1, "q2": derived.q2,
-            "ratios": ratios,
-            "diffusion_thresholds": list(thresholds),
+            "ratios": rcd.scaled_ratios(derived),
+            "diffusion_thresholds": list(rcd.diffusion_thresholds(derived)),
         })
 
-    bracket = rcd.h_root_bracket()
-    rcd_section["z0_bracket"] = [bracket[0], bracket[1]]
-    rcd_section["z0"] = 0.5 * (bracket[0] + bracket[1])
-
-    report = _report_skeleton({
-        "command": "rcd",
-        "rcd": {k: float(block[k]) for k in sorted(
-            ("beta1", "beta2", "k1", "k2", "r1", "r2", "m1", "m2"))},
-    })
-    report["verdicts"] = verdicts
+    report = _report_skeleton({"command": "rcd", "rcd": values})
+    report["verdicts"] = [_scalar_verdict_entry(cid, v) for cid, v in checks]
     report["rcd"] = rcd_section
-    statuses = [v["status"] for v in verdicts]
-    report["timings"] = {"scalar_checks": len(verdicts)}
-    _write_report(report, out_dir / cfg.get("output", {}).get("report", "report.json"))
-    for v in verdicts:
-        print(f"{v['condition_id']}: {v['status']}")
+    report["timings"] = {"scalar_checks": len(checks)}
+    _write_report(report, out_dir / output["report"])
+    for cid, v in checks:
+        print(f"{cid}: {v.status}")
     print(f"[{time.monotonic() - started:.3f}s]", file=sys.stderr)
-    if "Fail" in statuses:
-        return EXIT_SOME_FAIL
-    if "Unknown" in statuses:
-        return EXIT_INCONCLUSIVE
-    return EXIT_ALL_PASS
+    statuses = {v.status for _, v in checks}
+    return (EXIT_SOME_FAIL if "Fail" in statuses else
+            EXIT_INCONCLUSIVE if "Unknown" in statuses else EXIT_ALL_PASS)
 
 
 # ---------------------------------------------------------------------------

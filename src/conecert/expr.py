@@ -409,6 +409,22 @@ def _natural_exponent(node: BinOp) -> int:
     return int(e.value)
 
 
+def check_natural_exponents(e: ExprAst) -> None:
+    """Raise the interval walk's EvalError for the first `^` without a
+    constant natural exponent, which a walk failing earlier never reaches."""
+    if isinstance(e, BinOp):
+        check_natural_exponents(e.left)
+        if e.op == "^":
+            _natural_exponent(e)
+        else:
+            check_natural_exponents(e.right)
+    elif isinstance(e, Neg):
+        check_natural_exponents(e.operand)
+    elif isinstance(e, Call):
+        for arg in e.args:
+            check_natural_exponents(arg)
+
+
 def _walk(node: ExprAst, x1, x2, ar: _Arithmetic):
     if isinstance(node, BinOp):
         a = _walk(node.left, x1, x2, ar)

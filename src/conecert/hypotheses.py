@@ -31,8 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conespace import RegionLabel, RegionSpec
-from .errors import ConfigError, DomainError
-from .expr import EvalError, ExprAst, eval_interval, eval_point, eval_values
+from .errors import ConfigError
+from .expr import (EvalError, ExprAst, check_natural_exponents, eval_interval,
+                   eval_point, eval_values)
 from .interval import Interval
 from .kernels import DirichletNeumann, ReactionConvectionDiffusion
 
@@ -112,7 +113,9 @@ def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
 
     Boxes are split on the widest axis (x1 wins ties); exploration order is
     fixed, so the verdict is deterministic for a given budget/depth.
+    An expression with no enclosure raises EvalError before any box.
     """
+    check_natural_exponents(q.expr)
     certified = _certified_fn(q.relation, q.bound)
     violates = _violates_fn(q.relation, q.bound)
     stack = [(q.box[0], q.box[1], 0)]
@@ -127,12 +130,10 @@ def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
         explored += 1
         try:
             enc = eval_interval(q.expr, b1, b2)
-        except EvalError as err:
-            # a domain error of the enclosure (a divisor enclosure that
-            # contains 0, say) only means the box is too coarse; an error
-            # without one is a property of the expression and ends the run
-            if not isinstance(err.__cause__, DomainError):
-                raise
+        except EvalError:
+            # every `^` passed the check above, so this is a domain error of
+            # the enclosure (a divisor enclosure that contains 0, say): the
+            # box is only too coarse
             enc = None
         if enc is not None and certified(enc):
             continue

@@ -20,6 +20,7 @@ reaction coefficients
 
 with r1 >= k1, r2 >= k2 and (m1, m2) inside the admissible open ranges below,
 then checks the diffusion inequality that the four-solution theorem needs.
+`check_all` runs every scalar check once, in report order.
 
 All arithmetic here is plain double precision with a 1e-12 guard band;
 verdicts are tri-state (Pass / Fail / Unknown inside the band).
@@ -46,12 +47,16 @@ def _strict(lhs: float, rhs: float) -> str:
     return "Unknown"
 
 
-def _combine(*statuses: str) -> str:
-    if "Fail" in statuses:
-        return "Fail"
-    if "Unknown" in statuses:
-        return "Unknown"
-    return "Pass"
+def _first_failure(checks) -> CertVerdict:
+    """Combine (status, lhs, rhs, note) strict-inequality checks: Fail if
+    any fails, with the first failing check's (lhs, rhs, lhs - rhs) witness
+    and note, else Unknown if any is undecided, else Pass."""
+    for status, lhs, rhs, note in checks:
+        if status == "Fail":
+            return CertVerdict("Fail", (lhs, rhs, lhs - rhs), note=note)
+    if any(status == "Unknown" for status, *_ in checks):
+        return CertVerdict("Unknown", None)
+    return CertVerdict("Pass", None)
 
 
 def g_eval(k: float, z: float) -> float:
@@ -93,34 +98,18 @@ def check_5_11(k1: float, k2: float) -> CertVerdict:
     rhs_a = (s1 / st1) * (k2 - 1.0) / k2
     lhs_b = math.exp(-math.sqrt(k2 * (k2 - 4.0)))
     rhs_b = (s2 / st2) * (k1 - 1.0) / k1
-    va = _strict(lhs_a, rhs_a)
-    vb = _strict(lhs_b, rhs_b)
-    status = _combine(va, vb)
-    witness = None
-    note = ""
-    if status == "Fail":
-        if va == "Fail":
-            witness = (lhs_a, rhs_a, lhs_a - rhs_a)
-            note = "first inequality violated"
-        else:
-            witness = (lhs_b, rhs_b, lhs_b - rhs_b)
-            note = "second inequality violated"
-    return CertVerdict(status, witness, note=note)
+    return _first_failure([
+        (_strict(lhs_a, rhs_a), lhs_a, rhs_a, "first inequality violated"),
+        (_strict(lhs_b, rhs_b), lhs_b, rhs_b, "second inequality violated")])
 
 
-def _m1_bounds(k1, k2, r1) -> tuple[float, float]:
-    s2, st2 = s_pair(k2)
-    _, st1 = s_pair(k1)
-    lo = st2 / ((r1 - 1.0) * st1) * math.exp(k2 / (1.0 + st2))
-    hi = s2 / (r1 * st1) * math.exp(k2 / (1.0 + s2))
-    return lo, hi
-
-
-def _m2_bounds(k1, k2, r2) -> tuple[float, float]:
-    s1, st1 = s_pair(k1)
-    _, st2 = s_pair(k2)
-    lo = st1 / ((r2 - 1.0) * st2) * math.exp(k1 / (1.0 + st1))
-    hi = s1 / (r2 * st2) * math.exp(k1 / (1.0 + s1))
+def _m_bounds(k_own, k_other, r) -> tuple[float, float]:
+    """Ends of the open m-range of the component with parameters
+    (k_own, r); m1 takes (k1, k2, r1) and m2 takes (k2, k1, r2)."""
+    s_o, st_o = s_pair(k_other)
+    _, st = s_pair(k_own)
+    lo = st_o / ((r - 1.0) * st) * math.exp(k_other / (1.0 + st_o))
+    hi = s_o / (r * st) * math.exp(k_other / (1.0 + s_o))
     return lo, hi
 
 
@@ -135,11 +124,10 @@ def m_ranges(k1: float, k2: float, r1: float, r2: float
         raise DomainError(
             f"requires r1 >= k1 and r2 >= k2, got r1={r1}, k1={k1}, "
             f"r2={r2}, k2={k2}")
-    lo1, hi1 = _m1_bounds(k1, k2, r1)
-    lo2, hi2 = _m2_bounds(k1, k2, r2)
-    range1 = Interval(lo1, hi1) if lo1 < hi1 else None
-    range2 = Interval(lo2, hi2) if lo2 < hi2 else None
-    return range1, range2
+    lo1, hi1 = _m_bounds(k1, k2, r1)
+    lo2, hi2 = _m_bounds(k2, k1, r2)
+    return (Interval(lo1, hi1) if lo1 < hi1 else None,
+            Interval(lo2, hi2) if lo2 < hi2 else None)
 
 
 def check_m_range(name: str, m: float, rng: Interval | None) -> CertVerdict:
@@ -215,22 +203,24 @@ def scaled_ratios(d: DerivedParams) -> dict[str, float]:
     }
 
 
-def ratio_checks(d: DerivedParams) -> list[tuple[str, float, str]]:
-    """(name, value, verdict) for the four scaled ratios; the *_small ones
-    must sit strictly below 1 and the *_big ones strictly above."""
-    ratios = scaled_ratios(d)
+def ratio_checks(d: DerivedParams) -> list[tuple[str, CertVerdict]]:
+    """("ratio_<name>", verdict) for the four scaled ratios; the *_small
+    ones must sit strictly below 1 and the *_big ones strictly above.  The
+    note carries the ratio's value."""
     out = []
-    for name, want_small in (("f1_small", True), ("f1_big", False),
-                             ("f2_small", True), ("f2_big", False)):
-        value = ratios[name]
-        status = _strict(value, 1.0) if want_small else _strict(1.0, value)
-        out.append((name, value, status))
+    for name, value in scaled_ratios(d).items():
+        status = (_strict(value, 1.0) if name.endswith("_small")
+                  else _strict(1.0, value))
+        out.append((f"ratio_{name}",
+                    CertVerdict(status, None, note=f"{name} = {value!r}")))
     return out
 
 
 def build_params(p: RcdParams) -> DerivedParams:
-    """Derive (p_j, q_j) from the admissible (m1, m2) and re-verify the
-    scaled-ratio inequalities by direct evaluation."""
+    """Derive (p_j, q_j) from the admissible (m1, m2).
+
+    Raises ConfigError when an m lies outside its range.  The scaled-ratio
+    inequalities are not checked here: `ratio_checks` decides them."""
     range1, range2 = m_ranges(p.k1, p.k2, p.r1, p.r2)
     for name, m, rng in (("m1", p.m1, range1), ("m2", p.m2, range2)):
         verdict = check_m_range(name, m, rng)
@@ -238,23 +228,13 @@ def build_params(p: RcdParams) -> DerivedParams:
             raise ConfigError(verdict.note)
     s1, st1 = s_pair(p.k1)
     s2, st2 = s_pair(p.k2)
-    derived = DerivedParams(
+    return DerivedParams(
         p1=p.m2 * math.exp(-1.0 / p.beta2),
         p2=p.m1 * math.exp(-1.0 / p.beta1),
         q1=p.r2 * st2 * math.exp(1.0 / p.beta2),
         q2=p.r1 * st1 * math.exp(1.0 / p.beta1),
         s1=s1, st1=st1, s2=s2, st2=st2,
         m1_range=range1, m2_range=range2, source=p)
-    ratios = scaled_ratios(derived)
-    for name, want_small in (("f1_small", True), ("f1_big", False),
-                             ("f2_small", True), ("f2_big", False)):
-        value = ratios[name]
-        ok = value < 1.0 if want_small else value > 1.0
-        if not ok:
-            rel = "<" if want_small else ">"
-            raise ConfigError(
-                f"re-verification failed: {name} = {value} is not {rel} 1")
-    return derived
 
 
 def check_5_16(d: DerivedParams, beta1: float, beta2: float) -> CertVerdict:
@@ -267,19 +247,32 @@ def check_5_16(d: DerivedParams, beta1: float, beta2: float) -> CertVerdict:
     lhs1 = beta1 - beta1 * math.exp(-1.0 / beta1)
     lhs2 = beta2 - beta2 * math.exp(-1.0 / beta2)
     rhs1, rhs2 = diffusion_thresholds(d)
-    v1 = _strict(rhs1, lhs1)
-    v2 = _strict(rhs2, lhs2)
-    status = _combine(v1, v2)
-    witness = None
-    note = ""
-    if status == "Fail":
-        if v1 == "Fail":
-            witness = (lhs1, rhs1, lhs1 - rhs1)
-            note = "first component diffusion inequality violated"
-        else:
-            witness = (lhs2, rhs2, lhs2 - rhs2)
-            note = "second component diffusion inequality violated"
-    return CertVerdict(status, witness, note=note)
+    return _first_failure([
+        (_strict(rhs1, lhs1), lhs1, rhs1,
+         "first component diffusion inequality violated"),
+        (_strict(rhs2, lhs2), lhs2, rhs2,
+         "second component diffusion inequality violated")])
+
+
+def check_all(p: RcdParams) -> tuple[list[tuple[str, CertVerdict]],
+                                     tuple[Interval | None, Interval | None],
+                                     DerivedParams | None]:
+    """Every scalar check of the pipeline, once each, in report order.
+
+    Returns the (condition_id, verdict) pairs, the (m1, m2) ranges and the
+    derived parameters.  `ineq_5_11`, `m1_in_range` and `m2_in_range` always
+    run; the four `ratio_*` checks and `ineq_5_16` need both m's in range,
+    and without them the derived parameters are None."""
+    verdicts = [("ineq_5_11", check_5_11(p.k1, p.k2))]
+    ranges = m_ranges(p.k1, p.k2, p.r1, p.r2)
+    for name, m, rng in zip(("m1", "m2"), (p.m1, p.m2), ranges):
+        verdicts.append((f"{name}_in_range", check_m_range(name, m, rng)))
+    if any(v.status != "Pass" for _, v in verdicts[1:]):
+        return verdicts, ranges, None
+    derived = build_params(p)
+    verdicts += ratio_checks(derived)
+    verdicts.append(("ineq_5_16", check_5_16(derived, p.beta1, p.beta2)))
+    return verdicts, ranges, derived
 
 
 def diffusion_thresholds(d: DerivedParams) -> tuple[float, float]:

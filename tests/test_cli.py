@@ -35,6 +35,59 @@ def test_dumps_canonical_rejects_nonfinite():
 
 
 # ---------------------------------------------------------------------------
+# malformed configs
+
+MALFORMED = [
+    ("verify", nine_config, ("checker",), 5),
+    ("verify", nine_config, ("checker",), {"budget": "abc"}),
+    ("verify", nine_config, ("checker",), {"budget": True}),
+    ("verify", nine_config, ("checker",), {"depth": 2.5}),
+    ("solve", nine_config, ("solver",), []),
+    ("solve", nine_config, ("solver",), {"dedupe": -1.0}),
+    ("solve", nine_config, ("solver",), {"dedupe": 0}),
+    ("solve", nine_config, ("solver",), {"grid_n": 129.5}),
+    ("verify", nine_config, ("output",), "x"),
+    ("solve", nine_config, ("output",), {"csv_dir": 5}),
+    ("verify", nine_config, ("problem",), 5),
+    ("verify", nine_config, ("problem", "region", "d"), "a"),
+    ("verify", hybrid_config, ("problem", "region", "annulus"), [2.0, "5"]),
+    ("verify", closing_problem_config, ("problem", "kernel1", "beta"), "1"),
+    ("rcd", closing_rcd_config, ("rcd",), 5),
+    ("rcd", closing_rcd_config, ("rcd", "m1"), "x"),
+    ("rcd", closing_rcd_config, ("rcd", "m2"), float("inf")),
+]
+
+
+@pytest.mark.parametrize("command,make,keys,value", MALFORMED,
+                         ids=[f"{c}-{'.'.join(k)}={v!r}"
+                              for c, _, k, v in MALFORMED])
+def test_malformed_config_is_exit_3(tmp_path, capsys, command, make, keys,
+                                    value):
+    cfg = make()
+    target = cfg
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = write_config(tmp_path, cfg)
+    assert main([command, path, "--out", str(tmp_path)]) == 3
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_solve_null_dedupe_is_default(tmp_path):
+    cfg = nine_config()
+    (tmp_path / "default").mkdir()
+    (tmp_path / "null").mkdir()
+    assert main(["solve", write_config(tmp_path, cfg), "--out",
+                 str(tmp_path / "default")]) == 0
+    cfg["solver"] = {"dedupe": None}
+    assert main(["solve", write_config(tmp_path, cfg), "--out",
+                 str(tmp_path / "null")]) == 0
+    assert (tmp_path / "default" / "report.json").read_bytes() == \
+        (tmp_path / "null" / "report.json").read_bytes()
+    assert len(read_report(tmp_path / "null")["solutions"]) == 4
+
+
+# ---------------------------------------------------------------------------
 # verify
 
 def test_verify_nine_example(tmp_path):
@@ -270,6 +323,22 @@ def test_rcd_m_out_of_range_exit_1(tmp_path, capsys):
                  if v["condition_id"] == "m1_in_range")
     assert entry["status"] == "Fail"
     assert "lower" in entry["note"]
+
+
+def test_rcd_borderline_ratio_is_inconclusive(tmp_path):
+    # m1 sits at the edge of its range, so the f1_small ratio rounds to 1.0:
+    # inside the guard band, neither a Pass nor a Fail
+    cfg = {"rcd": {"beta1": 1.0, "beta2": 1.0, "k1": 9.577156440947608,
+                   "k2": 7.1767437306490125, "r1": 17.29021180253892,
+                   "r2": 12.137734274679705, "m1": 0.37567370045618687,
+                   "m2": 10.325868406869752},
+           "output": {"report": "rcd_report.json"}}
+    path = write_config(tmp_path, cfg)
+    assert main(["rcd", path, "--out", str(tmp_path)]) == 2
+    report = read_report(tmp_path, "rcd_report.json")
+    statuses = {v["condition_id"]: v["status"] for v in report["verdicts"]}
+    assert statuses.pop("ratio_f1_small") == "Unknown"
+    assert len(statuses) == 7 and set(statuses.values()) == {"Pass"}
 
 
 def test_rcd_missing_block(tmp_path):

@@ -82,6 +82,15 @@ def test_certify_nonconstant_exponent_raises_at_once():
         certify_box(q, budget=1)
 
 
+def test_certify_nonconstant_exponent_behind_divisor_raises_at_once():
+    # the divisor's enclosure contains 0 on every box, so no interval walk
+    # reaches the ^; the check ahead of the first box still catches it
+    q = BoxIneq(parse_expr("(1/(x1 - x1 + 1e-300))*x1^1.5"), box(0, 5, 0, 5),
+                "<=", 1e308, "t")
+    with pytest.raises(EvalError, match="constant natural exponent"):
+        certify_box(q, budget=20000)
+
+
 def test_certify_unknown_depth_cap():
     q = BoxIneq(parse_expr("x1 + x2 - x1"), box(0, 5, 0, 5), "<", 5.01, "demo.dep")
     capped = certify_box(q, max_depth=1)

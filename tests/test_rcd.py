@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from conecert.errors import ConfigError, DomainError
-from conecert.rcd import (RcdParams, build_params, check_5_11, check_m_range,
-                          check_5_16, diffusion_thresholds, g_eval, h_root,
-                          h_root_bracket, m_ranges, monotonicity_profile,
-                          s_pair, scaled_ratios)
+from conecert.rcd import (RcdParams, build_params, check_5_11, check_all,
+                          check_m_range, check_5_16, diffusion_thresholds,
+                          g_eval, h_root, h_root_bracket, m_ranges,
+                          monotonicity_profile, s_pair, scaled_ratios)
 
 # admissible m-ranges for (k1, k2, r1, r2) = (8, 10, 8, 10), frozen from a
 # 50-digit evaluation of the closed forms
@@ -159,6 +159,17 @@ def test_m_ranges_nonempty_iff_modified_gate():
         assert (range2 is not None) == gate2
 
 
+def test_m_ranges_swap_components():
+    # the m2 range is the m1 range of the system with the components swapped
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        k1 = float(rng.uniform(4.05, 12.0))
+        k2 = float(rng.uniform(4.05, 12.0))
+        r1 = float(k1 + rng.uniform(0, 5.0))
+        r2 = float(k2 + rng.uniform(0, 5.0))
+        assert m_ranges(k1, k2, r1, r2)[1] == m_ranges(k2, k1, r2, r1)[0]
+
+
 def test_m_ranges_domain():
     with pytest.raises(DomainError):
         m_ranges(8.0, 10.0, 7.0, 10.0)  # r1 < k1
@@ -193,6 +204,27 @@ def test_check_m_range_verdicts():
         v = check_m_range("m1", m, rng)
         assert v.status == "Fail" and bound in v.note
         assert v.witness == (m, end, 0.0)
+
+
+def test_check_all_runs_every_check_in_report_order():
+    verdicts, ranges, derived = check_all(CLOSING)
+    assert [cid for cid, _ in verdicts] == [
+        "ineq_5_11", "m1_in_range", "m2_in_range", "ratio_f1_small",
+        "ratio_f1_big", "ratio_f2_small", "ratio_f2_big", "ineq_5_16"]
+    assert all(v.status == "Pass" for _, v in verdicts)
+    assert ranges == m_ranges(8.0, 10.0, 8.0, 10.0)
+    assert derived == build_params(CLOSING)
+    value = scaled_ratios(derived)["f1_small"]
+    assert verdicts[3][1].note == f"f1_small = {value!r}"
+
+
+def test_check_all_stops_after_m_range_fail():
+    verdicts, ranges, derived = check_all(
+        RcdParams(beta1=1.0, beta2=1.0, k1=8.0, k2=10.0,
+                  r1=8.0, r2=10.0, m1=0.1, m2=1.0))
+    assert [(cid, v.status) for cid, v in verdicts] == [
+        ("ineq_5_11", "Pass"), ("m1_in_range", "Fail"), ("m2_in_range", "Pass")]
+    assert ranges[0] is not None and derived is None
 
 
 def test_scaled_ratios_straddle_one():
@@ -247,7 +279,11 @@ def test_check_5_16_beta_limits():
     rhs1, rhs2 = diffusion_thresholds(derived)
     assert rhs1 < 1.0 and rhs2 < 1.0
     # tiny beta makes the left side collapse to ~beta
-    assert check_5_16(derived, 0.01, 0.01).status == "Fail"
+    failed = check_5_16(derived, 0.01, 0.01)
+    assert failed.status == "Fail" and failed.note.startswith("first")
+    lhs, rhs, gap = failed.witness
+    assert lhs == 0.01 - 0.01 * math.exp(-100.0) and rhs == rhs1
+    assert gap == lhs - rhs < 0.0
 
 
 def test_h_root_bracket():
