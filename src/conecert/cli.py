@@ -114,13 +114,17 @@ def _read_block(cfg: dict, name: str, defaults: dict,
                 overrides: dict | None = None) -> dict:
     """The numeric block `cfg[name]`, one entry per key of `defaults`.
 
-    Each value comes from `overrides`, else the block, else the default; a
-    null counts as absent.  A `_REQUIRED` default makes the key mandatory
-    and a None default may stay None.  Every other value must be a positive
-    finite number, and an integer wherever the default is an int."""
+    A key of the block that `defaults` lacks is an error.  Each value comes
+    from `overrides`, else the block, else the default; a null counts as
+    absent.  A `_REQUIRED` default makes the key mandatory and a None
+    default may stay None.  Every other value must be a positive finite
+    number, and an integer wherever the default is an int."""
     block = {} if cfg.get(name) is None else cfg[name]
     if not isinstance(block, dict):
         raise ConfigError(f"{name} must be an object")
+    unknown = sorted(set(block) - set(defaults))
+    if unknown:
+        raise ConfigError(f"{name} has unknown keys: {', '.join(unknown)}")
     given = {key: value for source in (block, overrides or {})
              for key, value in source.items() if value is not None}
     out = {}
@@ -199,7 +203,8 @@ def build_problem(cfg: dict) -> ProblemSpec:
     region = RegionSpec(**pairs,
                         window=(_window_for(kernel1), _window_for(kernel2)))
     return ProblemSpec(kernel1=kernel1, kernel2=kernel2, f1=f1, f2=f2,
-                       region=region, mode=str(cfg["mode"]))
+                       region=region, mode=str(cfg["mode"]),
+                       remark52=bool(cfg.get("remark52", False)))
 
 
 def _problem_echo(cfg: dict, problem: ProblemSpec) -> dict:
@@ -210,7 +215,7 @@ def _problem_echo(cfg: dict, problem: ProblemSpec) -> dict:
         "kernel2": _kernel_echo(problem.kernel2),
         "f1": str(cfg["f1"]),
         "f2": str(cfg["f2"]),
-        "remark52": bool(cfg.get("remark52", False)),
+        "remark52": problem.remark52,
         "region": {
             "d": list(region.d), "a": list(region.a), "c": list(region.c),
             "b": list(region.b_effective()),
@@ -218,14 +223,6 @@ def _problem_echo(cfg: dict, problem: ProblemSpec) -> dict:
             "window": list(region.window),
         },
     }
-
-
-def _theorem_id(problem: ProblemSpec, remark52: bool) -> str:
-    if problem.mode == "nine":
-        return "thm52"
-    if problem.mode == "hybrid":
-        return "thm51"
-    return "thm53_remark52" if remark52 else "thm53"
 
 
 # ---------------------------------------------------------------------------
@@ -267,24 +264,15 @@ def cmd_verify(cfg: dict, out_dir: Path, oracle_n: int | None = None) -> int:
     checker = _read_block(cfg, "checker", _CHECKER_DEFAULTS,
                           {"oracle_n": oracle_n})
     output = _output(cfg)
-    remark52 = bool(cfg["problem"].get("remark52", False))
-    theorem_id = _theorem_id(problem, remark52)
 
     started = time.monotonic()
     report_data = hypotheses.check_theorem(
-        problem, problem.region, theorem_id,
-        budget=checker["budget"], max_depth=checker["depth"],
-        witness_n=checker["oracle_n"])
+        problem, budget=checker["budget"], max_depth=checker["depth"],
+        oracle_n=checker["oracle_n"])
 
     verdict_entries = []
-    boxes_total = 0
-    oracle_points = 0
     for result in report_data.conditions:
-        cond, verdict = result.cond, result.verdict
-        oracle = hypotheses.grid_oracle(cond, checker["oracle_n"])
-        agrees = hypotheses.oracle_agrees(cond, verdict, oracle)
-        boxes_total += verdict.boxes_explored
-        oracle_points += oracle.n * oracle.n
+        cond, verdict, oracle = result.cond, result.verdict, result.oracle
         entry = _verdict_json(verdict)
         entry["condition_id"] = cond.condition_id
         entry["relation"] = cond.relation
@@ -294,7 +282,7 @@ def cmd_verify(cfg: dict, out_dir: Path, oracle_n: int | None = None) -> int:
         entry["oracle"] = {
             "n": oracle.n, "sup": oracle.sup, "inf": oracle.inf,
             "argmax": list(oracle.argmax), "argmin": list(oracle.argmin),
-            "agrees": agrees,
+            "agrees": result.agrees,
         }
         verdict_entries.append(entry)
         print(f"{cond.condition_id}: {verdict.status}")
@@ -310,12 +298,14 @@ def cmd_verify(cfg: dict, out_dir: Path, oracle_n: int | None = None) -> int:
         "command": "verify",
         "problem": _problem_echo(cfg["problem"], problem),
         "checker": checker,
-        "theorem_id": theorem_id,
+        "theorem_id": report_data.theorem_id,
     })
     report["verdicts"] = verdict_entries
     report["promised"] = promised
-    report["timings"] = {"boxes_explored_total": boxes_total,
-                         "oracle_points": oracle_points}
+    report["timings"] = {
+        "boxes_explored_total": sum(r.verdict.boxes_explored
+                                    for r in report_data.conditions),
+        "oracle_points": sum(r.oracle.n ** 2 for r in report_data.conditions)}
     _write_report(report, out_dir / output["report"])
     print(f"overall: {report_data.overall}")
     print(f"[{time.monotonic() - started:.3f}s]", file=sys.stderr)
@@ -342,10 +332,7 @@ def cmd_solve(cfg: dict, out_dir: Path, grid_n: int | None = None,
         _write_solution_csv(sol, csv_dir / csv_name)
         iterations_total += sol.iterations
         label = sol.region
-        index = None
-        if isinstance(label, RegionLabel):
-            index = region_index(
-                label, "hybrid" if problem.mode == "hybrid" else "nine")
+        index = region_index(label) if isinstance(label, RegionLabel) else None
         entries.append({
             "seed_id": sol.seed_id,
             "residual": sol.residual,

@@ -11,9 +11,9 @@ Per-component region tags:
     B  min_window > a        (big)
     M  otherwise             (middle; ties at the thresholds land here)
 
-In nine mode the tag pair indexes the nine disjoint localization regions; in
-hybrid mode component 2 is only constrained to the annulus r <= ||u2|| <= R
-and the component-1 tag indexes three regions.
+Without an annulus the tag pair indexes the nine disjoint localization
+regions; with one (hybrid mode) component 2 is only constrained to the
+annulus r <= ||u2|| <= R and the component-1 tag indexes three regions.
 """
 
 from __future__ import annotations
@@ -128,9 +128,10 @@ _NINE_INDEX = {
 _HYBRID_INDEX = {"B": 1, "S": 2, "M": 3}
 
 
-def region_index(label: RegionLabel, mode: str) -> int:
-    """Index of the localization region a label pair falls in (1-based)."""
-    if mode == "hybrid":
+def region_index(label: RegionLabel) -> int:
+    """Index of the localization region a label pair falls in (1-based);
+    an annulus label indexes the three hybrid regions."""
+    if label.comp2 == "annulus":
         return _HYBRID_INDEX[label.comp1]
     return _NINE_INDEX[(label.comp1, label.comp2)]
 
@@ -143,28 +144,23 @@ def _component_tag(u: GridFunction, d: float, a: float, window: float) -> str:
     return "M"
 
 
-def classify(u1: GridFunction, u2: GridFunction, spec: RegionSpec,
-             mode: str = "nine") -> RegionLabel:
-    """Per-component region tags; raises OutsideAmbientError when the pair
+def classify(u1: GridFunction, u2: GridFunction, spec: RegionSpec) -> RegionLabel:
+    """Per-component region tags; component 2 lives on the annulus exactly
+    when the spec has one.  Raises OutsideAmbientError when the pair
     violates the ambient precondition (sup <= c_j, or the annulus)."""
-    if mode not in ("nine", "hybrid"):
-        raise ValueError(f"unknown mode {mode!r}")
     s1 = sup_norm(u1)
     if s1 > spec.c[0]:
         raise OutsideAmbientError(f"sup_norm(u1)={s1} exceeds c1={spec.c[0]}")
-    if mode == "hybrid":
-        if spec.annulus is None:
-            raise ConfigError("hybrid mode requires an annulus (r, R)")
+    s2 = sup_norm(u2)
+    if spec.annulus is not None:
         r, big_r = spec.annulus
-        s2 = sup_norm(u2)
         if not (r <= s2 <= big_r):
             raise OutsideAmbientError(
                 f"sup_norm(u2)={s2} outside the annulus [{r}, {big_r}]")
-        tag1 = _component_tag(u1, spec.d[0], spec.a[0], spec.window[0])
-        return RegionLabel(tag1, "annulus")
-    s2 = sup_norm(u2)
-    if s2 > spec.c[1]:
+    elif s2 > spec.c[1]:
         raise OutsideAmbientError(f"sup_norm(u2)={s2} exceeds c2={spec.c[1]}")
     tag1 = _component_tag(u1, spec.d[0], spec.a[0], spec.window[0])
-    tag2 = _component_tag(u2, spec.d[1], spec.a[1], spec.window[1])
-    return RegionLabel(tag1, tag2)
+    if spec.annulus is not None:
+        return RegionLabel(tag1, "annulus")
+    return RegionLabel(tag1, _component_tag(u2, spec.d[1], spec.a[1],
+                                            spec.window[1]))

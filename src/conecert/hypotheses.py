@@ -10,9 +10,7 @@ which are decided by interval branch and bound:
   box satisfies the relation (strict relations need the enclosure endpoint
   strictly inside; exact equality is Unknown, never Pass).
 * Fail  -- only via a concrete witness: a sampled point whose plain-float
-  value violates the relation.  Witnesses are canonicalized to the first
-  violating point of the row-major sample lattice so reports are
-  deterministic regardless of exploration order.
+  value violates the relation.
 * Unknown -- the box/depth budget ran out with neither outcome.
 
 A box whose enclosure leaves an operation's domain (a divisor enclosure
@@ -21,21 +19,23 @@ point evaluation is reported as an error.
 
 A plain-arithmetic grid oracle (dense lattice extrema) runs alongside as an
 independent cross-check; it can never certify, only agree or disagree.
+`check_theorem` evaluates one oracle lattice per condition and canonicalizes
+each Fail witness to the lattice's first violating point in row-major order,
+so reports are deterministic regardless of exploration order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .conespace import RegionLabel, RegionSpec
+from .conespace import RegionLabel
 from .errors import ConfigError
 from .expr import (EvalError, ExprAst, check_natural_exponents, eval_interval,
                    eval_point, eval_values)
 from .interval import Interval
-from .kernels import DirichletNeumann, ReactionConvectionDiffusion
 
 DEFAULT_BUDGET = 100_000
 DEFAULT_DEPTH = 40
@@ -88,31 +88,13 @@ def _violates_fn(relation: Relation, bound: float):
     raise ValueError(f"unknown relation {relation!r}")
 
 
-def _lattice(q: BoxIneq, n: int):
-    g1 = np.linspace(q.box[0].lo, q.box[0].hi, n)
-    g2 = np.linspace(q.box[1].lo, q.box[1].hi, n)
-    x1, x2 = np.meshgrid(g1, g2, indexing="ij")
-    return g1, g2, eval_values(q.expr, x1, x2)
-
-
-def _first_lattice_violation(q: BoxIneq, n: int):
-    """First violating lattice point in row-major (x1 outer) order, or None."""
-    violates = _violates_fn(q.relation, q.bound)
-    g1, g2, vals = _lattice(q, n)
-    mask = violates(vals)
-    if not mask.any():
-        return None
-    i, j = np.unravel_index(int(np.argmax(mask)), mask.shape)
-    return float(g1[i]), float(g2[j]), float(vals[i, j])
-
-
 def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
-                max_depth: int = DEFAULT_DEPTH,
-                witness_n: int = DEFAULT_ORACLE_N) -> CertVerdict:
+                max_depth: int = DEFAULT_DEPTH) -> CertVerdict:
     """Branch-and-bound verdict for one box inequality.
 
     Boxes are split on the widest axis (x1 wins ties); exploration order is
-    fixed, so the verdict is deterministic for a given budget/depth.
+    fixed, so the verdict is deterministic for a given budget/depth.  A
+    Fail's witness is the midpoint of the first sub-box found violating.
     An expression with no enclosure raises EvalError before any box.
     """
     check_natural_exponents(q.expr)
@@ -144,10 +126,8 @@ def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
                             f"({b1.mid!r}, {b2.mid!r}) of sub-box {b1} x {b2}"
                             ) from err
         if violates(val):
-            witness = _first_lattice_violation(q, witness_n)
-            if witness is None:
-                witness = (b1.mid, b2.mid, val)
-            return CertVerdict("Fail", witness, explored, depth_capped)
+            return CertVerdict("Fail", (b1.mid, b2.mid, val), explored,
+                               depth_capped)
         if dep >= max_depth:
             depth_capped = True
             unresolved = True
@@ -182,20 +162,30 @@ class OracleResult:
     argmax: tuple[float, float]
     argmin: tuple[float, float]
     n: int
+    # (x1, x2, value) of the first violating lattice point, row-major with
+    # x1 outer; None when every sample satisfies the relation
+    first_violation: tuple[float, float, float] | None
 
 
 def grid_oracle(q: BoxIneq, n: int = DEFAULT_ORACLE_N) -> OracleResult:
-    """Plain-arithmetic extrema of expr over the n x n lattice (corners included)."""
+    """Plain-arithmetic extrema of expr over the n x n lattice (corners
+    included), plus the lattice's first violation of the relation."""
     if n < 2:
         raise ValueError(f"need n >= 2 samples per axis, got {n}")
-    g1, g2, vals = _lattice(q, n)
-    imax = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    imin = np.unravel_index(int(np.argmin(vals)), vals.shape)
-    return OracleResult(
-        sup=float(vals[imax]), inf=float(vals[imin]),
-        argmax=(float(g1[imax[0]]), float(g2[imax[1]])),
-        argmin=(float(g1[imin[0]]), float(g2[imin[1]])),
-        n=n)
+    g1 = np.linspace(q.box[0].lo, q.box[0].hi, n)
+    g2 = np.linspace(q.box[1].lo, q.box[1].hi, n)
+    vals = eval_values(q.expr, *np.meshgrid(g1, g2, indexing="ij"))
+
+    def point(idx):
+        i, j = np.unravel_index(idx, vals.shape)
+        return float(g1[i]), float(g2[j]), float(vals[i, j])
+
+    x1, x2, sup = point(int(np.argmax(vals)))
+    y1, y2, inf = point(int(np.argmin(vals)))
+    mask = _violates_fn(q.relation, q.bound)(vals)
+    first = point(int(np.argmax(mask))) if mask.any() else None
+    return OracleResult(sup=sup, inf=inf, argmax=(x1, x2), argmin=(y1, y2),
+                        n=n, first_violation=first)
 
 
 def oracle_agrees(q: BoxIneq, verdict: CertVerdict, oracle: OracleResult) -> bool | None:
@@ -228,6 +218,8 @@ class Promised:
 class ConditionResult:
     cond: BoxIneq
     verdict: CertVerdict
+    oracle: OracleResult
+    agrees: bool | None  # oracle_agrees of the verdict and the oracle
 
 
 @dataclass(frozen=True)
@@ -252,7 +244,15 @@ _PROMISED = {
 }
 _PROMISED["thm53_remark52"] = _PROMISED["thm53"]
 
-THEOREM_IDS = ("thm51", "thm52", "thm53", "thm53_remark52")
+# the theorem each problem mode instantiates (thm53 with remark52 set checks
+# the strict-positivity variant)
+_THEOREMS = {"hybrid": "thm51", "nine": "thm52", "thm53": "thm53"}
+
+
+def _theorem(problem) -> str:
+    """Id of the theorem whose hypotheses the problem's mode asks for."""
+    tid = _THEOREMS[problem.mode]
+    return tid + "_remark52" if tid == "thm53" and problem.remark52 else tid
 
 
 def _require(cond: bool, message: str):
@@ -260,26 +260,19 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
-def _betas(problem) -> tuple[float, float]:
-    return (problem.kernel1.beta, problem.kernel2.beta)
-
-
-def expand_conditions(problem, region: RegionSpec, theorem_id: str) -> list[BoxIneq]:
-    """Instantiate the theorem's condition templates, boxes and bounds as
-    printed; ordering invariants are validated first (ConfigError names the
-    violated inequality)."""
-    if theorem_id not in THEOREM_IDS:
-        raise ConfigError(f"unknown theorem id {theorem_id!r}")
+def expand_conditions(problem) -> list[BoxIneq]:
+    """Instantiate the condition templates of the problem's theorem, boxes
+    and bounds as printed; ordering invariants are validated first
+    (ConfigError names the violated inequality).  Kernels and annulus are
+    already consistent with the mode (ProblemSpec checks them)."""
+    tid = _theorem(problem)
+    region = problem.region
     f1, f2 = problem.f1, problem.f2
     d, a, c = region.d, region.a, region.c
     b = region.b_effective()
     iv = Interval
 
-    if theorem_id == "thm51":
-        _require(isinstance(problem.kernel1, DirichletNeumann)
-                 and isinstance(problem.kernel2, DirichletNeumann),
-                 "thm51 requires the DirichletNeumann kernel for both components")
-        _require(region.annulus is not None, "thm51 requires an annulus (r, R)")
+    if tid == "thm51":
         r, big_r = region.annulus
         _require(0.0 < d[0] < a[0], f"need 0 < d < a, got d={d[0]}, a={a[0]}")
         _require(2.0 * a[0] < c[0], f"need 2a < c, got a={a[0]}, c={c[0]}")
@@ -295,10 +288,7 @@ def expand_conditions(problem, region: RegionSpec, theorem_id: str) -> list[BoxI
                     8.0 * big_r / 3.0, "thm51.e"),
         ]
 
-    if theorem_id == "thm52":
-        _require(isinstance(problem.kernel1, DirichletNeumann)
-                 and isinstance(problem.kernel2, DirichletNeumann),
-                 "thm52 requires the DirichletNeumann kernel for both components")
+    if tid == "thm52":
         for j in range(2):
             _require(0.0 < d[j] < a[j],
                      f"component {j + 1}: need 0 < d < a, got d={d[j]}, a={a[j]}")
@@ -317,12 +307,8 @@ def expand_conditions(problem, region: RegionSpec, theorem_id: str) -> list[BoxI
         ]
 
     # thm53 / thm53_remark52
-    _require(isinstance(problem.kernel1, ReactionConvectionDiffusion)
-             and isinstance(problem.kernel2, ReactionConvectionDiffusion),
-             "thm53 requires the reaction-convection-diffusion kernel for both "
-             "components")
-    betas = _betas(problem)
-    strict_positive = theorem_id == "thm53_remark52"
+    betas = (problem.kernel1.beta, problem.kernel2.beta)
+    strict_positive = problem.remark52
     for j in range(2):
         _require(0.0 < d[j] < a[j],
                  f"component {j + 1}: need 0 < d < a, got d={d[j]}, a={a[j]}")
@@ -354,15 +340,25 @@ def expand_conditions(problem, region: RegionSpec, theorem_id: str) -> list[BoxI
     return conds
 
 
-def check_theorem(problem, region: RegionSpec, theorem_id: str,
-                  budget: int = DEFAULT_BUDGET, max_depth: int = DEFAULT_DEPTH,
-                  witness_n: int = DEFAULT_ORACLE_N) -> HypothesisReport:
-    """Expand, certify and assemble the per-theorem report.  Fail dominates
-    Unknown dominates Pass; the promise is populated only on AllPass."""
-    conds = expand_conditions(problem, region, theorem_id)
-    results = tuple(
-        ConditionResult(q, certify_box(q, budget, max_depth, witness_n))
-        for q in conds)
+def check_theorem(problem, budget: int = DEFAULT_BUDGET,
+                  max_depth: int = DEFAULT_DEPTH,
+                  oracle_n: int = DEFAULT_ORACLE_N) -> HypothesisReport:
+    """Expand, certify and cross-check each condition, and assemble the
+    report.  Each condition is certified first and then sampled on one
+    oracle lattice, whose first violating point (if any) becomes a Fail's
+    witness.  Fail dominates Unknown dominates Pass; the promise is
+    populated only on AllPass."""
+    if oracle_n < 2:
+        raise ConfigError(f"oracle_n must be at least 2, got {oracle_n}")
+    tid = _theorem(problem)
+    results = []
+    for q in expand_conditions(problem):
+        verdict = certify_box(q, budget, max_depth)
+        oracle = grid_oracle(q, oracle_n)
+        if verdict.status == "Fail" and oracle.first_violation is not None:
+            verdict = replace(verdict, witness=oracle.first_violation)
+        results.append(ConditionResult(q, verdict, oracle,
+                                       oracle_agrees(q, verdict, oracle)))
     statuses = [r.verdict.status for r in results]
     if any(s == "Fail" for s in statuses):
         overall = "SomeFail"
@@ -370,5 +366,5 @@ def check_theorem(problem, region: RegionSpec, theorem_id: str,
         overall = "Inconclusive"
     else:
         overall = "AllPass"
-    promised = _PROMISED[theorem_id] if overall == "AllPass" else None
-    return HypothesisReport(theorem_id, results, overall, promised)
+    promised = _PROMISED[tid] if overall == "AllPass" else None
+    return HypothesisReport(tid, tuple(results), overall, promised)

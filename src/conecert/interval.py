@@ -189,8 +189,11 @@ class Interval:
             return Interval(1.0, 1.0)
         if n == 1:
             return self
-        a = math.pow(self.lo, n)
-        b = math.pow(self.hi, n)
+        try:
+            a = math.pow(self.lo, n)
+            b = math.pow(self.hi, n)
+        except OverflowError:
+            raise DomainError(f"pow overflow on {self}^{n}") from None
         if n % 2 == 1 or self.lo >= 0.0:
             return Interval(_down2(a), _up2(b))
         if self.hi <= 0.0:

@@ -30,7 +30,8 @@ from .conespace import (GridFunction, RegionLabel, RegionSpec, classify,
 from .errors import ConfigError, OutsideAmbientError
 from .expr import EvalError, ExprAst, eval_point, eval_values
 from .kernels import (DirichletNeumann, KernelKind, QuadratureRule,
-                      green_matrix, make_rule, same_rule)
+                      ReactionConvectionDiffusion, green_matrix, make_rule,
+                      same_rule)
 
 log = logging.getLogger(__name__)
 
@@ -46,26 +47,29 @@ FD_STEP = 1e-7
 
 @dataclass(frozen=True)
 class ProblemSpec:
+    """A system plus its localization data; `__post_init__` is the one
+    place that states what each mode requires of kernels and region."""
+
     kernel1: KernelKind
     kernel2: KernelKind
     f1: ExprAst
     f2: ExprAst
     region: RegionSpec
     mode: str = "nine"
+    remark52: bool = False
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        dirichlet = (isinstance(self.kernel1, DirichletNeumann)
-                     and isinstance(self.kernel2, DirichletNeumann))
-        if self.mode in ("nine", "hybrid") and not dirichlet:
-            raise ConfigError(
-                f"mode {self.mode!r} requires the DirichletNeumann kernel")
-        if self.mode == "thm53" and dirichlet:
-            raise ConfigError(
-                "mode 'thm53' requires the reaction-convection-diffusion kernel")
-        if self.mode == "hybrid" and self.region.annulus is None:
-            raise ConfigError("hybrid mode requires an annulus (r, R)")
+        kernel = ReactionConvectionDiffusion if self.mode == "thm53" \
+            else DirichletNeumann
+        if not (isinstance(self.kernel1, kernel)
+                and isinstance(self.kernel2, kernel)):
+            raise ConfigError(f"mode {self.mode!r} requires the "
+                              f"{kernel.__name__} kernel for both components")
+        if (self.mode == "hybrid") != (self.region.annulus is not None):
+            raise ConfigError("an annulus (r, R) is required in hybrid mode "
+                              "and allowed only there")
 
 
 @dataclass
@@ -165,16 +169,15 @@ def residual(problem: ProblemSpec, u1: GridFunction, u2: GridFunction) -> float:
 
 def _ambient_bounds(problem: ProblemSpec) -> tuple[float, float]:
     region = problem.region
-    if problem.mode == "hybrid":
+    if region.annulus is not None:
         return region.c[0], region.annulus[1]
     return region.c
 
 
 def _classify_or_outside(problem: ProblemSpec, u1: GridFunction,
                          u2: GridFunction) -> RegionLabel | str:
-    mode = "hybrid" if problem.mode == "hybrid" else "nine"
     try:
-        return classify(u1, u2, problem.region, mode)
+        return classify(u1, u2, problem.region)
     except OutsideAmbientError:
         return "outside-ambient"
 
@@ -290,7 +293,7 @@ def seed_levels(problem: ProblemSpec) -> tuple[dict[str, float], dict[str, float
     levels1 = {"S": region.d[0] / 2.0,
                "M": (region.d[0] + region.a[0]) / 2.0,
                "B": (region.a[0] + region.c[0]) / 2.0}
-    if problem.mode == "hybrid":
+    if region.annulus is not None:
         r, big_r = region.annulus
         levels2 = {"LO": r + 0.25 * (big_r - r),
                    "MID": 0.5 * (r + big_r),
@@ -311,6 +314,8 @@ def multi_start(problem: ProblemSpec, params: SolverParams | None = None,
     overridden); processing order is sorted by seed_id so the output is
     deterministic."""
     params = params or SolverParams()
+    if params.grid_n < 3:
+        raise ConfigError(f"grid_n must be at least 3, got {params.grid_n}")
     if 0.5 in problem.region.window and (params.grid_n - 1) % 2 != 0:
         raise ConfigError(
             f"grid_n must be odd so t=1/2 is a node, got {params.grid_n}")

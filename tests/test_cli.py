@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
+from conecert import hypotheses
 from conecert.cli import dumps_canonical, main
+from conecert.expr import eval_values
 from conftest import (closing_problem_config, closing_rcd_config,
                       hybrid_config, nine_config, write_config)
 
@@ -55,6 +58,14 @@ MALFORMED = [
     ("rcd", closing_rcd_config, ("rcd",), 5),
     ("rcd", closing_rcd_config, ("rcd", "m1"), "x"),
     ("rcd", closing_rcd_config, ("rcd", "m2"), float("inf")),
+    # mode rules: thm53 takes the RCD kernel on both components, and an
+    # annulus belongs to hybrid mode only
+    ("verify", closing_problem_config, ("problem", "kernel2"),
+     "dirichlet_neumann"),
+    ("solve", closing_problem_config, ("problem", "kernel2"),
+     "dirichlet_neumann"),
+    ("verify", nine_config, ("problem", "region", "annulus"), [2.0, 5.0]),
+    ("solve", nine_config, ("problem", "region", "annulus"), [2.0, 5.0]),
 ]
 
 
@@ -71,6 +82,37 @@ def test_malformed_config_is_exit_3(tmp_path, capsys, command, make, keys,
     path = write_config(tmp_path, cfg)
     assert main([command, path, "--out", str(tmp_path)]) == 3
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,make,block,key", [
+    ("verify", nine_config, "checker", "budgte"),
+    ("solve", nine_config, "solver", "grid"),
+    ("rcd", closing_rcd_config, "rcd", "m3"),
+])
+def test_unknown_block_key_is_exit_3(tmp_path, capsys, command, make, block,
+                                     key):
+    cfg = make()
+    cfg[block] = dict(cfg.get(block, {}), **{key: 2})
+    path = write_config(tmp_path, cfg)
+    assert main([command, path, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "config error:" in err and key in err
+
+
+FLOORS = [
+    (["solve", "--grid-n", "1"], nine_config),
+    # an even count passes the parity check when no window starts at 1/2
+    (["solve", "--grid-n", "2"], closing_problem_config),
+    (["verify", "--oracle-n", "1"], nine_config),
+]
+
+
+@pytest.mark.parametrize("args,make", FLOORS,
+                         ids=[" ".join(a) for a, _ in FLOORS])
+def test_size_floor_is_exit_3(tmp_path, capsys, args, make):
+    path = write_config(tmp_path, make())
+    assert main([args[0], path, "--out", str(tmp_path), *args[1:]]) == 3
+    assert "must be at least" in capsys.readouterr().err
 
 
 def test_solve_null_dedupe_is_default(tmp_path):
@@ -177,6 +219,31 @@ def test_verify_nonnatural_exponent_is_exit_3(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert main(["verify", path, "--out", str(tmp_path)]) == 3
     assert "constant natural exponent" in capsys.readouterr().err
+
+
+def test_verify_power_overflow_is_exit_3(tmp_path, capsys):
+    # the enclosure of x1^1000 overflows, so the root box is split; the
+    # midpoint value overflows too, which is a point domain error
+    cfg = nine_config()
+    cfg["problem"]["f1"] += " + 0*x1^1000"
+    path = write_config(tmp_path, cfg)
+    assert main(["verify", path, "--out", str(tmp_path)]) == 3
+    assert "at the midpoint" in capsys.readouterr().err
+
+
+def test_verify_evaluates_one_lattice_per_condition(tmp_path, monkeypatch):
+    # the Fail's canonical witness comes from the oracle lattice itself, so
+    # hybrid's five conditions cost five lattices, not six
+    points = []
+
+    def counting(expr, x1, x2):
+        points.append(np.broadcast(x1, x2).size)
+        return eval_values(expr, x1, x2)
+
+    monkeypatch.setattr(hypotheses, "eval_values", counting)
+    path = write_config(tmp_path, hybrid_config())
+    assert main(["verify", path, "--out", str(tmp_path)]) == 1
+    assert points == [201 ** 2] * 5
 
 
 def test_verify_budget_exhaustion_is_inconclusive(tmp_path):

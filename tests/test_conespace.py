@@ -5,7 +5,9 @@ from conecert.conespace import (GridFunction, RegionLabel, RegionSpec,
                                 classify, in_cone_p, min_window, nontrivial,
                                 region_index, sup_norm)
 from conecert.errors import ConfigError, OutsideAmbientError
-from conecert.kernels import make_rule
+from conecert.expr import parse_expr
+from conecert.kernels import DirichletNeumann, make_rule
+from conecert.solver import ProblemSpec
 
 RULE = make_rule(129)
 SPEC = RegionSpec(d=(0.5, 0.5), a=(1.0, 1.0), c=(5.0, 5.0))
@@ -47,9 +49,9 @@ def test_classify_examples():
     assert classify(const(0.3), const(0.3), SPEC) == RegionLabel("S", "S")
     assert classify(const(2.0), const(2.0), SPEC) == RegionLabel("B", "B")
     assert classify(const(0.7), const(2.0), SPEC) == RegionLabel("M", "B")
-    assert region_index(RegionLabel("S", "S"), "nine") == 4
-    assert region_index(RegionLabel("B", "B"), "nine") == 1
-    assert region_index(RegionLabel("M", "B"), "nine") == 6
+    assert region_index(RegionLabel("S", "S")) == 4
+    assert region_index(RegionLabel("B", "B")) == 1
+    assert region_index(RegionLabel("M", "B")) == 6
 
 
 def test_classify_nine_full_map():
@@ -60,7 +62,7 @@ def test_classify_nine_full_map():
     for (t1, t2), idx in want.items():
         label = classify(by_tag[t1], by_tag[t2], SPEC)
         assert (label.comp1, label.comp2) == (t1, t2)
-        assert region_index(label, "nine") == idx
+        assert region_index(label) == idx
 
 
 def test_classify_ties_are_middle():
@@ -77,22 +79,35 @@ def test_classify_outside_ambient():
 def test_classify_hybrid():
     spec = RegionSpec(d=(0.5, 0.5), a=(1.0, 1.0), c=(5.0, 5.0),
                       annulus=(2.0, 5.0))
-    label = classify(const(2.0), const(3.0), spec, "hybrid")
+    label = classify(const(2.0), const(3.0), spec)
     assert label == RegionLabel("B", "annulus")
-    assert region_index(label, "hybrid") == 1
-    assert region_index(classify(const(0.2), const(3.0), spec, "hybrid"),
-                        "hybrid") == 2
-    assert region_index(classify(const(0.7), const(3.0), spec, "hybrid"),
-                        "hybrid") == 3
+    assert region_index(label) == 1
+    assert region_index(classify(const(0.2), const(3.0), spec)) == 2
+    assert region_index(classify(const(0.7), const(3.0), spec)) == 3
     with pytest.raises(OutsideAmbientError):
-        classify(const(2.0), const(1.0), spec, "hybrid")
+        classify(const(2.0), const(1.0), spec)
     with pytest.raises(OutsideAmbientError):
-        classify(const(2.0), const(5.5), spec, "hybrid")
+        classify(const(2.0), const(5.5), spec)
 
 
 def test_hybrid_requires_annulus():
+    # classify reads the scheme from spec.annulus, so the hybrid mode's need
+    # for an annulus is checked where the mode is, in ProblemSpec
+    one = parse_expr("1")
+    dn = DirichletNeumann()
     with pytest.raises(ConfigError):
-        classify(const(1.0), const(1.0), SPEC, "hybrid")
+        ProblemSpec(dn, dn, one, one, SPEC, "hybrid")
+    assert classify(const(1.0), const(1.0), SPEC).comp2 != "annulus"
+
+
+def test_region_index_all_labels():
+    # the label alone selects the scheme: an annulus second tag indexes the
+    # three hybrid regions, a tag pair the nine regions
+    want = {("B", "B"): 1, ("B", "S"): 2, ("S", "B"): 3, ("S", "S"): 4,
+            ("B", "M"): 5, ("M", "B"): 6, ("S", "M"): 7, ("M", "S"): 8,
+            ("M", "M"): 9,
+            ("B", "annulus"): 1, ("S", "annulus"): 2, ("M", "annulus"): 3}
+    assert {key: region_index(RegionLabel(*key)) for key in want} == want
 
 
 def test_nontrivial():

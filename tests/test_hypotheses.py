@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from conecert.conespace import RegionSpec
 from conecert.errors import ConfigError
-from conecert.expr import EvalError, parse_expr
+from conecert.expr import EvalError, eval_point, parse_expr
 from conecert.hypotheses import (BoxIneq, certify_box, check_theorem,
                                  expand_conditions, grid_oracle, oracle_agrees)
 from conecert.interval import Interval
@@ -38,14 +39,20 @@ def test_certify_pass_strict_on_vanishing_piece():
 
 
 def test_certify_fail_with_canonical_witness():
-    # sup of f over the box is about 2.284, far below 40/3; the witness is
-    # the first lattice point in row-major order
+    # sup of f over the box is about 2.284, far below 40/3: certify_box
+    # reports the midpoint of the first violating sub-box (the root box),
+    # check_theorem the first violating lattice point in row-major order
     q = BoxIneq(F_B, box(0, 5, 2.5, 5), ">", 40.0 / 3.0, "demo.e")
     verdict = certify_box(q)
     assert verdict.status == "Fail"
-    x1, x2, value = verdict.witness
+    assert verdict.witness == (2.5, 3.75, eval_point(F_B, 2.5, 3.75))
+    report = check_theorem(hybrid_problem())
+    result = next(r for r in report.conditions
+                  if r.cond.condition_id == "thm51.e")
+    assert result.verdict.status == "Fail" and result.agrees is True
+    x1, x2, value = result.verdict.witness
     assert (x1, x2) == (0.0, 2.5)
-    assert value <= 40.0 / 3.0
+    assert value == eval_point(F_B, 0.0, 2.5) <= 40.0 / 3.0
 
 
 def test_certify_fail_at_constant_equality():
@@ -174,19 +181,18 @@ def nine_problem():
     region = RegionSpec(d=(0.5, 0.5), a=(1.0, 1.0), c=(5.0, 5.0), b=(2.0, 2.0))
     f2 = parse_expr("4.5 + 5*phi(x2)*psi(x1) - 4*capphi(x2)")
     return ProblemSpec(DirichletNeumann(), DirichletNeumann(), F_SYM, f2,
-                       region, "nine"), region
+                       region, "nine")
 
 
 def hybrid_problem():
     region = RegionSpec(d=(0.5, 0.5), a=(1.0, 1.0), c=(5.0, 5.0),
                         annulus=(2.0, 5.0))
     return ProblemSpec(DirichletNeumann(), DirichletNeumann(), F_A, F_B,
-                       region, "hybrid"), region
+                       region, "hybrid")
 
 
 def test_template_fidelity_thm51():
-    problem, region = hybrid_problem()
-    conds = expand_conditions(problem, region, "thm51")
+    conds = expand_conditions(hybrid_problem())
     got = [(q.condition_id, q.relation, q.bound,
             (q.box[0].lo, q.box[0].hi), (q.box[1].lo, q.box[1].hi))
            for q in conds]
@@ -200,8 +206,7 @@ def test_template_fidelity_thm51():
 
 
 def test_template_fidelity_thm52():
-    problem, region = nine_problem()
-    conds = expand_conditions(problem, region, "thm52")
+    conds = expand_conditions(nine_problem())
     got = [(q.condition_id, q.relation, q.bound,
             (q.box[0].lo, q.box[0].hi), (q.box[1].lo, q.box[1].hi))
            for q in conds]
@@ -216,8 +221,7 @@ def test_template_fidelity_thm52():
 
 
 def test_check_thm52_symmetric_example():
-    problem, region = nine_problem()
-    report = check_theorem(problem, region, "thm52")
+    report = check_theorem(nine_problem())
     assert report.overall == "AllPass"
     assert all(r.verdict.status == "Pass" for r in report.conditions)
     assert report.promised.solutions == 9
@@ -226,8 +230,7 @@ def test_check_thm52_symmetric_example():
 
 
 def test_check_thm51_conditions_a_to_d_pass_e_fails():
-    problem, region = hybrid_problem()
-    report = check_theorem(problem, region, "thm51")
+    report = check_theorem(hybrid_problem())
     statuses = {r.cond.condition_id: r.verdict.status for r in report.conditions}
     assert statuses == {"thm51.a": "Pass", "thm51.b": "Pass", "thm51.c": "Pass",
                         "thm51.d": "Pass", "thm51.e": "Fail"}
@@ -236,19 +239,24 @@ def test_check_thm51_conditions_a_to_d_pass_e_fails():
 
 
 def test_ordering_violation_is_config_error():
-    region = RegionSpec(d=(0.5, 0.5), a=(1.0, 1.0), c=(5.0, 5.0))
     bad = RegionSpec(d=(0.9, 0.9), a=(1.0, 1.0), c=(1.9, 5.0))
     problem = ProblemSpec(DirichletNeumann(), DirichletNeumann(), F_SYM, F_SYM,
-                          region, "nine")
+                          bad, "nine")
     with pytest.raises(ConfigError) as err:
-        expand_conditions(problem, bad, "thm52")
+        expand_conditions(problem)
     assert "2a <= c" in str(err.value)
 
 
 def test_kernel_theorem_mismatch():
-    problem, region = nine_problem()
+    # the theorem follows from the mode, so a kernel that does not fit it
+    # never reaches expand_conditions: ProblemSpec rejects the pairing
+    problem = nine_problem()
     with pytest.raises(ConfigError):
-        expand_conditions(problem, region, "thm53")
+        replace(problem, mode="thm53")
+    rcd = ReactionConvectionDiffusion(1.0)
+    with pytest.raises(ConfigError):
+        replace(problem, kernel1=rcd, kernel2=rcd)
+    assert expand_conditions(problem)
 
 
 def test_thm53_templates_and_bounds():
@@ -271,8 +279,9 @@ def test_thm53_templates_and_bounds():
     # the plain theorem needs a*exp(1/beta) strictly below c: here they are
     # equal, which is exactly the strict-positivity relaxation's job
     with pytest.raises(ConfigError):
-        expand_conditions(problem, region, "thm53")
-    conds = expand_conditions(problem, region, "thm53_remark52")
+        expand_conditions(problem)
+    problem = replace(problem, remark52=True)
+    conds = expand_conditions(problem)
     by_id = {q.condition_id: q for q in conds}
     assert by_id["thm53.a1"].relation == ">"
     assert by_id["thm53.a1"].bound == 0.0
@@ -280,7 +289,8 @@ def test_thm53_templates_and_bounds():
     assert by_id["thm53.c1"].bound == pytest.approx(st8 / growth, rel=1e-14)
     assert by_id["thm53.c2"].bound == pytest.approx(st10 / growth, rel=1e-14)
     assert by_id["thm53.b1"].bound == s8
-    report = check_theorem(problem, region, "thm53_remark52")
+    report = check_theorem(problem)
+    assert report.theorem_id == "thm53_remark52"
     assert report.overall == "AllPass"
     assert report.promised.solutions == 4
     assert report.promised.coexistence == 1
@@ -294,14 +304,13 @@ def test_thm53_plain_relation_is_nonstrict():
     problem = ProblemSpec(ReactionConvectionDiffusion(beta),
                           ReactionConvectionDiffusion(beta), f, f,
                           region, "thm53")
-    conds = expand_conditions(problem, region, "thm53")
+    conds = expand_conditions(problem)
     by_id = {q.condition_id: q for q in conds}
     assert by_id["thm53.a1"].relation == ">="
 
 
 def test_verdict_order_matches_condition_order():
-    problem, region = nine_problem()
-    report = check_theorem(problem, region, "thm52")
+    report = check_theorem(nine_problem())
     ids = [r.cond.condition_id for r in report.conditions]
     assert ids == ["thm52.a1", "thm52.b1", "thm52.c1",
                    "thm52.a2", "thm52.b2", "thm52.c2"]

@@ -80,6 +80,13 @@ def test_pow_nat_rejects_fractional():
         Interval(1, 2).pow_nat(0.5)
 
 
+def test_pow_nat_overflow_is_domain_error():
+    with pytest.raises(DomainError):
+        Interval(0, 5).pow_nat(1000)
+    with pytest.raises(DomainError):
+        Interval(-5, 0).pow_nat(1001)
+
+
 def test_log_domain():
     with pytest.raises(DomainError):
         Interval(0, 1).log()

@@ -242,14 +242,22 @@ def test_hybrid_mode_multi_start_runs(hybrid_problem):
 
 
 def test_problem_spec_mode_kernel_consistency():
+    # every mode rule lives in ProblemSpec: nine and hybrid take the
+    # DirichletNeumann kernel on both components, thm53 the RCD kernel on
+    # both, and an annulus is required in hybrid mode and allowed only there
     region = RegionSpec(d=(0.5, 0.5), a=(1, 1), c=(5, 5))
-    with pytest.raises(ConfigError):
-        ProblemSpec(ReactionConvectionDiffusion(1.0),
-                    ReactionConvectionDiffusion(1.0),
-                    parse_expr("1"), parse_expr("1"), region, "nine")
-    with pytest.raises(ConfigError):
-        ProblemSpec(DirichletNeumann(), DirichletNeumann(),
-                    parse_expr("1"), parse_expr("1"), region, "thm53")
-    with pytest.raises(ConfigError):
-        ProblemSpec(DirichletNeumann(), DirichletNeumann(),
-                    parse_expr("1"), parse_expr("1"), region, "hybrid")
+    annulus = RegionSpec(d=(0.5, 0.5), a=(1, 1), c=(5, 5), annulus=(2, 5))
+    one = parse_expr("1")
+    dn, rcd = DirichletNeumann(), ReactionConvectionDiffusion(1.0)
+    bad = [((rcd, rcd), region, "nine"), ((dn, dn), region, "thm53"),
+           ((rcd, dn), region, "thm53"), ((dn, rcd), region, "thm53"),
+           ((dn, rcd), annulus, "hybrid"), ((dn, dn), region, "hybrid"),
+           ((dn, dn), annulus, "nine"), ((rcd, rcd), annulus, "thm53"),
+           ((dn, dn), region, "nine9")]
+    for (k1, k2), reg, mode in bad:
+        with pytest.raises(ConfigError):
+            ProblemSpec(k1, k2, one, one, reg, mode)
+    for (k1, k2), reg, mode in [((dn, dn), region, "nine"),
+                                ((dn, dn), annulus, "hybrid"),
+                                ((rcd, rcd), region, "thm53")]:
+        assert ProblemSpec(k1, k2, one, one, reg, mode).mode == mode
