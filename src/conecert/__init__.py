@@ -13,7 +13,7 @@ from .hypotheses import (BoxIneq, CertVerdict, HypothesisReport, certify_box,
 from .interval import Interval
 from .kernels import (DirichletNeumann, KernelKind, QuadratureRule,
                       ReactionConvectionDiffusion, green, green_matrix,
-                      kernel_row_integral, make_rule)
+                      inverse_tridiagonal, kernel_row_integral, make_rule)
 from .rcd import (DerivedParams, RcdParams, build_params, check_5_11,
                   check_5_16, check_all, g_eval, h_root, h_root_bracket,
                   m_ranges, monotonicity_profile, s_pair)

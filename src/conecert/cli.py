@@ -191,6 +191,9 @@ def build_problem(cfg: dict) -> ProblemSpec:
         f2 = parse_expr(str(cfg["f2"]))
     except ParseError as err:
         raise ConfigError(f"bad nonlinearity expression: {err}") from err
+    remark52 = cfg.get("remark52")
+    if remark52 is not None and not isinstance(remark52, bool):
+        raise ConfigError("remark52 must be true, false or null")
     reg = cfg["region"]
     if not isinstance(reg, dict):
         raise ConfigError("region must be an object")
@@ -204,7 +207,7 @@ def build_problem(cfg: dict) -> ProblemSpec:
                         window=(_window_for(kernel1), _window_for(kernel2)))
     return ProblemSpec(kernel1=kernel1, kernel2=kernel2, f1=f1, f2=f2,
                        region=region, mode=str(cfg["mode"]),
-                       remark52=bool(cfg.get("remark52", False)))
+                       remark52=bool(remark52))
 
 
 def _problem_echo(cfg: dict, problem: ProblemSpec) -> dict:

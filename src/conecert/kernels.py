@@ -9,7 +9,9 @@ Two kernels on [0,1]^2:
   u'(1) = 0.
 
 Both are nondecreasing in t for fixed s, which is what pushes operator
-images into the cone used downstream.
+images into the cone used downstream.  Both are semiseparable, so their
+Green matrices on a node set have tridiagonal inverses in closed form
+(inverse_tridiagonal), which the solver's Newton step uses.
 
 Quadrature is composite trapezoid or Simpson on a uniform grid.  Operator
 evaluation happens at grid t-values only, so the min(t,s) kink always sits
@@ -71,6 +73,37 @@ def green_matrix(kernel: KernelKind, t: np.ndarray, s: np.ndarray) -> np.ndarray
         return np.minimum.outer(t, s)
     diff = t[:, None] - s[None, :]
     return np.where(diff <= 0.0, np.exp(diff / kernel.beta), 1.0)
+
+
+def inverse_tridiagonal(kernel: KernelKind, nodes: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lower, diag, upper) of the inverse of green_matrix(kernel, t, t).
+
+    Both kernels are semiseparable, so the inverse is tridiagonal and follows
+    in closed form from the node gaps d_k = t[k+1] - t[k], which need not be
+    uniform: row k of G^{-1} x is a_k (x_k - x_{k-1}) - b_k (x_{k+1} - x_k),
+    with x_{-1} = 0 and b = 0 in the last row.
+
+    * min(t,s): G has a zero row and column at t = 0, so the inverse is the
+      one of the block on the nodes t > 0 (length n - 1 when t[0] = 0).
+      There a_k = 1/d_{k-1} and b_k = 1/d_k, the first node's left gap being
+      its distance to 0.
+    * RCD: with c_k = exp(-d_k/beta) and q_k = 1 - c_k, a_k = 1/q_{k-1} and
+      b_k = c_k/q_k, where a_0 = 1.
+    """
+    t = np.asarray(nodes, dtype=float)
+    if t.ndim != 1 or len(t) < 2 or t[0] < 0.0 or t[-1] > 1.0 \
+            or np.any(np.diff(t) <= 0.0):
+        raise DomainError("nodes must be strictly increasing in [0, 1]")
+    if isinstance(kernel, DirichletNeumann):
+        a = 1.0 / np.diff(t[t > 0.0], prepend=0.0)
+        b = a[1:]
+    else:
+        x = np.diff(t) / kernel.beta
+        q = -np.expm1(-x)
+        b = np.exp(-x) / q
+        a = np.concatenate(([1.0], 1.0 / q))
+    return -a[1:], a + np.append(b, 0.0), -b
 
 
 def kernel_row_integral(kernel: KernelKind, t: float) -> float:

@@ -5,10 +5,14 @@ The system's operator is discretized on the quadrature rule's own nodes:
     (T_j u)(t_i) = sum_m w_m * G_j(t_i, t_m) * f_j(u1(t_m), u2(t_m)),
 
 and a fixed point of the discrete map is hunted per seed by damped Picard
-iteration followed by Newton on F(u) = u - T(u).  The Jacobian uses forward
-finite differences of the nonlinearities at the nodes (the piecewise ramps
-are non-smooth at their breakpoints, so no AST differentiation); a singular
-Jacobian falls back to another Picard round.
+iteration followed by Newton on F(u) = u - T(u).  The nonlinearities'
+derivatives are forward finite differences at the nodes (the piecewise ramps
+are non-smooth at their breakpoints, so no AST differentiation).  Both
+kernels' Green matrices have tridiagonal inverses (kernels.inverse_tridiagonal),
+so the Newton system, multiplied through by the inverse kernel matrix, is
+2x2-block tridiagonal and one block sweep solves it in O(n) per step; a zero
+or non-finite block pivot falls back to another Picard round.  Operator
+application stays a dense matvec.
 
 Seeds are constant-level profiles keyed to the region thresholds, so each of
 the localization regions the theorems promise has a starter inside it.
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +35,8 @@ from .conespace import (GridFunction, RegionLabel, RegionSpec, classify,
 from .errors import ConfigError, OutsideAmbientError
 from .expr import EvalError, ExprAst, eval_point, eval_values
 from .kernels import (DirichletNeumann, KernelKind, QuadratureRule,
-                      ReactionConvectionDiffusion, green_matrix, make_rule,
-                      same_rule)
+                      ReactionConvectionDiffusion, green_matrix,
+                      inverse_tridiagonal, make_rule, same_rule)
 
 log = logging.getLogger(__name__)
 
@@ -70,6 +75,8 @@ class ProblemSpec:
         if (self.mode == "hybrid") != (self.region.annulus is not None):
             raise ConfigError("an annulus (r, R) is required in hybrid mode "
                               "and allowed only there")
+        if self.remark52 and self.mode != "thm53":
+            raise ConfigError("remark52 is allowed only in thm53 mode")
 
 
 @dataclass
@@ -104,6 +111,12 @@ class DiscreteOperator:
         w = rule.weights
         self.w1 = green_matrix(problem.kernel1, t, t) * w[None, :]
         self.w2 = green_matrix(problem.kernel2, t, t) * w[None, :]
+        # (G_j W)^{-1} for the Newton step, on the nodes from `first` on;
+        # ProblemSpec gives both components one kernel kind, so both
+        # inverses start at the same node
+        self.inv1 = _weighted_inverse(problem.kernel1, rule)
+        self.inv2 = _weighted_inverse(problem.kernel2, rule)
+        self.first = rule.n - len(self.inv1[1])
 
     def _eval(self, f: ExprAst, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
         try:
@@ -128,22 +141,103 @@ class DiscreteOperator:
         t1, t2 = self.apply(v1, v2)
         return float(max(np.max(np.abs(v1 - t1)), np.max(np.abs(v2 - t2))))
 
-    def jacobian(self, v1, v2) -> np.ndarray:
-        """Jacobian of F(v) = v - T(v) via forward differences of f at the nodes."""
+    def jacobian(self, v1, v2) -> tuple[np.ndarray, ...]:
+        """Nodal derivatives (d11, d12, d21, d22) of (f1, f2) at v, where
+        dij = df_i/dx_j, by forward differences."""
         h = FD_STEP
         f1 = self._eval(self.problem.f1, v1, v2)
         f2 = self._eval(self.problem.f2, v1, v2)
-        d11 = (self._eval(self.problem.f1, v1 + h, v2) - f1) / h
-        d12 = (self._eval(self.problem.f1, v1, v2 + h) - f1) / h
-        d21 = (self._eval(self.problem.f2, v1 + h, v2) - f2) / h
-        d22 = (self._eval(self.problem.f2, v1, v2 + h) - f2) / h
-        n = len(v1)
-        jac = np.eye(2 * n)
-        jac[:n, :n] -= self.w1 * d11[None, :]
-        jac[:n, n:] -= self.w1 * d12[None, :]
-        jac[n:, :n] -= self.w2 * d21[None, :]
-        jac[n:, n:] -= self.w2 * d22[None, :]
-        return jac
+        return ((self._eval(self.problem.f1, v1 + h, v2) - f1) / h,
+                (self._eval(self.problem.f1, v1, v2 + h) - f1) / h,
+                (self._eval(self.problem.f2, v1 + h, v2) - f2) / h,
+                (self._eval(self.problem.f2, v1, v2 + h) - f2) / h)
+
+    def newton_step(self, v1, v2, r1, r2) -> tuple[np.ndarray, np.ndarray]:
+        """Solve J delta = r for the Jacobian J = I - K Df of F(v) = v - T(v).
+
+        K = diag(K1, K2) with K_j = G_j W, and Df is the 2x2 block of nodal
+        derivative diagonals.  Multiplying by K^{-1} gives the equivalent
+        (K^{-1} - Df) delta = K^{-1} r: a 2x2-block tridiagonal system with
+        diagonal off-diagonal blocks, solved in O(n).  For min(t,s) the row
+        and column at t = 0 are those of I, so delta there is r.  Raises
+        SingularPivot for a zero or non-finite block pivot."""
+        first = self.first
+        derivs = [d[first:] for d in self.jacobian(v1, v2)]
+        x1, x2 = _block_thomas(self.inv1, self.inv2, derivs,
+                               _tridiagonal_matvec(self.inv1, r1[first:]),
+                               _tridiagonal_matvec(self.inv2, r2[first:]),
+                               first)
+        return (np.concatenate((r1[:first], x1)),
+                np.concatenate((r2[:first], x2)))
+
+
+class SingularPivot(ArithmeticError):
+    """A zero or non-finite 2x2 pivot in the block-tridiagonal Newton solve."""
+
+    def __init__(self, node: int):
+        super().__init__(f"singular 2x2 pivot at grid node {node}")
+        self.node = node
+
+
+def _weighted_inverse(kernel: KernelKind, rule: QuadratureRule
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lower, diag, upper) of (G W)^{-1} = W^{-1} G^{-1}: row k of G^{-1}
+    divided by the weight of node k."""
+    lower, diag, upper = inverse_tridiagonal(kernel, rule.nodes)
+    w = rule.weights[rule.n - len(diag):]
+    return lower / w[1:], diag / w, upper / w[:-1]
+
+
+def _tridiagonal_matvec(tri, x: np.ndarray) -> np.ndarray:
+    lower, diag, upper = tri
+    y = diag * x
+    y[1:] += lower * x[:-1]
+    y[:-1] += upper * x[1:]
+    return y
+
+
+def _block_thomas(tri1, tri2, derivs, y1, y2, first: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Block forward elimination and back substitution for the system whose
+    row k couples x[k-1], x[k] and x[k+1] (pairs over the two components)
+    through diag(lower_k), diag(tri_kk) - Df_k and diag(upper_k).
+
+    Plain floats: each step works on one 2x2 block, where numpy's per-call
+    cost would dominate.  `first` offsets the node index in SingularPivot."""
+    (lo1, di1, up1), (lo2, di2, up2) = tri1, tri2
+    d11, d12, d21, d22 = derivs
+    rows = zip(np.append(0.0, lo1).tolist(), np.append(0.0, lo2).tolist(),
+               (di1 - d11).tolist(), (-d12).tolist(), (-d21).tolist(),
+               (di2 - d22).tolist(), np.append(up1, 0.0).tolist(),
+               np.append(up2, 0.0).tolist(), y1.tolist(), y2.tolist())
+    # after eliminating x[k-1], row k reads P x[k] + diag(u) x[k+1] = z;
+    # keep C = P^{-1} diag(u) and g = P^{-1} z for the back substitution
+    sweep = []
+    c11 = c12 = c21 = c22 = g1 = g2 = 0.0
+    for k, (l1, l2, p11, p12, p21, p22, u1, u2, z1, z2) in enumerate(rows):
+        p11 -= l1 * c11
+        p12 -= l1 * c12
+        p21 -= l2 * c21
+        p22 -= l2 * c22
+        z1 -= l1 * g1
+        z2 -= l2 * g2
+        det = p11 * p22 - p12 * p21
+        if not 0.0 < abs(det) < math.inf:
+            raise SingularPivot(first + k)
+        u1 /= det
+        u2 /= det
+        c11, c12, c21, c22 = p22 * u1, -p12 * u2, -p21 * u1, p11 * u2
+        g1 = (p22 * z1 - p12 * z2) / det
+        g2 = (p11 * z2 - p21 * z1) / det
+        sweep.append((c11, c12, c21, c22, g1, g2))
+    x1 = []
+    x2 = []
+    a1 = a2 = 0.0
+    for c11, c12, c21, c22, g1, g2 in reversed(sweep):
+        a1, a2 = g1 - c11 * a1 - c12 * a2, g2 - c21 * a1 - c22 * a2
+        x1.append(a1)
+        x2.append(a2)
+    return np.array(x1[::-1]), np.array(x2[::-1])
 
 
 def _require_shared_rule(u1: GridFunction, u2: GridFunction) -> QuadratureRule:
@@ -227,7 +321,6 @@ def solve_from(problem: ProblemSpec, seed1: GridFunction, seed2: GridFunction,
         # Newton phase from the best iterate seen so far
         if best is not None:
             v1, v2 = best[1].copy(), best[2].copy()
-        n = len(v1)
         for _ in range(params.max_newton):
             try:
                 t1, t2 = op.apply(v1, v2)
@@ -240,19 +333,17 @@ def solve_from(problem: ProblemSpec, seed1: GridFunction, seed2: GridFunction,
                 converged = True
                 break
             try:
-                jac = op.jacobian(v1, v2)
-                step = np.linalg.solve(jac, np.concatenate((v1 - t1, v2 - t2)))
+                step1, step2 = op.newton_step(v1, v2, v1 - t1, v2 - t2)
             except EvalError:
                 break
-            except np.linalg.LinAlgError:
-                log.info("seed %s: singular Jacobian (cond estimate %.3e), "
-                         "falling back to Picard", seed_id,
-                         float(np.linalg.cond(jac)))
+            except SingularPivot as err:
+                log.info("seed %s: singular Jacobian at node %d, "
+                         "falling back to Picard", seed_id, err.node)
                 break
-            if not np.all(np.isfinite(step)):
+            if not (np.all(np.isfinite(step1)) and np.all(np.isfinite(step2))):
                 break
-            v1 = v1 - step[:n]
-            v2 = v2 - step[n:]
+            v1 = v1 - step1
+            v2 = v2 - step2
         if converged:
             break
     if not converged:

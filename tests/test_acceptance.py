@@ -11,17 +11,18 @@ import time
 
 import numpy as np
 
-from conecert.cli import main
+from conecert.cli import build_problem, main
 from conecert.conespace import (GridFunction, RegionSpec, in_cone_p,
                                 min_window, sup_norm)
 from conecert.expr import parse_expr
+from conecert.hypotheses import check_theorem
 from conecert.kernels import (DirichletNeumann, ReactionConvectionDiffusion,
                               kernel_row_integral, make_rule)
 from conecert.rcd import (check_5_11, h_root_bracket, m_ranges,
                           monotonicity_profile, s_pair)
-from conecert.solver import ProblemSpec, apply_T
-from conftest import (closing_rcd_config, hybrid_config, nine_config,
-                      write_config)
+from conecert.solver import ProblemSpec, SolverParams, apply_T, multi_start
+from conftest import (closing_problem_config, closing_rcd_config,
+                      hybrid_config, nine_config, write_config)
 
 
 @contextlib.contextmanager
@@ -236,3 +237,19 @@ def test_criterion_9_verify_determinism(tmp_path):
         first = (tmp_path / "first" / "report.json").read_bytes()
         second = (tmp_path / "second" / "report.json").read_bytes()
         assert first == second
+
+
+def test_criterion_10_newton_first_finds_every_promised_region():
+    with criterion("10 (Newton-first finds every promised region)"):
+        # nine promises 9 regions, the closing system 4 (S-S, S-M, M-S,
+        # M-M); any other fixed point must lie outside the ambient box
+        for make, count in ((nine_config, 9), (closing_problem_config, 4)):
+            problem = build_problem(make()["problem"])
+            promised = {str(label) for label
+                        in check_theorem(problem).promised.regions}
+            assert len(promised) == count
+            sols = multi_start(problem, SolverParams(grid_n=513,
+                                                     picard_steps=1))
+            found = {str(sol.region) for sol in sols}
+            assert promised <= found, sorted(promised - found)
+            assert found - promised <= {"outside-ambient"}, sorted(found)

@@ -66,6 +66,10 @@ MALFORMED = [
      "dirichlet_neumann"),
     ("verify", nine_config, ("problem", "region", "annulus"), [2.0, 5.0]),
     ("solve", nine_config, ("problem", "region", "annulus"), [2.0, 5.0]),
+    # remark52 is a JSON boolean (or null) and means something in thm53 only
+    ("verify", nine_config, ("problem", "remark52"), True),
+    ("solve", nine_config, ("problem", "remark52"), True),
+    ("verify", closing_problem_config, ("problem", "remark52"), "false"),
 ]
 
 

@@ -6,7 +6,8 @@ import pytest
 from conecert.errors import DomainError
 from conecert.kernels import (DirichletNeumann, QuadratureRule,
                               ReactionConvectionDiffusion, green, green_matrix,
-                              kernel_row_integral, make_rule)
+                              inverse_tridiagonal, kernel_row_integral,
+                              make_rule)
 
 DN = DirichletNeumann()
 RCD1 = ReactionConvectionDiffusion(1.0)
@@ -76,6 +77,31 @@ def test_green_matrix_matches_scalar():
         for i, t in enumerate(ts):
             for m, s in enumerate(ts):
                 assert mat[i, m] == pytest.approx(green(kernel, t, s), rel=1e-15)
+
+
+@pytest.mark.parametrize("kernel", [DN, RCD1, ReactionConvectionDiffusion(0.3),
+                                    ReactionConvectionDiffusion(0.05)],
+                         ids=["min", "rcd1", "rcd0.3", "rcd0.05"])
+@pytest.mark.parametrize("n", [3, 9, 129])
+@pytest.mark.parametrize("spacing", ["uniform", "chebyshev"])
+def test_inverse_tridiagonal_inverts_green_matrix(kernel, n, spacing):
+    # make_rule's nodes (trapezoid and Simpson share them) and a non-uniform
+    # node set; min(t,s) is inverted on the nodes t > 0, where G is regular
+    nodes = make_rule(n).nodes if spacing == "uniform" \
+        else 0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, n)))
+    lower, diag, upper = inverse_tridiagonal(kernel, nodes)
+    t = nodes[1:] if isinstance(kernel, DirichletNeumann) else nodes
+    assert len(diag) == len(t)
+    inverse = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+    product = inverse @ green_matrix(kernel, t, t)
+    scale = float(np.max(np.abs(inverse)))
+    assert float(np.max(np.abs(product - np.eye(len(t))))) <= 1e-14 * scale
+
+
+def test_inverse_tridiagonal_rejects_bad_nodes():
+    for nodes in ([0.0, 0.5, 0.5, 1.0], [0.0, 0.7, 0.3, 1.0], [-0.1, 1.0], [0.5]):
+        with pytest.raises(DomainError):
+            inverse_tridiagonal(RCD1, np.array(nodes))
 
 
 def test_make_rule_trapezoid_3():

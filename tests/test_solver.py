@@ -1,8 +1,10 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from conecert.cli import build_problem
 from conecert.conespace import (GridFunction, RegionSpec, in_cone_p,
                                 min_window, sup_norm)
 from conecert.errors import ConfigError
@@ -10,9 +12,11 @@ from conecert.expr import parse_expr
 from conecert.hypotheses import BoxIneq, grid_oracle
 from conecert.interval import Interval
 from conecert.kernels import (DirichletNeumann, ReactionConvectionDiffusion,
-                              kernel_row_integral, make_rule)
-from conecert.solver import (ProblemSpec, SolverParams, apply_T, multi_start,
-                             residual, solve_from)
+                              green_matrix, kernel_row_integral, make_rule)
+from conecert.solver import (DiscreteOperator, ProblemSpec, SolverParams,
+                             apply_T, multi_start, residual, seed_levels,
+                             solve_from)
+from conftest import closing_problem_config
 
 RULE = make_rule(129)
 
@@ -182,6 +186,66 @@ def test_classification_stable_under_refinement(nine_problem):
                           seed_id=sol.seed_id)
         assert fine is not None
         assert str(fine.region) == str(sol.region)
+
+
+# ---------------------------------------------------------------------------
+# the structured Newton step
+
+
+def dense_newton_step(problem, rule, v1, v2):
+    """Reference: J delta = v - T(v) with the dense 2n x 2n Jacobian
+    J = I - K Df assembled from green_matrix."""
+    n = rule.n
+    k1 = green_matrix(problem.kernel1, rule.nodes, rule.nodes) * rule.weights
+    k2 = green_matrix(problem.kernel2, rule.nodes, rule.nodes) * rule.weights
+    op = DiscreteOperator(problem, rule)
+    t1, t2 = op.apply(v1, v2)
+    d11, d12, d21, d22 = op.jacobian(v1, v2)
+    jac = np.eye(2 * n) - np.block([[k1 * d11, k1 * d12],
+                                    [k2 * d21, k2 * d22]])
+    step = np.linalg.solve(jac, np.concatenate((v1 - t1, v2 - t2)))
+    return step[:n], step[n:]
+
+
+@pytest.mark.parametrize("grid_n,scheme", [(129, "trapezoid"),
+                                           (513, "trapezoid"),
+                                           (129, "simpson")])
+@pytest.mark.parametrize("system", ["nine", "closing_system"])
+def test_newton_step_matches_dense_solve(nine_problem, system, grid_n, scheme):
+    problem = nine_problem if system == "nine" \
+        else build_problem(closing_problem_config()["problem"])
+    rule = make_rule(grid_n, scheme)
+    op = DiscreteOperator(problem, rule)
+    rng = np.random.default_rng(grid_n)
+    levels1, levels2 = seed_levels(problem)
+    for tag in ("S", "M", "B"):
+        v1 = levels1[tag] * rng.uniform(0.5, 1.5, grid_n)
+        v2 = levels2[tag] * rng.uniform(0.5, 1.5, grid_n)
+        t1, t2 = op.apply(v1, v2)
+        step1, step2 = op.newton_step(v1, v2, v1 - t1, v2 - t2)
+        want1, want2 = dense_newton_step(problem, rule, v1, v2)
+        scale = max(np.max(np.abs(want1)), np.max(np.abs(want2)))
+        assert np.max(np.abs(step1 - want1)) <= 1e-9 * scale
+        assert np.max(np.abs(step2 - want2)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("bad", [0.0, math.nan], ids=["zero", "nan"])
+def test_singular_pivot_falls_back_to_picard(nine_problem, monkeypatch,
+                                             caplog, bad):
+    # derivatives equal to the diagonal of (G W)^{-1} make the first block
+    # pivot (node 1: min(t,s) leaves t = 0 out of the system) exactly zero;
+    # NaN derivatives make it non-finite
+    op = DiscreteOperator(nine_problem, RULE)
+    pivot = np.concatenate(([0.0], op.inv1[1])) + bad
+    zero = np.zeros(RULE.n)
+    monkeypatch.setattr(DiscreteOperator, "jacobian",
+                        lambda self, v1, v2: (pivot, zero, zero, pivot))
+    seed = GridFunction(RULE, 1.5 * np.minimum(2 * RULE.nodes, 1.0))
+    with caplog.at_level(logging.INFO, logger="conecert.solver"):
+        solve_from(nine_problem, seed, seed, SolverParams(picard_steps=1),
+                   seed_id="M-M", op=op)
+    assert "seed M-M: singular Jacobian at node 1, falling back to Picard" \
+        in caplog.text
 
 
 # ---------------------------------------------------------------------------
