@@ -9,9 +9,12 @@ Two kernels on [0,1]^2:
   u'(1) = 0.
 
 Both are nondecreasing in t for fixed s, which is what pushes operator
-images into the cone used downstream.  Both are semiseparable, so their
-Green matrices on a node set have tridiagonal inverses in closed form
-(inverse_tridiagonal), which the solver's Newton step uses.
+images into the cone used downstream.  Both are semiseparable: below and on
+the diagonal G(t_i, t_m) is a product a_i b_m, above it c_i d_m (generators).
+The solver applies the operator through these generators with two prefix
+sums in O(n), and its Newton step uses the closed-form tridiagonal inverse of
+the Green matrix (inverse_tridiagonal) that the same structure gives.
+green_matrix builds the dense matrix and is the tests' reference.
 
 Quadrature is composite trapezoid or Simpson on a uniform grid.  Operator
 evaluation happens at grid t-values only, so the min(t,s) kink always sits
@@ -72,7 +75,62 @@ def green_matrix(kernel: KernelKind, t: np.ndarray, s: np.ndarray) -> np.ndarray
     if isinstance(kernel, DirichletNeumann):
         return np.minimum.outer(t, s)
     diff = t[:, None] - s[None, :]
-    return np.where(diff <= 0.0, np.exp(diff / kernel.beta), 1.0)
+    # np.where evaluates both branches; the clamp keeps exp finite on the
+    # masked-out one for small beta
+    return np.where(diff <= 0.0, np.exp(np.minimum(diff, 0.0) / kernel.beta),
+                    1.0)
+
+
+# exponents of RCD generators stay within +-EXP_SPAN, far inside the double
+# range (exp overflows above about 709 and underflows below about -745)
+EXP_SPAN = 500.0
+
+
+def _check_nodes(t: np.ndarray):
+    if t.ndim != 1 or len(t) < 2 or t[0] < 0.0 or t[-1] > 1.0 \
+            or np.any(np.diff(t) <= 0.0):
+        raise DomainError("nodes must be strictly increasing in [0, 1]")
+
+
+def generator_blocks(kernel: KernelKind, nodes: np.ndarray) -> np.ndarray:
+    """Boolean mask of the nodes that start a block over which generators()
+    stays finite; the first node always does.
+
+    min(t,s) needs one block.  RCD's upper generators are exp(+-t/beta), so
+    the nodes are cut where x = t/beta passes a multiple of EXP_SPAN; every
+    beta >= 1/EXP_SPAN gives one block."""
+    t = np.asarray(nodes, dtype=float)
+    _check_nodes(t)
+    if isinstance(kernel, DirichletNeumann):
+        return np.arange(len(t)) == 0
+    ids = np.maximum(np.ceil(t / kernel.beta / EXP_SPAN) - 1.0, 0.0)
+    return np.diff(ids, prepend=-1.0) != 0.0
+
+
+def generators(kernel: KernelKind, nodes: np.ndarray, starts: np.ndarray
+               ) -> tuple[np.ndarray, ...]:
+    """Semiseparable generators (a, b, c, d, link) of G on the nodes t.
+
+    G(t_i, t_m) = a_i b_m for m <= i.  For m > i, G(t_i, t_m) = c_i d_m when
+    both nodes lie in one block of `starts` (sorted start indices, the first
+    0), and c_i link_k ... link_{l-1} d_m when t_i lies in block k and t_m in
+    block l > k.  Any `starts` that includes every block start of
+    generator_blocks(kernel, nodes) keeps every factor finite.
+
+    * min(t,s): a = 1, b = t, c = t, d = 1, link = 1.
+    * RCD: a = b = 1; with x = t/beta and r the x of each block's first node,
+      c = exp(x - r), d = exp(r - x) and link_k = exp(r_k - r_{k+1}).
+    """
+    t = np.asarray(nodes, dtype=float)
+    _check_nodes(t)
+    starts = np.asarray(starts, dtype=int)
+    one = np.ones_like(t)
+    if isinstance(kernel, DirichletNeumann):
+        return one, t, t, one, np.ones(len(starts) - 1)
+    x = t / kernel.beta
+    r = x[starts]
+    ref = np.repeat(r, np.diff(starts, append=len(t)))
+    return one, one, np.exp(x - ref), np.exp(ref - x), np.exp(r[:-1] - r[1:])
 
 
 def inverse_tridiagonal(kernel: KernelKind, nodes: np.ndarray
@@ -92,9 +150,7 @@ def inverse_tridiagonal(kernel: KernelKind, nodes: np.ndarray
       b_k = c_k/q_k, where a_0 = 1.
     """
     t = np.asarray(nodes, dtype=float)
-    if t.ndim != 1 or len(t) < 2 or t[0] < 0.0 or t[-1] > 1.0 \
-            or np.any(np.diff(t) <= 0.0):
-        raise DomainError("nodes must be strictly increasing in [0, 1]")
+    _check_nodes(t)
     if isinstance(kernel, DirichletNeumann):
         a = 1.0 / np.diff(t[t > 0.0], prepend=0.0)
         b = a[1:]

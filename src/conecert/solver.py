@@ -8,11 +8,13 @@ and a fixed point of the discrete map is hunted per seed by damped Picard
 iteration followed by Newton on F(u) = u - T(u).  The nonlinearities'
 derivatives are forward finite differences at the nodes (the piecewise ramps
 are non-smooth at their breakpoints, so no AST differentiation).  Both
-kernels' Green matrices have tridiagonal inverses (kernels.inverse_tridiagonal),
-so the Newton system, multiplied through by the inverse kernel matrix, is
-2x2-block tridiagonal and one block sweep solves it in O(n) per step; a zero
-or non-finite block pivot falls back to another Picard round.  Operator
-application stays a dense matvec.
+kernels are semiseparable, so no n x n matrix is ever formed.  The operator
+is applied from the kernels' generators (kernels.generators) with two prefix
+sums over the stacked (2, n) state, in O(n).  The Green matrices have
+tridiagonal inverses (kernels.inverse_tridiagonal), so the Newton system,
+multiplied through by the inverse kernel matrix, is 2x2-block tridiagonal and
+one block sweep solves it in O(n) per step; a zero or non-finite block pivot
+falls back to another Picard round.
 
 Seeds are constant-level profiles keyed to the region thresholds, so each of
 the localization regions the theorems promise has a starter inside it.
@@ -35,8 +37,10 @@ from .conespace import (GridFunction, RegionLabel, RegionSpec, classify,
 from .errors import ConfigError, OutsideAmbientError
 from .expr import EvalError, ExprAst, eval_point, eval_values
 from .kernels import (DirichletNeumann, KernelKind, QuadratureRule,
-                      ReactionConvectionDiffusion, green_matrix,
-                      inverse_tridiagonal, make_rule, same_rule)
+                      ReactionConvectionDiffusion, generator_blocks,
+                      generators, inverse_tridiagonal, make_rule, same_rule)
+# only for benchmarks/spans.py, which patches it (AttributeError if absent)
+from .kernels import green_matrix  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -102,15 +106,25 @@ class Solution:
 
 
 class DiscreteOperator:
-    """Kernel matrices (weights folded in) plus the two nonlinearities."""
+    """Semiseparable kernel generators (weights folded in), stacked (2, n)
+    over the two components, plus the two nonlinearities."""
 
     def __init__(self, problem: ProblemSpec, rule: QuadratureRule):
         self.problem = problem
         self.rule = rule
         t = rule.nodes
         w = rule.weights
-        self.w1 = green_matrix(problem.kernel1, t, t) * w[None, :]
-        self.w2 = green_matrix(problem.kernel2, t, t) * w[None, :]
+        k1, k2 = problem.kernel1, problem.kernel2
+        # one block partition that keeps both components' generators finite
+        starts = np.flatnonzero(generator_blocks(k1, t)
+                                | generator_blocks(k2, t))
+        a, b, c, d, link = (np.array(pair) for pair in zip(
+            generators(k1, t, starts), generators(k2, t, starts)))
+        self.gen = (a, b * w, c, d * w)
+        # (start, stop, link to the previous block), last block first
+        stops = np.append(starts[1:], rule.n)
+        links = [None, *link.T]
+        self.blocks = list(zip(starts.tolist(), stops.tolist(), links))[::-1]
         # (G_j W)^{-1} for the Newton step, on the nodes from `first` on;
         # ProblemSpec gives both components one kernel kind, so both
         # inverses start at the same node
@@ -132,14 +146,32 @@ class DiscreteOperator:
                         f"{err.message} at grid node {idx}") from err
             raise
 
-    def apply(self, v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        f1 = self._eval(self.problem.f1, v1, v2)
-        f2 = self._eval(self.problem.f2, v1, v2)
-        return self.w1 @ f1, self.w2 @ f2
+    def apply(self, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+        """(T1 v, T2 v) as one (2, n) array.
 
-    def residual_values(self, v1, v2) -> float:
-        t1, t2 = self.apply(v1, v2)
-        return float(max(np.max(np.abs(v1 - t1)), np.max(np.abs(v2 - t2))))
+        (T_j v)_i = a_i sum_{m <= i} b_m f_m + c_i sum_{m > i} d_m f_m: a
+        forward prefix sum, and a backward one per generator block whose
+        total is carried into the previous block through its link."""
+        f = np.array((self._eval(self.problem.f1, v1, v2),
+                      self._eval(self.problem.f2, v1, v2)))
+        a, b, c, d = self.gen
+        out = a * np.add.accumulate(b * f, axis=1)
+        df = d * f
+        carry = None  # the sum of df past the block, in the block's terms
+        for start, stop, link in self.blocks:
+            # tail[:, j] = sum of df over m in [stop - 1 - j, stop)
+            tail = np.add.accumulate(df[:, start:stop][:, ::-1], axis=1)
+            out[:, start:stop - 1] += c[:, start:stop - 1] * tail[:, -2::-1]
+            if carry is not None:
+                out[:, start:stop] += c[:, start:stop] * carry[:, None]
+                tail[:, -1] += carry
+            if link is not None:
+                carry = link * tail[:, -1]
+        return out
+
+    def residual_values(self, v: np.ndarray) -> float:
+        """Sup norm of v - T(v) for the stacked (2, n) state v."""
+        return float(np.max(np.abs(v - self.apply(v[0], v[1]))))
 
     def jacobian(self, v1, v2) -> tuple[np.ndarray, ...]:
         """Nodal derivatives (d11, d12, d21, d22) of (f1, f2) at v, where
@@ -152,8 +184,9 @@ class DiscreteOperator:
                 (self._eval(self.problem.f2, v1 + h, v2) - f2) / h,
                 (self._eval(self.problem.f2, v1, v2 + h) - f2) / h)
 
-    def newton_step(self, v1, v2, r1, r2) -> tuple[np.ndarray, np.ndarray]:
-        """Solve J delta = r for the Jacobian J = I - K Df of F(v) = v - T(v).
+    def newton_step(self, v: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Solve J delta = r for the Jacobian J = I - K Df of F(v) = v - T(v),
+        with v, r and delta stacked (2, n).
 
         K = diag(K1, K2) with K_j = G_j W, and Df is the 2x2 block of nodal
         derivative diagonals.  Multiplying by K^{-1} gives the equivalent
@@ -162,13 +195,13 @@ class DiscreteOperator:
         and column at t = 0 are those of I, so delta there is r.  Raises
         SingularPivot for a zero or non-finite block pivot."""
         first = self.first
-        derivs = [d[first:] for d in self.jacobian(v1, v2)]
-        x1, x2 = _block_thomas(self.inv1, self.inv2, derivs,
-                               _tridiagonal_matvec(self.inv1, r1[first:]),
-                               _tridiagonal_matvec(self.inv2, r2[first:]),
-                               first)
-        return (np.concatenate((r1[:first], x1)),
-                np.concatenate((r2[:first], x2)))
+        derivs = [d[first:] for d in self.jacobian(v[0], v[1])]
+        delta = r.copy()
+        delta[:, first:] = _block_thomas(
+            self.inv1, self.inv2, derivs,
+            _tridiagonal_matvec(self.inv1, r[0, first:]),
+            _tridiagonal_matvec(self.inv2, r[1, first:]), first)
+        return delta
 
 
 class SingularPivot(ArithmeticError):
@@ -258,7 +291,8 @@ def apply_T(problem: ProblemSpec, u1: GridFunction, u2: GridFunction
 def residual(problem: ProblemSpec, u1: GridFunction, u2: GridFunction) -> float:
     """Sup norm of (u1 - T1 u, u2 - T2 u) over the nodes."""
     rule = _require_shared_rule(u1, u2)
-    return DiscreteOperator(problem, rule).residual_values(u1.values, u2.values)
+    return DiscreteOperator(problem, rule).residual_values(
+        np.array((u1.values, u2.values)))
 
 
 def _ambient_bounds(problem: ProblemSpec) -> tuple[float, float]:
@@ -285,80 +319,78 @@ def solve_from(problem: ProblemSpec, seed1: GridFunction, seed2: GridFunction,
     rule = _require_shared_rule(seed1, seed2)
     if op is None:
         op = DiscreteOperator(problem, rule)
-    if float(np.min(seed1.values)) < 0.0 or float(np.min(seed2.values)) < 0.0:
+    # the iterate is held stacked, so each step's residual, finiteness test,
+    # best-so-far copy and damping is one numpy call for both components
+    v = np.array((seed1.values, seed2.values))
+    if float(np.min(v)) < 0.0:
         raise ValueError("seeds must be nonnegative")
-    v1 = seed1.values.copy()
-    v2 = seed2.values.copy()
-    best = None  # (residual, v1, v2)
+    best = None  # (residual, v)
     iterations = 0
     lam = params.damping
 
-    def remember(res, a, b):
+    def remember(res, v):
         nonlocal best
         if best is None or res < best[0]:
-            best = (res, a.copy(), b.copy())
+            best = (res, v.copy())
 
     converged = False
     for _round in range(2):
         # Picard phase
         for _ in range(params.picard_steps):
             try:
-                t1, t2 = op.apply(v1, v2)
+                tv = op.apply(v[0], v[1])
             except EvalError:
                 break
-            if not (np.all(np.isfinite(t1)) and np.all(np.isfinite(t2))):
+            if not np.all(np.isfinite(tv)):
                 break
-            res = float(max(np.max(np.abs(v1 - t1)), np.max(np.abs(v2 - t2))))
+            res = float(np.max(np.abs(v - tv)))
             iterations += 1
-            remember(res, v1, v2)
+            remember(res, v)
             if res <= params.newton_tol:
                 converged = True
                 break
-            v1 = (1.0 - lam) * v1 + lam * t1
-            v2 = (1.0 - lam) * v2 + lam * t2
+            v = (1.0 - lam) * v + lam * tv
         if converged:
             break
         # Newton phase from the best iterate seen so far
         if best is not None:
-            v1, v2 = best[1].copy(), best[2].copy()
+            v = best[1]
         for _ in range(params.max_newton):
             try:
-                t1, t2 = op.apply(v1, v2)
+                r = v - op.apply(v[0], v[1])
             except EvalError:
                 break
-            res = float(max(np.max(np.abs(v1 - t1)), np.max(np.abs(v2 - t2))))
+            res = float(np.max(np.abs(r)))
             iterations += 1
-            remember(res, v1, v2)
+            remember(res, v)
             if res <= params.newton_tol:
                 converged = True
                 break
             try:
-                step1, step2 = op.newton_step(v1, v2, v1 - t1, v2 - t2)
+                step = op.newton_step(v, r)
             except EvalError:
                 break
             except SingularPivot as err:
                 log.info("seed %s: singular Jacobian at node %d, "
                          "falling back to Picard", seed_id, err.node)
                 break
-            if not (np.all(np.isfinite(step1)) and np.all(np.isfinite(step2))):
+            if not np.all(np.isfinite(step)):
                 break
-            v1 = v1 - step1
-            v2 = v2 - step2
+            v = v - step
         if converged:
             break
     if not converged:
         return None
 
     # nonnegativity check with round-off slack, then clamp the slack away
-    if float(min(np.min(v1), np.min(v2))) < -1e-10:
+    if float(np.min(v)) < -1e-10:
         return None
-    v1 = np.maximum(v1, 0.0)
-    v2 = np.maximum(v2, 0.0)
-    res = op.residual_values(v1, v2)
+    v = np.maximum(v, 0.0)
+    res = op.residual_values(v)
     if res > params.newton_tol:
         return None
-    u1 = GridFunction(rule, v1)
-    u2 = GridFunction(rule, v2)
+    u1 = GridFunction(rule, v[0])
+    u2 = GridFunction(rule, v[1])
     amb1, amb2 = _ambient_bounds(problem)
     if sup_norm(u1) > FAR_FIELD_FACTOR * amb1 or sup_norm(u2) > FAR_FIELD_FACTOR * amb2:
         return None

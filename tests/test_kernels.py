@@ -79,6 +79,19 @@ def test_green_matrix_matches_scalar():
                 assert mat[i, m] == pytest.approx(green(kernel, t, s), rel=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+def test_green_matrix_small_beta_is_warning_free():
+    # the masked-out branch of np.where used to overflow in exp
+    ts = make_rule(129).nodes
+    for beta in (1e-3, 1e-4):
+        kernel = ReactionConvectionDiffusion(beta)
+        mat = green_matrix(kernel, ts, ts)
+        for i in (0, 1, 64, 128):
+            for m in (0, 1, 64, 128):
+                assert mat[i, m] == pytest.approx(green(kernel, ts[i], ts[m]),
+                                                  rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("kernel", [DN, RCD1, ReactionConvectionDiffusion(0.3),
                                     ReactionConvectionDiffusion(0.05)],
                          ids=["min", "rcd1", "rcd0.3", "rcd0.05"])

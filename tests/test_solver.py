@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conecert import kernels, solver
 from conecert.cli import build_problem
 from conecert.conespace import (GridFunction, RegionSpec, in_cone_p,
                                 min_window, sup_norm)
@@ -189,6 +190,78 @@ def test_classification_stable_under_refinement(nine_problem):
 
 
 # ---------------------------------------------------------------------------
+# the semiseparable operator
+
+
+rcd = ReactionConvectionDiffusion
+
+# beta below 1/EXP_SPAN = 2e-3 splits the RCD generators into blocks; the
+# mixed pairs give the two components different block partitions
+ORACLE_KERNELS = {
+    "min": (DirichletNeumann(), DirichletNeumann()),
+    "rcd1": (rcd(1.0), rcd(1.0)),
+    "rcd0.3": (rcd(0.3), rcd(0.3)),
+    "rcd0.05": (rcd(0.05), rcd(0.05)),
+    "rcd1e-3": (rcd(1e-3), rcd(1e-3)),
+    "rcd1e-4": (rcd(1e-4), rcd(1e-4)),
+    "rcd1,1e-4": (rcd(1.0), rcd(1e-4)),
+    "rcd1e-3,0.05": (rcd(1e-3), rcd(0.05)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kernel_pair", ORACLE_KERNELS.values(),
+                         ids=ORACLE_KERNELS.keys())
+@pytest.mark.parametrize("n", [3, 5, 129, 1025])
+@pytest.mark.parametrize("scheme", ["trapezoid", "simpson"])
+def test_apply_matches_dense_oracle(kernel_pair, n, scheme):
+    # f_j = x_j, so T_j v = G_j W v_j against the dense Green matrix
+    k1, k2 = kernel_pair
+    mode = "nine" if isinstance(k1, DirichletNeumann) else "thm53"
+    region = RegionSpec(d=(0.5, 0.5), a=(1.0, 1.0), c=(5.0, 5.0),
+                        window=(0.5, 0.5) if mode == "nine" else (0.0, 0.0))
+    problem = ProblemSpec(k1, k2, parse_expr("x1"), parse_expr("x2"),
+                          region, mode)
+    rule = make_rule(n, scheme)
+    op = DiscreteOperator(problem, rule)
+    rng = np.random.default_rng(n)
+    for low in (0.0, -1.0):  # positive and signed f
+        v = rng.uniform(low, 1.0, (2, n))
+        got = op.apply(v[0], v[1])
+        for j, kernel in enumerate(kernel_pair):
+            dense = green_matrix(kernel, rule.nodes, rule.nodes) \
+                * rule.weights @ v[j]
+            scale = float(np.max(np.abs(dense)))
+            assert float(np.max(np.abs(got[j] - dense))) <= 1e-12 * scale
+
+
+def test_operator_holds_no_dense_matrix(nine_problem, monkeypatch):
+    def dense(*_args):
+        raise AssertionError("dense Green matrix built")
+
+    monkeypatch.setattr(kernels, "green_matrix", dense)
+    monkeypatch.setattr(solver, "green_matrix", dense)
+    op = DiscreteOperator(nine_problem, RULE)
+    arrays = []
+    for attr in vars(op).values():
+        items = attr if isinstance(attr, (tuple, list)) else (attr,)
+        arrays += [x for x in items if isinstance(x, np.ndarray)]
+    assert arrays and max(x.size for x in arrays) <= 2 * RULE.n
+    sols = multi_start(nine_problem, SolverParams(grid_n=129, picard_steps=1))
+    assert sorted(str(s.region) for s in sols) == sorted(
+        f"{a}-{b}" for a in "SMB" for b in "SMB")
+
+
+def test_newton_first_converges_on_a_fine_grid(nine_problem):
+    # 16385 nodes: two dense kernel matrices would take 4.3 GB
+    params = SolverParams(grid_n=16385, picard_steps=1)
+    sols = multi_start(nine_problem, params, seed_list=["B-B"])
+    assert len(sols) == 1
+    assert str(sols[0].region) == "B-B"
+    assert sols[0].residual <= 1e-8
+
+
+# ---------------------------------------------------------------------------
 # the structured Newton step
 
 
@@ -221,8 +294,8 @@ def test_newton_step_matches_dense_solve(nine_problem, system, grid_n, scheme):
     for tag in ("S", "M", "B"):
         v1 = levels1[tag] * rng.uniform(0.5, 1.5, grid_n)
         v2 = levels2[tag] * rng.uniform(0.5, 1.5, grid_n)
-        t1, t2 = op.apply(v1, v2)
-        step1, step2 = op.newton_step(v1, v2, v1 - t1, v2 - t2)
+        v = np.array((v1, v2))
+        step1, step2 = op.newton_step(v, v - op.apply(v1, v2))
         want1, want2 = dense_newton_step(problem, rule, v1, v2)
         scale = max(np.max(np.abs(want1)), np.max(np.abs(want2)))
         assert np.max(np.abs(step1 - want1)) <= 1e-9 * scale
