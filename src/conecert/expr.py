@@ -16,14 +16,16 @@ breakpoints at 1/2 and 1; negative arguments are clamped to 0 (operators
 only ever feed nonnegative functions, but quadrature round-off may produce
 -eps).
 
-Evaluation is one recursive walk over the tree, run over one of two
-arithmetic tables: plain floats and numpy arrays (pointwise, and vectorised
-for the solver and the grid oracle), or outward-rounded Intervals (rigorous
-range enclosure).  +, -, * and negation are the operators both value
-types share; each table supplies the rest: constant lifting, the named
-constants, /, ^ and the builtins.  Both tables signal a domain violation with
-DomainError, which the walk turns into an EvalError at the node's source
-offset.
+Evaluation compiles each tree once into nested closures, one per node, over
+one of two arithmetic tables: plain floats and numpy arrays (pointwise, and
+vectorised for the solver and the grid oracle), or outward-rounded endpoint
+pairs (rigorous range enclosure, with the kernels of `interval`).  Each table
+supplies every operation: constant lifting, the named constants, the
+operators and the builtins.  Both tables signal a domain violation with
+DomainError, which the node's closure turns into an EvalError at its source
+offset.  Compiled programs are cached by node identity, not by equality
+(equal trees may carry different offsets), so the hundreds of evaluations of
+one expression in a solve or a branch and bound compile it once.
 
 The ramps are monotone (phi and psi nondecreasing, capphi nonincreasing) and
 exact in float arithmetic (2z - 1 and 2 - 2z by Sterbenz's lemma on
@@ -34,11 +36,14 @@ two endpoints.
 from __future__ import annotations
 
 import math
+import operator
 import re
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import interval as iv
 from .errors import DomainError
 from .interval import E, PI, Interval
 
@@ -314,7 +319,7 @@ def unparse(node: ExprAst) -> str:
 
 
 # ---------------------------------------------------------------------------
-# evaluation: one walk over two arithmetic tables
+# evaluation: one compiler over two arithmetic tables
 
 def _clip01(v):
     return np.minimum(np.maximum(v, 0.0), 1.0)
@@ -332,8 +337,19 @@ def _capphi(z):
     return _clip01(2.0 - 2.0 * z)
 
 
+# domain checks on a float or an array; a numpy reduction costs microseconds
+# on a scalar, so scalars are tested directly
+
+def _any(mask) -> bool:
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _all_finite(v) -> bool:
+    return bool(np.isfinite(v).all()) if isinstance(v, np.ndarray) else math.isfinite(v)
+
+
 def _div(a, b):
-    if np.any(np.asarray(b) == 0.0):
+    if _any(b == 0.0):
         raise DomainError("division by zero")
     return a / b
 
@@ -341,7 +357,7 @@ def _div(a, b):
 def _pow(a, b):
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         out = np.power(np.asarray(a, dtype=float), b)
-    if not np.all(np.isfinite(out)):
+    if not _all_finite(out):
         raise DomainError("power produced a non-finite value")
     return out
 
@@ -349,55 +365,49 @@ def _pow(a, b):
 def _exp(a):
     with np.errstate(over="ignore"):
         out = np.exp(a)
-    if not np.all(np.isfinite(out)):
+    if not _all_finite(out):
         raise DomainError("exp overflow")
     return out
 
 
+def _trig(name, fn):
+    def run(a):
+        if not _all_finite(a):
+            raise DomainError(f"{name} of a non-finite value")
+        return fn(a)
+    return run
+
+
 def _ln(a):
-    if np.any(np.asarray(a) <= 0.0):
+    if _any(a <= 0.0):
         raise DomainError("ln of a nonpositive value")
     return np.log(a)
 
 
-def _rising(ramp):
-    return lambda z: Interval(ramp(z.lo), ramp(z.hi))
-
-
-def _falling(ramp):
-    return lambda z: Interval(ramp(z.hi), ramp(z.lo))
-
-
 @dataclass(frozen=True)
-class _Arithmetic:
+class _Table:
     const: object              # float -> value
     named: dict                # "pi" | "e" -> value
-    div: object
-    pow: object                # (base, exponent value or natural int) -> value
-    unary: dict
-    binary: dict
+    ops: dict                  # operator, "neg" or builtin name -> function
     natural_exponent: bool     # ^ takes a constant natural exponent only
 
 
-_FLOATS = _Arithmetic(
+_FLOATS = _Table(
     const=float,
     named={"pi": math.pi, "e": math.e},
-    div=_div,
-    pow=_pow,
-    unary={"exp": _exp, "cos": np.cos, "sin": np.sin, "ln": _ln, "abs": np.abs,
-           "phi": _phi, "psi": _psi, "capphi": _capphi},
-    binary={"min": np.minimum, "max": np.maximum},
+    ops={"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div,
+         "^": _pow, "neg": operator.neg, "exp": _exp, "cos": _trig("cos", np.cos),
+         "sin": _trig("sin", np.sin), "ln": _ln, "abs": np.abs, "phi": _phi,
+         "psi": _psi, "capphi": _capphi, "min": np.minimum, "max": np.maximum},
     natural_exponent=False)
 
-_INTERVALS = _Arithmetic(
-    const=Interval.point,
-    named={"pi": PI, "e": E},
-    div=Interval.__truediv__,
-    pow=Interval.pow_nat,
-    unary={"exp": Interval.exp, "cos": Interval.cos, "sin": Interval.sin,
-           "ln": Interval.log, "abs": Interval.abs, "phi": _rising(_phi),
-           "psi": _rising(_psi), "capphi": _falling(_capphi)},
-    binary={"min": Interval.min_with, "max": Interval.max_with},
+_PAIRS = _Table(
+    const=lambda v: (v, v),
+    named={"pi": (PI.lo, PI.hi), "e": (E.lo, E.hi)},
+    ops={"+": iv.add, "-": iv.sub, "*": iv.mul, "/": iv.div, "^": iv.pow_nat,
+         "neg": iv.neg, "exp": iv.exp, "cos": iv.cos, "sin": iv.sin, "ln": iv.log,
+         "abs": iv.absolute, "phi": iv.phi, "psi": iv.psi, "capphi": iv.capphi,
+         "min": iv.minimum, "max": iv.maximum},
     natural_exponent=True)
 
 
@@ -409,73 +419,100 @@ def _natural_exponent(node: BinOp) -> int:
     return int(e.value)
 
 
-def check_natural_exponents(e: ExprAst) -> None:
-    """Raise the interval walk's EvalError for the first `^` without a
-    constant natural exponent, which a walk failing earlier never reaches."""
-    if isinstance(e, BinOp):
-        check_natural_exponents(e.left)
-        if e.op == "^":
-            _natural_exponent(e)
-        else:
-            check_natural_exponents(e.right)
-    elif isinstance(e, Neg):
-        check_natural_exponents(e.operand)
-    elif isinstance(e, Call):
-        for arg in e.args:
-            check_natural_exponents(arg)
+def _x1(x1, x2):
+    return x1
 
 
-def _walk(node: ExprAst, x1, x2, ar: _Arithmetic):
-    if isinstance(node, BinOp):
-        a = _walk(node.left, x1, x2, ar)
-        op = node.op
-        if op == "^":
-            fn = ar.pow
-            b = (_natural_exponent(node) if ar.natural_exponent
-                 else _walk(node.right, x1, x2, ar))
-        else:
-            b = _walk(node.right, x1, x2, ar)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            fn = ar.div
-    elif isinstance(node, Var):
-        return x1 if node.name == "x1" else x2
-    elif isinstance(node, Const):
-        return ar.const(node.value)
-    elif isinstance(node, Call):
-        args = node.args
-        a = _walk(args[0], x1, x2, ar)
+def _x2(x1, x2):
+    return x2
+
+
+def _constant(value):
+    return lambda x1, x2: value
+
+
+def _unary(fn, arg, offset: int):
+    def run(x1, x2):
+        try:
+            return fn(arg(x1, x2))
+        except DomainError as err:
+            raise EvalError(offset, str(err)) from err
+    return run
+
+
+def _binary(fn, left, right, offset: int):
+    def run(x1, x2):
+        try:
+            return fn(left(x1, x2), right(x1, x2))
+        except DomainError as err:
+            raise EvalError(offset, str(err)) from err
+    return run
+
+
+def _compile(node: ExprAst, table: _Table):
+    """The program ``(x1, x2) -> value`` of node over one table: nested
+    closures, one per node, each calling its table function on its
+    children's values.  A DomainError of that function becomes an EvalError
+    at the node's source offset.  Interval programs take a natural-number
+    exponent only, so compiling one raises that EvalError for the first
+    other `^`, before any evaluation."""
+    if isinstance(node, Var):
+        return _x1 if node.name == "x1" else _x2
+    if isinstance(node, Const):
+        return _constant(table.const(node.value))
+    if isinstance(node, NamedConst):
+        return _constant(table.named[node.name])
+    if isinstance(node, Neg):
+        return _unary(table.ops["neg"], _compile(node.operand, table), node.offset)
+    if isinstance(node, Call):
+        args = [_compile(a, table) for a in node.args]
         if len(args) == 2:
-            return ar.binary[node.fn](a, _walk(args[1], x1, x2, ar))
-        fn, b = ar.unary[node.fn], None
-    elif isinstance(node, Neg):
-        return -_walk(node.operand, x1, x2, ar)
+            return _binary(table.ops[node.fn], *args, node.offset)
+        return _unary(table.ops[node.fn], args[0], node.offset)
+    left = _compile(node.left, table)
+    if node.op == "^" and table.natural_exponent:
+        right = _constant(_natural_exponent(node))
     else:
-        return ar.named[node.name]
-    # only /, ^ and the unary builtins can leave their domain
-    try:
-        return fn(a) if b is None else fn(a, b)
-    except DomainError as err:
-        raise EvalError(node.offset, str(err)) from err
+        right = _compile(node.right, table)
+    return _binary(table.ops[node.op], left, right, node.offset)
+
+
+# compiled programs by (id(node), id(table)); each entry holds a weak
+# reference to its node, whose death removes the entry before the id can be
+# reused.  Equal trees are not interchangeable: offsets are not compared.
+_PROGRAMS: dict = {}
+
+
+def _program(e: ExprAst, table: _Table):
+    key = (id(e), id(table))
+    hit = _PROGRAMS.get(key)
+    if hit is not None and hit[0]() is e:
+        return hit[1]
+    program = _compile(e, table)
+    _PROGRAMS[key] = (weakref.ref(e, lambda _ref: _PROGRAMS.pop(key, None)),
+                      program)
+    return program
 
 
 def eval_point(e: ExprAst, x1: float, x2: float) -> float:
     """Evaluate at a point in plain float arithmetic."""
-    return float(_walk(e, np.float64(x1), np.float64(x2), _FLOATS))
+    return float(_program(e, _FLOATS)(np.float64(x1), np.float64(x2)))
 
 
 def eval_values(e: ExprAst, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Vectorised evaluation over numpy arrays (broadcasting applies)."""
-    out = _walk(e, np.asarray(x1, dtype=float), np.asarray(x2, dtype=float),
-                _FLOATS)
+    out = _program(e, _FLOATS)(np.asarray(x1, dtype=float),
+                               np.asarray(x2, dtype=float))
     return np.broadcast_to(np.asarray(out, dtype=float),
                            np.broadcast_shapes(np.shape(x1), np.shape(x2))).copy()
 
 
+def interval_program(e: ExprAst):
+    """The compiled enclosure ``(x1, x2) -> (lo, hi)`` of e over endpoint
+    pairs; raises EvalError for a `^` without a constant natural exponent."""
+    return _program(e, _PAIRS)
+
+
 def eval_interval(e: ExprAst, x1: Interval, x2: Interval) -> Interval:
     """Rigorous enclosure of the pointwise range of e over the box x1 x x2."""
-    return _walk(e, x1, x2, _INTERVALS)
+    return Interval(*interval_program(e)((x1.lo, x1.hi), (x2.lo, x2.hi)))

@@ -33,9 +33,10 @@ import numpy as np
 
 from .conespace import RegionLabel
 from .errors import ConfigError
-from .expr import (EvalError, ExprAst, check_natural_exponents, eval_interval,
-                   eval_point, eval_values)
-from .interval import Interval
+from .expr import EvalError, ExprAst, eval_point, eval_values, interval_program
+# only for benchmarks/spans.py, which patches it (AttributeError if absent)
+from .expr import eval_interval  # noqa: F401
+from .interval import Interval, midpoint
 
 DEFAULT_BUDGET = 100_000
 DEFAULT_DEPTH = 40
@@ -65,14 +66,15 @@ class CertVerdict:
 
 
 def _certified_fn(relation: Relation, bound: float):
+    """Whether an enclosure (lo, hi) proves the relation."""
     if relation == "<=":
-        return lambda iv: iv.hi <= bound
+        return lambda enc: enc[1] <= bound
     if relation == "<":
-        return lambda iv: iv.hi < bound
+        return lambda enc: enc[1] < bound
     if relation == ">=":
-        return lambda iv: iv.lo >= bound
+        return lambda enc: enc[0] >= bound
     if relation == ">":
-        return lambda iv: iv.lo > bound
+        return lambda enc: enc[0] > bound
     raise ValueError(f"unknown relation {relation!r}")
 
 
@@ -92,15 +94,19 @@ def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
                 max_depth: int = DEFAULT_DEPTH) -> CertVerdict:
     """Branch-and-bound verdict for one box inequality.
 
-    Boxes are split on the widest axis (x1 wins ties); exploration order is
-    fixed, so the verdict is deterministic for a given budget/depth.  A
-    Fail's witness is the midpoint of the first sub-box found violating.
-    An expression with no enclosure raises EvalError before any box.
+    Boxes are split at their midpoints on the widest axis (x1 wins ties);
+    exploration order is fixed, so the verdict is deterministic for a given
+    budget/depth.  A Fail's witness is the midpoint of the first sub-box
+    found violating.  The condition's interval program is compiled once,
+    which raises EvalError before any box for an expression with no
+    enclosure; the depth-first stack then holds each box as four float
+    endpoints and its depth, and builds no Interval per box.
     """
-    check_natural_exponents(q.expr)
+    enclose = interval_program(q.expr)
     certified = _certified_fn(q.relation, q.bound)
     violates = _violates_fn(q.relation, q.bound)
-    stack = [(q.box[0], q.box[1], 0)]
+    b1, b2 = q.box
+    stack = [(b1.lo, b1.hi, b2.lo, b2.hi, 0)]
     explored = 0
     depth_capped = False
     unresolved = False
@@ -108,44 +114,40 @@ def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
         if explored >= budget:
             return CertVerdict("Unknown", None, explored, depth_capped,
                                note="box budget exhausted")
-        b1, b2, dep = stack.pop()
+        lo1, hi1, lo2, hi2, dep = stack.pop()
         explored += 1
         try:
-            enc = eval_interval(q.expr, b1, b2)
+            if certified(enclose((lo1, hi1), (lo2, hi2))):
+                continue
         except EvalError:
-            # every `^` passed the check above, so this is a domain error of
-            # the enclosure (a divisor enclosure that contains 0, say): the
-            # box is only too coarse
-            enc = None
-        if enc is not None and certified(enc):
-            continue
+            # the program compiled, so this is a domain error of the
+            # enclosure (a divisor enclosure that contains 0, say): the box
+            # is only too coarse
+            pass
+        m1 = midpoint(lo1, hi1)
+        m2 = midpoint(lo2, hi2)
         try:
-            val = eval_point(q.expr, b1.mid, b2.mid)
+            val = eval_point(q.expr, m1, m2)
         except EvalError as err:
             raise EvalError(err.offset, f"{err.message} at the midpoint "
-                            f"({b1.mid!r}, {b2.mid!r}) of sub-box {b1} x {b2}"
-                            ) from err
+                            f"({m1!r}, {m2!r}) of sub-box {Interval(lo1, hi1)} x "
+                            f"{Interval(lo2, hi2)}") from err
         if violates(val):
-            return CertVerdict("Fail", (b1.mid, b2.mid, val), explored,
-                               depth_capped)
+            return CertVerdict("Fail", (m1, m2, val), explored, depth_capped)
         if dep >= max_depth:
             depth_capped = True
             unresolved = True
             continue
         # split the widest axis, x1 on ties; fall back to the other axis
         # when the wider one is already degenerate
-        axes = (0, 1) if b1.width >= b2.width else (1, 0)
-        for axis in axes:
-            halves = (b1 if axis == 0 else b2).split()
-            if halves is None:
-                continue
-            if axis == 0:
-                stack.append((halves[1], b2, dep + 1))
-                stack.append((halves[0], b2, dep + 1))
-            else:
-                stack.append((b1, halves[1], dep + 1))
-                stack.append((b1, halves[0], dep + 1))
-            break
+        split1 = lo1 < m1 < hi1
+        split2 = lo2 < m2 < hi2
+        if split1 and (hi1 - lo1 >= hi2 - lo2 or not split2):
+            stack.append((m1, hi1, lo2, hi2, dep + 1))
+            stack.append((lo1, m1, lo2, hi2, dep + 1))
+        elif split2:
+            stack.append((lo1, hi1, m2, hi2, dep + 1))
+            stack.append((lo1, hi1, lo2, m2, dep + 1))
         else:
             # point box that neither certifies nor violates (rounding slack)
             unresolved = True

@@ -7,6 +7,15 @@ operation: one step for the IEEE-correctly-rounded ops (+, -, *, /), two
 steps for libm transcendentals whose rounding is only guaranteed to ~1 ulp.
 Directed-rounding mode switching is deliberately avoided (platform-fragile).
 
+Each rounding rule is a kernel on endpoint pairs: a function of `(lo, hi)`
+float tuples that returns one.  The compiled interval programs of `expr`
+call the kernels directly, with no object per intermediate; `Interval` is
+the public, checked wrapper, and each of its methods is one kernel call.  A
+kernel raises DomainError when its result leaves the domain (a divisor
+containing 0, an overflowing exp, a trig argument with no finite value);
+the kernels that can turn endpoints into NaN (+, -, *, /) raise ValueError,
+as the `Interval` constructor does.
+
 Point intervals (lo == hi) are permitted; splitting a point interval signals
 no-split by returning None instead of raising.
 """
@@ -15,26 +24,217 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import inf, isfinite, nextafter
 
 from .errors import DomainError
 
-_INF = math.inf
+_NINF = -inf
+_TWO_PI = 2.0 * math.pi
+_HALF_PI = math.pi / 2.0
+
+Pair = tuple[float, float]
 
 
 def _down(x: float) -> float:
-    return math.nextafter(x, -_INF)
+    return nextafter(x, _NINF)
 
 
 def _up(x: float) -> float:
-    return math.nextafter(x, _INF)
+    return nextafter(x, inf)
 
 
 def _down2(x: float) -> float:
-    return _down(_down(x))
+    return nextafter(nextafter(x, _NINF), _NINF)
 
 
 def _up2(x: float) -> float:
-    return _up(_up(x))
+    return nextafter(nextafter(x, inf), inf)
+
+
+def _fmt(lo: float, hi: float) -> str:
+    return f"[{lo!r}, {hi!r}]"
+
+
+def _invalid(lo: float, hi: float) -> ValueError:
+    if math.isnan(lo) or math.isnan(hi):
+        return ValueError("interval endpoint is NaN")
+    return ValueError(f"invalid interval [{lo}, {hi}]")
+
+
+# ---------------------------------------------------------------------------
+# kernels on endpoint pairs
+
+
+def neg(x: Pair) -> Pair:
+    lo, hi = x
+    return -hi, -lo
+
+
+def add(x: Pair, y: Pair) -> Pair:
+    lo = nextafter(x[0] + y[0], _NINF)
+    hi = nextafter(x[1] + y[1], inf)
+    if not lo <= hi:
+        raise _invalid(lo, hi)
+    return lo, hi
+
+
+def sub(x: Pair, y: Pair) -> Pair:
+    lo = nextafter(x[0] - y[1], _NINF)
+    hi = nextafter(x[1] - y[0], inf)
+    if not lo <= hi:
+        raise _invalid(lo, hi)
+    return lo, hi
+
+
+def mul(x: Pair, y: Pair) -> Pair:
+    a, b = x
+    c, d = y
+    p = (a * c, a * d, b * c, b * d)
+    lo = nextafter(min(p), _NINF)
+    hi = nextafter(max(p), inf)
+    if not lo <= hi:
+        raise _invalid(lo, hi)
+    return lo, hi
+
+
+def div(x: Pair, y: Pair) -> Pair:
+    a, b = x
+    c, d = y
+    if c <= 0.0 <= d:
+        raise DomainError(f"division by interval containing zero: {_fmt(c, d)}")
+    p = (a / c, a / d, b / c, b / d)
+    lo = nextafter(min(p), _NINF)
+    hi = nextafter(max(p), inf)
+    if not lo <= hi:
+        raise _invalid(lo, hi)
+    return lo, hi
+
+
+def exp(x: Pair) -> Pair:
+    lo, hi = x
+    try:
+        e_lo = math.exp(lo)
+        e_hi = math.exp(hi)
+    except OverflowError:
+        e_hi = inf
+    if not isfinite(e_hi):
+        raise DomainError(f"exp overflow on {_fmt(lo, hi)}")
+    return max(0.0, _down2(e_lo)), _up2(e_hi)
+
+
+def log(x: Pair) -> Pair:
+    lo, hi = x
+    if lo <= 0.0:
+        raise DomainError(f"log of interval touching nonpositive reals: {_fmt(lo, hi)}")
+    return _down2(math.log(lo)), _up2(math.log(hi))
+
+
+def _trig_range(name: str, fn, extremum_offset: float, x: Pair) -> Pair:
+    # Both cos (offset 0) and sin (offset pi/2) peak at n*pi + offset with
+    # value (-1)^n.  Extremum locations are tested with slop proportional
+    # to |m| so the float-pi drift at large arguments cannot hide one.
+    lo, hi = x
+    if hi - lo >= _TWO_PI:
+        return -1.0, 1.0
+    if not (isfinite(lo) and isfinite(hi)):
+        raise DomainError(f"{name} of a non-finite argument {_fmt(lo, hi)}")
+    f_lo, f_hi = fn(lo), fn(hi)
+    out_lo = _down2(min(f_lo, f_hi))
+    out_hi = _up2(max(f_lo, f_hi))
+    n_min = math.floor((lo - extremum_offset) / math.pi) - 1
+    n_max = math.ceil((hi - extremum_offset) / math.pi) + 1
+    for n in range(n_min, n_max + 1):
+        m = n * math.pi + extremum_offset
+        tol = 4e-16 * abs(m) + 1e-300
+        if lo - tol <= m <= hi + tol:
+            if n % 2 == 0:
+                out_hi = 1.0
+            else:
+                out_lo = -1.0
+    return max(out_lo, -1.0), min(out_hi, 1.0)
+
+
+def cos(x: Pair) -> Pair:
+    return _trig_range("cos", math.cos, 0.0, x)
+
+
+def sin(x: Pair) -> Pair:
+    return _trig_range("sin", math.sin, _HALF_PI, x)
+
+
+def absolute(x: Pair) -> Pair:
+    lo, hi = x
+    if lo >= 0.0:
+        return x
+    if hi <= 0.0:
+        return -hi, -lo
+    return 0.0, max(-lo, hi)
+
+
+def minimum(x: Pair, y: Pair) -> Pair:
+    return min(x[0], y[0]), min(x[1], y[1])
+
+
+def maximum(x: Pair, y: Pair) -> Pair:
+    return max(x[0], y[0]), max(x[1], y[1])
+
+
+def pow_nat(x: Pair, n: int) -> Pair:
+    """x**n for a natural-number exponent n >= 0."""
+    if n == 0:
+        return 1.0, 1.0
+    if n == 1:
+        return x
+    lo, hi = x
+    try:
+        a = math.pow(lo, n)
+        b = math.pow(hi, n)
+    except OverflowError:
+        raise DomainError(f"pow overflow on {_fmt(lo, hi)}^{n}") from None
+    if n % 2 == 1 or lo >= 0.0:
+        return _down2(a), _up2(b)
+    if hi <= 0.0:
+        return _down2(b), _up2(a)
+    return 0.0, _up2(max(a, b))
+
+
+# The ramps are monotone (phi and psi nondecreasing, capphi nonincreasing)
+# and exact in floats, so each image is the float ramp of the two endpoints,
+# clipped to [0, 1] as numpy's minimum(maximum(v, 0), 1) clips.
+
+def phi(x: Pair) -> Pair:
+    lo, hi = x
+    return min(max(0.0, 2.0 * lo - 1.0), 1.0), min(max(0.0, 2.0 * hi - 1.0), 1.0)
+
+
+def psi(x: Pair) -> Pair:
+    lo, hi = x
+    return min(max(0.0, lo), 1.0), min(max(0.0, hi), 1.0)
+
+
+def capphi(x: Pair) -> Pair:
+    lo, hi = x
+    return min(max(0.0, 2.0 - 2.0 * hi), 1.0), min(max(0.0, 2.0 - 2.0 * lo), 1.0)
+
+
+def midpoint(lo: float, hi: float) -> float:
+    """The split point of [lo, hi]: its midpoint, kept inside when the sum
+    overflows or rounds out."""
+    m = 0.5 * (lo + hi)
+    if not isfinite(m):
+        m = 0.5 * lo + 0.5 * hi
+    return min(max(m, lo), hi)
+
+
+# ---------------------------------------------------------------------------
+# the public wrapper
+
+
+def _pair(x) -> Pair:
+    if isinstance(x, Interval):
+        return x.lo, x.hi
+    x = float(x)
+    return x, x
 
 
 @dataclass(frozen=True)
@@ -47,10 +247,8 @@ class Interval:
     def __post_init__(self):
         lo = float(self.lo)
         hi = float(self.hi)
-        if math.isnan(lo) or math.isnan(hi):
-            raise ValueError("interval endpoint is NaN")
-        if lo > hi:
-            raise ValueError(f"invalid interval [{lo}, {hi}]")
+        if not lo <= hi:
+            raise _invalid(lo, hi)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -67,10 +265,7 @@ class Interval:
 
     @property
     def mid(self) -> float:
-        m = 0.5 * (self.lo + self.hi)
-        if not math.isfinite(m):
-            m = 0.5 * self.lo + 0.5 * self.hi
-        return min(max(m, self.lo), self.hi)
+        return midpoint(self.lo, self.hi)
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
@@ -79,126 +274,65 @@ class Interval:
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def __repr__(self) -> str:
-        return f"[{self.lo!r}, {self.hi!r}]"
+        return _fmt(self.lo, self.hi)
 
     # ------------------------------------------------------------------
     # arithmetic (outward rounded)
 
-    @staticmethod
-    def _lift(other) -> "Interval":
-        if isinstance(other, Interval):
-            return other
-        return Interval.point(float(other))
-
     def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
+        return Interval(*neg(_pair(self)))
 
     def __add__(self, other) -> "Interval":
-        o = Interval._lift(other)
-        return Interval(_down(self.lo + o.lo), _up(self.hi + o.hi))
+        return Interval(*add(_pair(self), _pair(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Interval":
-        o = Interval._lift(other)
-        return Interval(_down(self.lo - o.hi), _up(self.hi - o.lo))
+        return Interval(*sub(_pair(self), _pair(other)))
 
     def __rsub__(self, other) -> "Interval":
-        return Interval._lift(other) - self
+        return Interval(*sub(_pair(other), _pair(self)))
 
     def __mul__(self, other) -> "Interval":
-        o = Interval._lift(other)
-        p = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return Interval(_down(min(p)), _up(max(p)))
+        return Interval(*mul(_pair(self), _pair(other)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Interval":
-        o = Interval._lift(other)
-        if o.lo <= 0.0 <= o.hi:
-            raise DomainError(f"division by interval containing zero: {o}")
-        p = (self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
-        return Interval(_down(min(p)), _up(max(p)))
+        return Interval(*div(_pair(self), _pair(other)))
 
     def __rtruediv__(self, other) -> "Interval":
-        return Interval._lift(other) / self
+        return Interval(*div(_pair(other), _pair(self)))
 
     # ------------------------------------------------------------------
     # elementary functions
 
     def exp(self) -> "Interval":
-        lo = max(0.0, _down2(math.exp(self.lo)))
-        hi = math.exp(self.hi)
-        if not math.isfinite(hi):
-            raise DomainError(f"exp overflow on {self}")
-        return Interval(lo, _up2(hi))
+        return Interval(*exp(_pair(self)))
 
     def log(self) -> "Interval":
-        if self.lo <= 0.0:
-            raise DomainError(f"log of interval touching nonpositive reals: {self}")
-        return Interval(_down2(math.log(self.lo)), _up2(math.log(self.hi)))
-
-    def _trig_range(self, fn, extremum_offset: float) -> "Interval":
-        # Both cos (offset 0) and sin (offset pi/2) peak at n*pi + offset with
-        # value (-1)^n.  Extremum locations are tested with slop proportional
-        # to |m| so the float-pi drift at large arguments cannot hide one.
-        lo, hi = self.lo, self.hi
-        if hi - lo >= 2.0 * math.pi:
-            return Interval(-1.0, 1.0)
-        out_lo = _down2(min(fn(lo), fn(hi)))
-        out_hi = _up2(max(fn(lo), fn(hi)))
-        n_min = math.floor((lo - extremum_offset) / math.pi) - 1
-        n_max = math.ceil((hi - extremum_offset) / math.pi) + 1
-        for n in range(n_min, n_max + 1):
-            m = n * math.pi + extremum_offset
-            tol = 4e-16 * abs(m) + 1e-300
-            if lo - tol <= m <= hi + tol:
-                if n % 2 == 0:
-                    out_hi = 1.0
-                else:
-                    out_lo = -1.0
-        return Interval(max(out_lo, -1.0), min(out_hi, 1.0))
+        return Interval(*log(_pair(self)))
 
     def cos(self) -> "Interval":
-        return self._trig_range(math.cos, 0.0)
+        return Interval(*cos(_pair(self)))
 
     def sin(self) -> "Interval":
-        return self._trig_range(math.sin, math.pi / 2.0)
+        return Interval(*sin(_pair(self)))
 
     def abs(self) -> "Interval":
-        if self.lo >= 0.0:
-            return self
-        if self.hi <= 0.0:
-            return -self
-        return Interval(0.0, max(-self.lo, self.hi))
+        return Interval(*absolute(_pair(self)))
 
     def min_with(self, other) -> "Interval":
-        o = Interval._lift(other)
-        return Interval(min(self.lo, o.lo), min(self.hi, o.hi))
+        return Interval(*minimum(_pair(self), _pair(other)))
 
     def max_with(self, other) -> "Interval":
-        o = Interval._lift(other)
-        return Interval(max(self.lo, o.lo), max(self.hi, o.hi))
+        return Interval(*maximum(_pair(self), _pair(other)))
 
     def pow_nat(self, n: int) -> "Interval":
         """self**n for a natural-number exponent n >= 0."""
         if n != int(n) or n < 0:
             raise DomainError(f"pow_nat requires a natural exponent, got {n!r}")
-        n = int(n)
-        if n == 0:
-            return Interval(1.0, 1.0)
-        if n == 1:
-            return self
-        try:
-            a = math.pow(self.lo, n)
-            b = math.pow(self.hi, n)
-        except OverflowError:
-            raise DomainError(f"pow overflow on {self}^{n}") from None
-        if n % 2 == 1 or self.lo >= 0.0:
-            return Interval(_down2(a), _up2(b))
-        if self.hi <= 0.0:
-            return Interval(_down2(b), _up2(a))
-        return Interval(0.0, _up2(max(a, b)))
+        return Interval(*pow_nat(_pair(self), int(n)))
 
     # ------------------------------------------------------------------
     # splitting

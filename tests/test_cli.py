@@ -225,11 +225,18 @@ def test_verify_nonnatural_exponent_is_exit_3(tmp_path, capsys):
     assert "constant natural exponent" in capsys.readouterr().err
 
 
-def test_verify_power_overflow_is_exit_3(tmp_path, capsys):
-    # the enclosure of x1^1000 overflows, so the root box is split; the
-    # midpoint value overflows too, which is a point domain error
+@pytest.mark.parametrize("term", [
+    " + 0*x1^1000",         # math.pow overflows
+    " + 0*exp(200*x1)",     # math.exp overflows
+    " + 0*cos(1e999)",      # cos of inf
+    " + cos(x1*1e308*10)",  # the argument overflows to inf at the midpoint
+], ids=["pow", "exp", "cos-inf", "cos-overflow"])
+def test_verify_power_overflow_is_exit_3(tmp_path, capsys, term):
+    # an enclosure that leaves its domain (an overflow, a trig argument with
+    # no finite value) only splits its box; the same failure at a midpoint
+    # is a point domain error
     cfg = nine_config()
-    cfg["problem"]["f1"] += " + 0*x1^1000"
+    cfg["problem"]["f1"] += term
     path = write_config(tmp_path, cfg)
     assert main(["verify", path, "--out", str(tmp_path)]) == 3
     assert "at the midpoint" in capsys.readouterr().err

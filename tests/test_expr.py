@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from conecert.expr import (BinOp, Call, Const, EvalError, NamedConst, Neg,
                            ParseError, Var, eval_interval, eval_point,
                            eval_values, parse_expr, unparse)
-from conecert.interval import Interval
+from conecert.interval import E, PI, Interval
 
 EXPR_POOL = [
     "0.5 + 5*phi(x1)*psi(x2)",
@@ -172,8 +173,9 @@ RAMP_ENDPOINTS = (-0.3, 0.0, 0.5, 0.75, 1.0, 2.0)
 
 
 def test_eval_values_vectorised_matches_point():
-    # arrays and scalars run the same walk, so every value agrees exactly,
-    # including negative ramp arguments and the breakpoints 1/2 and 1
+    # arrays and scalars run the same compiled program, so every value
+    # agrees exactly, including negative ramp arguments and the breakpoints
+    # 1/2 and 1
     grid = np.array([-0.3, -0.0, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 5.0])
     x1, x2 = (a.ravel() for a in np.meshgrid(grid, grid, indexing="ij"))
     for src in EXPR_POOL + RAMP_POOL:
@@ -250,7 +252,57 @@ def test_interval_division_domain_error_carries_offset():
     assert err.value.offset == 1
 
 
+def test_eval_errors_keep_the_offset_of_their_own_tree():
+    # equal trees (offsets are not compared) get one compiled program each,
+    # whichever is evaluated first, and a dead tree's program is never
+    # handed to a new tree that reuses its id
+    for order in ((0, 1), (1, 0)):
+        trees = (parse_expr("1/(x1-x1)"), parse_expr("   1/(x1-x1)"))
+        assert trees[0] == trees[1]
+        for i in order:
+            with pytest.raises(EvalError) as err:
+                eval_point(trees[i], 1.0, 2.0)
+            assert err.value.offset == (1, 4)[i]
+    for pad in range(20):
+        with pytest.raises(EvalError) as err:
+            eval_point(parse_expr(" " * pad + "1/(x1-x1)"), 1.0, 2.0)
+        assert err.value.offset == pad + 1
+
+
+_IV_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv}
+_IV_CALLS = {"exp": Interval.exp, "cos": Interval.cos, "sin": Interval.sin,
+             "ln": Interval.log, "abs": Interval.abs, "min": Interval.min_with,
+             "max": Interval.max_with}
+
+
+def _composed_enclosure(node, b1, b2):
+    """The enclosure as a recursive composition of Interval methods; a ramp
+    is its float image of the two endpoints, in order (capphi reversed)."""
+    if isinstance(node, Var):
+        return b1 if node.name == "x1" else b2
+    if isinstance(node, Const):
+        return Interval.point(node.value)
+    if isinstance(node, NamedConst):
+        return PI if node.name == "pi" else E
+    if isinstance(node, Neg):
+        return -_composed_enclosure(node.operand, b1, b2)
+    if isinstance(node, Call):
+        args = [_composed_enclosure(a, b1, b2) for a in node.args]
+        if node.fn in _IV_CALLS:
+            return _IV_CALLS[node.fn](*args)
+        ramp = parse_expr(f"{node.fn}(x1)")
+        ends = sorted(eval_point(ramp, z, 0.0) for z in (args[0].lo, args[0].hi))
+        return Interval(*ends)
+    left = _composed_enclosure(node.left, b1, b2)
+    if node.op == "^":
+        return left.pow_nat(int(node.right.value))
+    return _IV_BINARY[node.op](left, _composed_enclosure(node.right, b1, b2))
+
+
 def test_point_in_interval_consistency():
+    # each compiled enclosure contains the point value, and equals the
+    # composition of Interval methods bit for bit (the compiler's wiring)
     rng = np.random.default_rng(99)
     trees = [parse_expr(src) for src in EXPR_POOL]
     for _ in range(1000):
@@ -263,3 +315,5 @@ def test_point_in_interval_consistency():
             enclosure = eval_interval(tree, b1, b2)
             value = eval_point(tree, x1, x2)
             assert enclosure.lo <= value <= enclosure.hi, (unparse(tree), b1, b2)
+            composed = _composed_enclosure(tree, b1, b2)
+            assert repr(enclosure) == repr(composed), (unparse(tree), b1, b2)

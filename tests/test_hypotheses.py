@@ -90,8 +90,9 @@ def test_certify_nonconstant_exponent_raises_at_once():
 
 
 def test_certify_nonconstant_exponent_behind_divisor_raises_at_once():
-    # the divisor's enclosure contains 0 on every box, so no interval walk
-    # reaches the ^; the check ahead of the first box still catches it
+    # the divisor's enclosure contains 0 on every box, so no enclosure ever
+    # reaches the ^; compiling the interval program before the first box
+    # still catches it
     q = BoxIneq(parse_expr("(1/(x1 - x1 + 1e-300))*x1^1.5"), box(0, 5, 0, 5),
                 "<=", 1e308, "t")
     with pytest.raises(EvalError, match="constant natural exponent"):
@@ -123,6 +124,25 @@ def test_pass_requires_strict_enclosure_for_strict_relations():
     assert certify_box(q_le).status == "Pass"
     q_lt = BoxIneq(parse_expr("psi(x1)"), box(0, 2, 0, 1), "<", 1.0, "s.lt")
     assert certify_box(q_lt).status == "Fail"
+
+
+# nine's f1 plus the verify-tight bump A*x1*(2p - x1)/p^2*cos(x2) at p = 3,
+# with A = (0.5 - eps)/cos(1) written out, so sup f1 = 10 - eps at (3, 1)
+TIGHT_F1 = "4.5 + 5*phi(x1)*psi(x2) - 4*capphi(x1) + {}*x1*(6.0 - x1)/9.0*cos(x2)"
+
+
+@pytest.mark.parametrize("amp, budget, status, boxes", [
+    ("0.9235570431227818", 100_000, "Pass", 1977),   # eps = 1e-3
+    ("0.9346619374288674", 100_000, "Fail", 1343),   # eps = -5e-3
+    ("0.925406008024745", 2000, "Unknown", 2000),    # eps = 1e-6
+])
+def test_certify_tight_condition_explores_pinned_boxes(amp, budget, status, boxes):
+    # the exploration is part of the contract: the same split order and the
+    # same enclosures visit exactly these many boxes
+    q = BoxIneq(parse_expr(TIGHT_F1.format(amp)), box(0, 5, 0, 5), "<=", 10.0,
+                "thm52.a1")
+    verdict = certify_box(q, budget=budget)
+    assert (verdict.status, verdict.boxes_explored) == (status, boxes)
 
 
 # ---------------------------------------------------------------------------
