@@ -17,15 +17,19 @@ only ever feed nonnegative functions, but quadrature round-off may produce
 -eps).
 
 Evaluation compiles each tree once into nested closures, one per node, over
-one of two arithmetic tables: plain floats and numpy arrays (pointwise, and
-vectorised for the solver and the grid oracle), or outward-rounded endpoint
-pairs (rigorous range enclosure, with the kernels of `interval`).  Each table
-supplies every operation: constant lifting, the named constants, the
-operators and the builtins.  Both tables signal a domain violation with
-DomainError, which the node's closure turns into an EvalError at its source
-offset.  Compiled programs are cached by node identity, not by equality
-(equal trees may carry different offsets), so the hundreds of evaluations of
-one expression in a solve or a branch and bound compile it once.
+one of three arithmetic tables: plain floats and numpy arrays (pointwise, and
+vectorised for the solver and the grid oracle), outward-rounded endpoint
+pairs (rigorous range enclosure, with the kernels of `interval`), or
+gradient triples of such pairs (the enclosure and both partial derivative
+enclosures, for first-order branch and bound).  Each table supplies every
+operation: constant lifting, the named constants, the operators and the
+builtins.  Every table signals a domain violation with DomainError (the
+float table also with numpy's FloatingPointError for an operation that
+makes a NaN), which the node's closure turns into an EvalError at its
+source offset.  Compiled programs are cached by node identity, not by
+equality (equal trees may carry different offsets), so the hundreds of
+evaluations of one expression in a solve or a branch and bound compile it
+once.
 
 The ramps are monotone (phi and psi nondecreasing, capphi nonincreasing) and
 exact in float arithmetic (2z - 1 and 2 - 2z by Sterbenz's lemma on
@@ -63,9 +67,10 @@ class EvalError(Exception):
     """Evaluation failure, attributed to a node's source offset.
 
     A failure that depends on the arguments (division by zero, ln of a
-    nonpositive value, an interval divisor containing 0) carries the
-    DomainError as its ``__cause__``; a failure of the expression itself
-    (a non-constant exponent in interval mode) carries none."""
+    nonpositive value, an interval divisor containing 0, a float operation
+    that makes a NaN) carries the DomainError or numpy's FloatingPointError
+    as its ``__cause__``; a failure of the expression itself (a non-constant
+    exponent in interval mode) carries none."""
 
     def __init__(self, offset: int, message: str):
         self.offset = offset
@@ -411,6 +416,157 @@ _PAIRS = _Table(
     natural_exponent=True)
 
 
+# The gradient table: each value is (v, d1, d2), three endpoint pairs that
+# enclose f and its partial derivatives in x1 and x2 over the box, built
+# from the pair kernels by the sum, product, quotient and chain rules.  v is
+# the pair table's value bit for bit.  At a kink a builtin takes the hull of
+# its one-sided slopes (its Clarke generalized gradient), so by Lebourg's
+# mean-value theorem a sign-definite d_k proves f monotone in x_k on the
+# closed box.  An exactly zero derivative (of a constant, or of a term in
+# one variable only) stays exactly zero: 0 + d and 0 * d are exact, and
+# rounding them outward would hide the zero that makes f constant in x_k.
+
+_ZERO = (0.0, 0.0)
+_ONE = (1.0, 1.0)
+
+
+def _dadd(a, b):
+    if a == _ZERO:
+        return b
+    return a if b == _ZERO else iv.add(a, b)
+
+
+def _dsub(a, b):
+    if b == _ZERO:
+        return a
+    return iv.neg(b) if a == _ZERO else iv.sub(a, b)
+
+
+def _dmul(s, d):
+    # the factor s is a value enclosure, finite at every point of the box
+    return _ZERO if s == _ZERO or d == _ZERO else iv.mul(s, d)
+
+
+def _chain(value, slope, x):
+    """(value, slope * d1, slope * d2) for a unary function of x."""
+    return value, _dmul(slope, x[1]), _dmul(slope, x[2])
+
+
+def _g_add(x, y):
+    return iv.add(x[0], y[0]), _dadd(x[1], y[1]), _dadd(x[2], y[2])
+
+
+def _g_sub(x, y):
+    return iv.sub(x[0], y[0]), _dsub(x[1], y[1]), _dsub(x[2], y[2])
+
+
+def _g_neg(x):
+    return iv.neg(x[0]), iv.neg(x[1]), iv.neg(x[2])
+
+
+def _g_mul(x, y):
+    u, v = x[0], y[0]
+    return (iv.mul(u, v), _dadd(_dmul(v, x[1]), _dmul(u, y[1])),
+            _dadd(_dmul(v, x[2]), _dmul(u, y[2])))
+
+
+def _g_div(x, y):
+    # (u/v)' = (u' - (u/v) v') / v; the value kernel rejects 0 in v first
+    v = y[0]
+    q = iv.div(x[0], v)
+    d1 = _dsub(x[1], _dmul(q, y[1]))
+    d2 = _dsub(x[2], _dmul(q, y[2]))
+    return (q, _ZERO if d1 == _ZERO else iv.div(d1, v),
+            _ZERO if d2 == _ZERO else iv.div(d2, v))
+
+
+def _g_pow(x, n: int):
+    if n == 0:
+        return _ONE, _ZERO, _ZERO
+    if n == 1:
+        return x
+    u = x[0]
+    slope = iv.mul((float(n), float(n)), iv.pow_nat(u, n - 1))
+    return _chain(iv.pow_nat(u, n), slope, x)
+
+
+def _g_exp(x):
+    e = iv.exp(x[0])
+    return _chain(e, e, x)
+
+
+def _g_log(x):
+    u = x[0]
+    value = iv.log(u)  # rejects u touching 0 before the slope divides by it
+    return _chain(value, iv.div(_ONE, u), x)
+
+
+def _g_cos(x):
+    u = x[0]
+    return _chain(iv.cos(u), iv.neg(iv.sin(u)), x)
+
+
+def _g_sin(x):
+    u = x[0]
+    return _chain(iv.sin(u), iv.cos(u), x)
+
+
+def _kink_slope(u, lo: float, hi: float, s: float):
+    """Slope enclosure over u of a function with slope s on (lo, hi) and 0
+    outside [lo, hi]: the hull of both when u touches a breakpoint."""
+    if u[1] < lo or u[0] > hi:
+        return _ZERO
+    if lo < u[0] and u[1] < hi:
+        return s, s
+    return min(0.0, s), max(0.0, s)
+
+
+def _g_ramp(fn, lo: float, hi: float, s: float):
+    def run(x):
+        return _chain(fn(x[0]), _kink_slope(x[0], lo, hi, s), x)
+    return run
+
+
+def _g_abs(x):
+    u = x[0]
+    if u[0] > 0.0:
+        slope = _ONE
+    elif u[1] < 0.0:
+        slope = (-1.0, -1.0)
+    else:
+        slope = (-1.0, 1.0)
+    return _chain(iv.absolute(u), slope, x)
+
+
+def _hull(a, b):
+    return min(a[0], b[0]), max(a[1], b[1])
+
+
+def _g_minmax(value, lower: bool):
+    # the operand that is strictly below (lower) or above the other over the
+    # whole box is the result; where the ranges overlap, either may be
+    def run(x, y):
+        out = value(x[0], y[0])
+        if x[0][1] < y[0][0]:
+            return (out, *(x if lower else y)[1:])
+        if y[0][1] < x[0][0]:
+            return (out, *(y if lower else x)[1:])
+        return out, _hull(x[1], y[1]), _hull(x[2], y[2])
+    return run
+
+
+_GRADIENTS = _Table(
+    const=lambda v: ((v, v), _ZERO, _ZERO),
+    named={"pi": ((PI.lo, PI.hi), _ZERO, _ZERO), "e": ((E.lo, E.hi), _ZERO, _ZERO)},
+    ops={"+": _g_add, "-": _g_sub, "*": _g_mul, "/": _g_div, "^": _g_pow,
+         "neg": _g_neg, "exp": _g_exp, "cos": _g_cos, "sin": _g_sin, "ln": _g_log,
+         "abs": _g_abs, "phi": _g_ramp(iv.phi, 0.5, 1.0, 2.0),
+         "psi": _g_ramp(iv.psi, 0.0, 1.0, 1.0),
+         "capphi": _g_ramp(iv.capphi, 0.5, 1.0, -2.0),
+         "min": _g_minmax(iv.minimum, True), "max": _g_minmax(iv.maximum, False)},
+    natural_exponent=True)
+
+
 def _natural_exponent(node: BinOp) -> int:
     e = node.right
     if not isinstance(e, Const) or e.value < 0 or not e.value.is_integer():
@@ -435,7 +591,7 @@ def _unary(fn, arg, offset: int):
     def run(x1, x2):
         try:
             return fn(arg(x1, x2))
-        except DomainError as err:
+        except (DomainError, FloatingPointError) as err:
             raise EvalError(offset, str(err)) from err
     return run
 
@@ -444,7 +600,7 @@ def _binary(fn, left, right, offset: int):
     def run(x1, x2):
         try:
             return fn(left(x1, x2), right(x1, x2))
-        except DomainError as err:
+        except (DomainError, FloatingPointError) as err:
             raise EvalError(offset, str(err)) from err
     return run
 
@@ -494,11 +650,18 @@ def _program(e: ExprAst, table: _Table):
     return program
 
 
+# Float programs run with overflow silent (an infinite value is what the
+# table's domain checks test for) and an invalid operation raising: inf - inf
+# or 0 * inf raises FloatingPointError, which the closure of the operation
+# that made the NaN turns into its EvalError.
+
+@np.errstate(over="ignore", invalid="raise")
 def eval_point(e: ExprAst, x1: float, x2: float) -> float:
     """Evaluate at a point in plain float arithmetic."""
     return float(_program(e, _FLOATS)(np.float64(x1), np.float64(x2)))
 
 
+@np.errstate(over="ignore", invalid="raise")
 def eval_values(e: ExprAst, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Vectorised evaluation over numpy arrays (broadcasting applies)."""
     out = _program(e, _FLOATS)(np.asarray(x1, dtype=float),
@@ -511,6 +674,18 @@ def interval_program(e: ExprAst):
     """The compiled enclosure ``(x1, x2) -> (lo, hi)`` of e over endpoint
     pairs; raises EvalError for a `^` without a constant natural exponent."""
     return _program(e, _PAIRS)
+
+
+def gradient_program(e: ExprAst):
+    """The compiled first-order enclosure ``(x1, x2) -> (v, d1, d2)`` of e
+    over endpoint pairs: v is `interval_program(e)`'s enclosure bit for bit,
+    and d1, d2 enclose the partial derivatives (at a kink, every one-sided
+    slope) over the box.  Raises EvalError as `interval_program` does."""
+    program = _program(e, _GRADIENTS)
+
+    def run(x1, x2):
+        return program((x1, _ONE, _ZERO), (x2, _ZERO, _ONE))
+    return run
 
 
 def eval_interval(e: ExprAst, x1: Interval, x2: Interval) -> Interval:

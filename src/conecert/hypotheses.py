@@ -4,18 +4,25 @@ Each theorem's hypotheses expand into a handful of statements of the form
 
     f(x1, x2)  REL  bound   for all (x1, x2) in a closed box,
 
-which are decided by interval branch and bound:
+which are decided by first-order interval branch and bound:
 
-* Pass  -- only via interval arithmetic: the enclosure of f over every leaf
-  box satisfies the relation (strict relations need the enclosure endpoint
-  strictly inside; exact equality is Unknown, never Pass).
+* Pass  -- only via interval arithmetic: every leaf box satisfies the
+  relation by its natural enclosure of f or by its mean-value enclosure
+  f([m]) + grad f(X) . (X - m), and every box cut away was shown, by a
+  sign-definite enclosure of a partial derivative, to hold the extremum
+  the relation bounds on the face that was kept (Lebourg's mean-value
+  theorem, with the Clarke generalized gradient at the kinks of the ramps,
+  abs, min and max).  Strict relations need the enclosure endpoint
+  strictly inside; exact equality is Unknown, never Pass.
 * Fail  -- only via a concrete witness: a sampled point whose plain-float
   value violates the relation.
-* Unknown -- the box/depth budget ran out with neither outcome.
+* Unknown -- the box budget ran out, or boxes at the depth cap (or point
+  boxes) remain with neither outcome.
 
 A box whose enclosure leaves an operation's domain (a divisor enclosure
-containing 0, say) is simply not certified and gets split; only a failing
-point evaluation is reported as an error.
+containing 0, say) is simply not certified and gets split; a gradient
+enclosure that leaves it only skips the first-order tests on that box.
+Only a failing point evaluation is reported as an error.
 
 A plain-arithmetic grid oracle (dense lattice extrema) runs alongside as an
 independent cross-check; it can never certify, only agree or disagree.
@@ -32,8 +39,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .conespace import RegionLabel
-from .errors import ConfigError
-from .expr import EvalError, ExprAst, eval_point, eval_values, interval_program
+from . import interval
+from .errors import ConfigError, DomainError
+from .expr import (EvalError, ExprAst, eval_point, eval_values, gradient_program,
+                   interval_program)
 # only for benchmarks/spans.py, which patches it (AttributeError if absent)
 from .expr import eval_interval  # noqa: F401
 from .interval import Interval, midpoint
@@ -90,21 +99,43 @@ def _violates_fn(relation: Relation, bound: float):
     raise ValueError(f"unknown relation {relation!r}")
 
 
+def _extremal_end(d: tuple[float, float], lo: float, hi: float,
+                  upper: bool) -> float | None:
+    """The end of a non-degenerate [lo, hi] that holds f's sup (upper) or
+    inf on every line along this axis, when f's partial derivative
+    enclosure d over the box is sign-definite; None otherwise."""
+    if lo == hi:
+        return None
+    if d[0] >= 0.0:
+        return hi if upper else lo
+    if d[1] <= 0.0:
+        return lo if upper else hi
+    return None
+
+
 def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
                 max_depth: int = DEFAULT_DEPTH) -> CertVerdict:
     """Branch-and-bound verdict for one box inequality.
 
-    Boxes are split at their midpoints on the widest axis (x1 wins ties);
-    exploration order is fixed, so the verdict is deterministic for a given
-    budget/depth.  A Fail's witness is the midpoint of the first sub-box
-    found violating.  The condition's interval program is compiled once,
-    which raises EvalError before any box for an expression with no
-    enclosure; the depth-first stack then holds each box as four float
-    endpoints and its depth, and builds no Interval per box.
+    Each box is decided in a fixed order: its natural enclosure, then its
+    midpoint's float value, then first-order tests on its gradient
+    enclosure, then a split.  A sign-definite partial derivative collapses
+    its axis to the face that holds the extremum the relation bounds, and
+    the face is pushed at the box's depth; otherwise the mean-value form
+    f([m]) + d1*(X1 - m1) + d2*(X2 - m2) around the midpoint m may certify
+    the box.  A box neither decides is split at its midpoint on the widest
+    axis (x1 wins ties).  Exploration order is fixed, so the verdict is
+    deterministic for a given budget/depth.  A Fail's witness is the
+    midpoint of the first box found violating.  The condition's programs
+    are compiled once, which raises EvalError before any box for an
+    expression with no enclosure; the depth-first stack then holds each box
+    as four float endpoints and its depth, and builds no Interval per box.
     """
     enclose = interval_program(q.expr)
+    gradient = gradient_program(q.expr)
     certified = _certified_fn(q.relation, q.bound)
     violates = _violates_fn(q.relation, q.bound)
+    upper = q.relation in ("<", "<=")
     b1, b2 = q.box
     stack = [(b1.lo, b1.hi, b2.lo, b2.hi, 0)]
     explored = 0
@@ -116,8 +147,10 @@ def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
                                note="box budget exhausted")
         lo1, hi1, lo2, hi2, dep = stack.pop()
         explored += 1
+        x1 = (lo1, hi1)
+        x2 = (lo2, hi2)
         try:
-            if certified(enclose((lo1, hi1), (lo2, hi2))):
+            if certified(enclose(x1, x2)):
                 continue
         except EvalError:
             # the program compiled, so this is a domain error of the
@@ -134,6 +167,27 @@ def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
                             f"{Interval(lo2, hi2)}") from err
         if violates(val):
             return CertVerdict("Fail", (m1, m2, val), explored, depth_capped)
+        try:
+            _, d1, d2 = gradient(x1, x2)
+            end1 = _extremal_end(d1, lo1, hi1, upper)
+            end2 = _extremal_end(d2, lo2, hi2, upper)
+            if end1 is not None or end2 is not None:
+                if end1 is not None:
+                    lo1 = hi1 = end1
+                if end2 is not None:
+                    lo2 = hi2 = end2
+                stack.append((lo1, hi1, lo2, hi2, dep))
+                continue
+            # the natural enclosure has failed, so the mean-value form
+            # alone decides what their intersection would
+            mean_value = interval.add(enclose((m1, m1), (m2, m2)), interval.add(
+                interval.mul(d1, interval.sub(x1, (m1, m1))),
+                interval.mul(d2, interval.sub(x2, (m2, m2)))))
+            if certified(mean_value):
+                continue
+        except (EvalError, DomainError):
+            # no first-order enclosure on this box: split it
+            pass
         if dep >= max_depth:
             depth_capped = True
             unresolved = True

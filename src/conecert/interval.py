@@ -12,9 +12,10 @@ float tuples that returns one.  The compiled interval programs of `expr`
 call the kernels directly, with no object per intermediate; `Interval` is
 the public, checked wrapper, and each of its methods is one kernel call.  A
 kernel raises DomainError when its result leaves the domain (a divisor
-containing 0, an overflowing exp, a trig argument with no finite value);
-the kernels that can turn endpoints into NaN (+, -, *, /) raise ValueError,
-as the `Interval` constructor does.
+containing 0, an overflowing exp, a trig argument with no finite value,
+or a NaN endpoint of +, -, * or / where overflowed endpoints meet, as in
+inf - inf or 0 * inf).  Only the `Interval` constructor raises ValueError,
+for a NaN or reversed pair given to it.
 
 Point intervals (lo == hi) are permitted; splitting a point interval signals
 no-split by returning None instead of raising.
@@ -55,6 +56,11 @@ def _fmt(lo: float, hi: float) -> str:
     return f"[{lo!r}, {hi!r}]"
 
 
+def _nan(x: Pair, y: Pair) -> DomainError:
+    # outward rounding keeps lo <= hi unless an endpoint is NaN
+    return DomainError(f"NaN endpoint from {_fmt(*x)} and {_fmt(*y)}")
+
+
 def _invalid(lo: float, hi: float) -> ValueError:
     if math.isnan(lo) or math.isnan(hi):
         return ValueError("interval endpoint is NaN")
@@ -74,7 +80,7 @@ def add(x: Pair, y: Pair) -> Pair:
     lo = nextafter(x[0] + y[0], _NINF)
     hi = nextafter(x[1] + y[1], inf)
     if not lo <= hi:
-        raise _invalid(lo, hi)
+        raise _nan(x, y)
     return lo, hi
 
 
@@ -82,7 +88,7 @@ def sub(x: Pair, y: Pair) -> Pair:
     lo = nextafter(x[0] - y[1], _NINF)
     hi = nextafter(x[1] - y[0], inf)
     if not lo <= hi:
-        raise _invalid(lo, hi)
+        raise _nan(x, y)
     return lo, hi
 
 
@@ -93,7 +99,7 @@ def mul(x: Pair, y: Pair) -> Pair:
     lo = nextafter(min(p), _NINF)
     hi = nextafter(max(p), inf)
     if not lo <= hi:
-        raise _invalid(lo, hi)
+        raise _nan(x, y)
     return lo, hi
 
 
@@ -106,7 +112,7 @@ def div(x: Pair, y: Pair) -> Pair:
     lo = nextafter(min(p), _NINF)
     hi = nextafter(max(p), inf)
     if not lo <= hi:
-        raise _invalid(lo, hi)
+        raise _nan(x, y)
     return lo, hi
 
 

@@ -146,14 +146,21 @@ class DiscreteOperator:
                         f"{err.message} at grid node {idx}") from err
             raise
 
-    def apply(self, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-        """(T1 v, T2 v) as one (2, n) array.
+    def nonlinearity(self, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+        """(f1, f2) at the nodes of v, as one (2, n) array."""
+        return np.array((self._eval(self.problem.f1, v1, v2),
+                         self._eval(self.problem.f2, v1, v2)))
+
+    def apply(self, v1: np.ndarray, v2: np.ndarray,
+              f: np.ndarray | None = None) -> np.ndarray:
+        """(T1 v, T2 v) as one (2, n) array; f is `nonlinearity(v1, v2)`,
+        evaluated here unless the caller already has it.
 
         (T_j v)_i = a_i sum_{m <= i} b_m f_m + c_i sum_{m > i} d_m f_m: a
         forward prefix sum, and a backward one per generator block whose
         total is carried into the previous block through its link."""
-        f = np.array((self._eval(self.problem.f1, v1, v2),
-                      self._eval(self.problem.f2, v1, v2)))
+        if f is None:
+            f = self.nonlinearity(v1, v2)
         a, b, c, d = self.gen
         out = a * np.add.accumulate(b * f, axis=1)
         df = d * f
@@ -173,20 +180,21 @@ class DiscreteOperator:
         """Sup norm of v - T(v) for the stacked (2, n) state v."""
         return float(np.max(np.abs(v - self.apply(v[0], v[1]))))
 
-    def jacobian(self, v1, v2) -> tuple[np.ndarray, ...]:
+    def jacobian(self, v1, v2, f: np.ndarray) -> tuple[np.ndarray, ...]:
         """Nodal derivatives (d11, d12, d21, d22) of (f1, f2) at v, where
-        dij = df_i/dx_j, by forward differences."""
+        dij = df_i/dx_j, by forward differences from the base values
+        f = `nonlinearity(v1, v2)`."""
         h = FD_STEP
-        f1 = self._eval(self.problem.f1, v1, v2)
-        f2 = self._eval(self.problem.f2, v1, v2)
+        f1, f2 = f
         return ((self._eval(self.problem.f1, v1 + h, v2) - f1) / h,
                 (self._eval(self.problem.f1, v1, v2 + h) - f1) / h,
                 (self._eval(self.problem.f2, v1 + h, v2) - f2) / h,
                 (self._eval(self.problem.f2, v1, v2 + h) - f2) / h)
 
-    def newton_step(self, v: np.ndarray, r: np.ndarray) -> np.ndarray:
+    def newton_step(self, v: np.ndarray, r: np.ndarray,
+                    f: np.ndarray) -> np.ndarray:
         """Solve J delta = r for the Jacobian J = I - K Df of F(v) = v - T(v),
-        with v, r and delta stacked (2, n).
+        with v, r, delta and f = `nonlinearity(v[0], v[1])` stacked (2, n).
 
         K = diag(K1, K2) with K_j = G_j W, and Df is the 2x2 block of nodal
         derivative diagonals.  Multiplying by K^{-1} gives the equivalent
@@ -195,7 +203,7 @@ class DiscreteOperator:
         and column at t = 0 are those of I, so delta there is r.  Raises
         SingularPivot for a zero or non-finite block pivot."""
         first = self.first
-        derivs = [d[first:] for d in self.jacobian(v[0], v[1])]
+        derivs = [d[first:] for d in self.jacobian(v[0], v[1], f)]
         delta = r.copy()
         delta[:, first:] = _block_thomas(
             self.inv1, self.inv2, derivs,
@@ -357,9 +365,10 @@ def solve_from(problem: ProblemSpec, seed1: GridFunction, seed2: GridFunction,
             v = best[1]
         for _ in range(params.max_newton):
             try:
-                r = v - op.apply(v[0], v[1])
+                f = op.nonlinearity(v[0], v[1])
             except EvalError:
                 break
+            r = v - op.apply(v[0], v[1], f)
             res = float(np.max(np.abs(r)))
             iterations += 1
             remember(res, v)
@@ -367,7 +376,7 @@ def solve_from(problem: ProblemSpec, seed1: GridFunction, seed2: GridFunction,
                 converged = True
                 break
             try:
-                step = op.newton_step(v, r)
+                step = op.newton_step(v, r, f)
             except EvalError:
                 break
             except SingularPivot as err:

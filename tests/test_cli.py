@@ -230,16 +230,21 @@ def test_verify_nonnatural_exponent_is_exit_3(tmp_path, capsys):
     " + 0*exp(200*x1)",     # math.exp overflows
     " + 0*cos(1e999)",      # cos of inf
     " + cos(x1*1e308*10)",  # the argument overflows to inf at the midpoint
-], ids=["pow", "exp", "cos-inf", "cos-overflow"])
+    " + 0*(x1*1e308*10 - x1*1e308*10)",  # inf - inf, then 0 * inf
+], ids=["pow", "exp", "cos-inf", "cos-overflow", "nan"])
+@pytest.mark.filterwarnings("error")
 def test_verify_power_overflow_is_exit_3(tmp_path, capsys, term):
     # an enclosure that leaves its domain (an overflow, a trig argument with
-    # no finite value) only splits its box; the same failure at a midpoint
-    # is a point domain error
+    # no finite value, a NaN endpoint) only splits its box; the same failure
+    # at a midpoint is a point domain error, reported on one line with no
+    # numpy warning ahead of it (any warning fails the test)
     cfg = nine_config()
     cfg["problem"]["f1"] += term
     path = write_config(tmp_path, cfg)
     assert main(["verify", path, "--out", str(tmp_path)]) == 3
-    assert "at the midpoint" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("evaluation error:")
+    assert "at the midpoint" in err[0]
 
 
 def test_verify_evaluates_one_lattice_per_condition(tmp_path, monkeypatch):

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from conecert.expr import (BinOp, Call, Const, EvalError, NamedConst, Neg,
                            ParseError, Var, eval_interval, eval_point,
-                           eval_values, parse_expr, unparse)
+                           eval_values, gradient_program, interval_program,
+                           parse_expr, unparse)
+from conecert.hypotheses import BoxIneq, certify_box, grid_oracle
 from conecert.interval import E, PI, Interval
 
 EXPR_POOL = [
@@ -317,3 +319,82 @@ def test_point_in_interval_consistency():
             assert enclosure.lo <= value <= enclosure.hi, (unparse(tree), b1, b2)
             composed = _composed_enclosure(tree, b1, b2)
             assert repr(enclosure) == repr(composed), (unparse(tree), b1, b2)
+
+
+# ---------------------------------------------------------------------------
+# gradient enclosures
+
+GRADIENT_POOL = EXPR_POOL + RAMP_POOL + [
+    "abs(x1 - 2)*x2 - abs(3 - x2)",
+    "max(x1*x2, 3) - min(x1, 2*x2)",
+    "(x1^2 + 1)/(x2 + 0.5) - x1/(x2^3 + 1)",
+    "ln(1 + x1*x2)*cos(x1) - x2^4/100",
+    "-phi(x1/2)*capphi(x2/3) + psi(x1 - x2)",
+]
+_BREAKPOINTS = {"phi": (0.5, 1.0), "capphi": (0.5, 1.0), "psi": (0.0, 1.0),
+                "abs": (0.0,)}
+
+
+def _kink_distance(node, x1, x2):
+    """How far (x1, x2) is from every kink of the tree, measured in the
+    argument of each nonsmooth builtin (min and max: their operands' gap)."""
+    here = math.inf
+    children = ()
+    if isinstance(node, Call):
+        children = node.args
+        values = [eval_point(a, x1, x2) for a in node.args]
+        if node.fn in ("min", "max"):
+            here = abs(values[0] - values[1])
+        elif node.fn in _BREAKPOINTS:
+            here = min(abs(values[0] - b) for b in _BREAKPOINTS[node.fn])
+    elif isinstance(node, Neg):
+        children = (node.operand,)
+    elif isinstance(node, BinOp):
+        children = (node.left, node.right)
+    return min([here] + [_kink_distance(c, x1, x2) for c in children])
+
+
+_BOXES = (st.floats(0.0, 4.0), st.floats(1e-3, 2.0),
+          st.floats(0.0, 4.0), st.floats(1e-3, 2.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(GRADIENT_POOL), *_BOXES)
+def test_gradient_program_encloses_value_and_slopes(src, lo1, w1, lo2, w2):
+    # the value is the interval program's bit for bit; d1 and d2 contain the
+    # centred difference slope at interior lattice points away from kinks
+    tree = parse_expr(src)
+    b1, b2 = (lo1, lo1 + w1), (lo2, lo2 + w2)
+    value, d1, d2 = gradient_program(tree)(b1, b2)
+    assert value == interval_program(tree)(b1, b2)
+    h = 1e-8
+    for t1 in (0.2, 0.5, 0.8):
+        for t2 in (0.2, 0.5, 0.8):
+            x1, x2 = lo1 + t1 * w1, lo2 + t2 * w2
+            if _kink_distance(tree, x1, x2) < 1e-6:
+                continue
+            s1 = (eval_point(tree, x1 + h, x2) - eval_point(tree, x1 - h, x2)) / (2 * h)
+            s2 = (eval_point(tree, x1, x2 + h) - eval_point(tree, x1, x2 - h)) / (2 * h)
+            for s, d in ((s1, d1), (s2, d2)):
+                tol = 1e-5 * (1.0 + abs(s))
+                assert d[0] - tol <= s <= d[1] + tol, (src, b1, b2, x1, x2, s, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(GRADIENT_POOL), st.sampled_from(["<", "<=", ">", ">="]),
+       *_BOXES, st.floats(0.0, 1e-3))
+def test_lattice_violation_never_passes(src, relation, lo1, w1, lo2, w2, gap):
+    # a bound at (strict relations) or just inside the lattice's extremum:
+    # the 201^2 lattice shows a violation, so no enclosure or first-order
+    # test may prove the relation
+    tree = parse_expr(src)
+    b = (Interval(lo1, lo1 + w1), Interval(lo2, lo2 + w2))
+    probe = grid_oracle(BoxIneq(tree, b, relation, 0.0, "probe"), 201)
+    upper = relation in ("<", "<=")
+    extremum = probe.sup if upper else probe.inf
+    if relation in ("<=", ">="):
+        gap = max(gap, 1e-12)
+    bound = extremum - gap if upper else extremum + gap
+    q = BoxIneq(tree, b, relation, bound, "t")
+    assert grid_oracle(q, 201).first_violation is not None
+    assert certify_box(q, budget=500).status != "Pass", (src, relation, b, bound)

@@ -63,10 +63,15 @@ def test_certify_fail_at_constant_equality():
     assert verdict.witness[2] == 2.0
 
 
+# sup 6.25 at (2.5, 0), where the partial derivative in x1 changes sign:
+# neither the natural enclosure nor a first-order test decides a box around
+# it until the box is split fine enough
+F_PEAK = parse_expr("x1*(5 - x1)*cos(x2)")
+
+
 def test_certify_unknown_then_pass_with_budget():
-    # x1 + x2 - x1 over-estimates until the box is split fine enough; the
-    # true sup is 5 so the strict bound 5.01 eventually certifies
-    q = BoxIneq(parse_expr("x1 + x2 - x1"), box(0, 5, 0, 5), "<", 5.01, "demo.dep")
+    # the strict bound 6.26 certifies after enough splits
+    q = BoxIneq(F_PEAK, box(0, 5, 0, 5), "<", 6.26, "demo.peak")
     small = certify_box(q, budget=3)
     assert small.status == "Unknown"
     assert small.boxes_explored == 3
@@ -100,7 +105,7 @@ def test_certify_nonconstant_exponent_behind_divisor_raises_at_once():
 
 
 def test_certify_unknown_depth_cap():
-    q = BoxIneq(parse_expr("x1 + x2 - x1"), box(0, 5, 0, 5), "<", 5.01, "demo.dep")
+    q = BoxIneq(F_PEAK, box(0, 5, 0, 5), "<", 6.26, "demo.peak")
     capped = certify_box(q, max_depth=1)
     assert capped.status == "Unknown"
     assert capped.max_depth_reached
@@ -110,7 +115,7 @@ def test_monotone_budget_never_flips_definite_verdicts():
     cases = [
         BoxIneq(F_A, box(0, 5, 0, 5), "<=", 10.0, "m.pass"),
         BoxIneq(F_B, box(0, 5, 2.5, 5), ">", 40.0 / 3.0, "m.fail"),
-        BoxIneq(parse_expr("x1 + x2 - x1"), box(0, 5, 0, 5), "<", 5.01, "m.dep"),
+        BoxIneq(F_PEAK, box(0, 5, 0, 5), "<", 6.26, "m.peak"),
     ]
     for q in cases:
         verdicts = [certify_box(q, budget=b).status for b in (3, 100, 100_000)]
@@ -132,17 +137,31 @@ TIGHT_F1 = "4.5 + 5*phi(x1)*psi(x2) - 4*capphi(x1) + {}*x1*(6.0 - x1)/9.0*cos(x2
 
 
 @pytest.mark.parametrize("amp, budget, status, boxes", [
-    ("0.9235570431227818", 100_000, "Pass", 1977),   # eps = 1e-3
-    ("0.9346619374288674", 100_000, "Fail", 1343),   # eps = -5e-3
-    ("0.925406008024745", 2000, "Unknown", 2000),    # eps = 1e-6
+    ("0.9235570431227818", 100_000, "Pass", 206),    # eps = 1e-3
+    ("0.9346619374288674", 100_000, "Fail", 47),     # eps = -5e-3
+    ("0.925406008024745", 2000, "Unknown", 433),     # eps = 1e-6
 ])
 def test_certify_tight_condition_explores_pinned_boxes(amp, budget, status, boxes):
-    # the exploration is part of the contract: the same split order and the
-    # same enclosures visit exactly these many boxes
+    # the exploration is part of the contract: the same split order, the
+    # same enclosures and the same first-order tests visit exactly these
+    # many boxes; eps = 1e-6 leaves depth-capped boxes within the budget
     q = BoxIneq(parse_expr(TIGHT_F1.format(amp)), box(0, 5, 0, 5), "<=", 10.0,
                 "thm52.a1")
     verdict = certify_box(q, budget=budget)
     assert (verdict.status, verdict.boxes_explored) == (status, boxes)
+    assert verdict.max_depth_reached == (status == "Unknown")
+
+
+def test_certify_boxes_grow_slowly_as_the_margin_shrinks():
+    # with first-order tests, shrinking the margin 100x costs less than 10x
+    # the boxes; the natural enclosure alone needs O(1/eps) boxes (167 and
+    # 13,067 for eps = 1e-1 and 1e-3)
+    def boxes(eps):
+        q = BoxIneq(F_PEAK, box(0, 5, 0, 5), "<=", 6.25 + eps, "stress")
+        verdict = certify_box(q)
+        assert verdict.status == "Pass"
+        return verdict.boxes_explored
+    assert boxes(1e-3) < 10 * boxes(1e-1)
 
 
 # ---------------------------------------------------------------------------

@@ -272,8 +272,9 @@ def dense_newton_step(problem, rule, v1, v2):
     k1 = green_matrix(problem.kernel1, rule.nodes, rule.nodes) * rule.weights
     k2 = green_matrix(problem.kernel2, rule.nodes, rule.nodes) * rule.weights
     op = DiscreteOperator(problem, rule)
+    f = op.nonlinearity(v1, v2)
     t1, t2 = op.apply(v1, v2)
-    d11, d12, d21, d22 = op.jacobian(v1, v2)
+    d11, d12, d21, d22 = op.jacobian(v1, v2, f)
     jac = np.eye(2 * n) - np.block([[k1 * d11, k1 * d12],
                                     [k2 * d21, k2 * d22]])
     step = np.linalg.solve(jac, np.concatenate((v1 - t1, v2 - t2)))
@@ -295,11 +296,34 @@ def test_newton_step_matches_dense_solve(nine_problem, system, grid_n, scheme):
         v1 = levels1[tag] * rng.uniform(0.5, 1.5, grid_n)
         v2 = levels2[tag] * rng.uniform(0.5, 1.5, grid_n)
         v = np.array((v1, v2))
-        step1, step2 = op.newton_step(v, v - op.apply(v1, v2))
+        step1, step2 = op.newton_step(v, v - op.apply(v1, v2),
+                                      op.nonlinearity(v1, v2))
         want1, want2 = dense_newton_step(problem, rule, v1, v2)
         scale = max(np.max(np.abs(want1)), np.max(np.abs(want2)))
         assert np.max(np.abs(step1 - want1)) <= 1e-9 * scale
         assert np.max(np.abs(step2 - want2)) <= 1e-9 * scale
+
+
+def test_newton_step_reuses_the_residual_evaluation(nine_problem, monkeypatch):
+    # each Newton step evaluates f1 and f2 once at v for the residual and
+    # four times more for the forward differences, never again at v itself
+    calls = {"eval": 0, "apply": 0, "jacobian": 0}
+
+    def counted(name, fn):
+        def run(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(solver, "eval_values", counted("eval", solver.eval_values))
+    for name in ("apply", "jacobian"):
+        monkeypatch.setattr(DiscreteOperator, name,
+                            counted(name, getattr(DiscreteOperator, name)))
+    seed = GridFunction(RULE, 1.5 * np.minimum(2 * RULE.nodes, 1.0))
+    assert solve_from(nine_problem, seed, seed, SolverParams(picard_steps=1),
+                      seed_id="M-M") is not None
+    assert calls["jacobian"] > 0
+    assert calls["eval"] == 2 * calls["apply"] + 4 * calls["jacobian"]
 
 
 @pytest.mark.parametrize("bad", [0.0, math.nan], ids=["zero", "nan"])
@@ -312,7 +336,7 @@ def test_singular_pivot_falls_back_to_picard(nine_problem, monkeypatch,
     pivot = np.concatenate(([0.0], op.inv1[1])) + bad
     zero = np.zeros(RULE.n)
     monkeypatch.setattr(DiscreteOperator, "jacobian",
-                        lambda self, v1, v2: (pivot, zero, zero, pivot))
+                        lambda self, v1, v2, f: (pivot, zero, zero, pivot))
     seed = GridFunction(RULE, 1.5 * np.minimum(2 * RULE.nodes, 1.0))
     with caplog.at_level(logging.INFO, logger="conecert.solver"):
         solve_from(nine_problem, seed, seed, SolverParams(picard_steps=1),
