@@ -34,7 +34,15 @@ once.
 The ramps are monotone (phi and psi nondecreasing, capphi nonincreasing) and
 exact in float arithmetic (2z - 1 and 2 - 2z by Sterbenz's lemma on
 [1/2, 1]), so the interval image of a ramp is the float ramp applied to the
-two endpoints.
+two endpoints.  In the gradient table a ramp whose argument enclosure lies
+in one closed piece, ends on a breakpoint included, takes that piece's
+slope: s on [lo, hi], 0 on (-inf, lo] and on [hi, inf).  Only an enclosure
+that strictly straddles a breakpoint takes the hull of both slopes.  The
+piece's slope is sound: on such a box f equals the smooth expression
+with the ramp replaced by its affine piece, so the mean-value theorem holds
+with that piece's slope.  `ramp_breakpoints` lists the breakpoints of the
+ramps applied to a bare variable, where branch and bound splits a box so
+that each half lies in one piece of them.
 """
 
 from __future__ import annotations
@@ -419,12 +427,16 @@ _PAIRS = _Table(
 # The gradient table: each value is (v, d1, d2), three endpoint pairs that
 # enclose f and its partial derivatives in x1 and x2 over the box, built
 # from the pair kernels by the sum, product, quotient and chain rules.  v is
-# the pair table's value bit for bit.  At a kink a builtin takes the hull of
-# its one-sided slopes (its Clarke generalized gradient), so by Lebourg's
-# mean-value theorem a sign-definite d_k proves f monotone in x_k on the
-# closed box.  An exactly zero derivative (of a constant, or of a term in
-# one variable only) stays exactly zero: 0 + d and 0 * d are exact, and
-# rounding them outward would hide the zero that makes f constant in x_k.
+# the pair table's value bit for bit.  A ramp whose argument enclosure lies
+# in one closed piece takes that piece's slope; at a kink strictly inside
+# the enclosure a builtin takes the hull of its one-sided slopes (its Clarke
+# generalized gradient), so by Lebourg's mean-value theorem a sign-definite
+# d_k proves f monotone in x_k on the closed box.  An exactly zero
+# derivative (of a constant, or of a term in one variable only) stays
+# exactly zero: 0 + d and 0 * d are exact, and rounding them outward would
+# hide the zero that makes f constant in x_k.  A product with exactly 1 (the
+# derivative of a bare variable) is exact too, so a ramp of x_k keeps a
+# sign-definite slope such as [0, 2] instead of [-5e-324, 2.0000000000000004].
 
 _ZERO = (0.0, 0.0)
 _ONE = (1.0, 1.0)
@@ -444,7 +456,11 @@ def _dsub(a, b):
 
 def _dmul(s, d):
     # the factor s is a value enclosure, finite at every point of the box
-    return _ZERO if s == _ZERO or d == _ZERO else iv.mul(s, d)
+    if s == _ZERO or d == _ZERO:
+        return _ZERO
+    if d == _ONE:
+        return s
+    return d if s == _ONE else iv.mul(s, d)
 
 
 def _chain(value, slope, x):
@@ -512,16 +528,29 @@ def _g_sin(x):
 
 
 def _kink_slope(u, lo: float, hi: float, s: float):
-    """Slope enclosure over u of a function with slope s on (lo, hi) and 0
-    outside [lo, hi]: the hull of both when u touches a breakpoint."""
-    if u[1] < lo or u[0] > hi:
+    """Slope enclosure over u of a continuous function that is constant on
+    (-inf, lo] and on [hi, inf) and affine with slope s on [lo, hi]."""
+    # An enclosure inside one closed piece takes that piece's slope, even
+    # where an end touches a breakpoint: over such a box the ramp equals
+    # that affine (or constant) piece of u, so f is the smooth expression
+    # with the ramp replaced by it, and the mean-value theorem holds with
+    # its slope.  Only an enclosure that strictly straddles a breakpoint
+    # needs the hull of both slopes.
+    if u[1] <= lo or u[0] >= hi:
         return _ZERO
-    if lo < u[0] and u[1] < hi:
+    if lo <= u[0] and u[1] <= hi:
         return s, s
     return min(0.0, s), max(0.0, s)
 
 
-def _g_ramp(fn, lo: float, hi: float, s: float):
+# each ramp's breakpoints and its slope between them (0 outside)
+_RAMPS = {"phi": (0.5, 1.0, 2.0), "psi": (0.0, 1.0, 1.0), "capphi": (0.5, 1.0, -2.0)}
+
+
+def _g_ramp(name: str):
+    fn = getattr(iv, name)
+    lo, hi, s = _RAMPS[name]
+
     def run(x):
         return _chain(fn(x[0]), _kink_slope(x[0], lo, hi, s), x)
     return run
@@ -560,9 +589,8 @@ _GRADIENTS = _Table(
     named={"pi": ((PI.lo, PI.hi), _ZERO, _ZERO), "e": ((E.lo, E.hi), _ZERO, _ZERO)},
     ops={"+": _g_add, "-": _g_sub, "*": _g_mul, "/": _g_div, "^": _g_pow,
          "neg": _g_neg, "exp": _g_exp, "cos": _g_cos, "sin": _g_sin, "ln": _g_log,
-         "abs": _g_abs, "phi": _g_ramp(iv.phi, 0.5, 1.0, 2.0),
-         "psi": _g_ramp(iv.psi, 0.0, 1.0, 1.0),
-         "capphi": _g_ramp(iv.capphi, 0.5, 1.0, -2.0),
+         "abs": _g_abs, "phi": _g_ramp("phi"), "psi": _g_ramp("psi"),
+         "capphi": _g_ramp("capphi"),
          "min": _g_minmax(iv.minimum, True), "max": _g_minmax(iv.maximum, False)},
     natural_exponent=True)
 
@@ -686,6 +714,30 @@ def gradient_program(e: ExprAst):
     def run(x1, x2):
         return program((x1, _ONE, _ZERO), (x2, _ZERO, _ONE))
     return run
+
+
+def ramp_breakpoints(e: ExprAst) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The sorted breakpoints of the ramps in e whose argument is the bare
+    variable x1, and those of the ramps whose argument is x2: where e may
+    change slope along that axis, so a box split there gives halves on which
+    each such ramp lies in one closed piece."""
+    found = {"x1": set(), "x2": set()}
+
+    def walk(node):
+        if isinstance(node, Call):
+            arg = node.args[0]
+            if node.fn in _RAMPS and isinstance(arg, Var):
+                found[arg.name].update(_RAMPS[node.fn][:2])
+            for a in node.args:
+                walk(a)
+        elif isinstance(node, Neg):
+            walk(node.operand)
+        elif isinstance(node, BinOp):
+            walk(node.left)
+            walk(node.right)
+
+    walk(e)
+    return tuple(sorted(found["x1"])), tuple(sorted(found["x2"]))
 
 
 def eval_interval(e: ExprAst, x1: Interval, x2: Interval) -> Interval:

@@ -19,6 +19,13 @@ which are decided by first-order interval branch and bound:
 * Unknown -- the box budget ran out, or boxes at the depth cap (or point
   boxes) remain with neither outcome.
 
+A box that no test decides is split on its widest axis.  Where a ramp
+(phi, psi, capphi) of that bare variable has a breakpoint strictly inside
+the axis, the split is at the breakpoint nearest the midpoint, else at the
+midpoint: the maxima of the paper's nonlinearities sit on such kinks, and
+once a box lies in one closed piece of the ramp its slope there is
+definite, so monotonicity can cut the box to the face on the kink.
+
 A box whose enclosure leaves an operation's domain (a divisor enclosure
 containing 0, say) is simply not certified and gets split; a gradient
 enclosure that leaves it only skips the first-order tests on that box.
@@ -42,7 +49,7 @@ from .conespace import RegionLabel
 from . import interval
 from .errors import ConfigError, DomainError
 from .expr import (EvalError, ExprAst, eval_point, eval_values, gradient_program,
-                   interval_program)
+                   interval_program, ramp_breakpoints)
 # only for benchmarks/spans.py, which patches it (AttributeError if absent)
 from .expr import eval_interval  # noqa: F401
 from .interval import Interval, midpoint
@@ -113,6 +120,13 @@ def _extremal_end(d: tuple[float, float], lo: float, hi: float,
     return None
 
 
+def _split_point(lo: float, hi: float, mid: float, breaks: tuple[float, ...]) -> float:
+    """Where to split [lo, hi]: the ramp breakpoint strictly inside it that
+    is nearest the midpoint (the lower one on a tie), else the midpoint."""
+    inside = [b for b in breaks if lo < b < hi]
+    return min(inside, key=lambda b: abs(b - mid)) if inside else mid
+
+
 def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
                 max_depth: int = DEFAULT_DEPTH) -> CertVerdict:
     """Branch-and-bound verdict for one box inequality.
@@ -123,8 +137,11 @@ def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
     its axis to the face that holds the extremum the relation bounds, and
     the face is pushed at the box's depth; otherwise the mean-value form
     f([m]) + d1*(X1 - m1) + d2*(X2 - m2) around the midpoint m may certify
-    the box.  A box neither decides is split at its midpoint on the widest
-    axis (x1 wins ties).  Exploration order is fixed, so the verdict is
+    the box.  A box neither decides is split on the widest axis (x1 wins
+    ties), at the breakpoint nearest the midpoint among those strictly
+    inside the axis of the ramps applied to that bare variable (collected
+    once from the expression), else at the midpoint; the lower half is
+    explored first.  Exploration order is fixed, so the verdict is
     deterministic for a given budget/depth.  A Fail's witness is the
     midpoint of the first box found violating.  The condition's programs
     are compiled once, which raises EvalError before any box for an
@@ -133,6 +150,7 @@ def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
     """
     enclose = interval_program(q.expr)
     gradient = gradient_program(q.expr)
+    breaks1, breaks2 = ramp_breakpoints(q.expr)
     certified = _certified_fn(q.relation, q.bound)
     violates = _violates_fn(q.relation, q.bound)
     upper = q.relation in ("<", "<=")
@@ -197,11 +215,13 @@ def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
         split1 = lo1 < m1 < hi1
         split2 = lo2 < m2 < hi2
         if split1 and (hi1 - lo1 >= hi2 - lo2 or not split2):
-            stack.append((m1, hi1, lo2, hi2, dep + 1))
-            stack.append((lo1, m1, lo2, hi2, dep + 1))
+            s = _split_point(lo1, hi1, m1, breaks1)
+            stack.append((s, hi1, lo2, hi2, dep + 1))
+            stack.append((lo1, s, lo2, hi2, dep + 1))
         elif split2:
-            stack.append((lo1, hi1, m2, hi2, dep + 1))
-            stack.append((lo1, hi1, lo2, m2, dep + 1))
+            s = _split_point(lo2, hi2, m2, breaks2)
+            stack.append((lo1, hi1, s, hi2, dep + 1))
+            stack.append((lo1, hi1, lo2, s, dep + 1))
         else:
             # point box that neither certifies nor violates (rounding slack)
             unresolved = True
@@ -230,7 +250,9 @@ def grid_oracle(q: BoxIneq, n: int = DEFAULT_ORACLE_N) -> OracleResult:
         raise ValueError(f"need n >= 2 samples per axis, got {n}")
     g1 = np.linspace(q.box[0].lo, q.box[0].hi, n)
     g2 = np.linspace(q.box[1].lo, q.box[1].hi, n)
-    vals = eval_values(q.expr, *np.meshgrid(g1, g2, indexing="ij"))
+    # a broadcast lattice: a subexpression in one variable costs n points,
+    # not n^2, and each element sees the same operands as on a full grid
+    vals = eval_values(q.expr, g1[:, None], g2[None, :])
 
     def point(idx):
         i, j = np.unravel_index(idx, vals.shape)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conecert.expr import (BinOp, Call, Const, EvalError, NamedConst, Neg,
                            ParseError, Var, eval_interval, eval_point,
                            eval_values, gradient_program, interval_program,
-                           parse_expr, unparse)
+                           parse_expr, ramp_breakpoints, unparse)
 from conecert.hypotheses import BoxIneq, certify_box, grid_oracle
 from conecert.interval import E, PI, Interval
 
@@ -354,23 +354,37 @@ def _kink_distance(node, x1, x2):
     return min([here] + [_kink_distance(c, x1, x2) for c in children])
 
 
-_BOXES = (st.floats(0.0, 4.0), st.floats(1e-3, 2.0),
-          st.floats(0.0, 4.0), st.floats(1e-3, 2.0))
+_SNAPS = (0.0, 0.5, 1.0)
+
+
+@st.composite
+def _axis(draw):
+    """A closed axis (lo, hi), of width at most 2, whose ends sometimes sit
+    on a ramp breakpoint, where the slope rules change."""
+    lo = draw(st.floats(0.0, 4.0) | st.sampled_from(_SNAPS))
+    hi = lo + draw(st.floats(1e-3, 2.0))
+    above = [b for b in _SNAPS if lo < b]
+    if above and draw(st.booleans()):
+        hi = draw(st.sampled_from(above))
+    return lo, hi
+
+
+_BOXES = (_axis(), _axis())
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(GRADIENT_POOL), *_BOXES)
-def test_gradient_program_encloses_value_and_slopes(src, lo1, w1, lo2, w2):
+def test_gradient_program_encloses_value_and_slopes(src, b1, b2):
     # the value is the interval program's bit for bit; d1 and d2 contain the
     # centred difference slope at interior lattice points away from kinks
     tree = parse_expr(src)
-    b1, b2 = (lo1, lo1 + w1), (lo2, lo2 + w2)
     value, d1, d2 = gradient_program(tree)(b1, b2)
     assert value == interval_program(tree)(b1, b2)
     h = 1e-8
     for t1 in (0.2, 0.5, 0.8):
         for t2 in (0.2, 0.5, 0.8):
-            x1, x2 = lo1 + t1 * w1, lo2 + t2 * w2
+            x1 = b1[0] + t1 * (b1[1] - b1[0])
+            x2 = b2[0] + t2 * (b2[1] - b2[0])
             if _kink_distance(tree, x1, x2) < 1e-6:
                 continue
             s1 = (eval_point(tree, x1 + h, x2) - eval_point(tree, x1 - h, x2)) / (2 * h)
@@ -383,12 +397,12 @@ def test_gradient_program_encloses_value_and_slopes(src, lo1, w1, lo2, w2):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(GRADIENT_POOL), st.sampled_from(["<", "<=", ">", ">="]),
        *_BOXES, st.floats(0.0, 1e-3))
-def test_lattice_violation_never_passes(src, relation, lo1, w1, lo2, w2, gap):
+def test_lattice_violation_never_passes(src, relation, b1, b2, gap):
     # a bound at (strict relations) or just inside the lattice's extremum:
     # the 201^2 lattice shows a violation, so no enclosure or first-order
     # test may prove the relation
     tree = parse_expr(src)
-    b = (Interval(lo1, lo1 + w1), Interval(lo2, lo2 + w2))
+    b = (Interval(*b1), Interval(*b2))
     probe = grid_oracle(BoxIneq(tree, b, relation, 0.0, "probe"), 201)
     upper = relation in ("<", "<=")
     extremum = probe.sup if upper else probe.inf
@@ -398,3 +412,54 @@ def test_lattice_violation_never_passes(src, relation, lo1, w1, lo2, w2, gap):
     q = BoxIneq(tree, b, relation, bound, "t")
     assert grid_oracle(q, 201).first_violation is not None
     assert certify_box(q, budget=500).status != "Pass", (src, relation, b, bound)
+
+
+@pytest.mark.parametrize("src, lo, hi, slope", [
+    ("phi(x1)", 0.5, 1.0, (2.0, 2.0)),
+    ("phi(x1)", 0.0, 0.5, (0.0, 0.0)),
+    ("phi(x1)", 1.0, 2.0, (0.0, 0.0)),
+    ("phi(x1)", 0.4, 0.6, (0.0, 2.0)),
+    ("phi(x1)", 0.9, 1.1, (0.0, 2.0)),
+    ("phi(x1)", 0.5, 1.5, (0.0, 2.0)),
+    ("psi(x1)", 0.0, 1.0, (1.0, 1.0)),
+    ("psi(x1)", -1.0, 0.0, (0.0, 0.0)),
+    ("psi(x1)", 1.0, 2.0, (0.0, 0.0)),
+    ("psi(x1)", -0.1, 0.1, (0.0, 1.0)),
+    ("psi(x1)", 0.9, 1.1, (0.0, 1.0)),
+    ("psi(x1)", 0.0, 2.0, (0.0, 1.0)),
+    ("capphi(x1)", 0.5, 1.0, (-2.0, -2.0)),
+    ("capphi(x1)", 0.0, 0.5, (0.0, 0.0)),
+    ("capphi(x1)", 1.0, 2.0, (0.0, 0.0)),
+    ("capphi(x1)", 0.4, 0.6, (-2.0, 0.0)),
+    ("capphi(x1)", 0.9, 1.1, (-2.0, 0.0)),
+    ("capphi(x1)", 0.5, 1.5, (-2.0, 0.0)),
+])
+def test_ramp_slope_of_a_closed_piece(src, lo, hi, slope):
+    # an argument enclosure inside one closed piece takes that piece's
+    # slope, ends on a breakpoint included; only a strict straddle takes
+    # the hull of both slopes
+    _, d1, d2 = gradient_program(parse_expr(src))((lo, hi), (0.0, 1.0))
+    assert d1 == slope
+    assert d2 == (0.0, 0.0)
+
+
+def test_ramp_breakpoints_of_bare_variables():
+    # only a ramp applied to x1 or x2 itself says where to split that axis
+    tree = parse_expr("phi(x1)*psi(x2) - 4*capphi(x1) + psi(x1 - x2) + phi(2*x2)")
+    assert ramp_breakpoints(tree) == ((0.5, 1.0), (0.0, 1.0))
+    assert ramp_breakpoints(parse_expr("x1*x2")) == ((), ())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(GRADIENT_POOL), *_BOXES)
+def test_broadcast_lattice_is_the_full_lattice_bit_for_bit(src, b1, b2):
+    # the oracle evaluates on a broadcast lattice, which must give the
+    # full meshgrid lattice's values bit for bit whatever the memory layout
+    # of each numpy loop, so the oracle's extrema are unchanged too
+    tree = parse_expr(src)
+    g1, g2 = np.linspace(*b1, 201), np.linspace(*b2, 201)
+    full = eval_values(tree, *np.meshgrid(g1, g2, indexing="ij"))
+    broadcast = eval_values(tree, g1[:, None], g2[None, :])
+    assert np.array_equal(full.view(np.int64), broadcast.view(np.int64)), src
+    probe = grid_oracle(BoxIneq(tree, (Interval(*b1), Interval(*b2)), "<=", 0.0, "p"))
+    assert (probe.sup, probe.inf) == (full.max(), full.min())

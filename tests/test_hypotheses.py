@@ -137,19 +137,36 @@ TIGHT_F1 = "4.5 + 5*phi(x1)*psi(x2) - 4*capphi(x1) + {}*x1*(6.0 - x1)/9.0*cos(x2
 
 
 @pytest.mark.parametrize("amp, budget, status, boxes", [
-    ("0.9235570431227818", 100_000, "Pass", 206),    # eps = 1e-3
-    ("0.9346619374288674", 100_000, "Fail", 47),     # eps = -5e-3
-    ("0.925406008024745", 2000, "Unknown", 433),     # eps = 1e-6
+    ("0.9235570431227818", 100_000, "Pass", 68),     # eps = 1e-3
+    ("0.9346619374288674", 100_000, "Fail", 9),      # eps = -5e-3
+    ("0.925406008024745", 2000, "Pass", 128),        # eps = 1e-6
+    ("0.925406008024745", 20, "Unknown", 20),        # eps = 1e-6
 ])
 def test_certify_tight_condition_explores_pinned_boxes(amp, budget, status, boxes):
     # the exploration is part of the contract: the same split order, the
     # same enclosures and the same first-order tests visit exactly these
-    # many boxes; eps = 1e-6 leaves depth-capped boxes within the budget
+    # many boxes; no row reaches the depth cap, and the Unknown is the
+    # budget's
     q = BoxIneq(parse_expr(TIGHT_F1.format(amp)), box(0, 5, 0, 5), "<=", 10.0,
                 "thm52.a1")
     verdict = certify_box(q, budget=budget)
     assert (verdict.status, verdict.boxes_explored) == (status, boxes)
-    assert verdict.max_depth_reached == (status == "Unknown")
+    assert not verdict.max_depth_reached
+    assert verdict.note == ("box budget exhausted" if status == "Unknown" else "")
+
+
+def test_certify_tight_condition_passes_on_the_kink():
+    # the maximum sits on psi's breakpoint x2 = 1: splitting there gives
+    # halves monotone in x2, so even eps = 1e-10 passes well inside the
+    # depth cap (with midpoint splits only, it ends depth-capped Unknown
+    # after 535 boxes)
+    amp = repr((0.5 - 1e-10) / math.cos(1.0))
+    q = BoxIneq(parse_expr(TIGHT_F1.format(amp)), box(0, 5, 0, 5), "<=", 10.0,
+                "thm52.a1")
+    verdict = certify_box(q)
+    assert verdict.status == "Pass"
+    assert not verdict.max_depth_reached
+    assert verdict.boxes_explored < 300
 
 
 def test_certify_boxes_grow_slowly_as_the_margin_shrinks():
