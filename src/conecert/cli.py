@@ -110,6 +110,13 @@ _RCD_KEYS = dict.fromkeys((f.name for f in dataclasses.fields(RcdParams)),
                           _REQUIRED)
 
 
+def _known_keys(block: dict, name: str, keys):
+    """Reject a key outside `keys`, so that a misspelling is not ignored."""
+    unknown = sorted(set(block) - set(keys))
+    if unknown:
+        raise ConfigError(f"{name} has unknown keys: {', '.join(unknown)}")
+
+
 def _read_block(cfg: dict, name: str, defaults: dict,
                 overrides: dict | None = None) -> dict:
     """The numeric block `cfg[name]`, one entry per key of `defaults`.
@@ -122,9 +129,7 @@ def _read_block(cfg: dict, name: str, defaults: dict,
     block = {} if cfg.get(name) is None else cfg[name]
     if not isinstance(block, dict):
         raise ConfigError(f"{name} must be an object")
-    unknown = sorted(set(block) - set(defaults))
-    if unknown:
-        raise ConfigError(f"{name} has unknown keys: {', '.join(unknown)}")
+    _known_keys(block, name, defaults)
     given = {key: value for source in (block, overrides or {})
              for key, value in source.items() if value is not None}
     out = {}
@@ -146,11 +151,13 @@ def _read_block(cfg: dict, name: str, defaults: dict,
 
 def _output(cfg: dict) -> dict:
     """The output block: report name and CSV directory, both strings."""
-    block = cfg.get("output", {})
+    block = {} if cfg.get("output") is None else cfg["output"]
     if not isinstance(block, dict) or not all(
             isinstance(v, str) for v in block.values()):
         raise ConfigError("output must be an object of strings")
-    return {"report": "report.json", "csv_dir": "solutions"} | block
+    defaults = {"report": "report.json", "csv_dir": "solutions"}
+    _known_keys(block, "output", defaults)
+    return defaults | block
 
 
 def _parse_kernel(obj, name: str) -> KernelKind:
@@ -160,8 +167,10 @@ def _parse_kernel(obj, name: str) -> KernelKind:
         raise ConfigError(f"{name} must be a kernel object with a 'kind'")
     kind = obj["kind"]
     if kind == "dirichlet_neumann":
+        _known_keys(obj, name, ("kind",))
         return DirichletNeumann()
     if kind == "rcd":
+        _known_keys(obj, name, ("kind", "beta"))
         if "beta" not in obj:
             raise ConfigError(f"{name}: rcd kernel requires 'beta'")
         return ReactionConvectionDiffusion(_number(obj["beta"], f"{name}.beta"))
@@ -181,7 +190,9 @@ def _window_for(kernel: KernelKind) -> float:
 def build_problem(cfg: dict) -> ProblemSpec:
     if not isinstance(cfg, dict):
         raise ConfigError("problem must be an object")
-    for key in ("mode", "kernel1", "kernel2", "f1", "f2", "region"):
+    required = ("mode", "kernel1", "kernel2", "f1", "f2", "region")
+    _known_keys(cfg, "problem", (*required, "remark52"))
+    for key in required:
         if key not in cfg:
             raise ConfigError(f"problem config is missing {key!r}")
     kernel1 = _parse_kernel(cfg["kernel1"], "kernel1")
@@ -197,11 +208,13 @@ def build_problem(cfg: dict) -> ProblemSpec:
     reg = cfg["region"]
     if not isinstance(reg, dict):
         raise ConfigError("region must be an object")
+    region_keys = ("d", "a", "c", "b", "annulus")
+    _known_keys(reg, "region", region_keys)
     for key in ("d", "a", "c"):
         if reg.get(key) is None:
             raise ConfigError(f"region config is missing {key!r}")
     pairs = {key: _as_pair(reg[key], f"region.{key}")
-             for key in ("d", "a", "c", "b", "annulus")
+             for key in region_keys
              if reg.get(key) is not None}
     region = RegionSpec(**pairs,
                         window=(_window_for(kernel1), _window_for(kernel2)))
@@ -436,6 +449,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config {path!r} is not valid JSON: {err}") from err
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
+    _known_keys(cfg, "config", ("problem", "checker", "solver", "rcd",
+                                "output"))
     return cfg
 
 

@@ -340,9 +340,10 @@ def _require(cond: bool, message: str):
 
 def expand_conditions(problem) -> list[BoxIneq]:
     """Instantiate the condition templates of the problem's theorem, boxes
-    and bounds as printed; ordering invariants are validated first
-    (ConfigError names the violated inequality).  Kernels and annulus are
-    already consistent with the mode (ProblemSpec checks them)."""
+    and bounds as printed; the theorem's ordering invariants are validated
+    first (ConfigError names the violated inequality).  RegionSpec already
+    holds 0 < d < a < c, and ProblemSpec makes kernels and annulus
+    consistent with the mode."""
     tid = _theorem(problem)
     region = problem.region
     f1, f2 = problem.f1, problem.f2
@@ -352,7 +353,6 @@ def expand_conditions(problem) -> list[BoxIneq]:
 
     if tid == "thm51":
         r, big_r = region.annulus
-        _require(0.0 < d[0] < a[0], f"need 0 < d < a, got d={d[0]}, a={a[0]}")
         _require(2.0 * a[0] < c[0], f"need 2a < c, got a={a[0]}, c={c[0]}")
         _require(b[0] <= c[0], f"need b <= c, got b={b[0]}, c={c[0]}")
         _require(2.0 * r < big_r, f"need 0 < 2r < R, got r={r}, R={big_r}")
@@ -368,8 +368,6 @@ def expand_conditions(problem) -> list[BoxIneq]:
 
     if tid == "thm52":
         for j in range(2):
-            _require(0.0 < d[j] < a[j],
-                     f"component {j + 1}: need 0 < d < a, got d={d[j]}, a={a[j]}")
             _require(2.0 * a[j] <= c[j],
                      f"component {j + 1}: need 2a <= c, got a={a[j]}, c={c[j]}")
             _require(b[j] <= c[j],
@@ -388,8 +386,6 @@ def expand_conditions(problem) -> list[BoxIneq]:
     betas = (problem.kernel1.beta, problem.kernel2.beta)
     strict_positive = problem.remark52
     for j in range(2):
-        _require(0.0 < d[j] < a[j],
-                 f"component {j + 1}: need 0 < d < a, got d={d[j]}, a={a[j]}")
         growth = a[j] * math.exp(1.0 / betas[j])
         if strict_positive:
             _require(growth <= c[j] * (1.0 + 1e-12),

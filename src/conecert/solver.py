@@ -14,7 +14,7 @@ sums over the stacked (2, n) state, in O(n).  The Green matrices have
 tridiagonal inverses (kernels.inverse_tridiagonal), so the Newton system,
 multiplied through by the inverse kernel matrix, is 2x2-block tridiagonal and
 one block sweep solves it in O(n) per step; a zero or non-finite block pivot
-falls back to another Picard round.
+ends the seed.
 
 Seeds are constant-level profiles keyed to the region thresholds, so each of
 the localization regions the theorems promise has a starter inside it.
@@ -321,74 +321,69 @@ def _classify_or_outside(problem: ProblemSpec, u1: GridFunction,
 def solve_from(problem: ProblemSpec, seed1: GridFunction, seed2: GridFunction,
                params: SolverParams | None = None, seed_id: str = "seed",
                op: DiscreteOperator | None = None) -> Solution | None:
-    """Damped Picard then Newton from one seed pair; None if no fixed point
-    with residual <= newton_tol is reached."""
+    """At most `picard_steps` damped Picard steps from one seed pair, then
+    at most `max_newton` Newton steps from the Picard iterate of least
+    residual, reusing its f and T(v); None if no fixed point with residual
+    <= newton_tol is reached.  Each iterate is evaluated once."""
     params = params or SolverParams()
     rule = _require_shared_rule(seed1, seed2)
     if op is None:
         op = DiscreteOperator(problem, rule)
-    # the iterate is held stacked, so each step's residual, finiteness test,
-    # best-so-far copy and damping is one numpy call for both components
+    # the iterate is held stacked, so each step's residual, finiteness test
+    # and damping is one numpy call for both components
     v = np.array((seed1.values, seed2.values))
     if float(np.min(v)) < 0.0:
         raise ValueError("seeds must be nonnegative")
-    best = None  # (residual, v)
     iterations = 0
+
+    def evaluate(v):
+        """(residual, f, T(v)), or None if f raises or T(v) is not finite."""
+        nonlocal iterations
+        try:
+            f = op.nonlinearity(v[0], v[1])
+        except EvalError:
+            return None
+        tv = op.apply(v[0], v[1], f)
+        if not np.all(np.isfinite(tv)):
+            return None
+        iterations += 1
+        return float(np.max(np.abs(v - tv))), f, tv
+
+    best = None  # (residual, v, f, T(v)) of the least-residual Picard iterate
     lam = params.damping
-
-    def remember(res, v):
-        nonlocal best
+    # the seed is evaluated even with no Picard steps: Newton starts there
+    for _ in range(max(params.picard_steps, 1)):
+        state = evaluate(v)
+        if state is None:
+            break
+        res, f, tv = state
         if best is None or res < best[0]:
-            best = (res, v.copy())
-
-    converged = False
-    for _round in range(2):
-        # Picard phase
-        for _ in range(params.picard_steps):
-            try:
-                tv = op.apply(v[0], v[1])
-            except EvalError:
-                break
-            if not np.all(np.isfinite(tv)):
-                break
-            res = float(np.max(np.abs(v - tv)))
-            iterations += 1
-            remember(res, v)
-            if res <= params.newton_tol:
-                converged = True
-                break
-            v = (1.0 - lam) * v + lam * tv
-        if converged:
+            best = (res, v, f, tv)
+        if res <= params.newton_tol:
             break
-        # Newton phase from the best iterate seen so far
-        if best is not None:
-            v = best[1]
-        for _ in range(params.max_newton):
-            try:
-                f = op.nonlinearity(v[0], v[1])
-            except EvalError:
-                break
-            r = v - op.apply(v[0], v[1], f)
-            res = float(np.max(np.abs(r)))
-            iterations += 1
-            remember(res, v)
-            if res <= params.newton_tol:
-                converged = True
-                break
-            try:
-                step = op.newton_step(v, r, f)
-            except EvalError:
-                break
-            except SingularPivot as err:
-                log.info("seed %s: singular Jacobian at node %d, "
-                         "falling back to Picard", seed_id, err.node)
-                break
-            if not np.all(np.isfinite(step)):
-                break
-            v = v - step
-        if converged:
+        v = (1.0 - lam) * v + lam * tv
+    if best is None:
+        return None
+    res, v, f, tv = best
+    for _ in range(params.max_newton):
+        if res <= params.newton_tol:
             break
-    if not converged:
+        try:
+            step = op.newton_step(v, v - tv, f)
+        except EvalError:
+            return None
+        except SingularPivot as err:
+            log.info("seed %s: singular Jacobian at node %d",
+                     seed_id, err.node)
+            return None
+        if not np.all(np.isfinite(step)):
+            return None
+        v = v - step
+        state = evaluate(v)
+        if state is None:
+            return None
+        res, f, tv = state
+    if res > params.newton_tol:
         return None
 
     # nonnegativity check with round-off slack, then clamp the slack away
@@ -464,26 +459,18 @@ def multi_start(problem: ProblemSpec, params: SolverParams | None = None,
         if unknown:
             raise ConfigError(f"unknown seed ids: {', '.join(unknown)}")
         seed_ids = [s for s in seed_ids if s in set(seed_list)]
-    found: list[Solution] = []
+    amb1, amb2 = _ambient_bounds(problem)
+    delta1 = params.dedupe if params.dedupe is not None else 1e-3 * amb1
+    delta2 = params.dedupe if params.dedupe is not None else 1e-3 * amb2
+    kept: list[Solution] = []
     for seed_id in sorted(seed_ids):
         tag1, tag2 = seed_id.split("-")
         seed1 = GridFunction(rule, levels1[tag1] * prof1)
         seed2 = GridFunction(rule, levels2[tag2] * prof2)
         sol = solve_from(problem, seed1, seed2, params, seed_id=seed_id, op=op)
-        if sol is not None:
-            found.append(sol)
-    amb1, amb2 = _ambient_bounds(problem)
-    delta1 = params.dedupe if params.dedupe is not None else 1e-3 * amb1
-    delta2 = params.dedupe if params.dedupe is not None else 1e-3 * amb2
-    kept: list[Solution] = []
-    for sol in found:
-        duplicate = False
-        for other in kept:
-            dist1 = float(np.max(np.abs(sol.u1.values - other.u1.values)))
-            dist2 = float(np.max(np.abs(sol.u2.values - other.u2.values)))
-            if dist1 <= delta1 and dist2 <= delta2:
-                duplicate = True
-                break
-        if not duplicate:
+        if sol is not None and not any(
+                np.max(np.abs(sol.u1.values - other.u1.values)) <= delta1
+                and np.max(np.abs(sol.u2.values - other.u2.values)) <= delta2
+                for other in kept):
             kept.append(sol)
     return kept

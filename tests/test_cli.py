@@ -92,15 +92,46 @@ def test_malformed_config_is_exit_3(tmp_path, capsys, command, make, keys,
     ("verify", nine_config, "checker", "budgte"),
     ("solve", nine_config, "solver", "grid"),
     ("rcd", closing_rcd_config, "rcd", "m3"),
+    # every config object takes only its own keys, the root included
+    pytest.param("verify", nine_config, "", "chekcer",
+                 id="verify-nine_config-root-chekcer"),
+    pytest.param("rcd", closing_rcd_config, "", "problme",
+                 id="rcd-closing_rcd_config-root-problme"),
+    ("verify", nine_config, "problem", "remark_52"),
+    ("solve", nine_config, "problem.region", "bb"),
+    # beta belongs to the rcd kernel only
+    ("verify", nine_config, "problem.kernel1", "beta"),
+    ("solve", closing_problem_config, "problem.kernel2", "gamma"),
+    ("solve", nine_config, "output", "csv"),
+    ("rcd", closing_rcd_config, "output", "reprot"),
 ])
 def test_unknown_block_key_is_exit_3(tmp_path, capsys, command, make, block,
                                      key):
     cfg = make()
-    cfg[block] = dict(cfg.get(block, {}), **{key: 2})
+    parent, target = None, cfg
+    for name in filter(None, block.split(".")):
+        parent, target = target, target.get(name, {})
+        if isinstance(target, str):  # a kernel given by its kind alone
+            target = {"kind": target}
+        parent[name] = target
+    target[key] = "2"  # a string, so that it fits the output block too
     path = write_config(tmp_path, cfg)
     assert main([command, path, "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "config error:" in err and key in err
+
+
+def test_null_output_is_default(tmp_path):
+    cfg = nine_config()
+    (tmp_path / "default").mkdir()
+    (tmp_path / "null").mkdir()
+    assert main(["verify", write_config(tmp_path, cfg), "--out",
+                 str(tmp_path / "default")]) == 0
+    cfg["output"] = None
+    assert main(["verify", write_config(tmp_path, cfg), "--out",
+                 str(tmp_path / "null")]) == 0
+    assert (tmp_path / "default" / "report.json").read_bytes() == \
+        (tmp_path / "null" / "report.json").read_bytes()
 
 
 FLOORS = [

@@ -327,8 +327,7 @@ def test_newton_step_reuses_the_residual_evaluation(nine_problem, monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [0.0, math.nan], ids=["zero", "nan"])
-def test_singular_pivot_falls_back_to_picard(nine_problem, monkeypatch,
-                                             caplog, bad):
+def test_singular_pivot_ends_the_seed(nine_problem, monkeypatch, caplog, bad):
     # derivatives equal to the diagonal of (G W)^{-1} make the first block
     # pivot (node 1: min(t,s) leaves t = 0 out of the system) exactly zero;
     # NaN derivatives make it non-finite
@@ -337,12 +336,32 @@ def test_singular_pivot_falls_back_to_picard(nine_problem, monkeypatch,
     zero = np.zeros(RULE.n)
     monkeypatch.setattr(DiscreteOperator, "jacobian",
                         lambda self, v1, v2, f: (pivot, zero, zero, pivot))
+    applied = []
+    original = DiscreteOperator.apply
+
+    def apply(self, *args):
+        applied.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(DiscreteOperator, "apply", apply)
     seed = GridFunction(RULE, 1.5 * np.minimum(2 * RULE.nodes, 1.0))
+    params = SolverParams(picard_steps=1)
     with caplog.at_level(logging.INFO, logger="conecert.solver"):
-        solve_from(nine_problem, seed, seed, SolverParams(picard_steps=1),
-                   seed_id="M-M", op=op)
-    assert "seed M-M: singular Jacobian at node 1, falling back to Picard" \
-        in caplog.text
+        assert solve_from(nine_problem, seed, seed, params,
+                          seed_id="M-M", op=op) is None
+    assert "seed M-M: singular Jacobian at node 1" in caplog.messages
+    # no second Picard round after the failed Newton phase
+    assert len(applied) == params.picard_steps
+
+
+def test_newton_starts_from_the_evaluated_picard_iterate(nine_problem):
+    # Newton reuses the residual of the Picard iterate it starts from, so
+    # with one Picard step the seed is evaluated once, not twice
+    sols = multi_start(nine_problem, SolverParams(grid_n=129, picard_steps=1))
+    iterations = {sol.seed_id: sol.iterations for sol in sols}
+    assert iterations == {seed_id: {"S-S": 2, "M-M": 6}.get(seed_id, 4)
+                          for seed_id in ("B-B", "B-M", "B-S", "M-B", "M-M",
+                                          "M-S", "S-B", "S-M", "S-S")}
 
 
 # ---------------------------------------------------------------------------
