@@ -10,24 +10,27 @@ derivatives are forward finite differences at the nodes (the piecewise ramps
 are non-smooth at their breakpoints, so no AST differentiation).  Both
 kernels are semiseparable, so no n x n matrix is ever formed.  The operator
 is applied from the kernels' generators (kernels.generators) with two prefix
-sums over the stacked (2, n) state, in O(n).  The Green matrices have
-tridiagonal inverses (kernels.inverse_tridiagonal), so the Newton system,
-multiplied through by the inverse kernel matrix, is 2x2-block tridiagonal and
-one block sweep solves it in O(n) per step; a zero or non-finite block pivot
-ends the seed.
+sums along the node axis, in O(n).  The Green matrices have tridiagonal
+inverses (kernels.inverse_tridiagonal), so the Newton system, multiplied
+through by the inverse kernel matrix, is 2x2-block tridiagonal; block cyclic
+reduction solves it in log2 n numpy passes, and a zero or non-finite block
+pivot ends the seed.
 
 Seeds are constant-level profiles keyed to the region thresholds, so each of
 the localization regions the theorems promise has a starter inside it.
-Results are deduplicated by pairwise sup distance and classified; fixed
-points outside the ambient box are reported as "outside-ambient" rather than
-discarded.
+multi_start advances all its seeds in lockstep on one stacked (S, 2, n)
+state: the operator, its Jacobian and the Newton step take any leading batch
+axis, each Picard or Newton step is one batched call, and a seed drops out
+of the batch when its own rules end it, so every seed reaches the iterate
+and the verdict it would reach alone.  Results are deduplicated by pairwise
+sup distance and classified; fixed points outside the ambient box are
+reported as "outside-ambient" rather than discarded.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +38,7 @@ import numpy as np
 from .conespace import (GridFunction, RegionLabel, RegionSpec, classify,
                         nontrivial, sup_norm)
 from .errors import ConfigError, OutsideAmbientError
-from .expr import EvalError, ExprAst, eval_point, eval_values
+from .expr import EvalError, ExprAst, eval_values
 from .kernels import (DirichletNeumann, KernelKind, QuadratureRule,
                       ReactionConvectionDiffusion, generator_blocks,
                       generators, inverse_tridiagonal, make_rule, same_rule)
@@ -136,25 +139,33 @@ class DiscreteOperator:
         try:
             return eval_values(f, v1, v2)
         except EvalError as err:
-            # locate the offending grid node for the error message
-            for idx in range(len(v1)):
-                try:
-                    eval_point(f, float(v1[idx]), float(v2[idx]))
-                except EvalError:
-                    raise EvalError(
-                        err.offset,
-                        f"{err.message} at grid node {idx}") from err
-            raise
+            error = err
+        # name the first grid node where f fails, by bisection: every check
+        # of the float table is elementwise, so a prefix of the flattened
+        # nodes fails exactly when it holds a failing node, and the last
+        # failing prefix holds only that node
+        x1, x2 = np.ravel(v1), np.ravel(v2)
+        good, bad = 0, len(x1)
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            try:
+                eval_values(f, x1[:mid], x2[:mid])
+                good = mid
+            except EvalError as err:
+                bad, error = mid, err
+        raise EvalError(error.offset, f"{error.message} at grid node "
+                                      f"{good % np.shape(v1)[-1]}") from error
 
     def nonlinearity(self, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-        """(f1, f2) at the nodes of v, as one (2, n) array."""
-        return np.array((self._eval(self.problem.f1, v1, v2),
-                         self._eval(self.problem.f2, v1, v2)))
+        """(f1, f2) at the nodes of v, stacked as one (..., 2, n) array."""
+        return np.stack((self._eval(self.problem.f1, v1, v2),
+                         self._eval(self.problem.f2, v1, v2)), axis=-2)
 
     def apply(self, v1: np.ndarray, v2: np.ndarray,
               f: np.ndarray | None = None) -> np.ndarray:
-        """(T1 v, T2 v) as one (2, n) array; f is `nonlinearity(v1, v2)`,
-        evaluated here unless the caller already has it.
+        """(T1 v, T2 v) as one (..., 2, n) array, for states v1, v2 of shape
+        (..., n); f is `nonlinearity(v1, v2)`, evaluated here unless the
+        caller already has it.
 
         (T_j v)_i = a_i sum_{m <= i} b_m f_m + c_i sum_{m > i} d_m f_m: a
         forward prefix sum, and a backward one per generator block whose
@@ -162,30 +173,31 @@ class DiscreteOperator:
         if f is None:
             f = self.nonlinearity(v1, v2)
         a, b, c, d = self.gen
-        out = a * np.add.accumulate(b * f, axis=1)
+        out = a * np.add.accumulate(b * f, axis=-1)
         df = d * f
         carry = None  # the sum of df past the block, in the block's terms
         for start, stop, link in self.blocks:
-            # tail[:, j] = sum of df over m in [stop - 1 - j, stop)
-            tail = np.add.accumulate(df[:, start:stop][:, ::-1], axis=1)
-            out[:, start:stop - 1] += c[:, start:stop - 1] * tail[:, -2::-1]
+            # tail[..., j] = sum of df over m in [stop - 1 - j, stop)
+            tail = np.add.accumulate(df[..., start:stop][..., ::-1], axis=-1)
+            out[..., start:stop - 1] += c[:, start:stop - 1] * tail[..., -2::-1]
             if carry is not None:
-                out[:, start:stop] += c[:, start:stop] * carry[:, None]
-                tail[:, -1] += carry
+                out[..., start:stop] += c[:, start:stop] * carry[..., None]
+                tail[..., -1] += carry
             if link is not None:
-                carry = link * tail[:, -1]
+                carry = link * tail[..., -1]
         return out
 
-    def residual_values(self, v: np.ndarray) -> float:
-        """Sup norm of v - T(v) for the stacked (2, n) state v."""
-        return float(np.max(np.abs(v - self.apply(v[0], v[1]))))
+    def residual_values(self, v: np.ndarray) -> np.ndarray:
+        """Sup norm of v - T(v) for each stacked (..., 2, n) state v."""
+        return np.max(np.abs(v - self.apply(v[..., 0, :], v[..., 1, :])),
+                      axis=(-2, -1))
 
     def jacobian(self, v1, v2, f: np.ndarray) -> tuple[np.ndarray, ...]:
         """Nodal derivatives (d11, d12, d21, d22) of (f1, f2) at v, where
         dij = df_i/dx_j, by forward differences from the base values
         f = `nonlinearity(v1, v2)`."""
         h = FD_STEP
-        f1, f2 = f
+        f1, f2 = f[..., 0, :], f[..., 1, :]
         return ((self._eval(self.problem.f1, v1 + h, v2) - f1) / h,
                 (self._eval(self.problem.f1, v1, v2 + h) - f1) / h,
                 (self._eval(self.problem.f2, v1 + h, v2) - f2) / h,
@@ -194,21 +206,35 @@ class DiscreteOperator:
     def newton_step(self, v: np.ndarray, r: np.ndarray,
                     f: np.ndarray) -> np.ndarray:
         """Solve J delta = r for the Jacobian J = I - K Df of F(v) = v - T(v),
-        with v, r, delta and f = `nonlinearity(v[0], v[1])` stacked (2, n).
+        with v, r, delta and f = `nonlinearity(v[..., 0, :], v[..., 1, :])`
+        stacked (..., 2, n); each leading index is its own system.
 
         K = diag(K1, K2) with K_j = G_j W, and Df is the 2x2 block of nodal
         derivative diagonals.  Multiplying by K^{-1} gives the equivalent
         (K^{-1} - Df) delta = K^{-1} r: a 2x2-block tridiagonal system with
-        diagonal off-diagonal blocks, solved in O(n).  For min(t,s) the row
-        and column at t = 0 are those of I, so delta there is r.  Raises
-        SingularPivot for a zero or non-finite block pivot."""
+        diagonal off-diagonal blocks, solved in O(n) by block cyclic
+        reduction.  For min(t,s) the row and column at t = 0 are those of I,
+        so delta there is r.  Raises SingularPivot for a zero or non-finite
+        block pivot."""
         first = self.first
-        derivs = [d[first:] for d in self.jacobian(v[0], v[1], f)]
+        d11, d12, d21, d22 = (
+            d[..., first:] for d in self.jacobian(v[..., 0, :], v[..., 1, :], f))
+        (lo1, di1, up1), (lo2, di2, up2) = self.inv1, self.inv2
+        # row k as the augmented block [L_k | D_k | U_k | y_k]
+        rows = np.zeros((2, 7, *r.shape[:-2], len(di1)))
+        rows[0, 0, ..., 1:] = lo1
+        rows[1, 1, ..., 1:] = lo2
+        rows[0, 2] = di1 - d11
+        rows[0, 3] = -d12
+        rows[1, 2] = -d21
+        rows[1, 3] = di2 - d22
+        rows[0, 4, ..., :-1] = up1
+        rows[1, 5, ..., :-1] = up2
+        rows[0, 6] = _tridiagonal_matvec(self.inv1, r[..., 0, first:])
+        rows[1, 6] = _tridiagonal_matvec(self.inv2, r[..., 1, first:])
         delta = r.copy()
-        delta[:, first:] = _block_thomas(
-            self.inv1, self.inv2, derivs,
-            _tridiagonal_matvec(self.inv1, r[0, first:]),
-            _tridiagonal_matvec(self.inv2, r[1, first:]), first)
+        delta[..., first:] = np.moveaxis(_block_cyclic_reduction(rows, first),
+                                         0, -2)
         return delta
 
 
@@ -232,53 +258,81 @@ def _weighted_inverse(kernel: KernelKind, rule: QuadratureRule
 def _tridiagonal_matvec(tri, x: np.ndarray) -> np.ndarray:
     lower, diag, upper = tri
     y = diag * x
-    y[1:] += lower * x[:-1]
-    y[:-1] += upper * x[1:]
+    y[..., 1:] += lower * x[..., :-1]
+    y[..., :-1] += upper * x[..., 1:]
     return y
 
 
-def _block_thomas(tri1, tri2, derivs, y1, y2, first: int
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Block forward elimination and back substitution for the system whose
-    row k couples x[k-1], x[k] and x[k+1] (pairs over the two components)
-    through diag(lower_k), diag(tri_kk) - Df_k and diag(upper_k).
+def _add_block_product(out: np.ndarray, m: np.ndarray, x: np.ndarray):
+    """out += m x node by node, for 2x2 blocks m (2, 2, ..., k) and 2-row
+    blocks x (2, c, ..., k)."""
+    out += m[:, 0, None] * x[0]
+    out += m[:, 1, None] * x[1]
 
-    Plain floats: each step works on one 2x2 block, where numpy's per-call
-    cost would dominate.  `first` offsets the node index in SingularPivot."""
-    (lo1, di1, up1), (lo2, di2, up2) = tri1, tri2
-    d11, d12, d21, d22 = derivs
-    rows = zip(np.append(0.0, lo1).tolist(), np.append(0.0, lo2).tolist(),
-               (di1 - d11).tolist(), (-d12).tolist(), (-d21).tolist(),
-               (di2 - d22).tolist(), np.append(up1, 0.0).tolist(),
-               np.append(up2, 0.0).tolist(), y1.tolist(), y2.tolist())
-    # after eliminating x[k-1], row k reads P x[k] + diag(u) x[k+1] = z;
-    # keep C = P^{-1} diag(u) and g = P^{-1} z for the back substitution
-    sweep = []
-    c11 = c12 = c21 = c22 = g1 = g2 = 0.0
-    for k, (l1, l2, p11, p12, p21, p22, u1, u2, z1, z2) in enumerate(rows):
-        p11 -= l1 * c11
-        p12 -= l1 * c12
-        p21 -= l2 * c21
-        p22 -= l2 * c22
-        z1 -= l1 * g1
-        z2 -= l2 * g2
-        det = p11 * p22 - p12 * p21
-        if not 0.0 < abs(det) < math.inf:
-            raise SingularPivot(first + k)
-        u1 /= det
-        u2 /= det
-        c11, c12, c21, c22 = p22 * u1, -p12 * u2, -p21 * u1, p11 * u2
-        g1 = (p22 * z1 - p12 * z2) / det
-        g2 = (p11 * z2 - p21 * z1) / det
-        sweep.append((c11, c12, c21, c22, g1, g2))
-    x1 = []
-    x2 = []
-    a1 = a2 = 0.0
-    for c11, c12, c21, c22, g1, g2 in reversed(sweep):
-        a1, a2 = g1 - c11 * a1 - c12 * a2, g2 - c21 * a1 - c22 * a2
-        x1.append(a1)
-        x2.append(a2)
-    return np.array(x1[::-1]), np.array(x2[::-1])
+
+def _block_cyclic_reduction(rows: np.ndarray, first: int) -> np.ndarray:
+    """Solve the 2x2-block tridiagonal system whose row k is the augmented
+    block rows[:, :, ..., k] = [L_k | D_k | U_k | y_k] (columns 0-1, 2-3, 4-5
+    and 6): L_k x[k-1] + D_k x[k] + U_k x[k+1] = y_k, with L_0 = 0 and
+    U_{m-1} = 0.  Leading axes after the first two are independent systems.
+    Returns x as (2, ..., m).
+
+    Each level solves the even local rows for their unknowns, x[k] =
+    D_k^{-1} (y_k - L_k x[k-1] - U_k x[k+1]), and substitutes them into the
+    odd rows, which form the next level's system in the same layout (Heller
+    1976): log2 m levels of numpy passes, then back substitution level by
+    level.  Raises SingularPivot at the first zero or non-finite pivot
+    determinant in elimination order: level by level, then by node, and
+    over a batch the first over all systems.  `first` offsets the node index
+    it reports."""
+    levels = []  # per level: -D^{-1} [L | U | y] of the even rows
+    nodes = np.arange(rows.shape[-1])
+    while rows.shape[-1]:
+        even, odd = rows[..., 0::2], rows[..., 1::2]
+        p = even[:, 2:4]
+        det = p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0]
+        if not (np.isfinite(det).all() and det.all()):
+            bad = ~np.isfinite(det) | (det == 0.0)
+            at = np.argmax(bad.reshape(-1, bad.shape[-1]).any(axis=0))
+            raise SingularPivot(first + int(nodes[0::2][at]))
+        # -D^{-1} = [[-p11, p01], [p10, -p00]] / det, applied to [L | U | y]
+        rest = even[:, [0, 1, 4, 5, 6]]
+        norm = p[0, ::-1, None] * rest[1]
+        norm -= p[1, ::-1, None] * rest[0]
+        del rest
+        norm[1] *= -1.0
+        norm /= det
+        levels.append(norm)
+        # odd row j absorbs even row j through L_j, which adds L_j times its
+        # [L | U | y] to the new [L | D | y], and even row j + 1 through U_j,
+        # which adds U_j times it to the new [D | U | y]; with an even row
+        # count the last odd row has no even row after it, and its U_j is 0
+        rows = np.zeros_like(odd)
+        rows[:, 2:4] = odd[:, 2:4]
+        rows[:, 6] = odd[:, 6]
+        lower, upper = odd[:, 0:2], odd[:, 4:6, ..., :norm.shape[-1] - 1]
+        before, after = norm[..., :odd.shape[-1]], norm[..., 1:]
+        _add_block_product(rows[:, 0:4], lower, before[:, 0:4])
+        _add_block_product(rows[:, 6:], lower, before[:, 4:])
+        _add_block_product(rows[:, 2:6, ..., :after.shape[-1]], upper,
+                           after[:, 0:4])
+        _add_block_product(rows[:, 6:, ..., :after.shape[-1]], upper,
+                           after[:, 4:])
+        nodes = nodes[1::2]
+    x = np.zeros((2, *rows.shape[2:]))
+    for norm in reversed(levels):
+        # x[k-1] and x[k+1] of each even row k, zero past either end
+        k = norm.shape[-1]
+        pad = np.zeros((2, *x.shape[1:-1], 1))
+        around = np.concatenate((pad, x, pad), axis=-1)
+        before, after = around[..., :k], around[..., 1:k + 1]
+        x_even = (norm[:, 0] * before[0] + norm[:, 1] * before[1]
+                  + norm[:, 2] * after[0] + norm[:, 3] * after[1] - norm[:, 4])
+        full = np.empty((2, *x.shape[1:-1], k + x.shape[-1]))
+        full[..., 0::2] = x_even
+        full[..., 1::2] = x
+        x = full
+    return x
 
 
 def _require_shared_rule(u1: GridFunction, u2: GridFunction) -> QuadratureRule:
@@ -299,8 +353,8 @@ def apply_T(problem: ProblemSpec, u1: GridFunction, u2: GridFunction
 def residual(problem: ProblemSpec, u1: GridFunction, u2: GridFunction) -> float:
     """Sup norm of (u1 - T1 u, u2 - T2 u) over the nodes."""
     rule = _require_shared_rule(u1, u2)
-    return DiscreteOperator(problem, rule).residual_values(
-        np.array((u1.values, u2.values)))
+    return float(DiscreteOperator(problem, rule).residual_values(
+        np.array((u1.values, u2.values))))
 
 
 def _ambient_bounds(problem: ProblemSpec) -> tuple[float, float]:
@@ -324,86 +378,136 @@ def solve_from(problem: ProblemSpec, seed1: GridFunction, seed2: GridFunction,
     """At most `picard_steps` damped Picard steps from one seed pair, then
     at most `max_newton` Newton steps from the Picard iterate of least
     residual, reusing its f and T(v); None if no fixed point with residual
-    <= newton_tol is reached.  Each iterate is evaluated once."""
+    <= newton_tol is reached.  Each iterate is evaluated once.  This is
+    multi_start's engine run on one seed."""
     params = params or SolverParams()
     rule = _require_shared_rule(seed1, seed2)
     if op is None:
         op = DiscreteOperator(problem, rule)
-    # the iterate is held stacked, so each step's residual, finiteness test
-    # and damping is one numpy call for both components
     v = np.array((seed1.values, seed2.values))
     if float(np.min(v)) < 0.0:
         raise ValueError("seeds must be nonnegative")
-    iterations = 0
+    return _solve_lanes(problem, op, v[None], [seed_id], params)[0]
 
-    def evaluate(v):
-        """(residual, f, T(v)), or None if f raises or T(v) is not finite."""
-        nonlocal iterations
+
+def _keep(mask: np.ndarray, *arrays):
+    """Each array's lanes where mask holds (the arrays themselves if all do)."""
+    if mask.all():
+        return arrays
+    return tuple(x[mask] for x in arrays)
+
+
+@np.errstate(all="ignore")
+def _solve_lanes(problem: ProblemSpec, op: DiscreteOperator, seeds: np.ndarray,
+                 seed_ids: list[str], params: SolverParams
+                 ) -> list[Solution | None]:
+    """solve_from's rules for every lane of the stacked (S, 2, n) seed
+    states at once: entry s is lane s's Solution or None.
+
+    Each step is one batched call over the lanes still running, held in the
+    lane index array `lane`, and a lane leaves it when its own rules end it.
+    Every operation is elementwise across lanes, so a lane's iterates do not
+    depend on the lanes beside it.  A diverging lane is ended by the
+    finiteness tests, so numpy warns of nothing here."""
+    tol, lam = params.newton_tol, params.damping
+    iterations = np.zeros(len(seeds), dtype=int)
+
+    def lanewise(fn, lane, v, *args):
+        """fn(v, *args) over the lanes, with NaN in place of the result of
+        a lane where it raises EvalError or SingularPivot.  A batch that
+        raises is run again one lane at a time to find those lanes; only
+        this error path pays for that."""
         try:
-            f = op.nonlinearity(v[0], v[1])
-        except EvalError:
-            return None
-        tv = op.apply(v[0], v[1], f)
-        if not np.all(np.isfinite(tv)):
-            return None
-        iterations += 1
-        return float(np.max(np.abs(v - tv))), f, tv
+            return fn(v, *args)
+        except (EvalError, SingularPivot) as err:
+            batch_error = err
+        out = np.full_like(v, np.nan)
+        for i, s in enumerate(lane.tolist()):
+            try:
+                if len(lane) == 1:
+                    raise batch_error  # a lone lane's error is the batch's
+                out[i] = fn(v[i:i + 1], *(x[i:i + 1] for x in args))[0]
+            except SingularPivot as err:
+                log.info("seed %s: singular Jacobian at node %d",
+                         seed_ids[s], err.node)
+            except EvalError:
+                pass
+        return out
 
-    best = None  # (residual, v, f, T(v)) of the least-residual Picard iterate
-    lam = params.damping
-    # the seed is evaluated even with no Picard steps: Newton starts there
+    def nonlinearity(v):
+        return op.nonlinearity(v[:, 0], v[:, 1])
+
+    def evaluate(lane, v):
+        """The lanes whose f evaluates and whose T(v) is finite, each counted
+        as one iteration, with their v, residual, f and T(v)."""
+        f = lanewise(nonlinearity, lane, v)
+        tv = op.apply(v[:, 0], v[:, 1], f)
+        lane, v, f, tv = _keep(np.isfinite(tv).all(axis=(1, 2)), lane, v, f, tv)
+        iterations[lane] += 1
+        return lane, v, np.max(np.abs(v - tv), axis=(1, 2)), f, tv
+
+    # Picard; the seed is evaluated even with no Picard steps: Newton
+    # starts there.  best_* hold each lane's least-residual iterate.
+    lane, v = np.arange(len(seeds)), seeds
+    has_best = np.zeros(len(seeds), dtype=bool)
+    best_res = np.zeros(len(seeds))
+    best_v, best_f, best_tv = (np.empty_like(seeds) for _ in range(3))
     for _ in range(max(params.picard_steps, 1)):
-        state = evaluate(v)
-        if state is None:
+        if not lane.size:
             break
-        res, f, tv = state
-        if best is None or res < best[0]:
-            best = (res, v, f, tv)
-        if res <= params.newton_tol:
-            break
+        lane, v, res, f, tv = evaluate(lane, v)
+        better = ~has_best[lane] | (res < best_res[lane])
+        at = lane[better]
+        has_best[at] = True
+        best_res[at], best_v[at] = res[better], v[better]
+        best_f[at], best_tv[at] = f[better], tv[better]
+        lane, v, tv = _keep(~(res <= tol), lane, v, tv)
         v = (1.0 - lam) * v + lam * tv
-    if best is None:
-        return None
-    res, v, f, tv = best
-    for _ in range(params.max_newton):
-        if res <= params.newton_tol:
-            break
-        try:
-            step = op.newton_step(v, v - tv, f)
-        except EvalError:
-            return None
-        except SingularPivot as err:
-            log.info("seed %s: singular Jacobian at node %d",
-                     seed_id, err.node)
-            return None
-        if not np.all(np.isfinite(step)):
-            return None
-        v = v - step
-        state = evaluate(v)
-        if state is None:
-            return None
-        res, f, tv = state
-    if res > params.newton_tol:
-        return None
 
+    # Newton from the best Picard iterate, keeping the state of each lane
+    # that reaches the tolerance
+    lane = np.flatnonzero(has_best)
+    res, v, f, tv = best_res[lane], best_v[lane], best_f[lane], best_tv[lane]
+    converged = np.zeros(len(seeds), dtype=bool)
+    final = np.empty_like(seeds)
+    for newton in range(params.max_newton + 1):
+        at = res <= tol
+        converged[lane[at]] = True
+        final[lane[at]] = v[at]
+        lane, v, f, tv = _keep(~at, lane, v, f, tv)
+        if not lane.size or newton == params.max_newton:
+            break
+        step = lanewise(op.newton_step, lane, v, v - tv, f)
+        lane, v, step = _keep(np.isfinite(step).all(axis=(1, 2)), lane, v, step)
+        if not lane.size:
+            break
+        lane, v, res, f, tv = evaluate(lane, v - step)
+
+    solutions: list[Solution | None] = [None] * len(seeds)
+    lane = np.flatnonzero(converged)
+    v = final[lane]
     # nonnegativity check with round-off slack, then clamp the slack away
-    if float(np.min(v)) < -1e-10:
-        return None
+    lane, v = _keep(~(v.min(axis=(1, 2)) < -1e-10), lane, v)
+    if not lane.size:
+        return solutions
     v = np.maximum(v, 0.0)
     res = op.residual_values(v)
-    if res > params.newton_tol:
-        return None
-    u1 = GridFunction(rule, v[0])
-    u2 = GridFunction(rule, v[1])
     amb1, amb2 = _ambient_bounds(problem)
-    if sup_norm(u1) > FAR_FIELD_FACTOR * amb1 or sup_norm(u2) > FAR_FIELD_FACTOR * amb2:
-        return None
-    return Solution(
-        u1=u1, u2=u2, residual=res,
-        region=_classify_or_outside(problem, u1, u2),
-        nontrivial=(nontrivial(u1, params.nontrivial_eps),
-                    nontrivial(u2, params.nontrivial_eps)),
-        iterations=iterations, seed_id=seed_id)
+    for s, (v1, v2), r in zip(lane.tolist(), v, res.tolist()):
+        if r > tol:
+            continue
+        u1 = GridFunction(op.rule, v1)
+        u2 = GridFunction(op.rule, v2)
+        if sup_norm(u1) > FAR_FIELD_FACTOR * amb1 \
+                or sup_norm(u2) > FAR_FIELD_FACTOR * amb2:
+            continue
+        solutions[s] = Solution(
+            u1=u1, u2=u2, residual=r,
+            region=_classify_or_outside(problem, u1, u2),
+            nontrivial=(nontrivial(u1, params.nontrivial_eps),
+                        nontrivial(u2, params.nontrivial_eps)),
+            iterations=int(iterations[s]), seed_id=seed_ids[s])
+    return solutions
 
 
 def _seed_profile(kernel: KernelKind, t: np.ndarray) -> np.ndarray:
@@ -459,15 +563,15 @@ def multi_start(problem: ProblemSpec, params: SolverParams | None = None,
         if unknown:
             raise ConfigError(f"unknown seed ids: {', '.join(unknown)}")
         seed_ids = [s for s in seed_ids if s in set(seed_list)]
+    seed_ids = sorted(seed_ids)
+    seeds = np.array([(levels1[tag1] * prof1, levels2[tag2] * prof2)
+                      for tag1, tag2 in (s.split("-") for s in seed_ids)])
     amb1, amb2 = _ambient_bounds(problem)
     delta1 = params.dedupe if params.dedupe is not None else 1e-3 * amb1
     delta2 = params.dedupe if params.dedupe is not None else 1e-3 * amb2
     kept: list[Solution] = []
-    for seed_id in sorted(seed_ids):
-        tag1, tag2 = seed_id.split("-")
-        seed1 = GridFunction(rule, levels1[tag1] * prof1)
-        seed2 = GridFunction(rule, levels2[tag2] * prof2)
-        sol = solve_from(problem, seed1, seed2, params, seed_id=seed_id, op=op)
+    for sol in _solve_lanes(problem, op, seeds.reshape(-1, 2, rule.n),
+                            seed_ids, params):
         if sol is not None and not any(
                 np.max(np.abs(sol.u1.values - other.u1.values)) <= delta1
                 and np.max(np.abs(sol.u2.values - other.u2.values)) <= delta2

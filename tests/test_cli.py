@@ -1,11 +1,14 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from conecert import hypotheses
-from conecert.cli import dumps_canonical, main
+from conecert.cli import _write_solution_csv, dumps_canonical, main
+from conecert.conespace import GridFunction
 from conecert.expr import eval_values
+from conecert.kernels import make_rule
 from conftest import (closing_problem_config, closing_rcd_config,
                       hybrid_config, nine_config, write_config)
 
@@ -404,6 +407,28 @@ def test_solve_determinism_byte_identical(tmp_path):
     for csv in sorted((tmp_path / "a" / "solutions").iterdir()):
         twin = tmp_path / "b" / "solutions" / csv.name
         assert csv.read_bytes() == twin.read_bytes()
+
+
+def test_solution_csv_bytes_match_a_per_row_format(tmp_path):
+    # the one-%-format writer gives the bytes of f"{x:.17g}" row by row,
+    # on signed zero, the smallest subnormal, the largest double and values
+    # that need all 17 digits
+    rule = make_rule(9)
+    u1 = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, 1 / 3,
+                   2.0 / 3.0, 1e-300, 123456789.01234567, 0.0])
+    u2 = -u1[::-1] / math.pi
+
+    class Sol:
+        pass
+
+    sol = Sol()
+    sol.u1, sol.u2 = GridFunction(rule, u1), GridFunction(rule, u2)
+    nodes = [f"{t:.17g}" for t in rule.nodes.tolist()]
+    _write_solution_csv(sol, nodes, tmp_path / "sub" / "got.csv")
+    lines = ["t,u1,u2"] + [f"{t:.17g},{a:.17g},{b:.17g}" for t, a, b
+                           in zip(rule.nodes.tolist(), u1.tolist(), u2.tolist())]
+    assert (tmp_path / "sub" / "got.csv").read_bytes() == \
+        ("\n".join(lines) + "\n").encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from conecert.cli import build_problem
 from conecert.conespace import (GridFunction, RegionSpec, in_cone_p,
                                 min_window, sup_norm)
 from conecert.errors import ConfigError
-from conecert.expr import parse_expr
+from conecert.expr import EvalError, parse_expr
 from conecert.hypotheses import BoxIneq, grid_oracle
 from conecert.interval import Interval
 from conecert.kernels import (DirichletNeumann, ReactionConvectionDiffusion,
@@ -75,13 +76,18 @@ def test_apply_T_rejects_mismatched_rules():
 
 
 def test_apply_T_eval_error_names_grid_node():
-    from conecert.expr import EvalError
     problem = dirichlet_problem("1/(x1 - 2)", "1")
     values = np.ones(RULE.n)
     values[7] = 2.0  # the only node where the denominator vanishes
     u = GridFunction(RULE, values)
     with pytest.raises(EvalError) as err:
         apply_T(problem, u, const_fn(1.0))
+    assert "grid node 7" in err.value.message
+    # in a stack of states the node is named within its lane
+    stacked = np.ones((3, RULE.n))
+    stacked[1, 7] = 2.0
+    with pytest.raises(EvalError) as err:
+        DiscreteOperator(problem, RULE).apply(stacked, np.ones((3, RULE.n)))
     assert "grid node 7" in err.value.message
 
 
@@ -261,6 +267,144 @@ def test_newton_first_converges_on_a_fine_grid(nine_problem):
     assert sols[0].residual <= 1e-8
 
 
+# the operator's methods on a stacked (S, 2, n) state: RCD at beta = 1/600
+# and 1e-4 cuts its generators into blocks, so the block carry is stacked too
+STACKED_KERNELS = {
+    "min": (DirichletNeumann(), DirichletNeumann()),
+    "rcd1/600": (rcd(1 / 600), rcd(1 / 600)),
+    "rcd1,1e-4": (rcd(1.0), rcd(1e-4)),
+}
+
+
+@pytest.mark.parametrize("kernel_pair", STACKED_KERNELS.values(),
+                         ids=STACKED_KERNELS.keys())
+def test_stacked_operator_is_bit_identical_to_each_state(kernel_pair):
+    k1, k2 = kernel_pair
+    mode = "nine" if isinstance(k1, DirichletNeumann) else "thm53"
+    region = RegionSpec(d=(0.5, 0.5), a=(1.0, 1.0), c=(5.0, 5.0),
+                        window=(0.5, 0.5) if mode == "nine" else (0.0, 0.0))
+    problem = ProblemSpec(k1, k2, parse_expr("1 + x1*x2 - cos(x1)"),
+                          parse_expr("exp(-x2)*x1 + 0.5"), region, mode)
+    op = DiscreteOperator(problem, RULE)
+    v = np.random.default_rng(3).uniform(0.0, 2.0, (3, 2, RULE.n))
+    f = op.nonlinearity(v[:, 0], v[:, 1])
+    assert f.shape == v.shape
+    stacked = (f, op.apply(v[:, 0], v[:, 1]), op.residual_values(v),
+               op.jacobian(v[:, 0], v[:, 1], f))
+    for lane in range(3):
+        v1, v2 = v[lane]
+        alone = (op.nonlinearity(v1, v2), op.apply(v1, v2),
+                 op.residual_values(v[lane]), op.jacobian(v1, v2, f[lane]))
+        for got, want in zip(stacked[:3], alone[:3]):
+            assert np.array_equal(got[lane], want)
+        for got, want in zip(stacked[3], alone[3]):
+            assert np.array_equal(got[lane], want)
+
+
+def _sorted_solutions(problem, params, seed_ids=None):
+    """solve_from seed by seed, deduplicated as multi_start does."""
+    rule = make_rule(params.grid_n)
+    levels1, levels2 = seed_levels(problem)
+    prof1 = solver._seed_profile(problem.kernel1, rule.nodes)
+    prof2 = solver._seed_profile(problem.kernel2, rule.nodes)
+    amb1, amb2 = solver._ambient_bounds(problem)
+    kept = []
+    for seed_id in sorted(seed_ids or (f"{a}-{b}" for a in levels1
+                                       for b in levels2)):
+        tag1, tag2 = seed_id.split("-")
+        sol = solve_from(problem, GridFunction(rule, levels1[tag1] * prof1),
+                         GridFunction(rule, levels2[tag2] * prof2), params,
+                         seed_id=seed_id)
+        if sol is not None and not any(
+                np.max(np.abs(sol.u1.values - k.u1.values)) <= 1e-3 * amb1
+                and np.max(np.abs(sol.u2.values - k.u2.values)) <= 1e-3 * amb2
+                for k in kept):
+            kept.append(sol)
+    return kept
+
+
+def assert_same_solutions(got, want, tol=0.0):
+    assert [(s.seed_id, str(s.region), s.iterations) for s in got] == \
+        [(s.seed_id, str(s.region), s.iterations) for s in want]
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a.u1.values - b.u1.values)) <= tol
+        assert np.max(np.abs(a.u2.values - b.u2.values)) <= tol
+
+
+@pytest.mark.parametrize("picard_steps", [200, 1])
+@pytest.mark.parametrize("grid_n", [129, 513])
+@pytest.mark.parametrize("system", ["nine", "closing_system", "hybrid"])
+def test_multi_start_agrees_with_solve_from_seed_by_seed(
+        nine_problem, hybrid_problem, system, grid_n, picard_steps):
+    problem = {"nine": nine_problem, "hybrid": hybrid_problem}.get(system) \
+        or build_problem(closing_problem_config()["problem"])
+    params = SolverParams(grid_n=grid_n, picard_steps=picard_steps)
+    assert_same_solutions(multi_start(problem, params),
+                          _sorted_solutions(problem, params), tol=1e-12)
+
+
+def test_multi_start_with_no_seeds(nine_problem):
+    assert multi_start(nine_problem, SolverParams(), seed_list=[]) == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("failure", ["eval-error", "non-finite", "pivot"])
+def test_a_lane_failure_drops_only_its_seed(nine_problem, monkeypatch, caplog,
+                                            failure):
+    # the B-B seed is the one state with x1 = x2 = 3 (at t >= 1/2): there
+    # its f raises, its f is infinite, or (Newton first) its Jacobian makes
+    # every block pivot zero
+    def marked(x1, x2):
+        return (np.asarray(x1) == 3.0) & (np.asarray(x2) == 3.0)
+
+    original_eval = solver.eval_values
+
+    def eval_values(e, x1, x2):
+        hit = marked(x1, x2)
+        if failure == "eval-error" and hit.any():
+            raise EvalError(0, "crafted failure")
+        out = original_eval(e, x1, x2)
+        if failure == "non-finite":
+            out[hit] = np.inf
+        return out
+
+    original_jacobian = DiscreteOperator.jacobian
+
+    def jacobian(self, v1, v2, f):
+        d11, d12, d21, d22 = (np.array(d) for d in
+                              original_jacobian(self, v1, v2, f))
+        hit = marked(v1[..., -1], v2[..., -1])
+        d11[hit, 1:], d22[hit, 1:] = self.inv1[1], self.inv2[1]
+        d12[hit], d21[hit] = 0.0, 0.0
+        return d11, d12, d21, d22
+
+    if failure == "pivot":
+        monkeypatch.setattr(DiscreteOperator, "jacobian", jacobian)
+    else:
+        monkeypatch.setattr(solver, "eval_values", eval_values)
+    params = SolverParams(picard_steps=1 if failure == "pivot" else 200)
+    others = [f"{a}-{b}" for a in "SMB" for b in "SMB" if a + b != "BB"]
+    with caplog.at_level(logging.INFO, logger="conecert.solver"):
+        sols = multi_start(nine_problem, params)
+    assert_same_solutions(sols, multi_start(nine_problem, params,
+                                            seed_list=others))
+    assert_same_solutions(sols, _sorted_solutions(nine_problem, params,
+                                                  others))
+    pivot_logs = [m for m in caplog.messages if "singular Jacobian" in m]
+    assert pivot_logs == (["seed B-B: singular Jacobian at node 1"]
+                          if failure == "pivot" else [])
+
+
+def test_newton_first_closing_system_warns_nothing():
+    # its S-B seed diverges to a residual of about 1e231 before Newton gives
+    # up; numpy must not warn about the overflow on the way
+    problem = build_problem(closing_problem_config()["problem"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sols = multi_start(problem, SolverParams(grid_n=513, picard_steps=1))
+    assert {str(s.region) for s in sols} >= {"S-S", "S-M", "M-S", "M-M"}
+
+
 # ---------------------------------------------------------------------------
 # the structured Newton step
 
@@ -299,6 +443,25 @@ def test_newton_step_matches_dense_solve(nine_problem, system, grid_n, scheme):
         step1, step2 = op.newton_step(v, v - op.apply(v1, v2),
                                       op.nonlinearity(v1, v2))
         want1, want2 = dense_newton_step(problem, rule, v1, v2)
+        scale = max(np.max(np.abs(want1)), np.max(np.abs(want2)))
+        assert np.max(np.abs(step1 - want1)) <= 1e-9 * scale
+        assert np.max(np.abs(step2 - want2)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("system", ["nine", "closing_system"])
+def test_stacked_newton_step_matches_dense_solve(nine_problem, system):
+    problem = nine_problem if system == "nine" \
+        else build_problem(closing_problem_config()["problem"])
+    op = DiscreteOperator(problem, RULE)
+    rng = np.random.default_rng(5)
+    levels1, levels2 = seed_levels(problem)
+    v = np.array([(levels1[tag] * rng.uniform(0.5, 1.5, RULE.n),
+                   levels2[tag] * rng.uniform(0.5, 1.5, RULE.n))
+                  for tag in ("S", "M", "B")])
+    steps = op.newton_step(v, v - op.apply(v[:, 0], v[:, 1]),
+                           op.nonlinearity(v[:, 0], v[:, 1]))
+    for (v1, v2), (step1, step2) in zip(v, steps):
+        want1, want2 = dense_newton_step(problem, RULE, v1, v2)
         scale = max(np.max(np.abs(want1)), np.max(np.abs(want2)))
         assert np.max(np.abs(step1 - want1)) <= 1e-9 * scale
         assert np.max(np.abs(step2 - want2)) <= 1e-9 * scale
