@@ -7,7 +7,8 @@ identical runs produce identical files (wall-clock goes to stderr only; the
 report's "timings" block carries deterministic work counters instead).
 
 Exit codes: 0 all checks passed / run completed, 1 some check failed,
-2 inconclusive (budget exhausted), 3 malformed config or domain error.
+2 inconclusive (budget exhausted), 3 malformed config or command line, a
+domain error, or a report that cannot be written.
 """
 
 from __future__ import annotations
@@ -158,6 +159,9 @@ def _output(cfg: dict) -> dict:
         raise ConfigError("output must be an object of strings")
     defaults = {"report": "report.json", "csv_dir": "solutions"}
     _known_keys(block, "output", defaults)
+    if block.get("report") == "":
+        # an empty name would write the report as the file at --out
+        raise ConfigError("output.report must not be empty")
     return defaults | block
 
 
@@ -459,8 +463,16 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Exits 3 on a usage error: argparse's own 2 is the Inconclusive code."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="conecert",
         description="certify multiplicity hypotheses and locate the multiple "
                     "positive solutions of two-component Hammerstein systems")
@@ -497,6 +509,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except EvalError as err:
         print(f"evaluation error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as err:
+        print(f"output error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -17,19 +17,19 @@ only ever feed nonnegative functions, but quadrature round-off may produce
 -eps).
 
 Evaluation compiles each tree once into nested closures, one per node, over
-one of three arithmetic tables: plain floats and numpy arrays (pointwise, and
-vectorised for the solver and the grid oracle), outward-rounded endpoint
-pairs (rigorous range enclosure, with the kernels of `interval`), or
-gradient triples of such pairs (the enclosure and both partial derivative
-enclosures, for first-order branch and bound).  Each table supplies every
-operation: constant lifting, the named constants, the operators and the
-builtins.  Every table signals a domain violation with DomainError (the
-float table also with numpy's FloatingPointError for an operation that
-makes a NaN), which the node's closure turns into an EvalError at its
-source offset.  Compiled programs are cached by node identity, not by
-equality (equal trees may carry different offsets), so the hundreds of
-evaluations of one expression in a solve or a branch and bound compile it
-once.
+one of two arithmetic tables: plain floats and numpy arrays (pointwise, and
+vectorised for the solver and the grid oracle), or gradient triples of
+outward-rounded endpoint pairs (with the kernels of `interval`: a rigorous
+range enclosure and both partial derivative enclosures, for first-order
+branch and bound; run with exactly zero derivative seeds, the range
+enclosure alone).  Each table supplies every operation: constant lifting,
+the named constants, the operators and the builtins.  Every table signals a
+domain violation with DomainError (the float table also with numpy's
+FloatingPointError for an operation that makes a NaN), which the node's
+closure turns into an EvalError at its source offset.  Compiled programs are
+cached by node identity, not by equality (equal trees may carry different
+offsets), so the hundreds of evaluations of one expression in a solve or a
+branch and bound compile it once.
 
 The ramps are monotone (phi and psi nondecreasing, capphi nonincreasing) and
 exact in float arithmetic (2z - 1 and 2 - 2z by Sterbenz's lemma on
@@ -414,29 +414,19 @@ _FLOATS = _Table(
          "psi": _psi, "capphi": _capphi, "min": np.minimum, "max": np.maximum},
     natural_exponent=False)
 
-_PAIRS = _Table(
-    const=lambda v: (v, v),
-    named={"pi": (PI.lo, PI.hi), "e": (E.lo, E.hi)},
-    ops={"+": iv.add, "-": iv.sub, "*": iv.mul, "/": iv.div, "^": iv.pow_nat,
-         "neg": iv.neg, "exp": iv.exp, "cos": iv.cos, "sin": iv.sin, "ln": iv.log,
-         "abs": iv.absolute, "phi": iv.phi, "psi": iv.psi, "capphi": iv.capphi,
-         "min": iv.minimum, "max": iv.maximum},
-    natural_exponent=True)
-
-
 # The gradient table: each value is (v, d1, d2), three endpoint pairs that
 # enclose f and its partial derivatives in x1 and x2 over the box, built
-# from the pair kernels by the sum, product, quotient and chain rules.  v is
-# the pair table's value bit for bit.  A ramp whose argument enclosure lies
-# in one closed piece takes that piece's slope; at a kink strictly inside
-# the enclosure a builtin takes the hull of its one-sided slopes (its Clarke
-# generalized gradient), so by Lebourg's mean-value theorem a sign-definite
-# d_k proves f monotone in x_k on the closed box.  An exactly zero
-# derivative (of a constant, or of a term in one variable only) stays
-# exactly zero: 0 + d and 0 * d are exact, and rounding them outward would
-# hide the zero that makes f constant in x_k.  A product with exactly 1 (the
-# derivative of a bare variable) is exact too, so a ramp of x_k keeps a
-# sign-definite slope such as [0, 2] instead of [-5e-324, 2.0000000000000004].
+# from the pair kernels by the sum, product, quotient and chain rules.  A
+# ramp whose argument enclosure lies in one closed piece takes that piece's
+# slope; at a kink strictly inside the enclosure a builtin takes the hull of
+# its one-sided slopes (its Clarke generalized gradient), so by Lebourg's
+# mean-value theorem a sign-definite d_k proves f monotone in x_k on the
+# closed box.  An exactly zero derivative (of a constant, of a term in one
+# variable only, or of every term under zero seeds) stays exactly zero: 0 +
+# d and 0 * d are exact, and rounding them outward would hide the zero that
+# makes f constant in x_k.  A product with exactly 1 (the derivative of a
+# bare variable) is exact too, so a ramp of x_k keeps a sign-definite slope
+# such as [0, 2] instead of [-5e-324, 2.0000000000000004].
 
 _ZERO = (0.0, 0.0)
 _ONE = (1.0, 1.0)
@@ -456,7 +446,7 @@ def _dsub(a, b):
 
 def _dmul(s, d):
     # the factor s is a value enclosure, finite at every point of the box
-    if s == _ZERO or d == _ZERO:
+    if d == _ZERO or s == _ZERO:
         return _ZERO
     if d == _ONE:
         return s
@@ -464,8 +454,13 @@ def _dmul(s, d):
 
 
 def _chain(value, slope, x):
-    """(value, slope * d1, slope * d2) for a unary function of x."""
-    return value, _dmul(slope, x[1]), _dmul(slope, x[2])
+    """(value, s * d1, s * d2) for a unary function of x, where s is the
+    slope enclosure `slope(u)` over x's value u.  Where both derivatives are
+    exactly zero, as in every run of `interval_program`, slope is not run."""
+    if x[1] == _ZERO and x[2] == _ZERO:
+        return value, _ZERO, _ZERO
+    s = slope(x[0])
+    return value, _dmul(s, x[1]), _dmul(s, x[2])
 
 
 def _g_add(x, y):
@@ -501,30 +496,27 @@ def _g_pow(x, n: int):
         return _ONE, _ZERO, _ZERO
     if n == 1:
         return x
-    u = x[0]
-    slope = iv.mul((float(n), float(n)), iv.pow_nat(u, n - 1))
-    return _chain(iv.pow_nat(u, n), slope, x)
+    def slope(u):
+        return iv.mul((float(n), float(n)), iv.pow_nat(u, n - 1))
+    return _chain(iv.pow_nat(x[0], n), slope, x)
 
 
 def _g_exp(x):
     e = iv.exp(x[0])
-    return _chain(e, e, x)
+    return _chain(e, lambda _: e, x)
 
 
 def _g_log(x):
-    u = x[0]
-    value = iv.log(u)  # rejects u touching 0 before the slope divides by it
-    return _chain(value, iv.div(_ONE, u), x)
+    # the value rejects u touching 0 before the slope divides by it
+    return _chain(iv.log(x[0]), lambda u: iv.div(_ONE, u), x)
 
 
 def _g_cos(x):
-    u = x[0]
-    return _chain(iv.cos(u), iv.neg(iv.sin(u)), x)
+    return _chain(iv.cos(x[0]), lambda u: iv.neg(iv.sin(u)), x)
 
 
 def _g_sin(x):
-    u = x[0]
-    return _chain(iv.sin(u), iv.cos(u), x)
+    return _chain(iv.sin(x[0]), iv.cos, x)
 
 
 def _kink_slope(u, lo: float, hi: float, s: float):
@@ -552,19 +544,18 @@ def _g_ramp(name: str):
     lo, hi, s = _RAMPS[name]
 
     def run(x):
-        return _chain(fn(x[0]), _kink_slope(x[0], lo, hi, s), x)
+        return _chain(fn(x[0]), lambda u: _kink_slope(u, lo, hi, s), x)
     return run
 
 
-def _g_abs(x):
-    u = x[0]
+def _abs_slope(u):
     if u[0] > 0.0:
-        slope = _ONE
-    elif u[1] < 0.0:
-        slope = (-1.0, -1.0)
-    else:
-        slope = (-1.0, 1.0)
-    return _chain(iv.absolute(u), slope, x)
+        return _ONE
+    return (-1.0, -1.0) if u[1] < 0.0 else (-1.0, 1.0)
+
+
+def _g_abs(x):
+    return _chain(iv.absolute(x[0]), _abs_slope, x)
 
 
 def _hull(a, b):
@@ -700,15 +691,20 @@ def eval_values(e: ExprAst, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
 
 def interval_program(e: ExprAst):
     """The compiled enclosure ``(x1, x2) -> (lo, hi)`` of e over endpoint
-    pairs; raises EvalError for a `^` without a constant natural exponent."""
-    return _program(e, _PAIRS)
+    pairs: the gradient program's value, with exactly zero derivative seeds.
+    Raises EvalError for a `^` without a constant natural exponent."""
+    program = _program(e, _GRADIENTS)
+
+    def run(x1, x2):
+        return program((x1, _ZERO, _ZERO), (x2, _ZERO, _ZERO))[0]
+    return run
 
 
 def gradient_program(e: ExprAst):
     """The compiled first-order enclosure ``(x1, x2) -> (v, d1, d2)`` of e
-    over endpoint pairs: v is `interval_program(e)`'s enclosure bit for bit,
-    and d1, d2 enclose the partial derivatives (at a kink, every one-sided
-    slope) over the box.  Raises EvalError as `interval_program` does."""
+    over endpoint pairs: v is `interval_program(e)`'s enclosure, and d1, d2
+    enclose the partial derivatives (at a kink, every one-sided slope) over
+    the box.  Raises EvalError as `interval_program` does."""
     program = _program(e, _GRADIENTS)
 
     def run(x1, x2):

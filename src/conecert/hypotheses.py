@@ -29,7 +29,8 @@ definite, so monotonicity can cut the box to the face on the kink.
 A box whose enclosure leaves an operation's domain (a divisor enclosure
 containing 0, say) is simply not certified and gets split; a gradient
 enclosure that leaves it only skips the first-order tests on that box.
-Only a failing point evaluation is reported as an error.
+Only a failing point evaluation is reported as an error: a domain error or
+an overflow to +-inf at a box midpoint or at an oracle lattice point.
 
 A plain-arithmetic grid oracle (dense lattice extrema) runs alongside as an
 independent cross-check; it can never certify, only agree or disagree.
@@ -41,6 +42,7 @@ so reports are deterministic regardless of exploration order.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -147,6 +149,9 @@ def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
     are compiled once, which raises EvalError before any box for an
     expression with no enclosure; the depth-first stack then holds each box
     as four float endpoints and its depth, and builds no Interval per box.
+    One gradient-program run per box gives both its natural and its
+    derivative enclosures; the value-only program runs for the mean-value
+    centre, and where only a derivative enclosure leaves its domain.
     """
     enclose = interval_program(q.expr)
     gradient = gradient_program(q.expr)
@@ -168,25 +173,28 @@ def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
         x1 = (lo1, hi1)
         x2 = (lo2, hi2)
         try:
-            if certified(enclose(x1, x2)):
-                continue
+            value, d1, d2 = gradient(x1, x2)
         except EvalError:
-            # the program compiled, so this is a domain error of the
-            # enclosure (a divisor enclosure that contains 0, say): the box
-            # is only too coarse
-            pass
+            # a domain error (the program compiled): a derivative's only skips
+            # the first-order tests, the value's leaves the box too coarse
+            value = d1 = None
+            with suppress(EvalError):
+                value = enclose(x1, x2)
+        if value is not None and certified(value):
+            continue
         m1 = midpoint(lo1, hi1)
         m2 = midpoint(lo2, hi2)
         try:
             val = eval_point(q.expr, m1, m2)
+            if not math.isfinite(val):
+                raise EvalError(q.expr.offset, f"overflow to {val}")
         except EvalError as err:
             raise EvalError(err.offset, f"{err.message} at the midpoint "
                             f"({m1!r}, {m2!r}) of sub-box {Interval(lo1, hi1)} x "
                             f"{Interval(lo2, hi2)}") from err
         if violates(val):
             return CertVerdict("Fail", (m1, m2, val), explored, depth_capped)
-        try:
-            _, d1, d2 = gradient(x1, x2)
+        if d1 is not None:
             end1 = _extremal_end(d1, lo1, hi1, upper)
             end2 = _extremal_end(d2, lo2, hi2, upper)
             if end1 is not None or end2 is not None:
@@ -198,14 +206,12 @@ def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
                 continue
             # the natural enclosure has failed, so the mean-value form
             # alone decides what their intersection would
-            mean_value = interval.add(enclose((m1, m1), (m2, m2)), interval.add(
-                interval.mul(d1, interval.sub(x1, (m1, m1))),
-                interval.mul(d2, interval.sub(x2, (m2, m2)))))
-            if certified(mean_value):
-                continue
-        except (EvalError, DomainError):
-            # no first-order enclosure on this box: split it
-            pass
+            with suppress(EvalError, DomainError):
+                mean_value = interval.add(enclose((m1, m1), (m2, m2)), interval.add(
+                    interval.mul(d1, interval.sub(x1, (m1, m1))),
+                    interval.mul(d2, interval.sub(x2, (m2, m2)))))
+                if certified(mean_value):
+                    continue
         if dep >= max_depth:
             depth_capped = True
             unresolved = True
@@ -248,15 +254,27 @@ def grid_oracle(q: BoxIneq, n: int = DEFAULT_ORACLE_N) -> OracleResult:
     included), plus the lattice's first violation of the relation."""
     if n < 2:
         raise ValueError(f"need n >= 2 samples per axis, got {n}")
-    g1 = np.linspace(q.box[0].lo, q.box[0].hi, n)
-    g2 = np.linspace(q.box[1].lo, q.box[1].hi, n)
-    # a broadcast lattice: a subexpression in one variable costs n points,
-    # not n^2, and each element sees the same operands as on a full grid
-    vals = eval_values(q.expr, g1[:, None], g2[None, :])
+    try:
+        g1 = np.linspace(q.box[0].lo, q.box[0].hi, n)
+        g2 = np.linspace(q.box[1].lo, q.box[1].hi, n)
+        # a broadcast lattice: a subexpression in one variable costs n
+        # points, not n^2, and each element sees the same operands as on a
+        # full grid
+        vals = eval_values(q.expr, g1[:, None], g2[None, :])
+    except (MemoryError, ValueError) as err:
+        # numpy refuses a count beyond its index range, or memory runs out
+        raise ConfigError(f"oracle_n = {n:.6g} is too large: {err}") from err
 
     def point(idx):
         i, j = np.unravel_index(idx, vals.shape)
         return float(g1[i]), float(g2[j]), float(vals[i, j])
+
+    # the float table lets +, - and * overflow unchecked; only a NaN raises
+    overflow = ~np.isfinite(vals)
+    if overflow.any():
+        x1, x2, val = point(int(np.argmax(overflow)))
+        raise EvalError(q.expr.offset, f"overflow to {val} at the lattice "
+                        f"point ({x1!r}, {x2!r})")
 
     x1, x2, sup = point(int(np.argmax(vals)))
     y1, y2, inf = point(int(np.argmin(vals)))

@@ -23,7 +23,9 @@ then checks the diffusion inequality that the four-solution theorem needs.
 `check_all` runs every scalar check once, in report order.
 
 All arithmetic here is plain double precision with a 1e-12 guard band;
-verdicts are tri-state (Pass / Fail / Unknown inside the band).
+verdicts are tri-state (Pass / Fail / Unknown inside the band).  A
+parameter that would overflow a float in the pipeline is a DomainError
+that names it, raised by RcdParams or, for q1 and q2, by `build_params`.
 """
 
 from __future__ import annotations
@@ -57,6 +59,14 @@ def _first_failure(checks) -> CertVerdict:
     if any(status == "Unknown" for status, *_ in checks):
         return CertVerdict("Unknown", None)
     return CertVerdict("Pass", None)
+
+
+def _exp(x: float, what: str) -> float:
+    """math.exp(x), whose overflow is a DomainError saying `what` overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise DomainError(f"{what} overflows") from None
 
 
 def g_eval(k: float, z: float) -> float:
@@ -165,6 +175,16 @@ class RcdParams:
             raise DomainError("need r1 >= k1 and r2 >= k2")
         if not (self.m1 > 0.0 and self.m2 > 0.0):
             raise DomainError("m1 and m2 must be positive")
+        # the factors exp(1/beta) of (p, q) and exp(k/(1 + s(k))) of the
+        # m-range ends must be finite; so must k*(k - 4), or s(k) is not
+        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
+            _exp(1.0 / beta, f"{name}={beta} is too small: exp(1/{name})")
+        for name, k in (("k1", self.k1), ("k2", self.k2)):
+            if not math.isfinite(k * (k - 4.0)):
+                raise DomainError(
+                    f"{name}={k} is too large: {name}*({name} - 4) overflows")
+            _exp(k / (1.0 + s_pair(k)[0]),
+                 f"{name}={k} is too large: exp({name}/(1 + s({name})))")
 
 
 @dataclass(frozen=True)
@@ -228,11 +248,16 @@ def build_params(p: RcdParams) -> DerivedParams:
             raise ConfigError(verdict.note)
     s1, st1 = s_pair(p.k1)
     s2, st2 = s_pair(p.k2)
+    q1 = p.r2 * st2 * math.exp(1.0 / p.beta2)
+    q2 = p.r1 * st1 * math.exp(1.0 / p.beta1)
+    for name, q, j in (("q1", q1, 2), ("q2", q2, 1)):
+        if not math.isfinite(q):
+            raise DomainError(
+                f"{name} = r{j}*s_tilde(k{j})*exp(1/beta{j}) overflows")
     return DerivedParams(
         p1=p.m2 * math.exp(-1.0 / p.beta2),
         p2=p.m1 * math.exp(-1.0 / p.beta1),
-        q1=p.r2 * st2 * math.exp(1.0 / p.beta2),
-        q2=p.r1 * st1 * math.exp(1.0 / p.beta1),
+        q1=q1, q2=q2,
         s1=s1, st1=st1, s2=s2, st2=st2,
         m1_range=range1, m2_range=range2, source=p)
 

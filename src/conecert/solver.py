@@ -550,7 +550,12 @@ def multi_start(problem: ProblemSpec, params: SolverParams | None = None,
     if 0.5 in problem.region.window and (params.grid_n - 1) % 2 != 0:
         raise ConfigError(
             f"grid_n must be odd so t=1/2 is a node, got {params.grid_n}")
-    rule = make_rule(params.grid_n)
+    try:
+        rule = make_rule(params.grid_n)
+    except (MemoryError, ValueError) as err:
+        # numpy refuses a count beyond its index range, or memory runs out
+        raise ConfigError(
+            f"grid_n = {params.grid_n:.6g} is too large: {err}") from err
     op = DiscreteOperator(problem, rule)
     t = rule.nodes
     prof1 = _seed_profile(problem.kernel1, t)

@@ -91,6 +91,70 @@ def test_malformed_config_is_exit_3(tmp_path, capsys, command, make, keys,
     assert "config error:" in capsys.readouterr().err
 
 
+_DELETE = object()
+
+
+def _edited(make, keys, value=_DELETE):
+    """make's config with the entry at the key path set to value, or
+    deleted when no value is given."""
+    def build():
+        cfg = make()
+        target = cfg
+        for key in keys[:-1]:
+            target = target[key]
+        if value is _DELETE:
+            del target[keys[-1]]
+        else:
+            target[keys[-1]] = value
+        return cfg
+    return build
+
+
+CONFIG_ERRORS = [
+    ("verify", _edited(nine_config, ("problem", "region", "d"), [0.5, 0.5, 0.5]),
+     "region.d must be a number or a pair"),
+    ("rcd", _edited(closing_rcd_config, ("rcd", "m1")),
+     "rcd config is missing 'm1'"),
+    ("verify", _edited(nine_config, ("problem", "kernel1"), 5),
+     "kernel1 must be a kernel object with a 'kind'"),
+    ("verify", _edited(nine_config, ("problem", "kernel2"), {"beta": 1.0}),
+     "kernel2 must be a kernel object with a 'kind'"),
+    ("verify", _edited(closing_problem_config, ("problem", "kernel1"),
+                       {"kind": "rcd"}),
+     "kernel1: rcd kernel requires 'beta'"),
+    ("solve", _edited(nine_config, ("problem", "kernel1"), "green"),
+     "kernel1: unknown kernel kind 'green'"),
+    ("verify", _edited(nine_config, ("problem", "f1"), "x1 +"),
+     "bad nonlinearity expression: at position 4: unexpected end of input"),
+    ("verify", _edited(nine_config, ("problem", "region"), 5),
+     "region must be an object"),
+    ("verify", _edited(nine_config, ("problem", "region", "d")),
+     "region config is missing 'd'"),
+    ("verify", _edited(nine_config, ("problem", "region", "a")),
+     "region config is missing 'a'"),
+    ("solve", _edited(nine_config, ("problem", "region", "c")),
+     "region config is missing 'c'"),
+    ("verify", _edited(nine_config, ("problem", "region", "b"), 1.0),
+     "component 1: need a < b, got a=1.0, b=1.0"),
+    ("verify", _edited(nine_config, ("problem",)),
+     "config is missing the 'problem' block"),
+    ("solve", _edited(nine_config, ("problem",)),
+     "config is missing the 'problem' block"),
+    ("verify", lambda: [nine_config()], "config root must be a JSON object"),
+]
+
+
+@pytest.mark.parametrize("command,make,message", CONFIG_ERRORS,
+                         ids=[f"{c}-{m}" for c, _, m in CONFIG_ERRORS])
+def test_config_error_names_the_fault(tmp_path, capsys, command, make, message):
+    path = write_config(tmp_path, make())
+    assert main([command, path, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command,make,block,key", [
     ("verify", nine_config, "checker", "budgte"),
     ("solve", nine_config, "solver", "grid"),
@@ -151,6 +215,55 @@ def test_size_floor_is_exit_3(tmp_path, capsys, args, make):
     path = write_config(tmp_path, make())
     assert main([args[0], path, "--out", str(tmp_path), *args[1:]]) == 3
     assert "must be at least" in capsys.readouterr().err
+
+
+def _exit_status(argv):
+    """main's exit status, returned or raised by an argparse exit."""
+    try:
+        return main(argv)
+    except SystemExit as stop:
+        return stop.code
+
+
+# every failure that is not a verdict exits 3, never 1 by a traceback;
+# the sizes are ones numpy refuses at once, without allocating
+NOT_A_VERDICT = [
+    pytest.param(["solve", "{config}", "--out", "{out}"],
+                 lambda: closing_problem_config() | {"solver": {"grid_n": 1e300}},
+                 "config error: grid_n = 1e+300 is too large",
+                 id="grid_n"),
+    pytest.param(["verify", "{config}", "--out", "{out}"],
+                 lambda: nine_config() | {"checker": {"oracle_n": 1e300}},
+                 "config error: oracle_n = 1e+300 is too large",
+                 id="oracle_n"),
+    pytest.param(["verify", "{config}", "--out", "{file}"], nine_config,
+                 "output error: [Errno 17] File exists", id="out-is-a-file"),
+    pytest.param(["verify", "{config}", "--out", "{out}"],
+                 lambda: nine_config(report=""),
+                 "config error: output.report must not be empty",
+                 id="empty-report-name"),
+    pytest.param(["solve", "{config}", "--out", "{out}", "--grid-n", "abc"],
+                 nine_config, "argument --grid-n: invalid int value: 'abc'",
+                 id="grid-n-not-an-int"),
+    pytest.param(["verify"], nine_config,
+                 "the following arguments are required: config",
+                 id="missing-config"),
+]
+
+
+@pytest.mark.parametrize("argv,make,message", NOT_A_VERDICT)
+def test_failure_that_is_not_a_verdict_is_exit_3(tmp_path, capsys, argv,
+                                                 make, message):
+    (tmp_path / "file").write_text("")
+    names = {"config": write_config(tmp_path, make()),
+             "out": str(tmp_path / "out"), "file": str(tmp_path / "file")}
+    assert _exit_status([arg.format(**names) for arg in argv]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    # one line, after argparse's usage line for a usage error
+    assert message in lines[-1]
+    assert len(lines) == 1 or lines[0].startswith("usage:")
+    assert not (tmp_path / "out").exists()
+    assert (tmp_path / "file").read_text() == ""
 
 
 def test_solve_null_dedupe_is_default(tmp_path):
@@ -279,6 +392,25 @@ def test_verify_power_overflow_is_exit_3(tmp_path, capsys, term):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("evaluation error:")
     assert "at the midpoint" in err[0]
+
+
+@pytest.mark.parametrize("f1, where", [
+    ("1e308*x1*x1", "at the midpoint (2.5, 2.5) of sub-box"),
+    # the root midpoint is a finite Fail; the lattice overflows further out
+    ("11 + 1e307*x1*x1*x1/125", "at the lattice point (2.625, 0.0)"),
+], ids=["midpoint", "lattice"])
+def test_verify_overflow_to_inf_is_exit_3(tmp_path, capsys, f1, where):
+    # the float table lets *, + and - overflow unchecked, so verify checks
+    # each value it takes from it: an infinite one is a domain error there,
+    # not a sup of inf in the report
+    cfg = nine_config()
+    cfg["problem"]["f1"] = f1
+    path = write_config(tmp_path, cfg)
+    assert main(["verify", path, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("evaluation error: at position ")
+    assert f"overflow to inf {where}" in err[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_evaluates_one_lattice_per_condition(tmp_path, monkeypatch):
@@ -451,6 +583,21 @@ def test_rcd_domain_error_exit_3(tmp_path):
     path = write_config(tmp_path, closing_rcd_config() | {
         "rcd": dict(closing_rcd_config()["rcd"], k1=4.0)})
     assert main(["rcd", path, "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"beta1": 1e-3}, "beta1=0.001 is too small: exp(1/beta1) overflows"),
+    ({"k1": 1e200, "r1": 1e200}, "k1=1e+200 is too large: k1*(k1 - 4) overflows"),
+    ({"k2": 1000.0, "r2": 1000.0},
+     "k2=1000.0 is too large: exp(k2/(1 + s(k2))) overflows"),
+], ids=["beta1", "k1", "k2"])
+def test_rcd_overflow_is_exit_3(tmp_path, capsys, values, message):
+    cfg = closing_rcd_config()
+    cfg["rcd"].update(values)
+    path = write_config(tmp_path, cfg)
+    assert main(["rcd", path, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_rcd_m_out_of_range_exit_1(tmp_path, capsys):

@@ -5,7 +5,8 @@ import pytest
 
 from conecert.conespace import RegionSpec
 from conecert.errors import ConfigError
-from conecert.expr import EvalError, eval_point, parse_expr
+from conecert import hypotheses
+from conecert.expr import EvalError, eval_point, gradient_program, parse_expr
 from conecert.hypotheses import (BoxIneq, certify_box, check_theorem,
                                  expand_conditions, grid_oracle, oracle_agrees)
 from conecert.interval import Interval
@@ -179,6 +180,68 @@ def test_certify_boxes_grow_slowly_as_the_margin_shrinks():
         assert verdict.status == "Pass"
         return verdict.boxes_explored
     assert boxes(1e-3) < 10 * boxes(1e-1)
+
+
+def test_certify_falls_back_to_the_value_where_a_slope_leaves_its_domain():
+    # d/dx1 cos(1/x1) reaches about 1e600 near x1 = 1e-300, so the gradient
+    # program meets 0 * inf in d1; the value still encloses f in [-1, 1]
+    q = BoxIneq(parse_expr("x2*cos(1/x1)"), box(1e-300, 2, 0, 1), "<=", 2.0, "t")
+    with pytest.raises(EvalError, match="NaN endpoint"):
+        gradient_program(q.expr)((1e-300, 2.0), (0.0, 1.0))
+    verdict = certify_box(q)
+    assert (verdict.status, verdict.boxes_explored) == ("Pass", 1)
+
+
+def _recorded_programs(monkeypatch):
+    """Patch the programs certify_box compiles to record the box of each
+    gradient run, of each one that raised, and of each value-only run."""
+    runs = {"gradient": [], "raised": [], "value": []}
+    compile_gradient = hypotheses.gradient_program
+    compile_value = hypotheses.interval_program
+
+    def gradient_program(e):
+        program = compile_gradient(e)
+
+        def run(x1, x2):
+            runs["gradient"].append((x1, x2))
+            try:
+                return program(x1, x2)
+            except EvalError:
+                runs["raised"].append((x1, x2))
+                raise
+        return run
+
+    def interval_program(e):
+        program = compile_value(e)
+
+        def run(x1, x2):
+            runs["value"].append((x1, x2))
+            return program(x1, x2)
+        return run
+
+    monkeypatch.setattr(hypotheses, "gradient_program", gradient_program)
+    monkeypatch.setattr(hypotheses, "interval_program", interval_program)
+    return runs
+
+
+@pytest.mark.parametrize("src, bound", [
+    # eps = 1e-6: face collapses and mean-value forms decide most boxes
+    (TIGHT_F1.format("0.925406008024745"), 10.0),
+    # the divisor enclosure contains 0 on the coarse boxes
+    ("1/(x1 - x1 + 1)", 2.0),
+], ids=["tight", "divisor"])
+def test_certify_runs_the_gradient_program_once_per_box(monkeypatch, src, bound):
+    # one gradient run per box gives its natural enclosure too; the
+    # value-only program runs only at a mean-value centre (a point box) or
+    # on a box where the gradient program raised
+    runs = _recorded_programs(monkeypatch)
+    q = BoxIneq(parse_expr(src), box(0, 5, 0, 5), "<=", bound, "t")
+    verdict = certify_box(q)
+    assert verdict.status == "Pass"
+    assert len(runs["gradient"]) == verdict.boxes_explored
+    assert runs["value"]
+    for x1, x2 in runs["value"]:
+        assert (x1[0] == x1[1] and x2[0] == x2[1]) or (x1, x2) in runs["raised"]
 
 
 # ---------------------------------------------------------------------------

@@ -310,3 +310,15 @@ def test_rcd_params_validation():
         RcdParams(beta1=1.0, beta2=1.0, k1=4.0, k2=10, r1=8, r2=10, m1=3, m2=1)
     with pytest.raises(DomainError):
         RcdParams(beta1=1.0, beta2=1.0, k1=8, k2=10, r1=7.0, r2=10, m1=3, m2=1)
+
+
+def test_derived_overflow_names_the_parameters():
+    # each parameter alone keeps the pipeline finite, but r1 = 1e300 with
+    # exp(1/beta1) = exp(12.5) pushes q2 = r1*s_tilde(k1)*exp(1/beta1) past
+    # the largest float; m1 and m2 sit inside their ranges, so it is reached
+    range1, range2 = m_ranges(700.0, 10.0, 1e300, 10.0)
+    p = RcdParams(0.08, 1.0, 700.0, 10.0, 1e300, 10.0,
+                  0.5 * (range1.lo + range1.hi), 0.5 * (range2.lo + range2.hi))
+    with pytest.raises(DomainError,
+                       match=r"q2 = r1\*s_tilde\(k1\)\*exp\(1/beta1\) overflows"):
+        check_all(p)
