@@ -110,6 +110,10 @@ _CHECKER_DEFAULTS = {"budget": hypotheses.DEFAULT_BUDGET,
 _SOLVER_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SolverParams)}
 _RCD_KEYS = dict.fromkeys((f.name for f in dataclasses.fields(RcdParams)),
                           _REQUIRED)
+_OUTPUT_DEFAULTS = {"report": "report.json", "csv_dir": "solutions"}
+_ROOT_KEYS = ("problem", "checker", "solver", "rcd", "output")
+_PROBLEM_KEYS = ("mode", "kernel1", "kernel2", "f1", "f2", "region", "remark52")
+_REGION_KEYS = ("d", "a", "c", "b", "annulus")
 
 
 def _known_keys(block: dict, name: str, keys):
@@ -119,28 +123,22 @@ def _known_keys(block: dict, name: str, keys):
         raise ConfigError(f"{name} has unknown keys: {', '.join(unknown)}")
 
 
-def _read_block(cfg: dict, name: str, defaults: dict,
-                overrides: dict | None = None) -> dict:
+def _read_block(cfg: dict, name: str, defaults: dict) -> dict:
     """The numeric block `cfg[name]`, one entry per key of `defaults`.
 
     A key of the block that `defaults` lacks is an error.  Each value comes
-    from `overrides`, else the block, else the default; a null counts as
-    absent.  A `_REQUIRED` default makes the key mandatory and a None
-    default may stay None.  Every other value must be a positive finite
-    number, and an integer wherever the default is an int."""
+    from the block, else the default; a null counts as absent.  A
+    `_REQUIRED` default makes the key mandatory.  Every value must be a
+    positive finite number, and an integer wherever the default is an int."""
     block = {} if cfg.get(name) is None else cfg[name]
     if not isinstance(block, dict):
         raise ConfigError(f"{name} must be an object")
     _known_keys(block, name, defaults)
-    given = {key: value for source in (block, overrides or {})
-             for key, value in source.items() if value is not None}
     out = {}
     for key, default in defaults.items():
-        raw = out[key] = given.get(key, default)
+        raw = default if block.get(key) is None else block[key]
         if raw is _REQUIRED:
             raise ConfigError(f"{name} config is missing {key!r}")
-        if raw is None:
-            continue
         where = f"{name}.{key}"
         value = _number(raw, where)
         if not value > 0.0:
@@ -157,12 +155,11 @@ def _output(cfg: dict) -> dict:
     if not isinstance(block, dict) or not all(
             isinstance(v, str) for v in block.values()):
         raise ConfigError("output must be an object of strings")
-    defaults = {"report": "report.json", "csv_dir": "solutions"}
-    _known_keys(block, "output", defaults)
+    _known_keys(block, "output", _OUTPUT_DEFAULTS)
     if block.get("report") == "":
         # an empty name would write the report as the file at --out
         raise ConfigError("output.report must not be empty")
-    return defaults | block
+    return _OUTPUT_DEFAULTS | block
 
 
 def _parse_kernel(obj, name: str) -> KernelKind:
@@ -195,9 +192,8 @@ def _window_for(kernel: KernelKind) -> float:
 def build_problem(cfg: dict) -> ProblemSpec:
     if not isinstance(cfg, dict):
         raise ConfigError("problem must be an object")
-    required = ("mode", "kernel1", "kernel2", "f1", "f2", "region")
-    _known_keys(cfg, "problem", (*required, "remark52"))
-    for key in required:
+    _known_keys(cfg, "problem", _PROBLEM_KEYS)
+    for key in _PROBLEM_KEYS[:-1]:  # all but remark52
         if key not in cfg:
             raise ConfigError(f"problem config is missing {key!r}")
     kernel1 = _parse_kernel(cfg["kernel1"], "kernel1")
@@ -213,13 +209,12 @@ def build_problem(cfg: dict) -> ProblemSpec:
     reg = cfg["region"]
     if not isinstance(reg, dict):
         raise ConfigError("region must be an object")
-    region_keys = ("d", "a", "c", "b", "annulus")
-    _known_keys(reg, "region", region_keys)
+    _known_keys(reg, "region", _REGION_KEYS)
     for key in ("d", "a", "c"):
         if reg.get(key) is None:
             raise ConfigError(f"region config is missing {key!r}")
     pairs = {key: _as_pair(reg[key], f"region.{key}")
-             for key in region_keys
+             for key in _REGION_KEYS
              if reg.get(key) is not None}
     region = RegionSpec(**pairs,
                         window=(_window_for(kernel1), _window_for(kernel2)))
@@ -278,12 +273,11 @@ def _report_skeleton(config_echo: dict) -> dict:
 # subcommands
 
 
-def cmd_verify(cfg: dict, out_dir: Path, oracle_n: int | None = None) -> int:
+def cmd_verify(cfg: dict, out_dir: Path) -> int:
     if "problem" not in cfg:
         raise ConfigError("config is missing the 'problem' block")
     problem = build_problem(cfg["problem"])
-    checker = _read_block(cfg, "checker", _CHECKER_DEFAULTS,
-                          {"oracle_n": oracle_n})
+    checker = _read_block(cfg, "checker", _CHECKER_DEFAULTS)
     output = _output(cfg)
 
     started = time.monotonic()
@@ -334,13 +328,12 @@ def cmd_verify(cfg: dict, out_dir: Path, oracle_n: int | None = None) -> int:
             "Inconclusive": EXIT_INCONCLUSIVE}[report_data.overall]
 
 
-def cmd_solve(cfg: dict, out_dir: Path, grid_n: int | None = None,
+def cmd_solve(cfg: dict, out_dir: Path,
               seed_list: list[str] | None = None) -> int:
     if "problem" not in cfg:
         raise ConfigError("config is missing the 'problem' block")
     problem = build_problem(cfg["problem"])
-    params = SolverParams(**_read_block(cfg, "solver", _SOLVER_DEFAULTS,
-                                        {"grid_n": grid_n}))
+    params = SolverParams(**_read_block(cfg, "solver", _SOLVER_DEFAULTS))
     output = _output(cfg)
     started = time.monotonic()
     solutions = solver.multi_start(problem, params, seed_list=seed_list)
@@ -458,8 +451,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config {path!r} is not valid JSON: {err}") from err
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    _known_keys(cfg, "config", ("problem", "checker", "solver", "rcd",
-                                "output"))
+    _known_keys(cfg, "config", _ROOT_KEYS)
     return cfg
 
 
@@ -480,12 +472,10 @@ def main(argv: list[str] | None = None) -> int:
 
     p_verify = sub.add_parser("verify", help="certify theorem hypotheses")
     p_verify.add_argument("config")
-    p_verify.add_argument("--oracle-n", type=int, default=None)
     p_verify.add_argument("--out", default=".")
 
     p_solve = sub.add_parser("solve", help="multi-start solve for fixed points")
     p_solve.add_argument("config")
-    p_solve.add_argument("--grid-n", type=int, default=None)
     p_solve.add_argument("--out", default=".")
     p_solve.add_argument("--seed-list", default=None,
                          help="comma-separated seed ids, e.g. S-S,B-B")
@@ -499,10 +489,10 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load_config(args.config)
         out_dir = Path(args.out)
         if args.command == "verify":
-            return cmd_verify(cfg, out_dir, oracle_n=args.oracle_n)
+            return cmd_verify(cfg, out_dir)
         if args.command == "solve":
             seeds = (args.seed_list.split(",") if args.seed_list else None)
-            return cmd_solve(cfg, out_dir, grid_n=args.grid_n, seed_list=seeds)
+            return cmd_solve(cfg, out_dir, seed_list=seeds)
         return cmd_rcd(cfg, out_dir)
     except (ConfigError, DomainError) as err:
         print(f"config error: {err}", file=sys.stderr)

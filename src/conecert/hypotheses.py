@@ -14,8 +14,9 @@ which are decided by first-order interval branch and bound:
   theorem, with the Clarke generalized gradient at the kinks of the ramps,
   abs, min and max).  Strict relations need the enclosure endpoint
   strictly inside; exact equality is Unknown, never Pass.
-* Fail  -- only via a concrete witness: a sampled point whose plain-float
-  value violates the relation.
+* Fail  -- only via a concrete witness: a sampled point (a box midpoint, or
+  a point of the oracle lattice where branch and bound ended Unknown) whose
+  plain-float value violates the relation.
 * Unknown -- the box budget ran out, or boxes at the depth cap (or point
   boxes) remain with neither outcome.
 
@@ -356,12 +357,24 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
+def _finite(value: float, what: str) -> float:
+    _require(math.isfinite(value), f"{what} overflows to {value}")
+    return value
+
+
+def _bounded(conds: list[BoxIneq]) -> list[BoxIneq]:
+    for q in conds:
+        _finite(q.bound, f"{q.condition_id}: the bound")
+    return conds
+
+
 def expand_conditions(problem) -> list[BoxIneq]:
     """Instantiate the condition templates of the problem's theorem, boxes
     and bounds as printed; the theorem's ordering invariants are validated
-    first (ConfigError names the violated inequality).  RegionSpec already
-    holds 0 < d < a < c, and ProblemSpec makes kernels and annulus
-    consistent with the mode."""
+    first (ConfigError names the violated inequality, or the ordering term
+    or condition bound that overflows).  RegionSpec already holds
+    0 < d < a < c, and ProblemSpec makes kernels and annulus consistent
+    with the mode."""
     tid = _theorem(problem)
     region = problem.region
     f1, f2 = problem.f1, problem.f2
@@ -374,7 +387,7 @@ def expand_conditions(problem) -> list[BoxIneq]:
         _require(2.0 * a[0] < c[0], f"need 2a < c, got a={a[0]}, c={c[0]}")
         _require(b[0] <= c[0], f"need b <= c, got b={b[0]}, c={c[0]}")
         _require(2.0 * r < big_r, f"need 0 < 2r < R, got r={r}, R={big_r}")
-        return [
+        return _bounded([
             BoxIneq(f1, (iv(0, c[0]), iv(0, big_r)), "<=", 2.0 * c[0], "thm51.a"),
             BoxIneq(f1, (iv(0, d[0]), iv(0, big_r)), "<", 2.0 * d[0], "thm51.b"),
             BoxIneq(f1, (iv(a[0], b[0]), iv(0.5 * r, big_r)), ">", 4.0 * a[0],
@@ -382,7 +395,7 @@ def expand_conditions(problem) -> list[BoxIneq]:
             BoxIneq(f2, (iv(0, c[0]), iv(0, r)), "<", 2.0 * r, "thm51.d"),
             BoxIneq(f2, (iv(0, c[0]), iv(0.5 * big_r, big_r)), ">",
                     8.0 * big_r / 3.0, "thm51.e"),
-        ]
+        ])
 
     if tid == "thm52":
         for j in range(2):
@@ -391,22 +404,28 @@ def expand_conditions(problem) -> list[BoxIneq]:
             _require(b[j] <= c[j],
                      f"component {j + 1}: need b <= c, got b={b[j]}, c={c[j]}")
         ambient = (iv(0, c[0]), iv(0, c[1]))
-        return [
+        return _bounded([
             BoxIneq(f1, ambient, "<=", 2.0 * c[0], "thm52.a1"),
             BoxIneq(f1, (iv(0, d[0]), iv(0, c[1])), "<", 2.0 * d[0], "thm52.b1"),
             BoxIneq(f1, (iv(a[0], b[0]), iv(0, c[1])), ">", 4.0 * a[0], "thm52.c1"),
             BoxIneq(f2, ambient, "<=", 2.0 * c[1], "thm52.a2"),
             BoxIneq(f2, (iv(0, c[0]), iv(0, d[1])), "<", 2.0 * d[1], "thm52.b2"),
             BoxIneq(f2, (iv(0, c[0]), iv(a[1], b[1])), ">", 4.0 * a[1], "thm52.c2"),
-        ]
+        ])
 
     # thm53 / thm53_remark52
     betas = (problem.kernel1.beta, problem.kernel2.beta)
     strict_positive = problem.remark52
     for j in range(2):
-        growth = a[j] * math.exp(1.0 / betas[j])
+        try:
+            growth = a[j] * math.exp(1.0 / betas[j])
+        except OverflowError:
+            growth = math.inf
+        _finite(growth, f"component {j + 1}: a*exp(1/beta) with "
+                        f"beta={betas[j]!r}")
         if strict_positive:
-            _require(growth <= c[j] * (1.0 + 1e-12),
+            _require(growth <= _finite(c[j] * (1.0 + 1e-12),
+                                       f"component {j + 1}: c*(1 + 1e-12)"),
                      f"component {j + 1}: need a*exp(1/beta) <= c, got "
                      f"{growth} > {c[j]}")
         else:
@@ -429,7 +448,7 @@ def expand_conditions(problem) -> list[BoxIneq]:
             big = (iv(0, c[0]), iv(a[1], c[1]))
         conds.append(BoxIneq(f, small, "<", d[j - 1], f"thm53.b{j}"))
         conds.append(BoxIneq(f, big, ">", growth_bound, f"thm53.c{j}"))
-    return conds
+    return _bounded(conds)
 
 
 def check_theorem(problem, budget: int = DEFAULT_BUDGET,
@@ -438,8 +457,9 @@ def check_theorem(problem, budget: int = DEFAULT_BUDGET,
     """Expand, certify and cross-check each condition, and assemble the
     report.  Each condition is certified first and then sampled on one
     oracle lattice, whose first violating point (if any) becomes a Fail's
-    witness.  Fail dominates Unknown dominates Pass; the promise is
-    populated only on AllPass."""
+    witness, and turns an Unknown into a Fail when its plain-float value
+    re-evaluates as a violation.  Fail dominates Unknown dominates Pass; the
+    promise is populated only on AllPass."""
     if oracle_n < 2:
         raise ConfigError(f"oracle_n must be at least 2, got {oracle_n}")
     tid = _theorem(problem)
@@ -449,6 +469,12 @@ def check_theorem(problem, budget: int = DEFAULT_BUDGET,
         oracle = grid_oracle(q, oracle_n)
         if verdict.status == "Fail" and oracle.first_violation is not None:
             verdict = replace(verdict, witness=oracle.first_violation)
+        elif verdict.status == "Unknown" and oracle.first_violation is not None:
+            fail = replace(verdict, status="Fail",
+                           witness=oracle.first_violation,
+                           note=f"oracle lattice witness; {verdict.note}")
+            if oracle_agrees(q, fail, oracle):
+                verdict = fail
         results.append(ConditionResult(q, verdict, oracle,
                                        oracle_agrees(q, verdict, oracle)))
     statuses = [r.verdict.status for r in results]

@@ -8,17 +8,16 @@ steps for libm transcendentals whose rounding is only guaranteed to ~1 ulp.
 Directed-rounding mode switching is deliberately avoided (platform-fragile).
 
 Each rounding rule is a kernel on endpoint pairs: a function of `(lo, hi)`
-float tuples that returns one.  The compiled interval programs of `expr`
-call the kernels directly, with no object per intermediate; `Interval` is
-the public, checked wrapper, and each of its methods is one kernel call.  A
-kernel raises DomainError when its result leaves the domain (a divisor
-containing 0, an overflowing exp, a trig argument with no finite value,
-or a NaN endpoint of +, -, * or / where overflowed endpoints meet, as in
-inf - inf or 0 * inf).  Only the `Interval` constructor raises ValueError,
-for a NaN or reversed pair given to it.
+float tuples that returns one.  The kernels are the one interval arithmetic:
+`expr`'s compiled programs and `hypotheses`' mean-value form call them with
+no object per intermediate.  A kernel raises DomainError when its result
+leaves the domain (a divisor containing 0, an overflowing exp, a trig
+argument with no finite value, or a NaN endpoint of +, -, * or / where
+overflowed endpoints meet, as in inf - inf or 0 * inf).
 
-Point intervals (lo == hi) are permitted; splitting a point interval signals
-no-split by returning None instead of raising.
+`Interval` is the checked box type callers hold (box sides, parameter
+ranges, returned enclosures), with no arithmetic: its constructor raises
+ValueError for a NaN or reversed pair; a point (lo == hi) is allowed.
 """
 
 from __future__ import annotations
@@ -36,14 +35,6 @@ _HALF_PI = math.pi / 2.0
 Pair = tuple[float, float]
 
 
-def _down(x: float) -> float:
-    return nextafter(x, _NINF)
-
-
-def _up(x: float) -> float:
-    return nextafter(x, inf)
-
-
 def _down2(x: float) -> float:
     return nextafter(nextafter(x, _NINF), _NINF)
 
@@ -59,12 +50,6 @@ def _fmt(lo: float, hi: float) -> str:
 def _nan(x: Pair, y: Pair) -> DomainError:
     # outward rounding keeps lo <= hi unless an endpoint is NaN
     return DomainError(f"NaN endpoint from {_fmt(*x)} and {_fmt(*y)}")
-
-
-def _invalid(lo: float, hi: float) -> ValueError:
-    if math.isnan(lo) or math.isnan(hi):
-        return ValueError("interval endpoint is NaN")
-    return ValueError(f"invalid interval [{lo}, {hi}]")
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +218,7 @@ def midpoint(lo: float, hi: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the public wrapper
-
-
-def _pair(x) -> Pair:
-    if isinstance(x, Interval):
-        return x.lo, x.hi
-    x = float(x)
-    return x, x
+# the checked box type
 
 
 @dataclass(frozen=True)
@@ -253,103 +231,16 @@ class Interval:
     def __post_init__(self):
         lo = float(self.lo)
         hi = float(self.hi)
+        if math.isnan(lo) or math.isnan(hi):
+            raise ValueError("interval endpoint is NaN")
         if not lo <= hi:
-            raise _invalid(lo, hi)
+            raise ValueError(f"invalid interval [{lo}, {hi}]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    @staticmethod
-    def point(x: float) -> "Interval":
-        return Interval(x, x)
-
-    # ------------------------------------------------------------------
-    # basic queries
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> float:
-        return midpoint(self.lo, self.hi)
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def __repr__(self) -> str:
         return _fmt(self.lo, self.hi)
 
-    # ------------------------------------------------------------------
-    # arithmetic (outward rounded)
 
-    def __neg__(self) -> "Interval":
-        return Interval(*neg(_pair(self)))
-
-    def __add__(self, other) -> "Interval":
-        return Interval(*add(_pair(self), _pair(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Interval":
-        return Interval(*sub(_pair(self), _pair(other)))
-
-    def __rsub__(self, other) -> "Interval":
-        return Interval(*sub(_pair(other), _pair(self)))
-
-    def __mul__(self, other) -> "Interval":
-        return Interval(*mul(_pair(self), _pair(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Interval":
-        return Interval(*div(_pair(self), _pair(other)))
-
-    def __rtruediv__(self, other) -> "Interval":
-        return Interval(*div(_pair(other), _pair(self)))
-
-    # ------------------------------------------------------------------
-    # elementary functions
-
-    def exp(self) -> "Interval":
-        return Interval(*exp(_pair(self)))
-
-    def log(self) -> "Interval":
-        return Interval(*log(_pair(self)))
-
-    def cos(self) -> "Interval":
-        return Interval(*cos(_pair(self)))
-
-    def sin(self) -> "Interval":
-        return Interval(*sin(_pair(self)))
-
-    def abs(self) -> "Interval":
-        return Interval(*absolute(_pair(self)))
-
-    def min_with(self, other) -> "Interval":
-        return Interval(*minimum(_pair(self), _pair(other)))
-
-    def max_with(self, other) -> "Interval":
-        return Interval(*maximum(_pair(self), _pair(other)))
-
-    def pow_nat(self, n: int) -> "Interval":
-        """self**n for a natural-number exponent n >= 0."""
-        if n != int(n) or n < 0:
-            raise DomainError(f"pow_nat requires a natural exponent, got {n!r}")
-        return Interval(*pow_nat(_pair(self), int(n)))
-
-    # ------------------------------------------------------------------
-    # splitting
-
-    def split(self) -> tuple["Interval", "Interval"] | None:
-        """Halve at the midpoint; None signals a degenerate (point) interval."""
-        m = self.mid
-        if m <= self.lo or m >= self.hi:
-            return None
-        return Interval(self.lo, m), Interval(m, self.hi)
-
-
-PI = Interval(_down(math.pi), _up(math.pi))
-E = Interval(_down(math.e), _up(math.e))
+PI = Interval(nextafter(math.pi, _NINF), nextafter(math.pi, inf))
+E = Interval(nextafter(math.e, _NINF), nextafter(math.e, inf))

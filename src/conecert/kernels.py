@@ -16,9 +16,10 @@ sums in O(n), and its Newton step uses the closed-form tridiagonal inverse of
 the Green matrix (inverse_tridiagonal) that the same structure gives.
 green_matrix builds the dense matrix and is the tests' reference.
 
-Quadrature is composite trapezoid or Simpson on a uniform grid.  Operator
-evaluation happens at grid t-values only, so the min(t,s) kink always sits
-on a node and trapezoid keeps O(h^2).
+Quadrature is the composite trapezoid rule on a uniform grid (make_rule).
+Operator evaluation happens at grid t-values only, so the min(t,s) kink
+always sits on a node and trapezoid keeps O(h^2); Simpson would gain no
+order, since the kink lies inside a Simpson panel at every odd node.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def kernel_row_integral(kernel: KernelKind, t: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Uniform nodes on [0,1] with composite quadrature weights."""
+    """Increasing nodes on [0,1], ends included, with weights summing to 1."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -204,21 +205,11 @@ def same_rule(a: QuadratureRule, b: QuadratureRule) -> bool:
                       and np.array_equal(a.weights, b.weights))
 
 
-def make_rule(n: int, scheme: str = "trapezoid") -> QuadratureRule:
-    """Composite rule on n uniform nodes; Simpson requires odd n >= 3."""
+def make_rule(n: int) -> QuadratureRule:
+    """Composite trapezoid rule on n >= 3 uniform nodes."""
     if n < 3:
         raise ValueError(f"need at least 3 nodes, got {n}")
     h = 1.0 / (n - 1)
-    nodes = np.linspace(0.0, 1.0, n)
-    if scheme == "trapezoid":
-        weights = np.full(n, h)
-        weights[0] = weights[-1] = h / 2.0
-    elif scheme == "simpson":
-        if n % 2 == 0:
-            raise ValueError(f"simpson requires an odd node count, got {n}")
-        weights = np.full(n, 2.0 * h / 3.0)
-        weights[1::2] = 4.0 * h / 3.0
-        weights[0] = weights[-1] = h / 3.0
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return QuadratureRule(nodes, weights)
+    weights = np.full(n, h)
+    weights[0] = weights[-1] = h / 2.0
+    return QuadratureRule(np.linspace(0.0, 1.0, n), weights)

@@ -25,6 +25,9 @@ of the batch when its own rules end it, so every seed reaches the iterate
 and the verdict it would reach alone.  Results are deduplicated by pairwise
 sup distance and classified; fixed points outside the ambient box are
 reported as "outside-ambient" rather than discarded.
+
+SolverParams holds what a config's `solver` block sets; the rest are
+module constants.
 """
 
 from __future__ import annotations
@@ -55,6 +58,10 @@ FAR_FIELD_FACTOR = 10.0
 
 # forward-difference step of the Newton Jacobian
 FD_STEP = 1e-7
+
+MAX_NEWTON = 25  # Newton steps per seed after its Picard phase
+DEDUPE_FRACTION = 1e-3  # dedupe distance per component / its ambient bound
+NONTRIVIAL_EPS = 1e-6  # a component of sup norm at most this is trivial
 
 
 @dataclass(frozen=True)
@@ -92,9 +99,6 @@ class SolverParams:
     picard_steps: int = 200
     damping: float = 0.5
     newton_tol: float = 1e-8
-    max_newton: int = 25
-    dedupe: float | None = None  # default 1e-3 * ambient bound per component
-    nontrivial_eps: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -376,7 +380,7 @@ def solve_from(problem: ProblemSpec, seed1: GridFunction, seed2: GridFunction,
                params: SolverParams | None = None, seed_id: str = "seed",
                op: DiscreteOperator | None = None) -> Solution | None:
     """At most `picard_steps` damped Picard steps from one seed pair, then
-    at most `max_newton` Newton steps from the Picard iterate of least
+    at most MAX_NEWTON Newton steps from the Picard iterate of least
     residual, reusing its f and T(v); None if no fixed point with residual
     <= newton_tol is reached.  Each iterate is evaluated once.  This is
     multi_start's engine run on one seed."""
@@ -470,12 +474,12 @@ def _solve_lanes(problem: ProblemSpec, op: DiscreteOperator, seeds: np.ndarray,
     res, v, f, tv = best_res[lane], best_v[lane], best_f[lane], best_tv[lane]
     converged = np.zeros(len(seeds), dtype=bool)
     final = np.empty_like(seeds)
-    for newton in range(params.max_newton + 1):
+    for newton in range(MAX_NEWTON + 1):
         at = res <= tol
         converged[lane[at]] = True
         final[lane[at]] = v[at]
         lane, v, f, tv = _keep(~at, lane, v, f, tv)
-        if not lane.size or newton == params.max_newton:
+        if not lane.size or newton == MAX_NEWTON:
             break
         step = lanewise(op.newton_step, lane, v, v - tv, f)
         lane, v, step = _keep(np.isfinite(step).all(axis=(1, 2)), lane, v, step)
@@ -504,8 +508,8 @@ def _solve_lanes(problem: ProblemSpec, op: DiscreteOperator, seeds: np.ndarray,
         solutions[s] = Solution(
             u1=u1, u2=u2, residual=r,
             region=_classify_or_outside(problem, u1, u2),
-            nontrivial=(nontrivial(u1, params.nontrivial_eps),
-                        nontrivial(u2, params.nontrivial_eps)),
+            nontrivial=(nontrivial(u1, NONTRIVIAL_EPS),
+                        nontrivial(u2, NONTRIVIAL_EPS)),
             iterations=int(iterations[s]), seed_id=seed_ids[s])
     return solutions
 
@@ -541,8 +545,8 @@ def multi_start(problem: ProblemSpec, params: SolverParams | None = None,
     """Run every seed combination, deduplicate and classify the survivors.
 
     Dedupe drops a solution when every component is within delta of an
-    already-kept one (delta = 1e-3 * ambient bound per component unless
-    overridden); processing order is sorted by seed_id so the output is
+    already-kept one (delta = DEDUPE_FRACTION * ambient bound per
+    component); processing order is sorted by seed_id so the output is
     deterministic."""
     params = params or SolverParams()
     if params.grid_n < 3:
@@ -572,8 +576,7 @@ def multi_start(problem: ProblemSpec, params: SolverParams | None = None,
     seeds = np.array([(levels1[tag1] * prof1, levels2[tag2] * prof2)
                       for tag1, tag2 in (s.split("-") for s in seed_ids)])
     amb1, amb2 = _ambient_bounds(problem)
-    delta1 = params.dedupe if params.dedupe is not None else 1e-3 * amb1
-    delta2 = params.dedupe if params.dedupe is not None else 1e-3 * amb2
+    delta1, delta2 = DEDUPE_FRACTION * amb1, DEDUPE_FRACTION * amb2
     kept: list[Solution] = []
     for sol in _solve_lanes(problem, op, seeds.reshape(-1, 2, rule.n),
                             seed_ids, params):

@@ -1,10 +1,12 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conecert import hypotheses
+from conecert import cli, hypotheses
 from conecert.cli import _write_solution_csv, dumps_canonical, main
 from conecert.conespace import GridFunction
 from conecert.expr import eval_values
@@ -49,8 +51,11 @@ MALFORMED = [
     ("verify", nine_config, ("checker",), {"budget": True}),
     ("verify", nine_config, ("checker",), {"depth": 2.5}),
     ("solve", nine_config, ("solver",), []),
+    # a key the solver block does not take, whatever its value
     ("solve", nine_config, ("solver",), {"dedupe": -1.0}),
     ("solve", nine_config, ("solver",), {"dedupe": 0}),
+    ("solve", nine_config, ("solver",), {"damping": -1.0}),
+    ("solve", nine_config, ("solver",), {"newton_tol": 0}),
     ("solve", nine_config, ("solver",), {"grid_n": 129.5}),
     ("verify", nine_config, ("output",), "x"),
     ("solve", nine_config, ("output",), {"csv_dir": 5}),
@@ -158,6 +163,11 @@ def test_config_error_names_the_fault(tmp_path, capsys, command, make, message):
 @pytest.mark.parametrize("command,make,block,key", [
     ("verify", nine_config, "checker", "budgte"),
     ("solve", nine_config, "solver", "grid"),
+    # the Newton budget, the dedupe distance and the nontriviality
+    # threshold are solver constants, not keys
+    ("solve", nine_config, "solver", "max_newton"),
+    ("solve", nine_config, "solver", "dedupe"),
+    ("solve", nine_config, "solver", "nontrivial_eps"),
     ("rcd", closing_rcd_config, "rcd", "m3"),
     # every config object takes only its own keys, the root included
     pytest.param("verify", nine_config, "", "chekcer",
@@ -188,6 +198,21 @@ def test_unknown_block_key_is_exit_3(tmp_path, capsys, command, make, block,
     assert "config error:" in err and key in err
 
 
+def test_readme_config_block_matches_the_reader():
+    # the README's documented config takes exactly the keys the reader
+    # accepts in every object, and shows the reader's defaults
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("```jsonc\n", 1)[1].split("\n```", 1)[0]
+    doc = json.loads(re.sub(r"//.*", "", block))
+    assert set(doc) == set(cli._ROOT_KEYS)
+    assert set(doc["problem"]) == set(cli._PROBLEM_KEYS)
+    assert set(doc["problem"]["region"]) == set(cli._REGION_KEYS)
+    assert set(doc["rcd"]) == set(cli._RCD_KEYS)
+    assert doc["checker"] == cli._CHECKER_DEFAULTS
+    assert doc["solver"] == cli._SOLVER_DEFAULTS
+    assert doc["output"] == cli._OUTPUT_DEFAULTS
+
+
 def test_null_output_is_default(tmp_path):
     cfg = nine_config()
     (tmp_path / "default").mkdir()
@@ -202,19 +227,44 @@ def test_null_output_is_default(tmp_path):
 
 
 FLOORS = [
-    (["solve", "--grid-n", "1"], nine_config),
+    ("solve", nine_config, "solver", "grid_n", 1),
     # an even count passes the parity check when no window starts at 1/2
-    (["solve", "--grid-n", "2"], closing_problem_config),
-    (["verify", "--oracle-n", "1"], nine_config),
+    ("solve", closing_problem_config, "solver", "grid_n", 2),
+    ("verify", nine_config, "checker", "oracle_n", 1),
 ]
 
 
-@pytest.mark.parametrize("args,make", FLOORS,
-                         ids=[" ".join(a) for a, _ in FLOORS])
-def test_size_floor_is_exit_3(tmp_path, capsys, args, make):
-    path = write_config(tmp_path, make())
-    assert main([args[0], path, "--out", str(tmp_path), *args[1:]]) == 3
+@pytest.mark.parametrize("command,make,block,key,value", FLOORS,
+                         ids=[f"{c} {b}.{k}={v}" for c, _, b, k, v in FLOORS])
+def test_size_floor_is_exit_3(tmp_path, capsys, command, make, block, key,
+                              value):
+    path = write_config(tmp_path, make() | {block: {key: value}})
+    assert main([command, path, "--out", str(tmp_path)]) == 3
     assert "must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make,message", [
+    pytest.param(_edited(nine_config, ("problem", "region", "c"), 1e308),
+                 "thm52.a1: the bound overflows to inf", id="nine-2c"),
+    pytest.param(_edited(hybrid_config, ("problem", "region", "annulus"),
+                         [2.0, 1e308]),
+                 "thm51.e: the bound overflows to inf", id="hybrid-8R/3"),
+    pytest.param(_edited(closing_problem_config,
+                         ("problem", "kernel1", "beta"), 1e-300),
+                 "component 1: a*exp(1/beta) with beta=1e-300 overflows to inf",
+                 id="thm53-exp"),
+    pytest.param(_edited(closing_problem_config, ("problem", "region", "c"),
+                         [1.7976931348623157e308, 30.0]),
+                 "component 1: c*(1 + 1e-12) overflows to inf",
+                 id="thm53-remark52-slack"),
+])
+def test_theorem_bound_overflow_is_exit_3(tmp_path, capsys, make, message):
+    # a bound or ordering term that overflows is a config error, not a
+    # traceback from math.exp or from the report writer
+    path = write_config(tmp_path, make())
+    assert main(["verify", path, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def _exit_status(argv):
@@ -242,9 +292,9 @@ NOT_A_VERDICT = [
                  lambda: nine_config(report=""),
                  "config error: output.report must not be empty",
                  id="empty-report-name"),
-    pytest.param(["solve", "{config}", "--out", "{out}", "--grid-n", "abc"],
-                 nine_config, "argument --grid-n: invalid int value: 'abc'",
-                 id="grid-n-not-an-int"),
+    pytest.param(["check", "{config}", "--out", "{out}"], nine_config,
+                 "argument command: invalid choice: 'check'",
+                 id="unknown-command"),
     pytest.param(["verify"], nine_config,
                  "the following arguments are required: config",
                  id="missing-config"),
@@ -266,13 +316,13 @@ def test_failure_that_is_not_a_verdict_is_exit_3(tmp_path, capsys, argv,
     assert (tmp_path / "file").read_text() == ""
 
 
-def test_solve_null_dedupe_is_default(tmp_path):
+def test_solve_null_solver_key_is_default(tmp_path):
     cfg = nine_config()
     (tmp_path / "default").mkdir()
     (tmp_path / "null").mkdir()
     assert main(["solve", write_config(tmp_path, cfg), "--out",
                  str(tmp_path / "default")]) == 0
-    cfg["solver"] = {"dedupe": None}
+    cfg["solver"] = {"grid_n": None, "picard_steps": None}
     assert main(["solve", write_config(tmp_path, cfg), "--out",
                  str(tmp_path / "null")]) == 0
     assert (tmp_path / "default" / "report.json").read_bytes() == \
@@ -469,9 +519,13 @@ def test_verify_closing_rcd_system(tmp_path):
     assert report["promised"]["solutions"] == 4
 
 
-def test_verify_oracle_n_flag(tmp_path):
-    path = write_config(tmp_path, nine_config())
-    assert main(["verify", path, "--out", str(tmp_path), "--oracle-n", "51"]) == 0
+def test_verify_oracle_n_flag(tmp_path, capsys):
+    # the lattice size is the config key checker.oracle_n; the flag is gone
+    path = write_config(tmp_path, nine_config() | {"checker": {"oracle_n": 51}})
+    argv = ["verify", path, "--out", str(tmp_path)]
+    assert _exit_status(argv + ["--oracle-n", "51"]) == 3
+    assert "unrecognized arguments: --oracle-n 51" in capsys.readouterr().err
+    assert main(argv) == 0
     report = read_report(tmp_path)
     assert all(v["oracle"]["n"] == 51 for v in report["verdicts"])
 
@@ -513,10 +567,13 @@ def test_solve_seed_list(tmp_path):
     assert report["config_echo"]["seed_list"] == ["B-B", "S-S"]
 
 
-def test_solve_grid_n_flag(tmp_path):
-    path = write_config(tmp_path, nine_config())
-    assert main(["solve", path, "--out", str(tmp_path), "--grid-n", "65",
-                 "--seed-list", "S-S"]) == 0
+def test_solve_grid_n_flag(tmp_path, capsys):
+    # the grid size is the config key solver.grid_n; the flag is gone
+    path = write_config(tmp_path, nine_config() | {"solver": {"grid_n": 65}})
+    argv = ["solve", path, "--out", str(tmp_path), "--seed-list", "S-S"]
+    assert _exit_status(argv + ["--grid-n", "65"]) == 3
+    assert "unrecognized arguments: --grid-n 65" in capsys.readouterr().err
+    assert main(argv) == 0
     report = read_report(tmp_path)
     entry = report["solutions"][0]
     lines = (tmp_path / "solutions" / entry["csv"]).read_text().strip().splitlines()

@@ -1,11 +1,11 @@
 import math
-import operator
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conecert import interval
 from conecert.expr import (BinOp, Call, Const, EvalError, NamedConst, Neg,
                            ParseError, Var, eval_interval, eval_point,
                            eval_values, gradient_program, interval_program,
@@ -204,7 +204,7 @@ def test_capphi_interval_decreasing():
     iv = eval_interval(parse_expr("capphi(x1)"), Interval(0.6, 0.8), Interval(0, 1))
     assert iv.lo == pytest.approx(0.4, abs=1e-12)
     assert iv.hi == pytest.approx(0.8, abs=1e-12)
-    assert iv.contains(0.4) and iv.contains(0.8)
+    assert iv.lo <= 0.4 and 0.8 <= iv.hi
 
 
 def test_ramp_interval_is_endpoint_image():
@@ -271,40 +271,40 @@ def test_eval_errors_keep_the_offset_of_their_own_tree():
         assert err.value.offset == pad + 1
 
 
-_IV_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-              "/": operator.truediv}
-_IV_CALLS = {"exp": Interval.exp, "cos": Interval.cos, "sin": Interval.sin,
-             "ln": Interval.log, "abs": Interval.abs, "min": Interval.min_with,
-             "max": Interval.max_with}
+_IV_BINARY = {"+": interval.add, "-": interval.sub, "*": interval.mul,
+              "/": interval.div}
+_IV_CALLS = {"exp": interval.exp, "cos": interval.cos, "sin": interval.sin,
+             "ln": interval.log, "abs": interval.absolute,
+             "min": interval.minimum, "max": interval.maximum}
 
 
 def _composed_enclosure(node, b1, b2):
-    """The enclosure as a recursive composition of Interval methods; a ramp
+    """The enclosure as a recursive composition of the pair kernels; a ramp
     is its float image of the two endpoints, in order (capphi reversed)."""
     if isinstance(node, Var):
         return b1 if node.name == "x1" else b2
     if isinstance(node, Const):
-        return Interval.point(node.value)
+        return node.value, node.value
     if isinstance(node, NamedConst):
-        return PI if node.name == "pi" else E
+        const = PI if node.name == "pi" else E
+        return const.lo, const.hi
     if isinstance(node, Neg):
-        return -_composed_enclosure(node.operand, b1, b2)
+        return interval.neg(_composed_enclosure(node.operand, b1, b2))
     if isinstance(node, Call):
         args = [_composed_enclosure(a, b1, b2) for a in node.args]
         if node.fn in _IV_CALLS:
             return _IV_CALLS[node.fn](*args)
         ramp = parse_expr(f"{node.fn}(x1)")
-        ends = sorted(eval_point(ramp, z, 0.0) for z in (args[0].lo, args[0].hi))
-        return Interval(*ends)
+        return tuple(sorted(eval_point(ramp, z, 0.0) for z in args[0]))
     left = _composed_enclosure(node.left, b1, b2)
     if node.op == "^":
-        return left.pow_nat(int(node.right.value))
+        return interval.pow_nat(left, int(node.right.value))
     return _IV_BINARY[node.op](left, _composed_enclosure(node.right, b1, b2))
 
 
 def test_point_in_interval_consistency():
     # each compiled enclosure contains the point value, and equals the
-    # composition of Interval methods bit for bit (the compiler's wiring)
+    # composition of the pair kernels bit for bit (the compiler's wiring)
     rng = np.random.default_rng(99)
     trees = [parse_expr(src) for src in EXPR_POOL]
     for _ in range(1000):
@@ -317,8 +317,9 @@ def test_point_in_interval_consistency():
             enclosure = eval_interval(tree, b1, b2)
             value = eval_point(tree, x1, x2)
             assert enclosure.lo <= value <= enclosure.hi, (unparse(tree), b1, b2)
-            composed = _composed_enclosure(tree, b1, b2)
-            assert repr(enclosure) == repr(composed), (unparse(tree), b1, b2)
+            composed = _composed_enclosure(tree, (b1.lo, b1.hi), (b2.lo, b2.hi))
+            assert repr(enclosure) == repr(Interval(*composed)), \
+                (unparse(tree), b1, b2)
 
 
 # ---------------------------------------------------------------------------

@@ -357,6 +357,25 @@ def test_check_thm51_conditions_a_to_d_pass_e_fails():
     assert report.promised is None
 
 
+def test_unknown_with_a_lattice_violation_is_a_fail():
+    # thm52.c1 is f1 > 4 on [1, 2] x [0, 5]: f1 = 4 at x2 = 0, which box
+    # midpoints approach only as 2^-depth, so branch and bound ends
+    # depth-capped Unknown, while the lattice corner (1, 0) refutes it
+    f1 = parse_expr("4 + 1e300*x2*x2")
+    problem = replace(nine_problem(), f1=f1)
+    q = next(q for q in expand_conditions(problem)
+             if q.condition_id == "thm52.c1")
+    alone = certify_box(q)
+    assert (alone.status, alone.max_depth_reached) == ("Unknown", True)
+    result = next(r for r in check_theorem(problem).conditions
+                  if r.cond.condition_id == "thm52.c1")
+    assert result.verdict.status == "Fail"
+    assert result.verdict.witness == (1.0, 0.0, 4.0)
+    assert result.verdict.boxes_explored == alone.boxes_explored
+    assert result.verdict.note.startswith("oracle lattice witness")
+    assert result.agrees is True
+
+
 def test_ordering_violation_is_config_error():
     bad = RegionSpec(d=(0.9, 0.9), a=(1.0, 1.0), c=(1.9, 5.0))
     problem = ProblemSpec(DirichletNeumann(), DirichletNeumann(), F_SYM, F_SYM,

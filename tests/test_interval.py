@@ -4,107 +4,113 @@ import numpy as np
 import pytest
 
 from conecert.errors import DomainError
-from conecert.interval import Interval
+from conecert.interval import (Interval, absolute, add, cos, div, exp, log,
+                               maximum, midpoint, minimum, mul, pow_nat, sin,
+                               sub)
 
 ULP = 4e-16  # relative slack for a couple of outward-rounding steps
 
 
 def assert_tight(iv, lo, hi):
-    """iv contains [lo, hi] and its endpoints are within a few ulps of it."""
+    """The pair iv contains [lo, hi] and its ends are within a few ulps of it."""
     slack_lo = ULP * max(1.0, abs(lo))
     slack_hi = ULP * max(1.0, abs(hi))
-    assert iv.lo <= lo and iv.hi >= hi
-    assert iv.lo >= lo - slack_lo
-    assert iv.hi <= hi + slack_hi
+    assert iv[0] <= lo and iv[1] >= hi
+    assert iv[0] >= lo - slack_lo
+    assert iv[1] <= hi + slack_hi
 
 
 def test_mul_positive():
-    assert_tight(Interval(1, 2) * Interval(3, 4), 3.0, 8.0)
+    assert_tight(mul((1.0, 2.0), (3.0, 4.0)), 3.0, 8.0)
 
 
 def test_add_identity():
-    assert_tight(Interval(0, 0) + Interval(5, 5), 5.0, 5.0)
+    assert_tight(add((0.0, 0.0), (5.0, 5.0)), 5.0, 5.0)
 
 
 def test_div_forced_endpoints():
     # -k/(1+z) for k=8, z in [0,1]
-    assert_tight(Interval(-8, -8) / Interval(1, 2), -8.0, -4.0)
+    assert_tight(div((-8.0, -8.0), (1.0, 2.0)), -8.0, -4.0)
 
 
 def test_div_by_zero_interval():
     with pytest.raises(DomainError):
-        Interval(1, 2) / Interval(-1, 1)
+        div((1.0, 2.0), (-1.0, 1.0))
     with pytest.raises(DomainError):
-        Interval(1, 2) / Interval(0, 2)
+        div((1.0, 2.0), (0.0, 2.0))
 
 
 def test_exp_at_zero():
-    assert_tight(Interval(0, 0).exp(), 1.0, 1.0)
+    assert_tight(exp((0.0, 0.0)), 1.0, 1.0)
 
 
 def test_exp_monotone():
-    assert_tight(Interval(-8, -4).exp(), math.exp(-8), math.exp(-4))
+    assert_tight(exp((-8.0, -4.0)), math.exp(-8), math.exp(-4))
 
 
 def test_cos_full_monotone_piece():
-    assert Interval(0, math.pi).cos() == Interval(-1.0, 1.0)
+    assert cos((0.0, math.pi)) == (-1.0, 1.0)
 
 
 def test_cos_no_extremum_inside():
-    iv = Interval(0.5, 1.0).cos()
-    assert_tight(iv, math.cos(1.0), math.cos(0.5))
+    assert_tight(cos((0.5, 1.0)), math.cos(1.0), math.cos(0.5))
 
 
 def test_cos_wide_interval():
-    assert Interval(0, 50).cos() == Interval(-1.0, 1.0)
+    assert cos((0.0, 50.0)) == (-1.0, 1.0)
 
 
 def test_sin_quarter():
-    iv = Interval(0, math.pi / 2).sin()
+    iv = sin((0.0, math.pi / 2))
     assert_tight(iv, 0.0, 1.0)
-    assert iv.hi == 1.0
+    assert iv[1] == 1.0
 
 
 def test_pow_nat_even_straddling():
-    iv = Interval(-2, 3).pow_nat(2)
-    assert iv.lo == 0.0
+    iv = pow_nat((-2.0, 3.0), 2)
+    assert iv[0] == 0.0
     assert_tight(iv, 0.0, 9.0)
 
 
 def test_pow_nat_zero_exponent():
-    assert Interval(-5, 5).pow_nat(0) == Interval(1.0, 1.0)
-
-
-def test_pow_nat_rejects_fractional():
-    with pytest.raises(DomainError):
-        Interval(1, 2).pow_nat(0.5)
+    assert pow_nat((-5.0, 5.0), 0) == (1.0, 1.0)
 
 
 def test_pow_nat_overflow_is_domain_error():
     with pytest.raises(DomainError):
-        Interval(0, 5).pow_nat(1000)
+        pow_nat((0.0, 5.0), 1000)
     with pytest.raises(DomainError):
-        Interval(-5, 0).pow_nat(1001)
+        pow_nat((-5.0, 0.0), 1001)
 
 
 def test_log_domain():
     with pytest.raises(DomainError):
-        Interval(0, 1).log()
-    assert_tight(Interval(1, math.e).log(), 0.0, 1.0)
+        log((0.0, 1.0))
+    assert_tight(log((1.0, math.e)), 0.0, 1.0)
 
 
 def test_split_examples():
-    assert Interval(0, 4).split() == (Interval(0, 2), Interval(2, 4))
-    assert Interval(0, 1).split() == (Interval(0, 0.5), Interval(0.5, 1))
-    assert Interval(1, 1).split() is None
+    # branch and bound splits [lo, hi] at midpoint(lo, hi) only when it lies
+    # strictly inside, so a point interval is never split
+    assert midpoint(0.0, 4.0) == 2.0
+    assert midpoint(0.0, 1.0) == 0.5
+    assert midpoint(1.0, 1.0) == 1.0
+    # lo + hi overflows, yet the split point stays inside
+    big = 1.7e308
+    assert 1e308 < midpoint(1e308, big) < big
+    assert midpoint(-big, big) == 0.0
 
 
 def test_split_children_cover_parent():
-    parent = Interval(-1.3, 2.7)
-    left, right = parent.split()
-    assert left.lo == parent.lo and right.hi == parent.hi
-    assert left.hi == right.lo
-    assert left.hull(right) == parent
+    # the halves [lo, m] and [m, hi] are valid intervals and cover the
+    # parent, also where lo and hi are adjacent floats
+    rng = np.random.default_rng(11)
+    for _ in range(1000):
+        lo = rng.uniform(-3, 3)
+        for hi in (lo + rng.uniform(0, 2), math.nextafter(lo, math.inf)):
+            m = midpoint(lo, hi)
+            left, right = Interval(lo, m), Interval(m, hi)
+            assert left.lo == lo and left.hi == right.lo and right.hi == hi
 
 
 def test_invalid_interval():
@@ -115,25 +121,29 @@ def test_invalid_interval():
 
 
 def test_min_max_with():
-    assert Interval(0, 3).min_with(Interval(1, 2)) == Interval(0, 2)
-    assert Interval(0, 3).max_with(Interval(1, 2)) == Interval(1, 3)
+    assert minimum((0.0, 3.0), (1.0, 2.0)) == (0.0, 2.0)
+    assert maximum((0.0, 3.0), (1.0, 2.0)) == (1.0, 3.0)
 
 
 def test_abs():
-    assert Interval(-3, 2).abs() == Interval(0, 3)
-    assert Interval(1, 2).abs() == Interval(1, 2)
-    assert Interval(-2, -1).abs() == Interval(1, 2)
+    assert absolute((-3.0, 2.0)) == (0.0, 3.0)
+    assert absolute((1.0, 2.0)) == (1.0, 2.0)
+    assert absolute((-2.0, -1.0)) == (1.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
 # containment under random sampling
+
+def _const(x):
+    return x, x
+
 
 def _compose_a(x, y):
     return (x + y) * x - y / (y * y + 3.0)
 
 
 def _compose_a_iv(a, b):
-    return (a + b) * a - b / (b.pow_nat(2) + 3.0)
+    return sub(mul(add(a, b), a), div(b, add(pow_nat(b, 2), _const(3.0))))
 
 
 def _compose_b(x, y):
@@ -141,7 +151,7 @@ def _compose_b(x, y):
 
 
 def _compose_b_iv(a, b):
-    return (a.cos() * b / 8.0).exp() + (a - b).abs()
+    return add(exp(div(mul(cos(a), b), _const(8.0))), absolute(sub(a, b)))
 
 
 def _compose_c(x, y):
@@ -149,7 +159,12 @@ def _compose_c(x, y):
 
 
 def _compose_c_iv(a, b):
-    return a.pow_nat(2).min_with(2.0 + b) - b.sin().max_with(a / 7.0) * 0.5
+    return sub(minimum(pow_nat(a, 2), add(_const(2.0), b)),
+               mul(maximum(sin(b), div(a, _const(7.0))), _const(0.5)))
+
+
+def _contains(iv, x):
+    return iv[0] <= x <= iv[1]
 
 
 def test_containment_random_sampling():
@@ -158,13 +173,14 @@ def test_containment_random_sampling():
              (_compose_c, _compose_c_iv))
     for _ in range(10_000):
         lo1, lo2 = rng.uniform(-4, 4, 2)
-        a = Interval(lo1, lo1 + rng.uniform(0, 3))
-        b = Interval(lo2, lo2 + rng.uniform(0, 3))
-        x = rng.uniform(a.lo, a.hi)
-        y = rng.uniform(b.lo, b.hi)
+        a = (lo1, lo1 + rng.uniform(0, 3))
+        b = (lo2, lo2 + rng.uniform(0, 3))
+        x = rng.uniform(*a)
+        y = rng.uniform(*b)
         for point_fn, iv_fn in pairs:
             enclosure = iv_fn(a, b)
-            assert enclosure.contains(point_fn(x, y)), (point_fn.__name__, a, b, x, y)
+            assert _contains(enclosure, point_fn(x, y)), \
+                (point_fn.__name__, a, b, x, y)
 
 
 def test_split_children_contain_true_range():
@@ -173,12 +189,12 @@ def test_split_children_contain_true_range():
     rng = np.random.default_rng(7)
     for _ in range(200):
         lo = rng.uniform(-3, 3)
-        parent = Interval(lo, lo + rng.uniform(1e-6, 2))
-        halves = parent.split()
-        assert halves is not None
-        for half in halves:
+        hi = lo + rng.uniform(1e-6, 2)
+        m = midpoint(lo, hi)
+        assert lo < m < hi
+        for half in ((lo, m), (m, hi)):
             enc = _compose_a_iv(half, half)
             for _ in range(20):
-                x = rng.uniform(half.lo, half.hi)
-                y = rng.uniform(half.lo, half.hi)
-                assert enc.contains(_compose_a(x, y))
+                x = rng.uniform(*half)
+                y = rng.uniform(*half)
+                assert _contains(enc, _compose_a(x, y))

@@ -98,8 +98,8 @@ def test_green_matrix_small_beta_is_warning_free():
 @pytest.mark.parametrize("n", [3, 9, 129])
 @pytest.mark.parametrize("spacing", ["uniform", "chebyshev"])
 def test_inverse_tridiagonal_inverts_green_matrix(kernel, n, spacing):
-    # make_rule's nodes (trapezoid and Simpson share them) and a non-uniform
-    # node set; min(t,s) is inverted on the nodes t > 0, where G is regular
+    # make_rule's nodes and a non-uniform node set; min(t,s) is inverted on
+    # the nodes t > 0, where G is regular
     nodes = make_rule(n).nodes if spacing == "uniform" \
         else 0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, n)))
     lower, diag, upper = inverse_tridiagonal(kernel, nodes)
@@ -118,31 +118,20 @@ def test_inverse_tridiagonal_rejects_bad_nodes():
 
 
 def test_make_rule_trapezoid_3():
-    rule = make_rule(3, "trapezoid")
+    rule = make_rule(3)
     assert np.allclose(rule.weights, [0.25, 0.5, 0.25], atol=0)
     assert np.allclose(rule.nodes, [0.0, 0.5, 1.0], atol=0)
 
 
-def test_make_rule_simpson_3():
-    rule = make_rule(3, "simpson")
-    assert np.allclose(rule.weights, [1 / 6, 4 / 6, 1 / 6])
-
-
-def test_make_rule_rejects_small_and_even_simpson():
-    with pytest.raises(ValueError):
-        make_rule(2)
-    with pytest.raises(ValueError):
-        make_rule(4, "simpson")
-    with pytest.raises(ValueError):
-        make_rule(5, "gauss")
+def test_make_rule_rejects_too_few_nodes():
+    for n in (2, 1, 0):
+        with pytest.raises(ValueError):
+            make_rule(n)
 
 
 def test_weights_sum_to_one():
     for n in (3, 9, 65, 101, 129, 257):
         assert abs(make_rule(n).weights.sum() - 1.0) <= 1e-14
-    for n in (3, 9, 65, 101, 129, 257):
-        if n % 2 == 1:
-            assert abs(make_rule(n, "simpson").weights.sum() - 1.0) <= 1e-14
 
 
 def test_rule_validation():

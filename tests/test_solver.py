@@ -13,14 +13,28 @@ from conecert.errors import ConfigError
 from conecert.expr import EvalError, parse_expr
 from conecert.hypotheses import BoxIneq, grid_oracle
 from conecert.interval import Interval
-from conecert.kernels import (DirichletNeumann, ReactionConvectionDiffusion,
-                              green_matrix, kernel_row_integral, make_rule)
+from conecert.kernels import (DirichletNeumann, QuadratureRule,
+                              ReactionConvectionDiffusion, green_matrix,
+                              kernel_row_integral, make_rule)
 from conecert.solver import (DiscreteOperator, ProblemSpec, SolverParams,
                              apply_T, multi_start, residual, seed_levels,
                              solve_from)
 from conftest import closing_problem_config
 
 RULE = make_rule(129)
+
+
+def rule_for(n: int, scheme: str) -> QuadratureRule:
+    """make_rule(n), or composite Simpson on its nodes (odd n): the operator
+    takes any rule, and Simpson's non-uniform weights check that the weights
+    are applied node by node."""
+    if scheme == "trapezoid":
+        return make_rule(n)
+    h = 1.0 / (n - 1)
+    weights = np.full(n, 2.0 * h / 3.0)
+    weights[1::2] = 4.0 * h / 3.0
+    weights[0] = weights[-1] = h / 3.0
+    return QuadratureRule(np.linspace(0.0, 1.0, n), weights)
 
 
 def dirichlet_problem(f1_src, f2_src, region=None, mode="nine"):
@@ -228,7 +242,7 @@ def test_apply_matches_dense_oracle(kernel_pair, n, scheme):
                         window=(0.5, 0.5) if mode == "nine" else (0.0, 0.0))
     problem = ProblemSpec(k1, k2, parse_expr("x1"), parse_expr("x2"),
                           region, mode)
-    rule = make_rule(n, scheme)
+    rule = rule_for(n, scheme)
     op = DiscreteOperator(problem, rule)
     rng = np.random.default_rng(n)
     for low in (0.0, -1.0):  # positive and signed f
@@ -432,7 +446,7 @@ def dense_newton_step(problem, rule, v1, v2):
 def test_newton_step_matches_dense_solve(nine_problem, system, grid_n, scheme):
     problem = nine_problem if system == "nine" \
         else build_problem(closing_problem_config()["problem"])
-    rule = make_rule(grid_n, scheme)
+    rule = rule_for(grid_n, scheme)
     op = DiscreteOperator(problem, rule)
     rng = np.random.default_rng(grid_n)
     levels1, levels2 = seed_levels(problem)
