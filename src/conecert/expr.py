@@ -17,19 +17,21 @@ only ever feed nonnegative functions, but quadrature round-off may produce
 -eps).
 
 Evaluation compiles each tree once into nested closures, one per node, over
-one of two arithmetic tables: plain floats and numpy arrays (pointwise, and
+one of two arithmetic tables: np.float64 scalars and arrays (pointwise, and
 vectorised for the solver and the grid oracle), or gradient triples of
 outward-rounded endpoint pairs (with the kernels of `interval`: a rigorous
 range enclosure and both partial derivative enclosures, for first-order
 branch and bound; run with exactly zero derivative seeds, the range
 enclosure alone).  Each table supplies every operation: constant lifting,
-the named constants, the operators and the builtins.  Every table signals a
-domain violation with DomainError (the float table also with numpy's
-FloatingPointError for an operation that makes a NaN), which the node's
-closure turns into an EvalError at its source offset.  Compiled programs are
-cached by node identity, not by equality (equal trees may carry different
-offsets), so the hundreds of evaluations of one expression in a solve or a
-branch and bound compile it once.
+the named constants, the operators and the builtins.  The float table is
+`operator` and numpy ufuncs run with numpy's overflow, divide and invalid
+flags raising FloatingPointError (underflow is silent), so from finite
+operands it makes a finite value or raises; a literal that overflows to inf
+is a ParseError.  The gradient table raises DomainError.  The closure of the
+node whose operation raised turns either into an EvalError at its source
+offset.  Compiled programs are cached by node identity, not by equality
+(equal trees may carry different offsets), so the hundreds of evaluations
+of one expression in a solve or a branch and bound compile it once.
 
 The ramps are monotone (phi and psi nondecreasing, capphi nonincreasing) and
 exact in float arithmetic (2z - 1 and 2 - 2z by Sterbenz's lemma on
@@ -74,11 +76,12 @@ class ParseError(Exception):
 class EvalError(Exception):
     """Evaluation failure, attributed to a node's source offset.
 
-    A failure that depends on the arguments (division by zero, ln of a
-    nonpositive value, an interval divisor containing 0, a float operation
-    that makes a NaN) carries the DomainError or numpy's FloatingPointError
-    as its ``__cause__``; a failure of the expression itself (a non-constant
-    exponent in interval mode) carries none."""
+    A failure that depends on the arguments carries its cause, with its
+    message: numpy's FloatingPointError for a float operation that
+    overflows, divides by zero or is invalid, or a DomainError for an
+    interval one (a divisor enclosure containing 0, say).  A failure of the
+    expression itself (a non-constant exponent in interval mode) carries
+    none."""
 
     def __init__(self, offset: int, message: str):
         self.offset = offset
@@ -249,6 +252,8 @@ class _Parser:
     def atom(self) -> ExprAst:
         kind, text, off = self.advance()
         if kind == "num":
+            if not math.isfinite(float(text)):
+                raise ParseError(off, f"the number {text} overflows a float")
             return Const(float(text), offset=off)
         if kind == "name":
             if text in ("x1", "x2"):
@@ -334,67 +339,23 @@ def unparse(node: ExprAst) -> str:
 # ---------------------------------------------------------------------------
 # evaluation: one compiler over two arithmetic tables
 
-def _clip01(v):
-    return np.minimum(np.maximum(v, 0.0), 1.0)
+# a ramp clips its argument first, so none overflows it; 2z - 1 and 2 - 2z
+# are exact on [1/2, 1], so the bits are those of clipping them to [0, 1]
+
+def _clip(v, lo: float, hi: float):
+    return np.minimum(np.maximum(v, lo), hi)
 
 
 def _phi(z):
-    return _clip01(2.0 * z - 1.0)
+    return 2.0 * _clip(z, 0.5, 1.0) - 1.0
 
 
 def _psi(z):
-    return _clip01(z)
+    return _clip(z, 0.0, 1.0)
 
 
 def _capphi(z):
-    return _clip01(2.0 - 2.0 * z)
-
-
-# domain checks on a float or an array; a numpy reduction costs microseconds
-# on a scalar, so scalars are tested directly
-
-def _any(mask) -> bool:
-    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
-
-
-def _all_finite(v) -> bool:
-    return bool(np.isfinite(v).all()) if isinstance(v, np.ndarray) else math.isfinite(v)
-
-
-def _div(a, b):
-    if _any(b == 0.0):
-        raise DomainError("division by zero")
-    return a / b
-
-
-def _pow(a, b):
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        out = np.power(np.asarray(a, dtype=float), b)
-    if not _all_finite(out):
-        raise DomainError("power produced a non-finite value")
-    return out
-
-
-def _exp(a):
-    with np.errstate(over="ignore"):
-        out = np.exp(a)
-    if not _all_finite(out):
-        raise DomainError("exp overflow")
-    return out
-
-
-def _trig(name, fn):
-    def run(a):
-        if not _all_finite(a):
-            raise DomainError(f"{name} of a non-finite value")
-        return fn(a)
-    return run
-
-
-def _ln(a):
-    if _any(a <= 0.0):
-        raise DomainError("ln of a nonpositive value")
-    return np.log(a)
+    return 2.0 - 2.0 * _clip(z, 0.5, 1.0)
 
 
 @dataclass(frozen=True)
@@ -406,11 +367,11 @@ class _Table:
 
 
 _FLOATS = _Table(
-    const=float,
-    named={"pi": math.pi, "e": math.e},
-    ops={"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div,
-         "^": _pow, "neg": operator.neg, "exp": _exp, "cos": _trig("cos", np.cos),
-         "sin": _trig("sin", np.sin), "ln": _ln, "abs": np.abs, "phi": _phi,
+    const=np.float64,
+    named={"pi": np.float64(math.pi), "e": np.float64(math.e)},
+    ops={"+": operator.add, "-": operator.sub, "*": operator.mul,
+         "/": operator.truediv, "^": np.power, "neg": operator.neg, "exp": np.exp,
+         "cos": np.cos, "sin": np.sin, "ln": np.log, "abs": np.abs, "phi": _phi,
          "psi": _psi, "capphi": _capphi, "min": np.minimum, "max": np.maximum},
     natural_exponent=False)
 
@@ -627,10 +588,10 @@ def _binary(fn, left, right, offset: int):
 def _compile(node: ExprAst, table: _Table):
     """The program ``(x1, x2) -> value`` of node over one table: nested
     closures, one per node, each calling its table function on its
-    children's values.  A DomainError of that function becomes an EvalError
-    at the node's source offset.  Interval programs take a natural-number
-    exponent only, so compiling one raises that EvalError for the first
-    other `^`, before any evaluation."""
+    children's values.  A DomainError or FloatingPointError of that function
+    becomes an EvalError at the node's source offset.  Interval programs
+    take a natural-number exponent only, so compiling one raises that
+    EvalError for the first other `^`, before any evaluation."""
     if isinstance(node, Var):
         return _x1 if node.name == "x1" else _x2
     if isinstance(node, Const):
@@ -669,24 +630,45 @@ def _program(e: ExprAst, table: _Table):
     return program
 
 
-# Float programs run with overflow silent (an infinite value is what the
-# table's domain checks test for) and an invalid operation raising: inf - inf
-# or 0 * inf raises FloatingPointError, which the closure of the operation
-# that made the NaN turns into its EvalError.
+# float programs run with every IEEE flag but underflow raising
+_FLOAT_FLAGS = np.errstate(over="raise", divide="raise", invalid="raise",
+                           under="ignore")
 
-@np.errstate(over="ignore", invalid="raise")
+
+@_FLOAT_FLAGS
 def eval_point(e: ExprAst, x1: float, x2: float) -> float:
-    """Evaluate at a point in plain float arithmetic."""
+    """Evaluate at a point in plain float arithmetic: a finite float, or
+    the EvalError of the first operation that fails."""
     return float(_program(e, _FLOATS)(np.float64(x1), np.float64(x2)))
 
 
-@np.errstate(over="ignore", invalid="raise")
+@_FLOAT_FLAGS
 def eval_values(e: ExprAst, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Vectorised evaluation over numpy arrays (broadcasting applies)."""
+    """Vectorised evaluation over numpy arrays (broadcasting applies): all
+    elements finite, or an EvalError."""
     out = _program(e, _FLOATS)(np.asarray(x1, dtype=float),
                                np.asarray(x2, dtype=float))
     return np.broadcast_to(np.asarray(out, dtype=float),
                            np.broadcast_shapes(np.shape(x1), np.shape(x2))).copy()
+
+
+def first_failure(e: ExprAst, x1: np.ndarray, x2: np.ndarray,
+                  error: EvalError) -> tuple[int, EvalError]:
+    """Where `eval_values(e, x1, x2)` failed with `error`: the row-major index
+    of the first failing element of the broadcast arrays, and its own
+    EvalError.  Float operations are elementwise, so a prefix of the
+    flattened elements fails exactly when it holds a failing one; bisection
+    finds the shortest such prefix, whose last element alone fails."""
+    x1, x2 = (np.ravel(a) for a in np.broadcast_arrays(x1, x2))
+    good, bad = 0, len(x1)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            eval_values(e, x1[:mid], x2[:mid])
+            good = mid
+        except EvalError as err:
+            bad, error = mid, err
+    return good, error
 
 
 def interval_program(e: ExprAst):

@@ -30,8 +30,9 @@ definite, so monotonicity can cut the box to the face on the kink.
 A box whose enclosure leaves an operation's domain (a divisor enclosure
 containing 0, say) is simply not certified and gets split; a gradient
 enclosure that leaves it only skips the first-order tests on that box.
-Only a failing point evaluation is reported as an error: a domain error or
-an overflow to +-inf at a box midpoint or at an oracle lattice point.
+Only a failing point evaluation is reported as an error: a float operation
+that overflows, divides by zero or is invalid at a box midpoint or at an
+oracle lattice point (the first failing one in row-major order).
 
 A plain-arithmetic grid oracle (dense lattice extrema) runs alongside as an
 independent cross-check; it can never certify, only agree or disagree.
@@ -51,8 +52,8 @@ import numpy as np
 from .conespace import RegionLabel
 from . import interval
 from .errors import ConfigError, DomainError
-from .expr import (EvalError, ExprAst, eval_point, eval_values, gradient_program,
-                   interval_program, ramp_breakpoints)
+from .expr import (EvalError, ExprAst, eval_point, eval_values, first_failure,
+                   gradient_program, interval_program, ramp_breakpoints)
 # only for benchmarks/spans.py, which patches it (AttributeError if absent)
 from .expr import eval_interval  # noqa: F401
 from .interval import Interval, midpoint
@@ -187,8 +188,6 @@ def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
         m2 = midpoint(lo2, hi2)
         try:
             val = eval_point(q.expr, m1, m2)
-            if not math.isfinite(val):
-                raise EvalError(q.expr.offset, f"overflow to {val}")
         except EvalError as err:
             raise EvalError(err.offset, f"{err.message} at the midpoint "
                             f"({m1!r}, {m2!r}) of sub-box {Interval(lo1, hi1)} x "
@@ -252,7 +251,8 @@ class OracleResult:
 
 def grid_oracle(q: BoxIneq, n: int = DEFAULT_ORACLE_N) -> OracleResult:
     """Plain-arithmetic extrema of expr over the n x n lattice (corners
-    included), plus the lattice's first violation of the relation."""
+    included), plus the lattice's first violation of the relation; an
+    EvalError names the first failing point (row-major, x1 outer)."""
     if n < 2:
         raise ValueError(f"need n >= 2 samples per axis, got {n}")
     try:
@@ -265,17 +265,15 @@ def grid_oracle(q: BoxIneq, n: int = DEFAULT_ORACLE_N) -> OracleResult:
     except (MemoryError, ValueError) as err:
         # numpy refuses a count beyond its index range, or memory runs out
         raise ConfigError(f"oracle_n = {n:.6g} is too large: {err}") from err
+    except EvalError as err:
+        at, error = first_failure(q.expr, g1[:, None], g2[None, :], err)
+        i, j = divmod(at, n)
+        raise EvalError(error.offset, f"{error.message} at the lattice point "
+                        f"({float(g1[i])!r}, {float(g2[j])!r})") from error
 
     def point(idx):
         i, j = np.unravel_index(idx, vals.shape)
         return float(g1[i]), float(g2[j]), float(vals[i, j])
-
-    # the float table lets +, - and * overflow unchecked; only a NaN raises
-    overflow = ~np.isfinite(vals)
-    if overflow.any():
-        x1, x2, val = point(int(np.argmax(overflow)))
-        raise EvalError(q.expr.offset, f"overflow to {val} at the lattice "
-                        f"point ({x1!r}, {x2!r})")
 
     x1, x2, sup = point(int(np.argmax(vals)))
     y1, y2, inf = point(int(np.argmin(vals)))

@@ -202,24 +202,17 @@ class DerivedParams:
     source: RcdParams
 
 
-def f1_value(d: DerivedParams, x1: float, x2: float) -> float:
-    return d.p1 * (d.q1 - x2) * math.exp(-d.source.k1 / (1.0 + x1))
-
-
-def f2_value(d: DerivedParams, x1: float, x2: float) -> float:
-    return d.p2 * (d.q2 - x1) * math.exp(-d.source.k2 / (1.0 + x2))
-
-
 def scaled_ratios(d: DerivedParams) -> dict[str, float]:
-    """The four ratios f_j(...)/threshold re-verified after construction:
-    the first and third must be < 1, the second and fourth > 1."""
-    c1 = d.st1 * math.exp(1.0 / d.source.beta1)
-    c2 = d.st2 * math.exp(1.0 / d.source.beta2)
+    """The four ratios f_j(corner)/threshold re-verified after construction:
+    the first and third must be < 1, the second and fourth > 1.  The
+    exp(1/beta) factors of p_j and q_j cancel at the corners, leaving m2
+    (for f1) or m1 (for f2) over an end of its admissible range."""
+    m1, m2 = d.source.m1, d.source.m2
     return {
-        "f1_small": f1_value(d, d.s1, 0.0) / d.s1,
-        "f1_big": f1_value(d, d.st1, c2) / d.st1,
-        "f2_small": f2_value(d, 0.0, d.s2) / d.s2,
-        "f2_big": f2_value(d, c1, d.st2) / d.st2,
+        "f1_small": m2 / d.m2_range.hi,
+        "f1_big": m2 / d.m2_range.lo,
+        "f2_small": m1 / d.m1_range.hi,
+        "f2_big": m1 / d.m1_range.lo,
     }
 
 
@@ -301,12 +294,9 @@ def check_all(p: RcdParams) -> tuple[list[tuple[str, CertVerdict]],
 
 
 def diffusion_thresholds(d: DerivedParams) -> tuple[float, float]:
-    """Right-hand sides of the diffusion inequality (beta-independent)."""
-    rhs1 = d.st1 / (d.source.m2 * (d.source.r2 - 1.0) * d.st2
-                    * math.exp(-d.source.k1 / (1.0 + d.st1)))
-    rhs2 = d.st2 / (d.source.m1 * (d.source.r1 - 1.0) * d.st1
-                    * math.exp(-d.source.k2 / (1.0 + d.st2)))
-    return rhs1, rhs2
+    """Right-hand sides of the diffusion inequality (beta-independent):
+    st_j/f_j at the corner, the reciprocal of the f_j_big scaled ratio."""
+    return d.m2_range.lo / d.source.m2, d.m1_range.lo / d.source.m1
 
 
 def _h(z: float) -> float:

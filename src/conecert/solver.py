@@ -5,9 +5,12 @@ The system's operator is discretized on the quadrature rule's own nodes:
     (T_j u)(t_i) = sum_m w_m * G_j(t_i, t_m) * f_j(u1(t_m), u2(t_m)),
 
 and a fixed point of the discrete map is hunted per seed by damped Picard
-iteration followed by Newton on F(u) = u - T(u).  The nonlinearities'
-derivatives are forward finite differences at the nodes (the piecewise ramps
-are non-smooth at their breakpoints, so no AST differentiation).  Both
+iteration followed by Newton on F(u) = u - T(u).  An EvalError of f (a
+float operation that overflows, divides by zero or is invalid) names the
+first failing grid node and ends only the seed whose state made it.  The
+nonlinearities' derivatives are forward finite differences at the nodes
+(the piecewise ramps are non-smooth at their breakpoints, so no AST
+differentiation).  Both
 kernels are semiseparable, so no n x n matrix is ever formed.  The operator
 is applied from the kernels' generators (kernels.generators) with two prefix
 sums along the node axis, in O(n).  The Green matrices have tridiagonal
@@ -23,8 +26,9 @@ state: the operator, its Jacobian and the Newton step take any leading batch
 axis, each Picard or Newton step is one batched call, and a seed drops out
 of the batch when its own rules end it, so every seed reaches the iterate
 and the verdict it would reach alone.  Results are deduplicated by pairwise
-sup distance and classified; fixed points outside the ambient box are
-reported as "outside-ambient" rather than discarded.
+sup distance, relative to the kept solution's sup norm, and classified;
+fixed points outside the ambient box are reported as "outside-ambient"
+rather than discarded.
 
 SolverParams holds what a config's `solver` block sets; the rest are
 module constants.
@@ -41,7 +45,7 @@ import numpy as np
 from .conespace import (GridFunction, RegionLabel, RegionSpec, classify,
                         nontrivial, sup_norm)
 from .errors import ConfigError, OutsideAmbientError
-from .expr import EvalError, ExprAst, eval_values
+from .expr import EvalError, ExprAst, eval_values, first_failure
 from .kernels import (DirichletNeumann, KernelKind, QuadratureRule,
                       ReactionConvectionDiffusion, generator_blocks,
                       generators, inverse_tridiagonal, make_rule, same_rule)
@@ -60,7 +64,7 @@ FAR_FIELD_FACTOR = 10.0
 FD_STEP = 1e-7
 
 MAX_NEWTON = 25  # Newton steps per seed after its Picard phase
-DEDUPE_FRACTION = 1e-3  # dedupe distance per component / its ambient bound
+DEDUPE_TOL = 1e-6  # dedupe distance / max(1, sup norm of the kept solution)
 NONTRIVIAL_EPS = 1e-6  # a component of sup norm at most this is trivial
 
 
@@ -143,22 +147,9 @@ class DiscreteOperator:
         try:
             return eval_values(f, v1, v2)
         except EvalError as err:
-            error = err
-        # name the first grid node where f fails, by bisection: every check
-        # of the float table is elementwise, so a prefix of the flattened
-        # nodes fails exactly when it holds a failing node, and the last
-        # failing prefix holds only that node
-        x1, x2 = np.ravel(v1), np.ravel(v2)
-        good, bad = 0, len(x1)
-        while bad - good > 1:
-            mid = (good + bad) // 2
-            try:
-                eval_values(f, x1[:mid], x2[:mid])
-                good = mid
-            except EvalError as err:
-                bad, error = mid, err
+            at, error = first_failure(f, v1, v2, err)
         raise EvalError(error.offset, f"{error.message} at grid node "
-                                      f"{good % np.shape(v1)[-1]}") from error
+                                      f"{at % np.shape(v1)[-1]}") from error
 
     def nonlinearity(self, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
         """(f1, f2) at the nodes of v, stacked as one (..., 2, n) array."""
@@ -544,10 +535,10 @@ def multi_start(problem: ProblemSpec, params: SolverParams | None = None,
                 seed_list: list[str] | None = None) -> list[Solution]:
     """Run every seed combination, deduplicate and classify the survivors.
 
-    Dedupe drops a solution when every component is within delta of an
-    already-kept one (delta = DEDUPE_FRACTION * ambient bound per
-    component); processing order is sorted by seed_id so the output is
-    deterministic."""
+    Dedupe drops a solution within sup distance DEDUPE_TOL * max(1, |w|)
+    of an already-kept one w, over both components: a fixed point's own
+    scale, not the region's, so a loose ambient bound merges nothing.
+    Processing order is sorted by seed_id so the output is deterministic."""
     params = params or SolverParams()
     if params.grid_n < 3:
         raise ConfigError(f"grid_n must be at least 3, got {params.grid_n}")
@@ -575,14 +566,13 @@ def multi_start(problem: ProblemSpec, params: SolverParams | None = None,
     seed_ids = sorted(seed_ids)
     seeds = np.array([(levels1[tag1] * prof1, levels2[tag2] * prof2)
                       for tag1, tag2 in (s.split("-") for s in seed_ids)])
-    amb1, amb2 = _ambient_bounds(problem)
-    delta1, delta2 = DEDUPE_FRACTION * amb1, DEDUPE_FRACTION * amb2
     kept: list[Solution] = []
     for sol in _solve_lanes(problem, op, seeds.reshape(-1, 2, rule.n),
                             seed_ids, params):
         if sol is not None and not any(
-                np.max(np.abs(sol.u1.values - other.u1.values)) <= delta1
-                and np.max(np.abs(sol.u2.values - other.u2.values)) <= delta2
+                max(np.max(np.abs(sol.u1.values - other.u1.values)),
+                    np.max(np.abs(sol.u2.values - other.u2.values)))
+                <= DEDUPE_TOL * max(1.0, sup_norm(other.u1), sup_norm(other.u2))
                 for other in kept):
             kept.append(sol)
     return kept

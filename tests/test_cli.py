@@ -411,7 +411,8 @@ def test_verify_point_domain_error_is_exit_3(tmp_path, capsys):
     cfg["problem"]["f1"] = "1/(x1 - 2.5)"  # the ambient box's midpoint
     path = write_config(tmp_path, cfg)
     assert main(["verify", path, "--out", str(tmp_path)]) == 3
-    assert "division by zero at the midpoint" in capsys.readouterr().err
+    assert ("divide by zero encountered in scalar divide at the midpoint"
+            in capsys.readouterr().err)
 
 
 def test_verify_nonnatural_exponent_is_exit_3(tmp_path, capsys):
@@ -425,7 +426,7 @@ def test_verify_nonnatural_exponent_is_exit_3(tmp_path, capsys):
 @pytest.mark.parametrize("term", [
     " + 0*x1^1000",         # math.pow overflows
     " + 0*exp(200*x1)",     # math.exp overflows
-    " + 0*cos(1e999)",      # cos of inf
+    " + 0*cos(1e999)",      # a literal inf does not parse
     " + cos(x1*1e308*10)",  # the argument overflows to inf at the midpoint
     " + 0*(x1*1e308*10 - x1*1e308*10)",  # inf - inf, then 0 * inf
 ], ids=["pow", "exp", "cos-inf", "cos-overflow", "nan"])
@@ -440,27 +441,51 @@ def test_verify_power_overflow_is_exit_3(tmp_path, capsys, term):
     path = write_config(tmp_path, cfg)
     assert main(["verify", path, "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("evaluation error:")
-    assert "at the midpoint" in err[0]
+    assert len(err) == 1
+    if "1e999" in term:
+        assert err[0].startswith("config error: bad nonlinearity expression:")
+    else:
+        assert err[0].startswith("evaluation error:")
+        assert "at the midpoint" in err[0]
 
 
 @pytest.mark.parametrize("f1, where", [
-    ("1e308*x1*x1", "at the midpoint (2.5, 2.5) of sub-box"),
+    ("1e308*x1*x1", "at position 5: overflow encountered in scalar multiply "
+                    "at the midpoint (2.5, 2.5) of sub-box"),
     # the root midpoint is a finite Fail; the lattice overflows further out
-    ("11 + 1e307*x1*x1*x1/125", "at the lattice point (2.625, 0.0)"),
+    ("11 + 1e307*x1*x1*x1/125", "at position 16: overflow encountered in "
+                                "multiply at the lattice point (2.625, 0.0)"),
 ], ids=["midpoint", "lattice"])
 def test_verify_overflow_to_inf_is_exit_3(tmp_path, capsys, f1, where):
-    # the float table lets *, + and - overflow unchecked, so verify checks
-    # each value it takes from it: an infinite one is a domain error there,
-    # not a sup of inf in the report
+    # the float table raises at the operation that overflows, so an
+    # infinite value is an evaluation error at that node, not a sup of inf
+    # in the report
     cfg = nine_config()
     cfg["problem"]["f1"] = f1
     path = write_config(tmp_path, cfg)
     assert main(["verify", path, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("evaluation error: at position ")
-    assert f"overflow to inf {where}" in err[0]
+    assert where in err[0]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("term, where", [
+    (" + 0*(1/x1)", "at position 45: divide by zero encountered in divide at "
+                    "the lattice point (0.0, 0.0)"),
+    (" + 0*ln(x1)", "at position 43: divide by zero encountered in log at "
+                    "the lattice point (0.0, 0.0)"),
+], ids=["division", "log"])
+def test_verify_lattice_failure_names_its_point(tmp_path, capsys, term, where):
+    # no midpoint of branch and bound hits a failing point, so a1 ends
+    # Unknown on its small budget; the oracle lattice hits them and names
+    # the first in row-major order
+    cfg = nine_config()
+    cfg["problem"]["f1"] += term
+    cfg["checker"] = {"budget": 100, "depth": 40}
+    path = write_config(tmp_path, cfg)
+    assert main(["verify", path, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"evaluation error: {where}\n"
 
 
 def test_verify_evaluates_one_lattice_per_condition(tmp_path, monkeypatch):

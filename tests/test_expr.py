@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from conecert import interval
 from conecert.expr import (BinOp, Call, Const, EvalError, NamedConst, Neg,
                            ParseError, Var, eval_interval, eval_point,
-                           eval_values, gradient_program, interval_program,
-                           parse_expr, ramp_breakpoints, unparse)
+                           eval_values, first_failure, gradient_program,
+                           interval_program, parse_expr, ramp_breakpoints,
+                           unparse)
 from conecert.hypotheses import BoxIneq, certify_box, grid_oracle
 from conecert.interval import E, PI, Interval
 
@@ -92,6 +93,17 @@ def test_parse_error_trailing():
     assert err.value.offset == 3
 
 
+@pytest.mark.parametrize("src, offset", [("1e999 - x1", 0), ("x1^1e999", 3),
+                                         ("2*1e400", 2)])
+def test_parse_rejects_a_number_that_overflows(src, offset):
+    # no float operation turns finite operands into inf without raising, so
+    # a literal is the one way an infinity could enter a float program
+    with pytest.raises(ParseError) as err:
+        parse_expr(src)
+    assert err.value.offset == offset
+    assert "overflows a float" in err.value.message
+
+
 def test_parse_error_offset_within_input():
     for bad in ("", "(", "1+", "phi", "2*)", "cos(", "?"):
         with pytest.raises(ParseError) as err:
@@ -158,10 +170,18 @@ def test_builtins_clamp_negative_arguments():
     assert eval_point(parse_expr("capphi(x1)"), -0.3, 0.0) == 1.0
 
 
+def test_ramps_saturate_at_the_ends_of_the_float_range():
+    # a ramp clips its argument before doubling it, so no finite argument
+    # overflows it
+    for z in (1e308, -1e308):
+        for fn, want in (("phi", z > 0), ("psi", z > 0), ("capphi", z < 0)):
+            assert eval_point(parse_expr(f"{fn}(x1)"), z, 0.0) == float(want)
+
+
 def test_eval_division_by_zero():
     with pytest.raises(EvalError) as err:
         eval_point(parse_expr("1/x1"), 0.0, 0.0)
-    assert "division" in err.value.message
+    assert err.value.message == "divide by zero encountered in scalar divide"
 
 
 def test_eval_ln_nonpositive():
@@ -185,6 +205,82 @@ def test_eval_values_vectorised_matches_point():
         vals = eval_values(tree, x1, x2)
         for i in range(len(x1)):
             assert vals[i] == eval_point(tree, x1[i], x2[i]), (src, x1[i], x2[i])
+
+
+# random trees over every operation, with constants near the float range's
+# ends, so that overflow, underflow, division by zero and invalid operations
+# all occur
+_LEAVES = (st.builds(Var, st.sampled_from(["x1", "x2"]))
+           | st.builds(NamedConst, st.sampled_from(["pi", "e"]))
+           | st.builds(Const, st.floats(-10.0, 10.0)
+                       | st.sampled_from([0.0, 1e308, -1e308, 1.7e308, 1e-308,
+                                          5e-324, 709.0, 710.0])))
+
+
+def _extend(children):
+    return (st.builds(Neg, children)
+            | st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "^"]),
+                        children, children)
+            | st.builds(Call, st.sampled_from(["exp", "cos", "sin", "ln", "abs",
+                                               "phi", "psi", "capphi"]),
+                        st.tuples(children))
+            | st.builds(Call, st.sampled_from(["min", "max"]),
+                        st.tuples(children, children)))
+
+
+_TREES = st.recursive(_LEAVES, _extend, max_leaves=10)
+_POINTS = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1e308, -1e308,
+                                                  1e-320])
+
+
+def _point_or_error(tree, x1, x2):
+    """eval_point's value, or its EvalError; never inf or NaN."""
+    try:
+        value = eval_point(tree, x1, x2)
+    except EvalError as err:
+        return err
+    assert type(value) is float and math.isfinite(value), (unparse(tree), value)
+    return value
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(_TREES, st.lists(st.tuples(_POINTS, _POINTS), min_size=1, max_size=4))
+def test_float_evaluation_is_finite_or_an_eval_error(tree, points):
+    # every overflow, division by zero and invalid operation raises at its
+    # own node, with no warning (which fails the test); arrays agree with
+    # points bit for bit where every point evaluates
+    results = [_point_or_error(tree, x1, x2) for x1, x2 in points]
+    if any(isinstance(r, EvalError) for r in results):
+        return
+    x1, x2 = (np.array(c) for c in zip(*points))
+    values = eval_values(tree, x1, x2)
+    assert np.array_equal(values, np.array(results)), unparse(tree)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TREES, st.lists(st.tuples(_POINTS, _POINTS), min_size=1, max_size=8))
+def test_first_failure_is_the_first_failing_point(tree, points):
+    results = [_point_or_error(tree, x1, x2) for x1, x2 in points]
+    failing = [i for i, r in enumerate(results) if isinstance(r, EvalError)]
+    if not failing:
+        return
+    x1, x2 = (np.array(c) for c in zip(*points))
+    with pytest.raises(EvalError) as err:
+        eval_values(tree, x1, x2)
+    at, error = first_failure(tree, x1, x2, err.value)
+    assert at == failing[0]
+    assert error.offset == results[at].offset
+
+
+def test_first_failure_indexes_the_broadcast_lattice():
+    # row-major over the broadcast shape, x1 outer
+    tree = parse_expr("1/(x1 - 2) + 1/(x2 - 1)")
+    g1, g2 = np.arange(4.0)[:, None], np.arange(3.0)[None, :]
+    with pytest.raises(EvalError) as err:
+        eval_values(tree, g1, g2)
+    at, error = first_failure(tree, g1, g2, err.value)
+    assert at == 1 and error.offset == 14  # (x1, x2) = (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +338,11 @@ def test_interval_power_requires_natural_constant():
         eval_interval(parse_expr("x1^x2"), Interval(1, 2), Interval(1, 2))
     with pytest.raises(EvalError):
         eval_interval(parse_expr("x1^1.5"), Interval(1, 2), Interval(1, 2))
+    # an infinite exponent does not parse, but a tree built by hand may hold
+    # one
     with pytest.raises(EvalError):
-        eval_interval(parse_expr("x1^1e999"), Interval(1, 2), Interval(1, 2))
+        eval_interval(BinOp("^", Var("x1"), Const(math.inf)),
+                      Interval(1, 2), Interval(1, 2))
     iv = eval_interval(parse_expr("x1^2"), Interval(-1, 2), Interval(0, 0))
     assert iv.lo == 0.0 and iv.hi >= 4.0
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conecert.errors import ConfigError, DomainError
 from conecert.rcd import (RcdParams, build_params, check_5_11, check_all,
@@ -245,18 +247,47 @@ def test_check_5_16_closing_example_beta_one():
     assert 1.0 - math.exp(-1.0) > RHS_2
 
 
-def test_check_5_16_rhs_agrees_with_direct_f_evaluation():
-    # at the betas the params were built with, the closed-form thresholds
-    # coincide with st_j / f_j at the theorem's corner
-    from conecert.rcd import f1_value, f2_value
-    derived = build_params(CLOSING)
-    c1 = derived.st1 * math.exp(1.0 / CLOSING.beta1)
-    c2 = derived.st2 * math.exp(1.0 / CLOSING.beta2)
-    rhs1, rhs2 = diffusion_thresholds(derived)
-    assert rhs1 == pytest.approx(derived.st1 / f1_value(derived, derived.st1, c2),
-                                 rel=1e-12)
-    assert rhs2 == pytest.approx(derived.st2 / f2_value(derived, c1, derived.st2),
-                                 rel=1e-12)
+@st.composite
+def _admissible(draw):
+    """RcdParams with k1, k2 > 4, r_j >= k_j and each m strictly inside its
+    nonempty admissible range."""
+    k1, k2 = draw(st.floats(4.5, 30.0)), draw(st.floats(4.5, 30.0))
+    r1 = k1 + draw(st.floats(0.0, 20.0))
+    r2 = k2 + draw(st.floats(0.0, 20.0))
+    range1, range2 = m_ranges(k1, k2, r1, r2)
+    assume(range1 is not None and range2 is not None)
+    m1, m2 = (rng.lo + draw(st.floats(0.01, 0.99)) * (rng.hi - rng.lo)
+              for rng in (range1, range2))
+    assume(range1.lo < m1 < range1.hi and range2.lo < m2 < range2.hi)
+    return RcdParams(beta1=draw(st.floats(0.1, 10.0)),
+                     beta2=draw(st.floats(0.1, 10.0)),
+                     k1=k1, k2=k2, r1=r1, r2=r2, m1=m1, m2=m2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_admissible())
+def test_check_5_16_rhs_agrees_with_direct_f_evaluation(p):
+    # the closed forms of the scaled ratios and of the diffusion thresholds
+    # are f_j itself at the theorem's corners, evaluated here directly
+    d = build_params(p)
+
+    def f1(x1, x2):
+        return d.p1 * (d.q1 - x2) * math.exp(-p.k1 / (1.0 + x1))
+
+    def f2(x1, x2):
+        return d.p2 * (d.q2 - x1) * math.exp(-p.k2 / (1.0 + x2))
+
+    c1 = d.st1 * math.exp(1.0 / p.beta1)
+    c2 = d.st2 * math.exp(1.0 / p.beta2)
+    direct = {"f1_small": f1(d.s1, 0.0) / d.s1, "f1_big": f1(d.st1, c2) / d.st1,
+              "f2_small": f2(0.0, d.s2) / d.s2, "f2_big": f2(c1, d.st2) / d.st2}
+    ratios = scaled_ratios(d)
+    assert ratios.keys() == direct.keys()
+    for name, value in direct.items():
+        assert ratios[name] == pytest.approx(value, rel=1e-12), name
+    rhs1, rhs2 = diffusion_thresholds(d)
+    assert rhs1 == pytest.approx(d.st1 / f1(d.st1, c2), rel=1e-12)
+    assert rhs2 == pytest.approx(d.st2 / f2(c1, d.st2), rel=1e-12)
 
 
 def test_diffusion_thresholds_match_printed_constants():

@@ -183,6 +183,24 @@ def test_multi_start_dedupe_soundness(nine_problem):
             assert max(dist1, dist2) > delta
 
 
+def test_dedupe_does_not_scale_with_the_ambient_bound(nine_problem):
+    # the nine fixed points do not depend on c, and neither may the dedupe
+    # distance: at c = 5000 a distance of a thousandth of c (5) would merge
+    # fixed points whose sup norms are 0.25 ... 4.713 into one
+    def sup_norms(problem):
+        sols = multi_start(problem, SolverParams(picard_steps=1))
+        return sorted(round(max(sup_norm(s.u1), sup_norm(s.u2)), 3)
+                      for s in sols)
+
+    region = RegionSpec(d=(0.5, 0.5), a=(1.0, 1.0), c=(5000.0, 5000.0),
+                        b=(2.0, 2.0))
+    loose = ProblemSpec(nine_problem.kernel1, nine_problem.kernel2,
+                        nine_problem.f1, nine_problem.f2, region, "nine")
+    norms = sup_norms(nine_problem)
+    assert len(norms) == 9 and norms[0] == 0.25 and norms[-1] == 4.713
+    assert sup_norms(loose) == norms
+
+
 def test_multi_start_seed_list_filter(nine_problem):
     sols = multi_start(nine_problem, SolverParams(), seed_list=["S-S", "B-B"])
     assert {s.seed_id for s in sols} <= {"S-S", "B-B"}
