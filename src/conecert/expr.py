@@ -98,6 +98,12 @@ class Const:
     value: float
     offset: int = field(default=0, compare=False)
 
+    def __post_init__(self):
+        # the float table raises no flag for an operation on an infinite
+        # operand (inf - x1 is inf), so a non-finite constant is refused
+        if not math.isfinite(self.value):
+            raise ValueError(f"constant {self.value!r} is not finite")
+
 
 @dataclass(frozen=True)
 class NamedConst:

@@ -5,10 +5,14 @@ The system's operator is discretized on the quadrature rule's own nodes:
     (T_j u)(t_i) = sum_m w_m * G_j(t_i, t_m) * f_j(u1(t_m), u2(t_m)),
 
 and a fixed point of the discrete map is hunted per seed by damped Picard
-iteration followed by Newton on F(u) = u - T(u).  An EvalError of f (a
-float operation that overflows, divides by zero or is invalid) names the
-first failing grid node and ends only the seed whose state made it.  The
-nonlinearities' derivatives are forward finite differences at the nodes
+iteration followed by Newton on F(u) = u - T(u), globalized by a
+backtracking line search on the sup-norm residual (Armijo; Dennis &
+Schnabel 1983, section 6.3): a step that finds no residual decrease ends
+the seed, so a diverging seed stops at its first failed search.  An
+EvalError of f (a float operation that overflows, divides by zero or is
+invalid) names the first failing grid node and ends only the seed whose
+state made it; at a trial step of the line search it rejects that trial.
+The nonlinearities' derivatives are forward finite differences at the nodes
 (the piecewise ramps are non-smooth at their breakpoints, so no AST
 differentiation).  Both
 kernels are semiseparable, so no n x n matrix is ever formed.  The operator
@@ -23,12 +27,12 @@ Seeds are constant-level profiles keyed to the region thresholds, so each of
 the localization regions the theorems promise has a starter inside it.
 multi_start advances all its seeds in lockstep on one stacked (S, 2, n)
 state: the operator, its Jacobian and the Newton step take any leading batch
-axis, each Picard or Newton step is one batched call, and a seed drops out
-of the batch when its own rules end it, so every seed reaches the iterate
-and the verdict it would reach alone.  Results are deduplicated by pairwise
-sup distance, relative to the kept solution's sup norm, and classified;
-fixed points outside the ambient box are reported as "outside-ambient"
-rather than discarded.
+axis, each Picard step, Newton step and line-search trial is one batched
+call, and a seed drops out of the batch when its own rules end it, so every
+seed reaches the iterate and the verdict it would reach alone.  Results are
+deduplicated by pairwise sup distance, relative to the kept solution's sup
+norm, and classified; fixed points outside the ambient box are reported as
+"outside-ambient" rather than discarded.
 
 SolverParams holds what a config's `solver` block sets; the rest are
 module constants.
@@ -64,6 +68,10 @@ FAR_FIELD_FACTOR = 10.0
 FD_STEP = 1e-7
 
 MAX_NEWTON = 25  # Newton steps per seed after its Picard phase
+# a Newton step v - t*delta is tried at t = 1, 1/2, ..., 2^-MAX_HALVINGS and
+# taken at the first t whose residual is below (1 - ARMIJO * t) * res(v)
+MAX_HALVINGS = 6
+ARMIJO = 1e-4
 DEDUPE_TOL = 1e-6  # dedupe distance / max(1, sup norm of the kept solution)
 NONTRIVIAL_EPS = 1e-6  # a component of sup norm at most this is trivial
 
@@ -143,18 +151,24 @@ class DiscreteOperator:
         self.inv2 = _weighted_inverse(problem.kernel2, rule)
         self.first = rule.n - len(self.inv1[1])
 
-    def _eval(self, f: ExprAst, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    def _eval(self, f: ExprAst, v1: np.ndarray, v2: np.ndarray,
+              locate: bool = True) -> np.ndarray:
         try:
             return eval_values(f, v1, v2)
         except EvalError as err:
+            if not locate:
+                raise
             at, error = first_failure(f, v1, v2, err)
         raise EvalError(error.offset, f"{error.message} at grid node "
                                       f"{at % np.shape(v1)[-1]}") from error
 
-    def nonlinearity(self, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-        """(f1, f2) at the nodes of v, stacked as one (..., 2, n) array."""
-        return np.stack((self._eval(self.problem.f1, v1, v2),
-                         self._eval(self.problem.f2, v1, v2)), axis=-2)
+    def nonlinearity(self, v1: np.ndarray, v2: np.ndarray,
+                     locate: bool = True) -> np.ndarray:
+        """(f1, f2) at the nodes of v, stacked as one (..., 2, n) array.  An
+        EvalError names its first failing grid node, unless `locate` is
+        false: a caller that discards the error skips that bisection."""
+        return np.stack((self._eval(self.problem.f1, v1, v2, locate),
+                         self._eval(self.problem.f2, v1, v2, locate)), axis=-2)
 
     def apply(self, v1: np.ndarray, v2: np.ndarray,
               f: np.ndarray | None = None) -> np.ndarray:
@@ -190,13 +204,15 @@ class DiscreteOperator:
     def jacobian(self, v1, v2, f: np.ndarray) -> tuple[np.ndarray, ...]:
         """Nodal derivatives (d11, d12, d21, d22) of (f1, f2) at v, where
         dij = df_i/dx_j, by forward differences from the base values
-        f = `nonlinearity(v1, v2)`."""
+        f = `nonlinearity(v1, v2)`.  An EvalError names no grid node: the
+        one caller, newton_step in the solver's lanes, discards it."""
         h = FD_STEP
         f1, f2 = f[..., 0, :], f[..., 1, :]
-        return ((self._eval(self.problem.f1, v1 + h, v2) - f1) / h,
-                (self._eval(self.problem.f1, v1, v2 + h) - f1) / h,
-                (self._eval(self.problem.f2, v1 + h, v2) - f2) / h,
-                (self._eval(self.problem.f2, v1, v2 + h) - f2) / h)
+        g1, g2 = self.problem.f1, self.problem.f2
+        return ((self._eval(g1, v1 + h, v2, False) - f1) / h,
+                (self._eval(g1, v1, v2 + h, False) - f1) / h,
+                (self._eval(g2, v1 + h, v2, False) - f2) / h,
+                (self._eval(g2, v1, v2 + h, False) - f2) / h)
 
     def newton_step(self, v: np.ndarray, r: np.ndarray,
                     f: np.ndarray) -> np.ndarray:
@@ -372,9 +388,12 @@ def solve_from(problem: ProblemSpec, seed1: GridFunction, seed2: GridFunction,
                op: DiscreteOperator | None = None) -> Solution | None:
     """At most `picard_steps` damped Picard steps from one seed pair, then
     at most MAX_NEWTON Newton steps from the Picard iterate of least
-    residual, reusing its f and T(v); None if no fixed point with residual
-    <= newton_tol is reached.  Each iterate is evaluated once.  This is
-    multi_start's engine run on one seed."""
+    residual, reusing its f and T(v).  Each Newton step v - t*delta takes
+    the first t = 1, 1/2, ..., 2^-MAX_HALVINGS whose residual is below
+    (1 - ARMIJO*t) times the current one, and the seed ends when none is.
+    None if no fixed point with residual <= newton_tol is reached.  Each
+    iterate and each trial step is evaluated once.  This is multi_start's
+    engine run on one seed."""
     params = params or SolverParams()
     rule = _require_shared_rule(seed1, seed2)
     if op is None:
@@ -402,8 +421,8 @@ def _solve_lanes(problem: ProblemSpec, op: DiscreteOperator, seeds: np.ndarray,
     Each step is one batched call over the lanes still running, held in the
     lane index array `lane`, and a lane leaves it when its own rules end it.
     Every operation is elementwise across lanes, so a lane's iterates do not
-    depend on the lanes beside it.  A diverging lane is ended by the
-    finiteness tests, so numpy warns of nothing here."""
+    depend on the lanes beside it.  A diverging lane is ended by the line
+    search or the finiteness tests, and numpy warns of nothing here."""
     tol, lam = params.newton_tol, params.damping
     iterations = np.zeros(len(seeds), dtype=int)
 
@@ -430,16 +449,40 @@ def _solve_lanes(problem: ProblemSpec, op: DiscreteOperator, seeds: np.ndarray,
         return out
 
     def nonlinearity(v):
-        return op.nonlinearity(v[:, 0], v[:, 1])
+        return op.nonlinearity(v[:, 0], v[:, 1], locate=False)
 
     def evaluate(lane, v):
-        """The lanes whose f evaluates and whose T(v) is finite, each counted
-        as one iteration, with their v, residual, f and T(v)."""
+        """Each lane's residual, f and T(v), each lane counted as one
+        iteration, and whether its f evaluates and its T(v) is finite."""
+        iterations[lane] += 1
         f = lanewise(nonlinearity, lane, v)
         tv = op.apply(v[:, 0], v[:, 1], f)
-        lane, v, f, tv = _keep(np.isfinite(tv).all(axis=(1, 2)), lane, v, f, tv)
-        iterations[lane] += 1
-        return lane, v, np.max(np.abs(v - tv), axis=(1, 2)), f, tv
+        return (np.isfinite(tv).all(axis=(1, 2)),
+                np.max(np.abs(v - tv), axis=(1, 2)), f, tv)
+
+    def line_search(lane, res, v, step):
+        """The lanes with a trial v - t*step, t = 1, 1/2, ...,
+        2^-MAX_HALVINGS, whose residual is below (1 - ARMIJO*t) * res, each
+        with its first such trial and that trial's residual, f and T(v).
+        The lanes still pending at a t are evaluated in one batch; a trial
+        whose f raises or whose T(v) is non-finite is rejected."""
+        found = np.zeros(len(lane), dtype=bool)
+        new_res = np.empty_like(res)
+        new_v, new_f, new_tv = (np.empty_like(v) for _ in range(3))
+        pending = np.arange(len(lane))
+        for halving in range(MAX_HALVINGS + 1):
+            if not pending.size:
+                break
+            t = 0.5 ** halving
+            trial = v[pending] - t * step[pending]
+            ok, trial_res, f, tv = evaluate(lane[pending], trial)
+            ok &= trial_res < (1.0 - ARMIJO * t) * res[pending]
+            at = pending[ok]
+            found[at] = True
+            new_res[at], new_v[at] = trial_res[ok], trial[ok]
+            new_f[at], new_tv[at] = f[ok], tv[ok]
+            pending = pending[~ok]
+        return _keep(found, lane, new_res, new_v, new_f, new_tv)
 
     # Picard; the seed is evaluated even with no Picard steps: Newton
     # starts there.  best_* hold each lane's least-residual iterate.
@@ -450,7 +493,8 @@ def _solve_lanes(problem: ProblemSpec, op: DiscreteOperator, seeds: np.ndarray,
     for _ in range(max(params.picard_steps, 1)):
         if not lane.size:
             break
-        lane, v, res, f, tv = evaluate(lane, v)
+        ok, res, f, tv = evaluate(lane, v)
+        lane, v, res, f, tv = _keep(ok, lane, v, res, f, tv)
         better = ~has_best[lane] | (res < best_res[lane])
         at = lane[better]
         has_best[at] = True
@@ -459,8 +503,8 @@ def _solve_lanes(problem: ProblemSpec, op: DiscreteOperator, seeds: np.ndarray,
         lane, v, tv = _keep(~(res <= tol), lane, v, tv)
         v = (1.0 - lam) * v + lam * tv
 
-    # Newton from the best Picard iterate, keeping the state of each lane
-    # that reaches the tolerance
+    # Newton from the best Picard iterate, each step cut back by the line
+    # search, keeping the state of each lane that reaches the tolerance
     lane = np.flatnonzero(has_best)
     res, v, f, tv = best_res[lane], best_v[lane], best_f[lane], best_tv[lane]
     converged = np.zeros(len(seeds), dtype=bool)
@@ -469,14 +513,13 @@ def _solve_lanes(problem: ProblemSpec, op: DiscreteOperator, seeds: np.ndarray,
         at = res <= tol
         converged[lane[at]] = True
         final[lane[at]] = v[at]
-        lane, v, f, tv = _keep(~at, lane, v, f, tv)
+        lane, res, v, f, tv = _keep(~at, lane, res, v, f, tv)
         if not lane.size or newton == MAX_NEWTON:
             break
         step = lanewise(op.newton_step, lane, v, v - tv, f)
-        lane, v, step = _keep(np.isfinite(step).all(axis=(1, 2)), lane, v, step)
-        if not lane.size:
-            break
-        lane, v, res, f, tv = evaluate(lane, v - step)
+        lane, res, v, step = _keep(np.isfinite(step).all(axis=(1, 2)),
+                                   lane, res, v, step)
+        lane, res, v, f, tv = line_search(lane, res, v, step)
 
     solutions: list[Solution | None] = [None] * len(seeds)
     lane = np.flatnonzero(converged)

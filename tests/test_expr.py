@@ -104,6 +104,14 @@ def test_parse_rejects_a_number_that_overflows(src, offset):
     assert "overflows a float" in err.value.message
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_const_refuses_a_non_finite_value(value):
+    # a tree built by hand skips the parser's check, and inf - x1 would
+    # evaluate to inf with no flag raised
+    with pytest.raises(ValueError):
+        BinOp("-", Const(value), Var("x1"))
+
+
 def test_parse_error_offset_within_input():
     for bad in ("", "(", "1+", "phi", "2*)", "cos(", "?"):
         with pytest.raises(ParseError) as err:
@@ -338,11 +346,10 @@ def test_interval_power_requires_natural_constant():
         eval_interval(parse_expr("x1^x2"), Interval(1, 2), Interval(1, 2))
     with pytest.raises(EvalError):
         eval_interval(parse_expr("x1^1.5"), Interval(1, 2), Interval(1, 2))
-    # an infinite exponent does not parse, but a tree built by hand may hold
-    # one
-    with pytest.raises(EvalError):
-        eval_interval(BinOp("^", Var("x1"), Const(math.inf)),
-                      Interval(1, 2), Interval(1, 2))
+    # an infinite exponent does not parse, and a tree built by hand cannot
+    # hold one either
+    with pytest.raises(ValueError):
+        BinOp("^", Var("x1"), Const(math.inf))
     iv = eval_interval(parse_expr("x1^2"), Interval(-1, 2), Interval(0, 0))
     assert iv.lo == 0.0 and iv.hi >= 4.0
 

@@ -173,14 +173,26 @@ def test_multi_start_symmetric_example(nine_problem):
 
 
 def test_multi_start_dedupe_soundness(nine_problem):
-    params = SolverParams()
-    sols = multi_start(nine_problem, params)
-    delta = 1e-3 * 5.0
+    # each kept solution lies beyond the dedupe distance of every one kept
+    # before it: DEDUPE_TOL times max(1, sup norm of the earlier one)
+    sols = multi_start(nine_problem, SolverParams())
     for i, a in enumerate(sols):
+        delta = solver.DEDUPE_TOL * max(1.0, sup_norm(a.u1), sup_norm(a.u2))
         for b in sols[i + 1:]:
             dist1 = float(np.max(np.abs(a.u1.values - b.u1.values)))
             dist2 = float(np.max(np.abs(a.u2.values - b.u2.values)))
             assert max(dist1, dist2) > delta
+
+
+def test_multi_start_dedupe_merges_seeds_on_one_fixed_point(nine_problem,
+                                                            monkeypatch):
+    # Picard first, all nine seeds converge, onto four fixed points
+    sols = multi_start(nine_problem, SolverParams())
+    assert [(s.seed_id, str(s.region)) for s in sols] == [
+        ("B-B", "B-B"), ("B-S", "B-S"), ("S-B", "S-B"), ("S-S", "S-S")]
+    # a zero distance merges only bit-identical iterates: dedupe is off
+    monkeypatch.setattr(solver, "DEDUPE_TOL", 0.0)
+    assert len(multi_start(nine_problem, SolverParams())) == 9
 
 
 def test_dedupe_does_not_scale_with_the_ambient_bound(nine_problem):
@@ -339,7 +351,6 @@ def _sorted_solutions(problem, params, seed_ids=None):
     levels1, levels2 = seed_levels(problem)
     prof1 = solver._seed_profile(problem.kernel1, rule.nodes)
     prof2 = solver._seed_profile(problem.kernel2, rule.nodes)
-    amb1, amb2 = solver._ambient_bounds(problem)
     kept = []
     for seed_id in sorted(seed_ids or (f"{a}-{b}" for a in levels1
                                        for b in levels2)):
@@ -348,8 +359,9 @@ def _sorted_solutions(problem, params, seed_ids=None):
                          GridFunction(rule, levels2[tag2] * prof2), params,
                          seed_id=seed_id)
         if sol is not None and not any(
-                np.max(np.abs(sol.u1.values - k.u1.values)) <= 1e-3 * amb1
-                and np.max(np.abs(sol.u2.values - k.u2.values)) <= 1e-3 * amb2
+                max(np.max(np.abs(sol.u1.values - k.u1.values)),
+                    np.max(np.abs(sol.u2.values - k.u2.values)))
+                <= solver.DEDUPE_TOL * max(1.0, sup_norm(k.u1), sup_norm(k.u2))
                 for k in kept):
             kept.append(sol)
     return kept
@@ -428,13 +440,108 @@ def test_a_lane_failure_drops_only_its_seed(nine_problem, monkeypatch, caplog,
 
 
 def test_newton_first_closing_system_warns_nothing():
-    # its S-B seed diverges to a residual of about 1e231 before Newton gives
-    # up; numpy must not warn about the overflow on the way
+    # the full first Newton step of its B-B, B-S and S-B seeds raises the
+    # residual about fivefold, and a shorter trial step of B-S and S-B makes
+    # f overflow; numpy must not warn about either on the way
     problem = build_problem(closing_problem_config()["problem"])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sols = multi_start(problem, SolverParams(grid_n=513, picard_steps=1))
     assert {str(s.region) for s in sols} >= {"S-S", "S-M", "M-S", "M-M"}
+
+
+# ---------------------------------------------------------------------------
+# the line search
+
+
+def count_newton_steps(monkeypatch):
+    steps = []
+    original = DiscreteOperator.newton_step
+
+    def newton_step(self, v, r, f):
+        steps.append(len(v))
+        return original(self, v, r, f)
+
+    monkeypatch.setattr(DiscreteOperator, "newton_step", newton_step)
+    return steps
+
+
+def test_line_search_ends_diverging_closing_system_seeds(monkeypatch):
+    # full steps sent B-B, B-M and B-S to fixed points outside the ambient
+    # box and S-B on a divergence through all 25 Newton steps; cut back,
+    # every seed that converges lands in a promised region
+    steps = count_newton_steps(monkeypatch)
+    problem = build_problem(closing_problem_config()["problem"])
+    sols = multi_start(problem, SolverParams(grid_n=513, picard_steps=1))
+    assert len(steps) <= 10
+    assert sorted(str(s.region) for s in sols) == ["M-M", "M-S", "S-M", "S-S"]
+
+
+def test_line_search_takes_a_shorter_step_when_the_full_one_fails(
+        monkeypatch):
+    # closing_system's S-B seed at 513 nodes, Newton first: the full first
+    # step raises the residual, and a shorter one lowers it
+    events = []
+    original_apply = DiscreteOperator.apply
+
+    def apply(self, v1, v2, f=None):
+        tv = original_apply(self, v1, v2, f)
+        events.append(float(np.max(np.abs(np.array((v1[0], v2[0])) - tv[0]))))
+        return tv
+
+    original_step = DiscreteOperator.newton_step
+
+    def newton_step(self, v, r, f):
+        events.append("step")
+        return original_step(self, v, r, f)
+
+    monkeypatch.setattr(DiscreteOperator, "apply", apply)
+    monkeypatch.setattr(DiscreteOperator, "newton_step", newton_step)
+    problem = build_problem(closing_problem_config()["problem"])
+    sols = multi_start(problem, SolverParams(grid_n=513, picard_steps=1),
+                       seed_list=["S-B"])
+    assert [str(s.region) for s in sols] == ["S-M"]
+    start, step = events[:2]
+    trials = events[2:events.index("step", 2)]
+    assert step == "step" and len(trials) >= 2
+    assert trials[0] > start
+    assert trials[-1] < (1.0 - solver.ARMIJO * 0.5 ** (len(trials) - 1)) * start
+
+
+def test_a_failed_line_search_ends_the_seed(nine_problem, monkeypatch):
+    # a zero step leaves the residual where it was, so every trial step is
+    # rejected: the seed ends after one Newton step and MAX_HALVINGS + 1
+    # trial evaluations
+    steps = []
+    applied = []
+    original_apply = DiscreteOperator.apply
+
+    def apply(self, *args):
+        applied.append(args)
+        return original_apply(self, *args)
+
+    def newton_step(self, v, r, f):
+        steps.append(len(v))
+        return np.zeros_like(r)
+
+    monkeypatch.setattr(DiscreteOperator, "apply", apply)
+    monkeypatch.setattr(DiscreteOperator, "newton_step", newton_step)
+    seed = GridFunction(RULE, 1.5 * np.minimum(2 * RULE.nodes, 1.0))
+    assert solve_from(nine_problem, seed, seed, SolverParams(picard_steps=1),
+                      seed_id="M-M") is None
+    assert steps == [1]
+    assert len(applied) == 1 + solver.MAX_HALVINGS + 1
+
+
+@pytest.mark.parametrize("grid_n", [129, 1025])
+def test_newton_first_hybrid_keeps_its_region_set(hybrid_problem, monkeypatch,
+                                                  grid_n):
+    steps = count_newton_steps(monkeypatch)
+    sols = multi_start(hybrid_problem,
+                       SolverParams(grid_n=grid_n, picard_steps=1))
+    assert [(s.seed_id, str(s.region)) for s in sols] == [
+        ("B-HI", "outside-ambient")]
+    assert len(steps) <= 10
 
 
 # ---------------------------------------------------------------------------
