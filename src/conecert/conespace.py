@@ -25,8 +25,6 @@ import numpy as np
 from .errors import ConfigError, OutsideAmbientError
 from .kernels import QuadratureRule
 
-TOL_CONE = 1e-10  # round-off slack at the boundary case u(t) = t
-
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
@@ -41,10 +39,6 @@ class GridFunction:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    @staticmethod
-    def from_callable(rule: QuadratureRule, fn) -> "GridFunction":
-        return GridFunction(rule, np.array([fn(t) for t in rule.nodes]))
-
 
 def sup_norm(u: GridFunction) -> float:
     return float(np.max(np.abs(u.values)))
@@ -56,13 +50,6 @@ def min_window(u: GridFunction, t0: float) -> float:
     if len(idx) == 0:
         raise ValueError(f"t0={t0} is not a grid node")
     return float(np.min(u.values[idx[0]:]))
-
-
-def in_cone_p(u: GridFunction) -> bool:
-    """Nonnegative and >= half its sup norm on [1/2, 1], up to TOL_CONE."""
-    if float(np.min(u.values)) < -TOL_CONE:
-        return False
-    return min_window(u, 0.5) >= 0.5 * sup_norm(u) - TOL_CONE
 
 
 def nontrivial(u: GridFunction, eps: float) -> bool:

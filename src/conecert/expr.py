@@ -298,51 +298,6 @@ def parse_expr(src: str) -> ExprAst:
 
 
 # ---------------------------------------------------------------------------
-# unparsing (precedence-aware; unparse(parse(s)) reparses to an equal tree)
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
-
-
-def _prec(node: ExprAst) -> int:
-    if isinstance(node, BinOp):
-        return _PREC[node.op]
-    if isinstance(node, Neg):
-        return _PREC["neg"]
-    return _PREC["atom"]
-
-
-def unparse(node: ExprAst) -> str:
-    if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, NamedConst):
-        return node.name
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        inner = unparse(node.operand)
-        if _prec(node.operand) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Call):
-        return f"{node.fn}({', '.join(unparse(a) for a in node.args)})"
-    p = _PREC[node.op]
-    left = unparse(node.left)
-    right = unparse(node.right)
-    if node.op == "^":
-        # right-associative
-        if _prec(node.left) <= p:
-            left = f"({left})"
-        if _prec(node.right) < p:
-            right = f"({right})"
-    else:
-        if _prec(node.left) < p:
-            left = f"({left})"
-        if _prec(node.right) <= p:
-            right = f"({right})"
-    return f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"
-
-
-# ---------------------------------------------------------------------------
 # evaluation: one compiler over two arithmetic tables
 
 # a ramp clips its argument first, so none overflows it; 2z - 1 and 2 - 2z

@@ -14,7 +14,9 @@ the diagonal G(t_i, t_m) is a product a_i b_m, above it c_i d_m (generators).
 The solver applies the operator through these generators with two prefix
 sums in O(n), and its Newton step uses the closed-form tridiagonal inverse of
 the Green matrix (inverse_tridiagonal) that the same structure gives.
-green_matrix builds the dense matrix and is the tests' reference.
+green_matrix builds the dense matrix G(t_i, s_m), which no solve forms; it
+is the only evaluation of G itself, and the tests check the generators and
+the tridiagonal inverse against it.
 
 Quadrature is the composite trapezoid rule on a uniform grid (make_rule).
 Operator evaluation happens at grid t-values only, so the min(t,s) kink
@@ -24,7 +26,6 @@ order, since the kink lies inside a Simpson panel at every odd node.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,24 +52,8 @@ class ReactionConvectionDiffusion:
 KernelKind = DirichletNeumann | ReactionConvectionDiffusion
 
 
-def _check_unit(name: str, x: float):
-    if not (0.0 <= x <= 1.0):
-        raise DomainError(f"{name}={x} outside [0, 1]")
-
-
-def green(kernel: KernelKind, t: float, s: float) -> float:
-    """Kernel value G(t, s) for t, s in [0, 1]."""
-    _check_unit("t", t)
-    _check_unit("s", s)
-    if isinstance(kernel, DirichletNeumann):
-        return min(t, s)
-    if t <= s:
-        return math.exp((t - s) / kernel.beta)
-    return 1.0
-
-
 def green_matrix(kernel: KernelKind, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Matrix G[i, m] = G(t[i], s[m]); vectorised version of green()."""
+    """Matrix G[i, m] = G(t[i], s[m]) for t and s in [0, 1]."""
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
     if np.any(t < 0.0) or np.any(t > 1.0) or np.any(s < 0.0) or np.any(s > 1.0):
@@ -161,15 +146,6 @@ def inverse_tridiagonal(kernel: KernelKind, nodes: np.ndarray
         b = np.exp(-x) / q
         a = np.concatenate(([1.0], 1.0 / q))
     return -a[1:], a + np.append(b, 0.0), -b
-
-
-def kernel_row_integral(kernel: KernelKind, t: float) -> float:
-    """Closed-form integral of G(t, s) over s in [0, 1]."""
-    _check_unit("t", t)
-    if isinstance(kernel, DirichletNeumann):
-        return t - 0.5 * t * t
-    b = kernel.beta
-    return t + b * (1.0 - math.exp((t - 1.0) / b))
 
 
 @dataclass(frozen=True, eq=False)

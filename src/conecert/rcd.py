@@ -69,32 +69,12 @@ def _exp(x: float, what: str) -> float:
         raise DomainError(f"{what} overflows") from None
 
 
-def g_eval(k: float, z: float) -> float:
-    """g_k(z) = exp(-k/(1+z))/z for z > 0."""
-    if not (z > 0.0):
-        raise DomainError(f"g_k requires z > 0, got z={z}")
-    return math.exp(-k / (1.0 + z)) / z
-
-
 def s_pair(k: float) -> tuple[float, float]:
     """The stationary points (s, s_tilde) of g_k; requires k >= 4."""
     if k < 4.0:
         raise DomainError(f"s_pair requires k >= 4, got k={k}")
     disc = math.sqrt(k * (k - 4.0))
     return ((k - 2.0 - disc) / 2.0, (k - 2.0 + disc) / 2.0)
-
-
-def monotonicity_profile(k: float, grid) -> list[int]:
-    """Signs of the successive differences of g_k along a sorted positive grid."""
-    grid = list(grid)
-    if any(z <= 0.0 for z in grid):
-        raise DomainError("grid values must be positive")
-    vals = [g_eval(k, z) for z in grid]
-    signs = []
-    for prev, cur in zip(vals, vals[1:]):
-        diff = cur - prev
-        signs.append(0 if diff == 0.0 else (1 if diff > 0.0 else -1))
-    return signs
 
 
 def check_5_11(k1: float, k2: float) -> CertVerdict:
@@ -321,9 +301,3 @@ def h_root_bracket(tol: float = 1e-10) -> tuple[float, float]:
         else:
             hi = mid
     return lo, hi
-
-
-def h_root(tol: float = 1e-10) -> float:
-    """Midpoint of the bisection bracket for the zero of h."""
-    lo, hi = h_root_bracket(tol)
-    return 0.5 * (lo + hi)

@@ -352,15 +352,6 @@ def _require_shared_rule(u1: GridFunction, u2: GridFunction) -> QuadratureRule:
     return u1.rule
 
 
-def apply_T(problem: ProblemSpec, u1: GridFunction, u2: GridFunction
-            ) -> tuple[GridFunction, GridFunction]:
-    """One application of the discretized operator pair."""
-    rule = _require_shared_rule(u1, u2)
-    op = DiscreteOperator(problem, rule)
-    t1, t2 = op.apply(u1.values, u2.values)
-    return GridFunction(rule, t1), GridFunction(rule, t2)
-
-
 def residual(problem: ProblemSpec, u1: GridFunction, u2: GridFunction) -> float:
     """Sup norm of (u1 - T1 u, u2 - T2 u) over the nodes."""
     rule = _require_shared_rule(u1, u2)

@@ -12,15 +12,14 @@ import time
 import numpy as np
 
 from conecert.cli import build_problem, main
-from conecert.conespace import (GridFunction, RegionSpec, in_cone_p,
-                                min_window, sup_norm)
+from conecert.conespace import GridFunction, RegionSpec, min_window, sup_norm
 from conecert.expr import parse_expr
 from conecert.hypotheses import check_theorem
 from conecert.kernels import (DirichletNeumann, ReactionConvectionDiffusion,
-                              kernel_row_integral, make_rule)
-from conecert.rcd import (check_5_11, h_root_bracket, m_ranges,
-                          monotonicity_profile, s_pair)
-from conecert.solver import ProblemSpec, SolverParams, apply_T, multi_start
+                              make_rule)
+from conecert.rcd import check_5_11, h_root_bracket, m_ranges, s_pair
+from conecert.solver import (DiscreteOperator, ProblemSpec, SolverParams,
+                             multi_start)
 from conftest import (closing_problem_config, closing_rcd_config,
                       hybrid_config, nine_config, write_config)
 
@@ -106,9 +105,9 @@ def test_criterion_4_monotonicity_profiles():
     with criterion("4 (shape of g_k across the k regimes)"):
         grid = np.arange(1, 201) * 0.05  # 0.05, 0.10, ..., 10.00
         for k in (3.0, 4.0):
-            assert all(s <= 0 for s in monotonicity_profile(k, grid)), k
+            assert np.all(np.diff(np.exp(-k / (1 + grid)) / grid) <= 0), k
         for k in (6.0, 8.0, 11.0):
-            signs = monotonicity_profile(k, grid)
+            signs = np.sign(np.diff(np.exp(-k / (1 + grid)) / grid))
             flips = [i for i in range(len(signs) - 1)
                      if signs[i] != 0 and signs[i + 1] != 0
                      and signs[i] != signs[i + 1]]
@@ -124,24 +123,24 @@ def test_criterion_5_operator_sanity():
         region = RegionSpec(d=(0.5, 0.5), a=(1.0, 1.0), c=(5.0, 5.0))
         problem = ProblemSpec(DirichletNeumann(), DirichletNeumann(),
                               parse_expr("1"), parse_expr("1"), region, "nine")
-        zero = GridFunction(rule, np.zeros(rule.n))
-        t1, _ = apply_T(problem, zero, zero)
-        target = rule.nodes - rule.nodes**2 / 2.0
-        assert float(np.max(np.abs(t1.values - target))) <= 1e-4
+        t = rule.nodes
+        zero = np.zeros(rule.n)
+        t1, _ = DiscreteOperator(problem, rule).apply(zero, zero)
+        assert float(np.max(np.abs(t1 - (t - t**2 / 2.0)))) <= 1e-4
+        assert abs(t1[-1] - 0.5) <= 1e-12
 
         kappa = 2.0
         rcd_region = RegionSpec(d=(0.5, 0.5), a=(1.0, 1.0), c=(5.0, 5.0),
                                 window=(0.0, 0.0))
-        rcd_problem = ProblemSpec(ReactionConvectionDiffusion(1.0),
-                                  ReactionConvectionDiffusion(1.0),
-                                  parse_expr(f"{kappa}"), parse_expr(f"{kappa}"),
-                                  rcd_region, "thm53")
-        t1, _ = apply_T(rcd_problem, zero, zero)
-        assert abs(t1.values[0] - kappa * (1.0 - math.exp(-1.0))) <= 1e-4
-
-        assert kernel_row_integral(DirichletNeumann(), 1.0) == 0.5
-        assert kernel_row_integral(ReactionConvectionDiffusion(1.0), 1.0) == 1.0
-        assert kernel_row_integral(ReactionConvectionDiffusion(0.37), 1.0) == 1.0
+        for beta in (1.0, 0.37):
+            rcd_problem = ProblemSpec(ReactionConvectionDiffusion(beta),
+                                      ReactionConvectionDiffusion(beta),
+                                      parse_expr(f"{kappa}"),
+                                      parse_expr(f"{kappa}"), rcd_region, "thm53")
+            t1, _ = DiscreteOperator(rcd_problem, rule).apply(zero, zero)
+            target = kappa * (t + beta * (1.0 - np.exp((t - 1.0) / beta)))
+            assert float(np.max(np.abs(t1 - target))) <= 1e-4, beta
+            assert abs(t1[-1] - kappa) <= 1e-12, beta
 
 
 def test_criterion_6_cone_invariance_suite():
@@ -159,14 +158,13 @@ def test_criterion_6_cone_invariance_suite():
             f = pool[trial % len(pool)]
             problem = ProblemSpec(DirichletNeumann(), DirichletNeumann(),
                                   f, f, region, "nine")
-            u1 = GridFunction(rule, rng.uniform(0.0, 5.0, rule.n))
-            u2 = GridFunction(rule, rng.uniform(0.0, 5.0, rule.n))
-            t1, t2 = apply_T(problem, u1, u2)
-            slack = min_window(t2, 0.5) - 0.5 * sup_norm(t2)
-            ok = (float(np.min(t1.values)) >= 0.0
-                  and float(np.min(t2.values)) >= 0.0
-                  and slack >= -1e-10
-                  and in_cone_p(t2))
+            t1, t2 = DiscreteOperator(problem, rule).apply(
+                rng.uniform(0.0, 5.0, rule.n), rng.uniform(0.0, 5.0, rule.n))
+            image = GridFunction(rule, t2)
+            slack = min_window(image, 0.5) - 0.5 * sup_norm(image)
+            ok = (float(np.min(t1)) >= 0.0
+                  and float(np.min(t2)) >= 0.0
+                  and slack >= -1e-10)
             if not ok:
                 failures += 1
         assert failures == 0

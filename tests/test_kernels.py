@@ -5,35 +5,36 @@ import pytest
 
 from conecert.errors import DomainError
 from conecert.kernels import (DirichletNeumann, QuadratureRule,
-                              ReactionConvectionDiffusion, green, green_matrix,
-                              inverse_tridiagonal, kernel_row_integral,
-                              make_rule)
+                              ReactionConvectionDiffusion, green_matrix,
+                              inverse_tridiagonal, make_rule)
 
 DN = DirichletNeumann()
 RCD1 = ReactionConvectionDiffusion(1.0)
 
 
 def test_green_min():
-    assert green(DN, 0.3, 0.7) == 0.3
-    assert green(DN, 0.7, 0.3) == 0.3
+    pair = np.array([0.3, 0.7])
+    assert np.array_equal(green_matrix(DN, pair, pair[::-1]),
+                          [[0.3, 0.3], [0.7, 0.3]])
 
 
 def test_green_rcd_upper_branch():
-    assert green(RCD1, 0.0, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
+    assert green_matrix(RCD1, np.array([0.0]), np.array([1.0]))[0, 0] \
+        == pytest.approx(math.exp(-1.0), abs=1e-15)
 
 
 def test_green_rcd_lower_branch():
     for beta in (0.2, 1.0, 7.0):
-        assert green(ReactionConvectionDiffusion(beta), 0.8, 0.2) == 1.0
+        kernel = ReactionConvectionDiffusion(beta)
+        assert green_matrix(kernel, np.array([0.8]), np.array([0.2]))[0, 0] == 1.0
 
 
 def test_green_domain():
+    inside = np.array([0.5])
     with pytest.raises(DomainError):
-        green(DN, -0.1, 0.5)
+        green_matrix(DN, np.array([-0.1]), inside)
     with pytest.raises(DomainError):
-        green(RCD1, 0.5, 1.2)
-    with pytest.raises(DomainError):
-        kernel_row_integral(DN, 2.0)
+        green_matrix(RCD1, inside, np.array([1.2]))
 
 
 def test_beta_positive():
@@ -41,20 +42,30 @@ def test_beta_positive():
         ReactionConvectionDiffusion(0.0)
 
 
+def row_integral(kernel, t, rule):
+    """The quadrature rule's integral of G(t, s) over s in [0, 1]."""
+    return float(rule.weights @ green_matrix(kernel, np.array([t]), rule.nodes)[0])
+
+
 def test_row_integral_dirichlet_at_one():
-    assert kernel_row_integral(DN, 1.0) == 0.5
+    # min(1, s) = s is linear, so the trapezoid rule is exact up to round-off
+    assert row_integral(DN, 1.0, make_rule(129)) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_row_integral_rcd_at_one():
+    # G(1, s) = 1, so the integral is the weight sum
     for beta in (0.3, 1.0, 2.5):
-        assert kernel_row_integral(ReactionConvectionDiffusion(beta), 1.0) == 1.0
+        got = row_integral(ReactionConvectionDiffusion(beta), 1.0, make_rule(129))
+        assert got == pytest.approx(1.0, abs=1e-14)
 
 
 def test_row_integral_rcd_at_zero():
+    # beta (1 - e^(-1/beta)), within the trapezoid rule's O(h^2) error
+    rule = make_rule(129)
     for beta in (0.3, 1.0, 2.5):
         expected = beta * (1.0 - math.exp(-1.0 / beta))
-        got = kernel_row_integral(ReactionConvectionDiffusion(beta), 0.0)
-        assert got == pytest.approx(expected, rel=1e-15)
+        got = row_integral(ReactionConvectionDiffusion(beta), 0.0, rule)
+        assert got == pytest.approx(expected, abs=(1.0 / 128) ** 2 / beta)
 
 
 def test_monotone_in_t_and_bounds():
@@ -72,11 +83,14 @@ def test_monotone_in_t_and_bounds():
 def test_green_matrix_matches_scalar():
     # numpy's vectorised exp may differ from libm by one ulp
     ts = np.linspace(0, 1, 13)
-    for kernel in (DN, ReactionConvectionDiffusion(0.7)):
+    for kernel, green in (
+            (DN, min),
+            (ReactionConvectionDiffusion(0.7),
+             lambda t, s: math.exp((t - s) / 0.7) if t <= s else 1.0)):
         mat = green_matrix(kernel, ts, ts)
         for i, t in enumerate(ts):
             for m, s in enumerate(ts):
-                assert mat[i, m] == pytest.approx(green(kernel, t, s), rel=1e-15)
+                assert mat[i, m] == pytest.approx(green(t, s), rel=1e-15)
 
 
 @pytest.mark.filterwarnings("error")
@@ -84,12 +98,12 @@ def test_green_matrix_small_beta_is_warning_free():
     # the masked-out branch of np.where used to overflow in exp
     ts = make_rule(129).nodes
     for beta in (1e-3, 1e-4):
-        kernel = ReactionConvectionDiffusion(beta)
-        mat = green_matrix(kernel, ts, ts)
+        mat = green_matrix(ReactionConvectionDiffusion(beta), ts, ts)
         for i in (0, 1, 64, 128):
             for m in (0, 1, 64, 128):
-                assert mat[i, m] == pytest.approx(green(kernel, ts[i], ts[m]),
-                                                  rel=1e-15, abs=0.0)
+                t, s = ts[i], ts[m]
+                green = math.exp((t - s) / beta) if t <= s else 1.0
+                assert mat[i, m] == pytest.approx(green, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("kernel", [DN, RCD1, ReactionConvectionDiffusion(0.3),
@@ -144,11 +158,12 @@ def test_rule_validation():
 def test_quadrature_matches_row_integral():
     # the min(t,s) kink sits on a node, so trapezoid stays O(h^2); for the
     # piecewise-linear Dirichlet kernel it is exact up to round-off
+    closed_forms = ((DN, lambda t: t - t * t / 2),
+                    (RCD1, lambda t: t + 1.0 - math.exp(t - 1.0)))
     for n in (33, 65, 129):
         rule = make_rule(n)
         h = 1.0 / (n - 1)
-        for kernel, tol in ((DN, 1e-12), (RCD1, h * h)):
+        for kernel, closed in closed_forms:
+            tol = 1e-12 if kernel is DN else h * h
             for t in (0.0, rule.nodes[n // 2], 1.0):
-                quad = float(np.sum(
-                    rule.weights * green_matrix(kernel, np.array([t]), rule.nodes)[0]))
-                assert abs(quad - kernel_row_integral(kernel, t)) <= tol
+                assert abs(row_integral(kernel, t, rule) - closed(t)) <= tol

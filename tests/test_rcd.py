@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from conecert.errors import ConfigError, DomainError
 from conecert.rcd import (RcdParams, build_params, check_5_11, check_all,
                           check_m_range, check_5_16, diffusion_thresholds,
-                          g_eval, h_root, h_root_bracket, m_ranges,
-                          monotonicity_profile, s_pair, scaled_ratios)
+                          h_root_bracket, m_ranges, s_pair, scaled_ratios)
 
 # admissible m-ranges for (k1, k2, r1, r2) = (8, 10, 8, 10), frozen from a
 # 50-digit evaluation of the closed forms
@@ -25,25 +24,23 @@ CLOSING = RcdParams(beta1=1.0, beta2=1.0, k1=8.0, k2=10.0,
                     r1=8.0, r2=10.0, m1=3.0, m2=1.0)
 
 
-def test_g_eval_examples():
-    assert g_eval(0.0, 1.0) == 1.0
-    assert g_eval(8.0, 1.0) == pytest.approx(math.exp(-4.0), rel=1e-15)
-    with pytest.raises(DomainError):
-        g_eval(8.0, 0.0)
+def g(k, z):
+    """g_k(z), the shape of each RCD nonlinearity in its own coordinate."""
+    return np.exp(-k / (1.0 + z)) / z
 
 
 def test_g_relative_maximum_at_st():
     _, st = s_pair(8.0)
-    assert g_eval(8.0, st) > g_eval(8.0, st + 0.01)
-    assert g_eval(8.0, st) > g_eval(8.0, st - 0.01)
+    assert g(8.0, st) > g(8.0, st + 0.01)
+    assert g(8.0, st) > g(8.0, st - 0.01)
 
 
 def test_g_stationary_by_finite_differences():
     h = 1e-6
     for k in (6.0, 8.0, 11.0):
         for z in s_pair(k):
-            derivative = (g_eval(k, z + h) - g_eval(k, z - h)) / (2 * h)
-            scale = abs(g_eval(k, z))
+            derivative = (g(k, z + h) - g(k, z - h)) / (2 * h)
+            scale = abs(g(k, z))
             assert abs(derivative) <= 50 * h * scale / h**0  # O(h^2) -> tiny
             assert abs(derivative) <= 1e-8
 
@@ -71,13 +68,13 @@ def test_root_identities():
 def test_monotonicity_profile_nonincreasing_small_k():
     grid = np.arange(1, 101) * 0.1
     for k in (3.0, 4.0):
-        assert all(sign <= 0 for sign in monotonicity_profile(k, grid))
+        assert np.all(np.diff(g(k, grid)) <= 0.0)
 
 
 def test_monotonicity_profile_brackets_stationary_points():
     grid = np.arange(1, 201) * 0.05
     for k in (8.0, 11.0):
-        signs = monotonicity_profile(k, grid)
+        signs = np.sign(np.diff(g(k, grid)))
         flips = [i for i in range(len(signs) - 1)
                  if signs[i] != 0 and signs[i + 1] != 0
                  and signs[i] != signs[i + 1]]
@@ -86,11 +83,6 @@ def test_monotonicity_profile_brackets_stationary_points():
         for flip, root in zip(flips, (s, st)):
             shared_node = grid[flip + 1]
             assert abs(shared_node - root) <= 0.05 + 1e-12
-
-
-def test_monotonicity_profile_rejects_nonpositive_grid():
-    with pytest.raises(DomainError):
-        monotonicity_profile(8.0, [0.0, 1.0])
 
 
 def test_check_5_11_pass_8_10():
@@ -321,8 +313,6 @@ def test_h_root_bracket():
     lo, hi = h_root_bracket()
     assert hi - lo <= 1e-10
     assert 4.9 < lo and hi < 5.0
-    z0 = h_root()
-    assert lo <= z0 <= hi
 
 
 def test_h_sign_change_samples():

@@ -7,17 +7,16 @@ import pytest
 
 from conecert import kernels, solver
 from conecert.cli import build_problem
-from conecert.conespace import (GridFunction, RegionSpec, in_cone_p,
-                                min_window, sup_norm)
+from conecert.conespace import GridFunction, RegionSpec, sup_norm
 from conecert.errors import ConfigError
 from conecert.expr import EvalError, parse_expr
 from conecert.hypotheses import BoxIneq, grid_oracle
 from conecert.interval import Interval
 from conecert.kernels import (DirichletNeumann, QuadratureRule,
                               ReactionConvectionDiffusion, green_matrix,
-                              kernel_row_integral, make_rule)
+                              make_rule)
 from conecert.solver import (DiscreteOperator, ProblemSpec, SolverParams,
-                             apply_T, multi_start, residual, seed_levels,
+                             multi_start, residual, seed_levels,
                              solve_from)
 from conftest import closing_problem_config
 
@@ -49,23 +48,23 @@ def const_fn(level, rule=RULE):
 
 
 # ---------------------------------------------------------------------------
-# apply_T / residual
+# DiscreteOperator.apply (T) / residual
 
 def test_apply_T_constant_nonlinearity_matches_closed_form():
     problem = dirichlet_problem("1", "1")
-    u = const_fn(0.0)
-    t1, t2 = apply_T(problem, u, u)
+    zero = np.zeros(RULE.n)
+    t1, t2 = DiscreteOperator(problem, RULE).apply(zero, zero)
     expected = RULE.nodes - RULE.nodes**2 / 2.0
-    assert float(np.max(np.abs(t1.values - expected))) <= 1e-4
-    assert float(t1.values[-1]) == pytest.approx(0.5, abs=1e-12)
+    assert float(np.max(np.abs(t1 - expected))) <= 1e-4
+    assert float(t1[-1]) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_apply_T_zero_nonlinearity():
     problem = dirichlet_problem("0", "0")
-    u = const_fn(1.0)
-    t1, t2 = apply_T(problem, u, u)
-    assert np.all(t1.values == 0.0)
-    assert np.all(t2.values == 0.0)
+    one = np.ones(RULE.n)
+    t1, t2 = DiscreteOperator(problem, RULE).apply(one, one)
+    assert np.all(t1 == 0.0)
+    assert np.all(t2 == 0.0)
 
 
 def test_apply_T_rcd_constant_matches_row_integral():
@@ -77,31 +76,31 @@ def test_apply_T_rcd_constant_matches_row_integral():
                           ReactionConvectionDiffusion(beta),
                           parse_expr(f"{kappa}"), parse_expr(f"{kappa}"),
                           region, "thm53")
-    u = const_fn(0.0)
-    t1, _ = apply_T(problem, u, u)
+    zero = np.zeros(RULE.n)
+    t1, _ = DiscreteOperator(problem, RULE).apply(zero, zero)
     expected0 = kappa * beta * (1.0 - math.exp(-1.0 / beta))
-    assert float(t1.values[0]) == pytest.approx(expected0, abs=1e-4)
+    assert float(t1[0]) == pytest.approx(expected0, abs=1e-4)
 
 
 def test_apply_T_rejects_mismatched_rules():
     problem = dirichlet_problem("1", "1")
-    with pytest.raises(ValueError):
-        apply_T(problem, const_fn(0.0), const_fn(0.0, make_rule(65)))
+    with pytest.raises(ValueError, match="share one quadrature rule"):
+        residual(problem, const_fn(0.0), const_fn(0.0, make_rule(65)))
 
 
 def test_apply_T_eval_error_names_grid_node():
     problem = dirichlet_problem("1/(x1 - 2)", "1")
+    op = DiscreteOperator(problem, RULE)
     values = np.ones(RULE.n)
     values[7] = 2.0  # the only node where the denominator vanishes
-    u = GridFunction(RULE, values)
     with pytest.raises(EvalError) as err:
-        apply_T(problem, u, const_fn(1.0))
+        op.apply(values, np.ones(RULE.n))
     assert "grid node 7" in err.value.message
     # in a stack of states the node is named within its lane
     stacked = np.ones((3, RULE.n))
     stacked[1, 7] = 2.0
     with pytest.raises(EvalError) as err:
-        DiscreteOperator(problem, RULE).apply(stacked, np.ones((3, RULE.n)))
+        op.apply(stacked, np.ones((3, RULE.n)))
     assert "grid node 7" in err.value.message
 
 
@@ -113,9 +112,10 @@ def test_residual_zero_function_with_unit_forcing():
 
 def test_residual_at_discrete_fixed_point_is_roundoff():
     problem = dirichlet_problem("1", "1")
-    u = const_fn(0.0)
-    t1, t2 = apply_T(problem, u, u)
-    assert residual(problem, t1, t2) <= 1e-14  # T is constant in u here
+    zero = np.zeros(RULE.n)
+    t1, t2 = DiscreteOperator(problem, RULE).apply(zero, zero)
+    # T is constant in u here
+    assert residual(problem, GridFunction(RULE, t1), GridFunction(RULE, t2)) <= 1e-14
 
 
 def test_residual_grows_linearly_under_perturbation(nine_problem):
@@ -667,7 +667,7 @@ def test_newton_starts_from_the_evaluated_picard_iterate(nine_problem):
 
 
 # ---------------------------------------------------------------------------
-# cone invariance and kernel bound
+# kernel bound
 
 NONNEG_POOL = [
     "4.5 + 5*phi(x1)*psi(x2) - 4*capphi(x1)",
@@ -675,27 +675,6 @@ NONNEG_POOL = [
     "exp(x2^2/32) + 0.1*cos(pi*x1)",
     "1 + x1*x2/25",
 ]
-
-
-def test_cone_invariance_on_random_nonnegative_inputs():
-    rng = np.random.default_rng(2718)
-    trees = [parse_expr(src) for src in NONNEG_POOL]
-    failures = 0
-    for trial in range(100):
-        f = trees[trial % len(trees)]
-        problem = ProblemSpec(DirichletNeumann(), DirichletNeumann(), f, f,
-                              RegionSpec(d=(0.5, 0.5), a=(1, 1), c=(5, 5)),
-                              "nine")
-        u1 = GridFunction(RULE, rng.uniform(0.0, 5.0, RULE.n))
-        u2 = GridFunction(RULE, rng.uniform(0.0, 5.0, RULE.n))
-        t1, t2 = apply_T(problem, u1, u2)
-        if float(np.min(t1.values)) < 0 or float(np.min(t2.values)) < 0:
-            failures += 1
-            continue
-        slack = min_window(t2, 0.5) - 0.5 * sup_norm(t2)
-        if slack < -1e-10 or not in_cone_p(t2):
-            failures += 1
-    assert failures == 0
 
 
 def test_operator_bounded_by_kernel_row_integral():
@@ -707,13 +686,13 @@ def test_operator_bounded_by_kernel_row_integral():
                               "nine")
         q = BoxIneq(f, (Interval(0, 5), Interval(0, 5)), "<=", 0.0, "bound")
         f_sup = grid_oracle(q, 101).sup
-        row = kernel_row_integral(DirichletNeumann(), 1.0)
+        op = DiscreteOperator(problem, RULE)
+        row = 0.5  # the row integral t - t^2/2 of min(t, s), largest at t = 1
         for _ in range(10):
-            u1 = GridFunction(RULE, rng.uniform(0.0, 5.0, RULE.n))
-            u2 = GridFunction(RULE, rng.uniform(0.0, 5.0, RULE.n))
-            t1, t2 = apply_T(problem, u1, u2)
-            assert sup_norm(t1) <= f_sup * row * (1 + 1e-12)
-            assert sup_norm(t2) <= f_sup * row * (1 + 1e-12)
+            t1, t2 = op.apply(rng.uniform(0.0, 5.0, RULE.n),
+                              rng.uniform(0.0, 5.0, RULE.n))
+            assert float(np.max(np.abs(t1))) <= f_sup * row * (1 + 1e-12)
+            assert float(np.max(np.abs(t2))) <= f_sup * row * (1 + 1e-12)
 
 
 def test_hybrid_mode_multi_start_runs(hybrid_problem):
