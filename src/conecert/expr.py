@@ -27,11 +27,15 @@ the named constants, the operators and the builtins.  The float table is
 `operator` and numpy ufuncs run with numpy's overflow, divide and invalid
 flags raising FloatingPointError (underflow is silent), so from finite
 operands it makes a finite value or raises; a literal that overflows to inf
-is a ParseError.  The gradient table raises DomainError.  The closure of the
-node whose operation raised turns either into an EvalError at its source
-offset.  Compiled programs are cached by node identity, not by equality
-(equal trees may carry different offsets), so the hundreds of evaluations
-of one expression in a solve or a branch and bound compile it once.
+is a ParseError.  Those flags have one definition, `float_flags`: the public
+wrappers `eval_point` and `eval_values` enter it per call, while the solver
+and branch and bound enter it once per batch and run the compiled
+`float_program` directly.  The gradient table raises DomainError.  The
+closure of the node whose operation raised turns either into an EvalError
+at its source offset.  Compiled programs are cached by node identity, not
+by equality (equal trees may carry different offsets), so the hundreds of
+evaluations of one expression in a solve or a branch and bound compile it
+once.
 
 The ramps are monotone (phi and psi nondecreasing, capphi nonincreasing) and
 exact in float arithmetic (2z - 1 and 2 - 2z by Sterbenz's lemma on
@@ -591,26 +595,49 @@ def _program(e: ExprAst, table: _Table):
     return program
 
 
-# float programs run with every IEEE flag but underflow raising
-_FLOAT_FLAGS = np.errstate(over="raise", divide="raise", invalid="raise",
-                           under="ignore")
+def float_flags() -> np.errstate:
+    """A new scope of the float table's IEEE flags: overflow, divide and
+    invalid raise FloatingPointError, underflow is silent.  This is their
+    one definition.  `eval_point` and `eval_values` enter it per call; the
+    solver and branch and bound enter it once per batch and run
+    `float_program`s inside it.  Each call makes a new scope, since numpy
+    enters one np.errstate only once at a time."""
+    return np.errstate(over="raise", divide="raise", invalid="raise",
+                       under="ignore")
 
 
-@_FLOAT_FLAGS
+def float_program(e: ExprAst):
+    """The compiled float program ``(x1, x2) -> value`` of e over np.float64
+    scalars and arrays.  Inside `float_flags()` it returns a finite value or
+    raises the EvalError of its first failing operation.  The value may be
+    a scalar, may have fewer elements than the broadcast arguments, and is
+    the argument itself for a bare variable."""
+    return _program(e, _FLOATS)
+
+
 def eval_point(e: ExprAst, x1: float, x2: float) -> float:
-    """Evaluate at a point in plain float arithmetic: a finite float, or
-    the EvalError of the first operation that fails."""
-    return float(_program(e, _FLOATS)(np.float64(x1), np.float64(x2)))
+    """Evaluate at a point in plain float arithmetic, in its own
+    `float_flags()` scope: a finite float, or the EvalError of the first
+    operation that fails."""
+    with float_flags():
+        return float(float_program(e)(np.float64(x1), np.float64(x2)))
 
 
-@_FLOAT_FLAGS
 def eval_values(e: ExprAst, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Vectorised evaluation over numpy arrays (broadcasting applies): all
-    elements finite, or an EvalError."""
-    out = _program(e, _FLOATS)(np.asarray(x1, dtype=float),
-                               np.asarray(x2, dtype=float))
-    return np.broadcast_to(np.asarray(out, dtype=float),
-                           np.broadcast_shapes(np.shape(x1), np.shape(x2))).copy()
+    """Vectorised evaluation over numpy arrays (broadcasting applies), in
+    its own `float_flags()` scope: a new array of the broadcast shape, all
+    elements finite, or an EvalError.  The program's own result is returned
+    when it already is such an array; a scalar, a smaller result or an
+    input is copied out to that shape."""
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    with float_flags():
+        out = float_program(e)(x1, x2)
+    shape = np.broadcast_shapes(x1.shape, x2.shape)
+    if isinstance(out, np.ndarray) and out.shape == shape \
+            and out is not x1 and out is not x2:
+        return out
+    return np.broadcast_to(out, shape).copy()
 
 
 def first_failure(e: ExprAst, x1: np.ndarray, x2: np.ndarray,

@@ -53,7 +53,8 @@ from .conespace import RegionLabel
 from . import interval
 from .errors import ConfigError, DomainError
 from .expr import (EvalError, ExprAst, eval_point, eval_values, first_failure,
-                   gradient_program, interval_program, ramp_breakpoints)
+                   float_flags, float_program, gradient_program,
+                   interval_program, ramp_breakpoints)
 # only for benchmarks/spans.py, which patches it (AttributeError if absent)
 from .expr import eval_interval  # noqa: F401
 from .interval import Interval, midpoint
@@ -153,10 +154,12 @@ def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
     as four float endpoints and its depth, and builds no Interval per box.
     One gradient-program run per box gives both its natural and its
     derivative enclosures; the value-only program runs for the mean-value
-    centre, and where only a derivative enclosure leaves its domain.
+    centre, and where only a derivative enclosure leaves its domain.  The
+    midpoints' float program runs in one `float_flags()` scope per call.
     """
     enclose = interval_program(q.expr)
     gradient = gradient_program(q.expr)
+    point = float_program(q.expr)
     breaks1, breaks2 = ramp_breakpoints(q.expr)
     certified = _certified_fn(q.relation, q.bound)
     violates = _violates_fn(q.relation, q.bound)
@@ -166,71 +169,77 @@ def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
     explored = 0
     depth_capped = False
     unresolved = False
-    while stack:
-        if explored >= budget:
-            return CertVerdict("Unknown", None, explored, depth_capped,
-                               note="box budget exhausted")
-        lo1, hi1, lo2, hi2, dep = stack.pop()
-        explored += 1
-        x1 = (lo1, hi1)
-        x2 = (lo2, hi2)
-        try:
-            value, d1, d2 = gradient(x1, x2)
-        except EvalError:
-            # a domain error (the program compiled): a derivative's only skips
-            # the first-order tests, the value's leaves the box too coarse
-            value = d1 = None
-            with suppress(EvalError):
-                value = enclose(x1, x2)
-        if value is not None and certified(value):
-            continue
-        m1 = midpoint(lo1, hi1)
-        m2 = midpoint(lo2, hi2)
-        try:
-            val = eval_point(q.expr, m1, m2)
-        except EvalError as err:
-            raise EvalError(err.offset, f"{err.message} at the midpoint "
-                            f"({m1!r}, {m2!r}) of sub-box {Interval(lo1, hi1)} x "
-                            f"{Interval(lo2, hi2)}") from err
-        if violates(val):
-            return CertVerdict("Fail", (m1, m2, val), explored, depth_capped)
-        if d1 is not None:
-            end1 = _extremal_end(d1, lo1, hi1, upper)
-            end2 = _extremal_end(d2, lo2, hi2, upper)
-            if end1 is not None or end2 is not None:
-                if end1 is not None:
-                    lo1 = hi1 = end1
-                if end2 is not None:
-                    lo2 = hi2 = end2
-                stack.append((lo1, hi1, lo2, hi2, dep))
+    # one float_flags() scope for every midpoint; the rest of the loop is
+    # interval arithmetic on Python floats, which numpy's flags do not touch
+    with float_flags():
+        while stack:
+            if explored >= budget:
+                return CertVerdict("Unknown", None, explored, depth_capped,
+                                   note="box budget exhausted")
+            lo1, hi1, lo2, hi2, dep = stack.pop()
+            explored += 1
+            x1 = (lo1, hi1)
+            x2 = (lo2, hi2)
+            try:
+                value, d1, d2 = gradient(x1, x2)
+            except EvalError:
+                # a domain error (the program compiled): a derivative's only
+                # skips the first-order tests, the value's leaves the box too
+                # coarse
+                value = d1 = None
+                with suppress(EvalError):
+                    value = enclose(x1, x2)
+            if value is not None and certified(value):
                 continue
-            # the natural enclosure has failed, so the mean-value form
-            # alone decides what their intersection would
-            with suppress(EvalError, DomainError):
-                mean_value = interval.add(enclose((m1, m1), (m2, m2)), interval.add(
-                    interval.mul(d1, interval.sub(x1, (m1, m1))),
-                    interval.mul(d2, interval.sub(x2, (m2, m2)))))
-                if certified(mean_value):
+            m1 = midpoint(lo1, hi1)
+            m2 = midpoint(lo2, hi2)
+            try:
+                val = float(point(np.float64(m1), np.float64(m2)))
+            except EvalError as err:
+                raise EvalError(err.offset, f"{err.message} at the midpoint "
+                                f"({m1!r}, {m2!r}) of sub-box "
+                                f"{Interval(lo1, hi1)} x "
+                                f"{Interval(lo2, hi2)}") from err
+            if violates(val):
+                return CertVerdict("Fail", (m1, m2, val), explored, depth_capped)
+            if d1 is not None:
+                end1 = _extremal_end(d1, lo1, hi1, upper)
+                end2 = _extremal_end(d2, lo2, hi2, upper)
+                if end1 is not None or end2 is not None:
+                    if end1 is not None:
+                        lo1 = hi1 = end1
+                    if end2 is not None:
+                        lo2 = hi2 = end2
+                    stack.append((lo1, hi1, lo2, hi2, dep))
                     continue
-        if dep >= max_depth:
-            depth_capped = True
-            unresolved = True
-            continue
-        # split the widest axis, x1 on ties; fall back to the other axis
-        # when the wider one is already degenerate
-        split1 = lo1 < m1 < hi1
-        split2 = lo2 < m2 < hi2
-        if split1 and (hi1 - lo1 >= hi2 - lo2 or not split2):
-            s = _split_point(lo1, hi1, m1, breaks1)
-            stack.append((s, hi1, lo2, hi2, dep + 1))
-            stack.append((lo1, s, lo2, hi2, dep + 1))
-        elif split2:
-            s = _split_point(lo2, hi2, m2, breaks2)
-            stack.append((lo1, hi1, s, hi2, dep + 1))
-            stack.append((lo1, hi1, lo2, s, dep + 1))
-        else:
-            # point box that neither certifies nor violates (rounding slack)
-            unresolved = True
+                # the natural enclosure has failed, so the mean-value form
+                # alone decides what their intersection would
+                with suppress(EvalError, DomainError):
+                    mean_value = interval.add(
+                        enclose((m1, m1), (m2, m2)), interval.add(
+                            interval.mul(d1, interval.sub(x1, (m1, m1))),
+                            interval.mul(d2, interval.sub(x2, (m2, m2)))))
+                    if certified(mean_value):
+                        continue
+            if dep >= max_depth:
+                depth_capped = True
+                unresolved = True
+                continue
+            # split the widest axis, x1 on ties; fall back to the other axis
+            # when the wider one is already degenerate
+            split1 = lo1 < m1 < hi1
+            split2 = lo2 < m2 < hi2
+            if split1 and (hi1 - lo1 >= hi2 - lo2 or not split2):
+                s = _split_point(lo1, hi1, m1, breaks1)
+                stack.append((s, hi1, lo2, hi2, dep + 1))
+                stack.append((lo1, s, lo2, hi2, dep + 1))
+            elif split2:
+                s = _split_point(lo2, hi2, m2, breaks2)
+                stack.append((lo1, hi1, s, hi2, dep + 1))
+                stack.append((lo1, hi1, lo2, s, dep + 1))
+            else:
+                # point box that neither certifies nor violates (rounding slack)
+                unresolved = True
     if unresolved:
         return CertVerdict("Unknown", None, explored, depth_capped,
                            note="uncertified leaves remain")
@@ -277,8 +286,12 @@ def grid_oracle(q: BoxIneq, n: int = DEFAULT_ORACLE_N) -> OracleResult:
 
     x1, x2, sup = point(int(np.argmax(vals)))
     y1, y2, inf = point(int(np.argmin(vals)))
-    mask = _violates_fn(q.relation, q.bound)(vals)
-    first = point(int(np.argmax(mask))) if mask.any() else None
+    # each relation bounds one side, so some lattice point violates it
+    # exactly when the sup or the inf does
+    violates = _violates_fn(q.relation, q.bound)
+    first = None
+    if violates(sup) or violates(inf):
+        first = point(int(np.argmax(violates(vals))))
     return OracleResult(sup=sup, inf=inf, argmax=(x1, x2), argmin=(y1, y2),
                         n=n, first_violation=first)
 

@@ -10,7 +10,8 @@ Two kernels on [0,1]^2:
 
 Both are nondecreasing in t for fixed s, which is what pushes operator
 images into the cone used downstream.  Both are semiseparable: below and on
-the diagonal G(t_i, t_m) is a product a_i b_m, above it c_i d_m (generators).
+the diagonal G(t_i, t_m) is b_m, a function of the column alone, and above
+it a product c_i d_m (generators).
 The solver applies the operator through these generators with two prefix
 sums in O(n), and its Newton step uses the closed-form tridiagonal inverse of
 the Green matrix (inverse_tridiagonal) that the same structure gives.
@@ -95,16 +96,16 @@ def generator_blocks(kernel: KernelKind, nodes: np.ndarray) -> np.ndarray:
 
 def generators(kernel: KernelKind, nodes: np.ndarray, starts: np.ndarray
                ) -> tuple[np.ndarray, ...]:
-    """Semiseparable generators (a, b, c, d, link) of G on the nodes t.
+    """Semiseparable generators (b, c, d, link) of G on the nodes t.
 
-    G(t_i, t_m) = a_i b_m for m <= i.  For m > i, G(t_i, t_m) = c_i d_m when
+    G(t_i, t_m) = b_m for m <= i.  For m > i, G(t_i, t_m) = c_i d_m when
     both nodes lie in one block of `starts` (sorted start indices, the first
     0), and c_i link_k ... link_{l-1} d_m when t_i lies in block k and t_m in
     block l > k.  Any `starts` that includes every block start of
     generator_blocks(kernel, nodes) keeps every factor finite.
 
-    * min(t,s): a = 1, b = t, c = t, d = 1, link = 1.
-    * RCD: a = b = 1; with x = t/beta and r the x of each block's first node,
+    * min(t,s): b = t, c = t, d = 1, link = 1.
+    * RCD: b = 1; with x = t/beta and r the x of each block's first node,
       c = exp(x - r), d = exp(r - x) and link_k = exp(r_k - r_{k+1}).
     """
     t = np.asarray(nodes, dtype=float)
@@ -112,11 +113,11 @@ def generators(kernel: KernelKind, nodes: np.ndarray, starts: np.ndarray
     starts = np.asarray(starts, dtype=int)
     one = np.ones_like(t)
     if isinstance(kernel, DirichletNeumann):
-        return one, t, t, one, np.ones(len(starts) - 1)
+        return t, t, one, np.ones(len(starts) - 1)
     x = t / kernel.beta
     r = x[starts]
     ref = np.repeat(r, np.diff(starts, append=len(t)))
-    return one, one, np.exp(x - ref), np.exp(ref - x), np.exp(r[:-1] - r[1:])
+    return one, np.exp(x - ref), np.exp(ref - x), np.exp(r[:-1] - r[1:])
 
 
 def inverse_tridiagonal(kernel: KernelKind, nodes: np.ndarray

@@ -12,6 +12,11 @@ the seed, so a diverging seed stops at its first failed search.  An
 EvalError of f (a float operation that overflows, divides by zero or is
 invalid) names the first failing grid node and ends only the seed whose
 state made it; at a trial step of the line search it rejects that trial.
+f1 and f2 are compiled once per operator, and each batched evaluation runs
+their programs in one scope of the float table's flags (expr.float_flags).
+That scope covers the program runs only: the lanes' own arithmetic (a
+forward difference, a trial step) overflows to inf without raising, and the
+finiteness tests end the seed.
 The nonlinearities' derivatives are forward finite differences at the nodes
 (the piecewise ramps are non-smooth at their breakpoints, so no AST
 differentiation).  Both
@@ -49,7 +54,8 @@ import numpy as np
 from .conespace import (GridFunction, RegionLabel, RegionSpec, classify,
                         nontrivial, sup_norm)
 from .errors import ConfigError, OutsideAmbientError
-from .expr import EvalError, ExprAst, eval_values, first_failure
+from .expr import (EvalError, ExprAst, eval_values, first_failure,
+                   float_flags, float_program)
 from .kernels import (DirichletNeumann, KernelKind, QuadratureRule,
                       ReactionConvectionDiffusion, generator_blocks,
                       generators, inverse_tridiagonal, make_rule, same_rule)
@@ -126,7 +132,8 @@ class Solution:
 
 class DiscreteOperator:
     """Semiseparable kernel generators (weights folded in), stacked (2, n)
-    over the two components, plus the two nonlinearities."""
+    over the two components, plus the two nonlinearities' float programs,
+    compiled once."""
 
     def __init__(self, problem: ProblemSpec, rule: QuadratureRule):
         self.problem = problem
@@ -137,9 +144,9 @@ class DiscreteOperator:
         # one block partition that keeps both components' generators finite
         starts = np.flatnonzero(generator_blocks(k1, t)
                                 | generator_blocks(k2, t))
-        a, b, c, d, link = (np.array(pair) for pair in zip(
+        b, c, d, link = (np.array(pair) for pair in zip(
             generators(k1, t, starts), generators(k2, t, starts)))
-        self.gen = (a, b * w, c, d * w)
+        self.gen = (b * w, c, d * w)
         # (start, stop, link to the previous block), last block first
         stops = np.append(starts[1:], rule.n)
         links = [None, *link.T]
@@ -150,25 +157,40 @@ class DiscreteOperator:
         self.inv1 = _weighted_inverse(problem.kernel1, rule)
         self.inv2 = _weighted_inverse(problem.kernel2, rule)
         self.first = rule.n - len(self.inv1[1])
+        self.programs = (float_program(problem.f1), float_program(problem.f2))
 
-    def _eval(self, f: ExprAst, v1: np.ndarray, v2: np.ndarray,
-              locate: bool = True) -> np.ndarray:
-        try:
-            return eval_values(f, v1, v2)
-        except EvalError as err:
-            if not locate:
-                raise
-            at, error = first_failure(f, v1, v2, err)
-        raise EvalError(error.offset, f"{error.message} at grid node "
-                                      f"{at % np.shape(v1)[-1]}") from error
+    def _locate(self, v1: np.ndarray, v2: np.ndarray):
+        """Raise the EvalError of the first of f1, f2 that fails at v, with
+        its first failing grid node named; the error path alone runs this,
+        one expression at a time."""
+        for f in (self.problem.f1, self.problem.f2):
+            try:
+                eval_values(f, v1, v2)
+            except EvalError as err:
+                at, error = first_failure(f, v1, v2, err)
+                raise EvalError(error.offset, f"{error.message} at grid node "
+                                f"{at % v1.shape[-1]}") from error
 
     def nonlinearity(self, v1: np.ndarray, v2: np.ndarray,
                      locate: bool = True) -> np.ndarray:
-        """(f1, f2) at the nodes of v, stacked as one (..., 2, n) array.  An
-        EvalError names its first failing grid node, unless `locate` is
-        false: a caller that discards the error skips that bisection."""
-        return np.stack((self._eval(self.problem.f1, v1, v2, locate),
-                         self._eval(self.problem.f2, v1, v2, locate)), axis=-2)
+        """(f1, f2) at the nodes of v, written into one (..., 2, n) array by
+        both programs in one `float_flags()` scope.  An EvalError names its
+        first failing grid node, unless `locate` is false: a caller that
+        discards the error skips that bisection."""
+        v1 = np.asarray(v1, dtype=float)
+        v2 = np.asarray(v2, dtype=float)
+        shape = np.broadcast(v1, v2).shape
+        out = np.empty((*shape[:-1], 2, shape[-1]))
+        program1, program2 = self.programs
+        try:
+            with float_flags():
+                out[..., 0, :] = program1(v1, v2)
+                out[..., 1, :] = program2(v1, v2)
+        except EvalError:
+            if locate:
+                self._locate(v1, v2)
+            raise
+        return out
 
     def apply(self, v1: np.ndarray, v2: np.ndarray,
               f: np.ndarray | None = None) -> np.ndarray:
@@ -176,13 +198,13 @@ class DiscreteOperator:
         (..., n); f is `nonlinearity(v1, v2)`, evaluated here unless the
         caller already has it.
 
-        (T_j v)_i = a_i sum_{m <= i} b_m f_m + c_i sum_{m > i} d_m f_m: a
+        (T_j v)_i = sum_{m <= i} b_m f_m + c_i sum_{m > i} d_m f_m: a
         forward prefix sum, and a backward one per generator block whose
         total is carried into the previous block through its link."""
         if f is None:
             f = self.nonlinearity(v1, v2)
-        a, b, c, d = self.gen
-        out = a * np.add.accumulate(b * f, axis=-1)
+        b, c, d = self.gen
+        out = np.add.accumulate(b * f, axis=-1)
         df = d * f
         carry = None  # the sum of df past the block, in the block's terms
         for start, stop, link in self.blocks:
@@ -204,15 +226,20 @@ class DiscreteOperator:
     def jacobian(self, v1, v2, f: np.ndarray) -> tuple[np.ndarray, ...]:
         """Nodal derivatives (d11, d12, d21, d22) of (f1, f2) at v, where
         dij = df_i/dx_j, by forward differences from the base values
-        f = `nonlinearity(v1, v2)`.  An EvalError names no grid node: the
-        one caller, newton_step in the solver's lanes, discards it."""
+        f = `nonlinearity(v1, v2)`.  The four program runs share one
+        `float_flags()` scope, which covers nothing else: a difference that
+        overflows follows the caller's flags (the solver's lanes make it
+        inf, and the Newton step ends that seed).  An EvalError names no
+        grid node: the one caller, newton_step in the solver's lanes,
+        discards it."""
         h = FD_STEP
+        program1, program2 = self.programs
+        up1, up2 = v1 + h, v2 + h
+        with float_flags():
+            g11, g12 = program1(up1, v2), program1(v1, up2)
+            g21, g22 = program2(up1, v2), program2(v1, up2)
         f1, f2 = f[..., 0, :], f[..., 1, :]
-        g1, g2 = self.problem.f1, self.problem.f2
-        return ((self._eval(g1, v1 + h, v2, False) - f1) / h,
-                (self._eval(g1, v1, v2 + h, False) - f1) / h,
-                (self._eval(g2, v1 + h, v2, False) - f2) / h,
-                (self._eval(g2, v1, v2 + h, False) - f2) / h)
+        return (g11 - f1) / h, (g12 - f1) / h, (g21 - f2) / h, (g22 - f2) / h
 
     def newton_step(self, v: np.ndarray, r: np.ndarray,
                     f: np.ndarray) -> np.ndarray:

@@ -198,6 +198,23 @@ def test_eval_values_vectorised_matches_point():
             assert vals[i] == eval_point(tree, x1[i], x2[i]), (src, x1[i], x2[i])
 
 
+@pytest.mark.parametrize("src", ["x1", "x2", "5", "x1*x2 + 1"])
+@pytest.mark.parametrize("lattice", ["full", "broadcast"])
+def test_eval_values_returns_a_new_array(src, lattice):
+    # the program's own result is returned uncopied only when it is a new
+    # full-shape array: a bare variable returns its input, a constant a
+    # scalar, and a one-variable term on a broadcast lattice a smaller array
+    g1, g2 = np.linspace(0.0, 1.0, 3), np.linspace(2.0, 3.0, 4)
+    x1, x2 = np.meshgrid(g1, g2, indexing="ij") if lattice == "full" \
+        else (g1[:, None], g2[None, :])
+    before = x1.copy(), x2.copy()
+    out = eval_values(parse_expr(src), x1, x2)
+    assert out.shape == (3, 4)
+    assert not np.shares_memory(out, x1) and not np.shares_memory(out, x2)
+    out[...] = -1.0
+    assert np.array_equal(x1, before[0]) and np.array_equal(x2, before[1])
+
+
 # random trees over every operation, with constants near the float range's
 # ends, so that overflow, underflow, division by zero and invalid operations
 # all occur

@@ -1,23 +1,41 @@
 """The configs shipped under configs/ must keep working as documented."""
 
+import hashlib
 import json
 from pathlib import Path
 
 from conecert.cli import main
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+TESTS = Path(__file__).resolve().parent
+CONFIGS = TESTS.parent / "configs"
+
+
+def assert_pinned_bytes(out: Path):
+    """Every file under `out` has the SHA-256 that tests/nine.sha256 (the
+    `sha256sum` list CI checks too) pins for it, and no pinned file under
+    `out` is missing.  nine's f uses only the ramps and + - * /, and its
+    enclosures only nextafter, so its bytes do not depend on the CPU."""
+    pinned = dict(line.split()[::-1] for line in
+                  (TESTS / "nine.sha256").read_text().splitlines())
+    got = {p.relative_to(out.parent).as_posix():
+           hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in out.rglob("*") if p.is_file()}
+    assert got == {path: digest for path, digest in pinned.items()
+                   if path.startswith(f"{out.name}/")}
 
 
 def test_nine_config_verifies(tmp_path):
     assert main(["verify", str(CONFIGS / "nine.json"),
-                 "--out", str(tmp_path)]) == 0
+                 "--out", str(tmp_path / "verify")]) == 0
+    assert_pinned_bytes(tmp_path / "verify")
 
 
 def test_nine_config_solves(tmp_path):
     assert main(["solve", str(CONFIGS / "nine.json"),
-                 "--out", str(tmp_path)]) == 0
-    report = json.loads((tmp_path / "report.json").read_text())
+                 "--out", str(tmp_path / "solve")]) == 0
+    report = json.loads((tmp_path / "solve" / "report.json").read_text())
     assert len(report["solutions"]) >= 3
+    assert_pinned_bytes(tmp_path / "solve")
 
 
 def test_hybrid_config_fails_condition_e(tmp_path):

@@ -18,7 +18,7 @@ from conecert.kernels import (DirichletNeumann, QuadratureRule,
 from conecert.solver import (DiscreteOperator, ProblemSpec, SolverParams,
                              multi_start, residual, seed_levels,
                              solve_from)
-from conftest import closing_problem_config
+from conftest import F_SYMMETRIC_2, closing_problem_config
 
 RULE = make_rule(129)
 
@@ -401,16 +401,20 @@ def test_a_lane_failure_drops_only_its_seed(nine_problem, monkeypatch, caplog,
     def marked(x1, x2):
         return (np.asarray(x1) == 3.0) & (np.asarray(x2) == 3.0)
 
-    original_eval = solver.eval_values
+    compile_program = solver.float_program
 
-    def eval_values(e, x1, x2):
-        hit = marked(x1, x2)
-        if failure == "eval-error" and hit.any():
-            raise EvalError(0, "crafted failure")
-        out = original_eval(e, x1, x2)
-        if failure == "non-finite":
-            out[hit] = np.inf
-        return out
+    def float_program(e):
+        program = compile_program(e)
+
+        def run(x1, x2):
+            hit = marked(x1, x2)
+            if failure == "eval-error" and hit.any():
+                raise EvalError(0, "crafted failure")
+            out = np.array(np.broadcast_to(program(x1, x2), hit.shape))
+            if failure == "non-finite":
+                out[hit] = np.inf
+            return out
+        return run
 
     original_jacobian = DiscreteOperator.jacobian
 
@@ -425,7 +429,7 @@ def test_a_lane_failure_drops_only_its_seed(nine_problem, monkeypatch, caplog,
     if failure == "pivot":
         monkeypatch.setattr(DiscreteOperator, "jacobian", jacobian)
     else:
-        monkeypatch.setattr(solver, "eval_values", eval_values)
+        monkeypatch.setattr(solver, "float_program", float_program)
     params = SolverParams(picard_steps=1 if failure == "pivot" else 200)
     others = [f"{a}-{b}" for a in "SMB" for b in "SMB" if a + b != "BB"]
     with caplog.at_level(logging.INFO, logger="conecert.solver"):
@@ -448,6 +452,23 @@ def test_newton_first_closing_system_warns_nothing():
         warnings.simplefilter("error")
         sols = multi_start(problem, SolverParams(grid_n=513, picard_steps=1))
     assert {str(s.region) for s in sols} >= {"S-S", "S-M", "M-S", "M-M"}
+
+
+def test_overflowing_forward_differences_end_their_seeds():
+    # f1 stays within 1e308 at every node, but each of its forward
+    # differences overflows: the float flags' raise scope covers f's
+    # program runs only, so each Jacobian is inf and every seed ends
+    # quietly, with no FloatingPointError and no warning
+    problem = dirichlet_problem("1e308*sin(1e10*x1)", F_SYMMETRIC_2)
+    params = SolverParams(grid_n=33, picard_steps=1)
+    op = DiscreteOperator(problem, make_rule(params.grid_n))
+    v = np.ones((2, params.grid_n))
+    with np.errstate(over="ignore"):
+        d11 = op.jacobian(v[0], v[1], op.nonlinearity(v[0], v[1]))[0]
+    assert np.isinf(d11).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert multi_start(problem, params) == []
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +628,10 @@ def test_stacked_newton_step_matches_dense_solve(nine_problem, system):
 
 
 def test_newton_step_reuses_the_residual_evaluation(nine_problem, monkeypatch):
-    # each Newton step evaluates f1 and f2 once at v for the residual and
-    # four times more for the forward differences, never again at v itself
-    calls = {"eval": 0, "apply": 0, "jacobian": 0}
+    # each Newton step runs the programs of f1 and f2 once at v for the
+    # residual and four times more for the forward differences, never again
+    # at v itself
+    calls = {"program": 0, "apply": 0, "jacobian": 0}
 
     def counted(name, fn):
         def run(*args, **kwargs):
@@ -617,7 +639,9 @@ def test_newton_step_reuses_the_residual_evaluation(nine_problem, monkeypatch):
             return fn(*args, **kwargs)
         return run
 
-    monkeypatch.setattr(solver, "eval_values", counted("eval", solver.eval_values))
+    compile_program = solver.float_program
+    monkeypatch.setattr(solver, "float_program",
+                        lambda e: counted("program", compile_program(e)))
     for name in ("apply", "jacobian"):
         monkeypatch.setattr(DiscreteOperator, name,
                             counted(name, getattr(DiscreteOperator, name)))
@@ -625,7 +649,7 @@ def test_newton_step_reuses_the_residual_evaluation(nine_problem, monkeypatch):
     assert solve_from(nine_problem, seed, seed, SolverParams(picard_steps=1),
                       seed_id="M-M") is not None
     assert calls["jacobian"] > 0
-    assert calls["eval"] == 2 * calls["apply"] + 4 * calls["jacobian"]
+    assert calls["program"] == 2 * calls["apply"] + 4 * calls["jacobian"]
 
 
 @pytest.mark.parametrize("bad", [0.0, math.nan], ids=["zero", "nan"])
