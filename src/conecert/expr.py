@@ -532,12 +532,20 @@ def _constant(value):
     return lambda x1, x2: value
 
 
+def _failure(offset: int, err: Exception) -> EvalError:
+    # numpy words a failure on scalars "... encountered in scalar multiply"
+    # and on arrays "... encountered in multiply": one wording for both, so a
+    # midpoint and a lattice point report the same failure the same way
+    message = str(err).replace(" encountered in scalar ", " encountered in ")
+    return EvalError(offset, message)
+
+
 def _unary(fn, arg, offset: int):
     def run(x1, x2):
         try:
             return fn(arg(x1, x2))
         except (DomainError, FloatingPointError) as err:
-            raise EvalError(offset, str(err)) from err
+            raise _failure(offset, err) from err
     return run
 
 
@@ -546,7 +554,7 @@ def _binary(fn, left, right, offset: int):
         try:
             return fn(left(x1, x2), right(x1, x2))
         except (DomainError, FloatingPointError) as err:
-            raise EvalError(offset, str(err)) from err
+            raise _failure(offset, err) from err
     return run
 
 

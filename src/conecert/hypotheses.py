@@ -25,7 +25,10 @@ A box that no test decides is split on its widest axis.  Where a ramp
 the axis, the split is at the breakpoint nearest the midpoint, else at the
 midpoint: the maxima of the paper's nonlinearities sit on such kinks, and
 once a box lies in one closed piece of the ramp its slope there is
-definite, so monotonicity can cut the box to the face on the kink.
+definite, so monotonicity can cut the box to the face on the kink.  Both
+halves of such a split then often collapse onto the same face; a face (or
+point) whose whole subtree was certified is remembered and not decided
+again, and `boxes_explored` counts decided boxes only.
 
 A box whose enclosure leaves an operation's domain (a divisor enclosure
 containing 0, say) is simply not certified and gets split; a gradient
@@ -156,6 +159,16 @@ def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
     derivative enclosures; the value-only program runs for the mean-value
     centre, and where only a derivative enclosure leaves its domain.  The
     midpoints' float program runs in one `float_flags()` scope per call.
+
+    The 2-D boxes partition the root, so only a box with a degenerate side
+    (a face or a point) can recur, when both halves of a split collapse onto
+    it.  Each such box pushes a completion marker under its children, with
+    the count of unresolved leaves so far; when the marker pops with that
+    count unchanged, the box is proved and a later copy, at whatever depth,
+    is skipped with no program run.  A depth-capped or unresolved subtree
+    proves nothing.  The budget counts decided boxes only, and is checked
+    only when a box is about to be decided, so markers and proved copies
+    left on the stack never turn a Pass into a budget Unknown.
     """
     enclose = interval_program(q.expr)
     gradient = gradient_program(q.expr)
@@ -166,17 +179,33 @@ def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
     upper = q.relation in ("<", "<=")
     b1, b2 = q.box
     stack = [(b1.lo, b1.hi, b2.lo, b2.hi, 0)]
+    proved = set()  # faces and points whose whole subtree was certified
     explored = 0
     depth_capped = False
-    unresolved = False
+    unresolved = 0  # leaves left with neither outcome
     # one float_flags() scope for every midpoint; the rest of the loop is
     # interval arithmetic on Python floats, which numpy's flags do not touch
     with float_flags():
         while stack:
+            item = stack.pop()
+            if len(item) == 2:
+                # a face's completion marker: the face and everything pushed
+                # above it are decided, and proved if no leaf among them was
+                # left unresolved
+                face, before = item
+                if unresolved == before:
+                    proved.add(face)
+                continue
+            lo1, hi1, lo2, hi2, dep = item
+            if lo1 == hi1 or lo2 == hi2:
+                face = (lo1, hi1, lo2, hi2)
+                if face in proved:
+                    continue
+                # its completion marker, under anything this box pushes
+                stack.append((face, unresolved))
             if explored >= budget:
                 return CertVerdict("Unknown", None, explored, depth_capped,
                                    note="box budget exhausted")
-            lo1, hi1, lo2, hi2, dep = stack.pop()
             explored += 1
             x1 = (lo1, hi1)
             x2 = (lo2, hi2)
@@ -223,7 +252,7 @@ def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
                         continue
             if dep >= max_depth:
                 depth_capped = True
-                unresolved = True
+                unresolved += 1
                 continue
             # split the widest axis, x1 on ties; fall back to the other axis
             # when the wider one is already degenerate
@@ -239,7 +268,7 @@ def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
                 stack.append((lo1, hi1, lo2, s, dep + 1))
             else:
                 # point box that neither certifies nor violates (rounding slack)
-                unresolved = True
+                unresolved += 1
     if unresolved:
         return CertVerdict("Unknown", None, explored, depth_capped,
                            note="uncertified leaves remain")

@@ -411,7 +411,7 @@ def test_verify_point_domain_error_is_exit_3(tmp_path, capsys):
     cfg["problem"]["f1"] = "1/(x1 - 2.5)"  # the ambient box's midpoint
     path = write_config(tmp_path, cfg)
     assert main(["verify", path, "--out", str(tmp_path)]) == 3
-    assert ("divide by zero encountered in scalar divide at the midpoint"
+    assert ("divide by zero encountered in divide at the midpoint"
             in capsys.readouterr().err)
 
 
@@ -450,7 +450,7 @@ def test_verify_power_overflow_is_exit_3(tmp_path, capsys, term):
 
 
 @pytest.mark.parametrize("f1, where", [
-    ("1e308*x1*x1", "at position 5: overflow encountered in scalar multiply "
+    ("1e308*x1*x1", "at position 5: overflow encountered in multiply "
                     "at the midpoint (2.5, 2.5) of sub-box"),
     # the root midpoint is a finite Fail; the lattice overflows further out
     ("11 + 1e307*x1*x1*x1/125", "at position 16: overflow encountered in "

@@ -172,7 +172,7 @@ def test_ramps_saturate_at_the_ends_of_the_float_range():
 def test_eval_division_by_zero():
     with pytest.raises(EvalError) as err:
         eval_point(parse_expr("1/x1"), 0.0, 0.0)
-    assert err.value.message == "divide by zero encountered in scalar divide"
+    assert err.value.message == "divide by zero encountered in divide"
 
 
 def test_eval_ln_nonpositive():

@@ -138,9 +138,9 @@ TIGHT_F1 = "4.5 + 5*phi(x1)*psi(x2) - 4*capphi(x1) + {}*x1*(6.0 - x1)/9.0*cos(x2
 
 
 @pytest.mark.parametrize("amp, budget, status, boxes", [
-    ("0.9235570431227818", 100_000, "Pass", 68),     # eps = 1e-3
+    ("0.9235570431227818", 100_000, "Pass", 42),     # eps = 1e-3
     ("0.9346619374288674", 100_000, "Fail", 9),      # eps = -5e-3
-    ("0.925406008024745", 2000, "Pass", 128),        # eps = 1e-6
+    ("0.925406008024745", 2000, "Pass", 72),         # eps = 1e-6
     ("0.925406008024745", 20, "Unknown", 20),        # eps = 1e-6
 ])
 def test_certify_tight_condition_explores_pinned_boxes(amp, budget, status, boxes):
@@ -242,6 +242,50 @@ def test_certify_runs_the_gradient_program_once_per_box(monkeypatch, src, bound)
     assert runs["value"]
     for x1, x2 in runs["value"]:
         assert (x1[0] == x1[1] and x2[0] == x2[1]) or (x1, x2) in runs["raised"]
+
+
+@pytest.mark.parametrize("amp", ["0.9235570431227818", "0.925406008024745"],
+                         ids=["eps=1e-3", "eps=1e-6"])
+def test_certify_decides_each_box_once(monkeypatch, amp):
+    # both halves of the split at psi's kink x2 = 1 collapse onto the face
+    # [3, 5] x [1, 1] and onto its sub-faces; once proved, none is decided
+    # again
+    runs = _recorded_programs(monkeypatch)
+    q = BoxIneq(parse_expr(TIGHT_F1.format(amp)), box(0, 5, 0, 5), "<=", 10.0,
+                "thm52.a1")
+    verdict = certify_box(q)
+    assert verdict.status == "Pass"
+    assert len(runs["gradient"]) == verdict.boxes_explored
+    assert len(set(runs["gradient"])) == len(runs["gradient"])
+
+
+def test_certify_unresolved_subtree_proves_nothing(monkeypatch):
+    # at depth 7 the face [3, 5] x [1, 1] ends with depth-capped leaves, so
+    # it is not remembered: its second copy is decided again and the verdict
+    # is still the depth cap's
+    runs = _recorded_programs(monkeypatch)
+    q = BoxIneq(parse_expr(TIGHT_F1.format("0.925406008024745")),
+                box(0, 5, 0, 5), "<=", 10.0, "thm52.a1")
+    verdict = certify_box(q, max_depth=7)
+    assert (verdict.status, verdict.boxes_explored) == ("Unknown", 50)
+    assert verdict.max_depth_reached
+    assert verdict.note == "uncertified leaves remain"
+    assert runs["gradient"].count(((3.0, 5.0), (1.0, 1.0))) == 2
+
+
+@pytest.mark.parametrize("amp", ["0.9235570431227818", "0.925406008024745"],
+                         ids=["eps=1e-3", "eps=1e-6"])
+def test_certify_budget_counts_decided_boxes_only(amp):
+    # on [0, 5] x [0, 2] the last decided box leaves a completion marker and
+    # a proved copy of a point on the stack, which cost nothing: a budget of
+    # exactly the decided boxes passes, one less does not
+    q = BoxIneq(parse_expr(TIGHT_F1.format(amp)), box(0, 5, 0, 2), "<=", 10.0,
+                "thm52.a1")
+    boxes = certify_box(q).boxes_explored
+    assert certify_box(q, budget=boxes).status == "Pass"
+    short = certify_box(q, budget=boxes - 1)
+    assert (short.status, short.boxes_explored) == ("Unknown", boxes - 1)
+    assert short.note == "box budget exhausted"
 
 
 # ---------------------------------------------------------------------------
