@@ -49,18 +49,9 @@ def dumps_canonical(obj) -> str:
 
 
 def _emit(x, out: list[str]):
-    if x is None:
-        out.append("null")
-    elif isinstance(x, bool):
-        out.append("true" if x else "false")
-    elif isinstance(x, numbers.Integral):
-        out.append(str(int(x)))
-    elif isinstance(x, numbers.Real):
-        v = float(x)
-        if not math.isfinite(v):
-            raise ValueError("non-finite float in report")
-        out.append(format(v, ".17g"))
-    elif isinstance(x, str):
+    # the builtin types first: an isinstance test against a numbers ABC
+    # costs several times one against a concrete type
+    if isinstance(x, str):
         out.append(json.dumps(x))
     elif isinstance(x, dict):
         out.append("{")
@@ -78,6 +69,18 @@ def _emit(x, out: list[str]):
                 out.append(",")
             _emit(item, out)
         out.append("]")
+    elif x is None:
+        out.append("null")
+    elif isinstance(x, bool):
+        out.append("true" if x else "false")
+    elif isinstance(x, int) or (not isinstance(x, float)
+                                and isinstance(x, numbers.Integral)):
+        out.append(str(int(x)))
+    elif isinstance(x, (float, numbers.Real)):
+        v = float(x)
+        if not math.isfinite(v):
+            raise ValueError("non-finite float in report")
+        out.append(format(v, ".17g"))
     else:
         raise TypeError(f"cannot serialize {type(x)!r}")
 

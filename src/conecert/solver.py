@@ -24,9 +24,12 @@ kernels are semiseparable, so no n x n matrix is ever formed.  The operator
 is applied from the kernels' generators (kernels.generators) with two prefix
 sums along the node axis, in O(n).  The Green matrices have tridiagonal
 inverses (kernels.inverse_tridiagonal), so the Newton system, multiplied
-through by the inverse kernel matrix, is 2x2-block tridiagonal; block cyclic
-reduction solves it in log2 n numpy passes, and a zero or non-finite block
-pivot ends the seed.
+through by the inverse kernel matrix, is 2x2-block tridiagonal, and its
+off-diagonal blocks are diagonal and the same for every seed.  Block cyclic
+reduction solves it in about log2 n numpy passes: the first level works on
+those shared diagonals, later levels on compact block rows, and the last at
+most 8 rows are solved densely, by LU with partial pivoting.  A zero or
+non-finite block pivot, or a singular or non-finite base, ends the seed.
 
 Seeds are constant-level profiles keyed to the region thresholds, so each of
 the localization regions the theorems promise has a starter inside it.
@@ -78,6 +81,9 @@ MAX_NEWTON = 25  # Newton steps per seed after its Picard phase
 # taken at the first t whose residual is below (1 - ARMIJO * t) * res(v)
 MAX_HALVINGS = 6
 ARMIJO = 1e-4
+# the Newton step's block cyclic reduction solves its last at most this many
+# block rows as one dense system
+BASE_ROWS = 8
 DEDUPE_TOL = 1e-6  # dedupe distance / max(1, sup norm of the kept solution)
 NONTRIVIAL_EPS = 1e-6  # a component of sup norm at most this is trivial
 
@@ -151,12 +157,13 @@ class DiscreteOperator:
         stops = np.append(starts[1:], rule.n)
         links = [None, *link.T]
         self.blocks = list(zip(starts.tolist(), stops.tolist(), links))[::-1]
-        # (G_j W)^{-1} for the Newton step, on the nodes from `first` on;
-        # ProblemSpec gives both components one kernel kind, so both
-        # inverses start at the same node
-        self.inv1 = _weighted_inverse(problem.kernel1, rule)
-        self.inv2 = _weighted_inverse(problem.kernel2, rule)
-        self.first = rule.n - len(self.inv1[1])
+        # (G_j W)^{-1} for the Newton step, on the m nodes from `first` on,
+        # as stacked (2, m) lower, diagonal and upper coefficients with
+        # lower[:, 0] and upper[:, -1] zero; ProblemSpec gives both
+        # components one kernel kind, so both inverses start at one node
+        self.inverse = _weighted_inverse((k1, k2), rule)
+        self.first = rule.n - self.inverse[1].shape[-1]
+        self.couplings = _level_zero(*self.inverse[::2])
         self.programs = (float_program(problem.f1), float_program(problem.f2))
 
     def _locate(self, v1: np.ndarray, v2: np.ndarray):
@@ -249,128 +256,235 @@ class DiscreteOperator:
 
         K = diag(K1, K2) with K_j = G_j W, and Df is the 2x2 block of nodal
         derivative diagonals.  Multiplying by K^{-1} gives the equivalent
-        (K^{-1} - Df) delta = K^{-1} r: a 2x2-block tridiagonal system with
-        diagonal off-diagonal blocks, solved in O(n) by block cyclic
-        reduction.  For min(t,s) the row and column at t = 0 are those of I,
-        so delta there is r.  Raises SingularPivot for a zero or non-finite
-        block pivot."""
-        first = self.first
-        d11, d12, d21, d22 = (
-            d[..., first:] for d in self.jacobian(v[..., 0, :], v[..., 1, :], f))
-        (lo1, di1, up1), (lo2, di2, up2) = self.inv1, self.inv2
-        # row k as the augmented block [L_k | D_k | U_k | y_k]
-        rows = np.zeros((2, 7, *r.shape[:-2], len(di1)))
-        rows[0, 0, ..., 1:] = lo1
-        rows[1, 1, ..., 1:] = lo2
-        rows[0, 2] = di1 - d11
-        rows[0, 3] = -d12
-        rows[1, 2] = -d21
-        rows[1, 3] = di2 - d22
-        rows[0, 4, ..., :-1] = up1
-        rows[1, 5, ..., :-1] = up2
-        rows[0, 6] = _tridiagonal_matvec(self.inv1, r[..., 0, first:])
-        rows[1, 6] = _tridiagonal_matvec(self.inv2, r[..., 1, first:])
-        delta = r.copy()
-        delta[..., first:] = np.moveaxis(_block_cyclic_reduction(rows, first),
-                                         0, -2)
-        return delta
+        (K^{-1} - Df) delta = K^{-1} r: a 2x2-block tridiagonal system whose
+        off-diagonal blocks are diagonal and the same for every system,
+        solved in O(n) by block cyclic reduction (_block_cyclic_reduction).
+        For min(t,s) the row and column at t = 0 are those of I, so delta
+        there is r.  The solve runs in one errstate scope that warns of
+        nothing, and raises SingularPivot for a zero or non-finite block
+        pivot, or for a singular or non-finite base system (the last at
+        most BASE_ROWS rows, which are solved with partial pivoting)."""
+        first, n = self.first, r.shape[-1]
+        lower, diag, upper = self.inverse
+        delta = r.copy().reshape(-1, 2, n)
+        x = delta[..., first:].transpose(1, 0, 2)  # (2, S, m), holds r
+        with np.errstate(all="ignore"):
+            y = diag[:, None] * x  # K^{-1} r, both components at once
+            y[..., 1:] += lower[:, None, 1:] * x[..., :-1]
+            y[..., :-1] += upper[:, None, :-1] * x[..., 1:]
+            # the pivot blocks are passed unnamed: with no reference left
+            # here, the reduction frees them after its first level
+            _block_cyclic_reduction(self.couplings, self._pivots(v, f), y, x,
+                                    first)
+        return delta.reshape(r.shape)
+
+    def _pivots(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """The diagonal blocks K^{-1} - Df of newton_step's system as
+        (2, 2, S, m), for states v (..., 2, n) flattened to S lanes."""
+        first, n = self.first, v.shape[-1]
+        d = np.empty((2, 2, v[..., 0, 0].size, n - first))
+        derivatives = self.jacobian(v[..., 0, :], v[..., 1, :], f)
+        for block, dij in zip(d.reshape(4, *d.shape[2:]), derivatives):
+            np.negative(dij.reshape(-1, n)[:, first:], out=block)
+        d[0, 0] += self.inverse[1][0]
+        d[1, 1] += self.inverse[1][1]
+        return d
 
 
 class SingularPivot(ArithmeticError):
-    """A zero or non-finite 2x2 pivot in the block-tridiagonal Newton solve."""
+    """A zero or non-finite 2x2 pivot in the block-tridiagonal Newton solve,
+    or a singular or non-finite system at its base."""
 
     def __init__(self, node: int):
         super().__init__(f"singular 2x2 pivot at grid node {node}")
         self.node = node
 
 
-def _weighted_inverse(kernel: KernelKind, rule: QuadratureRule
+def _weighted_inverse(kernels: tuple[KernelKind, KernelKind],
+                      rule: QuadratureRule
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lower, diag, upper) of (G W)^{-1} = W^{-1} G^{-1}: row k of G^{-1}
-    divided by the weight of node k."""
-    lower, diag, upper = inverse_tridiagonal(kernel, rule.nodes)
-    w = rule.weights[rule.n - len(diag):]
-    return lower / w[1:], diag / w, upper / w[:-1]
+    """(lower, diag, upper) of (G_j W)^{-1} = W^{-1} G_j^{-1}, each stacked
+    (2, m) over the two kernels: row k of G_j^{-1} divided by the weight of
+    node k.  lower[:, k] multiplies node k - 1 and upper[:, k] node k + 1,
+    so lower[:, 0] and upper[:, -1] are zero."""
+    rows = []
+    for kernel in kernels:
+        lower, diag, upper = inverse_tridiagonal(kernel, rule.nodes)
+        w = rule.weights[rule.n - len(diag):]
+        rows.append((np.append(0.0, lower / w[1:]), diag / w,
+                     np.append(upper / w[:-1], 0.0)))
+    return tuple(np.array(c) for c in zip(*rows))
 
 
-def _tridiagonal_matvec(tri, x: np.ndarray) -> np.ndarray:
-    lower, diag, upper = tri
-    y = diag * x
-    y[..., 1:] += lower * x[..., :-1]
-    y[..., :-1] += upper * x[..., 1:]
-    return y
+def _level_zero(lower: np.ndarray, upper: np.ndarray) -> tuple:
+    """Block cyclic reduction's first-level coefficients for the off-diagonal
+    blocks L_k = diag(lower[:, k]) and U_k = diag(upper[:, k]), which are
+    the same for every system: lower and upper (2, m), then four lane-free
+    (2, 2, 1, k) products over the odd rows o.
+
+    Row o's reduced blocks are -L_o D_{o-1}^{-1} L_{o-1} (its new L),
+    -L_o D_{o-1}^{-1} U_{o-1} and -U_o D_{o+1}^{-1} L_{o+1} (added to its D)
+    and -U_o D_{o+1}^{-1} U_{o+1} (its new U).  With diagonal L and U, entry
+    [a, b] of each is (D^{-1})[a, b] times -c_o[a] c_e[b], the product held
+    here.  The last two exist for the (m - 1) // 2 odd rows that have a row
+    after them."""
+    m = lower.shape[-1]
+    lo, uo = lower[:, 1::2], upper[:, 1:m - 1:2]
+    pairs = ((lo, lower[:, 0:m - 1:2]), (lo, upper[:, 0:m - 1:2]),
+             (uo, lower[:, 2::2]), (uo, upper[:, 2::2]))
+    return (lower, upper,
+            *(-(a[:, None] * b[None])[:, :, None] for a, b in pairs))
 
 
-def _add_block_product(out: np.ndarray, m: np.ndarray, x: np.ndarray):
-    """out += m x node by node, for 2x2 blocks m (2, 2, ..., k) and 2-row
-    blocks x (2, c, ..., k)."""
-    out += m[:, 0, None] * x[0]
+def _block_product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m x node by node, for 2x2 blocks m (2, 2, S, k) and 2-row blocks x
+    (2, c, S, k)."""
+    out = m[:, 0, None] * x[0]
     out += m[:, 1, None] * x[1]
+    return out
 
 
-def _block_cyclic_reduction(rows: np.ndarray, first: int) -> np.ndarray:
-    """Solve the 2x2-block tridiagonal system whose row k is the augmented
-    block rows[:, :, ..., k] = [L_k | D_k | U_k | y_k] (columns 0-1, 2-3, 4-5
-    and 6): L_k x[k-1] + D_k x[k] + U_k x[k+1] = y_k, with L_0 = 0 and
-    U_{m-1} = 0.  Leading axes after the first two are independent systems.
-    Returns x as (2, ..., m).
+def _block_cyclic_reduction(couplings: tuple, d: np.ndarray, y: np.ndarray,
+                            x: np.ndarray, first: int):
+    """Solve L_k x[k-1] + D_k x[k] + U_k x[k+1] = y_k, k < m, into x, for
+    S independent systems at once: pivot blocks d (2, 2, S, m), right-hand
+    sides y (2, S, m), overwritten, and x (2, S, m), which may be a strided
+    view.  L_k = diag(lower[:, k]) and U_k = diag(upper[:, k]) are the same
+    for every system; `couplings` is `_level_zero(lower, upper)`.
 
     Each level solves the even local rows for their unknowns, x[k] =
     D_k^{-1} (y_k - L_k x[k-1] - U_k x[k+1]), and substitutes them into the
-    odd rows, which form the next level's system in the same layout (Heller
-    1976): log2 m levels of numpy passes, then back substitution level by
-    level.  Raises SingularPivot at the first zero or non-finite pivot
-    determinant in elimination order: level by level, then by node, and
-    over a batch the first over all systems.  `first` offsets the node index
-    it reports."""
-    levels = []  # per level: -D^{-1} [L | U | y] of the even rows
-    nodes = np.arange(rows.shape[-1])
-    while rows.shape[-1]:
-        even, odd = rows[..., 0::2], rows[..., 1::2]
-        p = even[:, 2:4]
-        det = p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0]
+    odd rows, which form the next level's system (Heller 1976).  The first
+    level works on the diagonal L and U: its reduced blocks are D^{-1} of
+    the even rows times lane-free products.  Later levels hold each row as
+    D (2, 2, S, k) and [L | U | y] (2, 5, S, k), and update the odd rows by
+    the two block products L_o (-D^{-1} [L | U | y]) of the row before and
+    U_o (-D^{-1} [L | U | y]) of the row after.  Once at most BASE_ROWS rows
+    remain, they are solved as one dense 2k x 2k system per lane by LU with
+    partial pivoting, and back substitution writes each level's even rows
+    into x in place.
+
+    Raises SingularPivot at the first zero or non-finite pivot determinant
+    in elimination order: level by level, then by node, and over a batch
+    the first over all systems; then, if the base system has a non-finite
+    entry or is singular, at the base's first node.  `first` offsets the
+    node index it reports."""
+    lower, upper, *products = couplings
+    if y.shape[-1] <= BASE_ROWS:
+        _solve_base(d, _diagonal_blocks(lower), _diagonal_blocks(upper), y,
+                    x, first)
+        return
+    # level 0: (-D^{-1} L)[a, b] = -(D^{-1})[a, b] lower[b], so the odd rows'
+    # reduced blocks are D^{-1} of an even row scaled by a product
+    ll, lu, ul, uu = products
+    ko, ka = ll.shape[-1], ul.shape[-1]
+    inverse, det = _inverse(d[..., 0::2])
+    levels = [(det, inverse)]  # per level: its pivot determinants and solve
+    before, after = inverse[..., :ko], inverse[..., 1:]
+    g = inverse[:, 0] * y[0, :, 0::2]  # D^{-1} y of the even rows
+    g += inverse[:, 1] * y[1, :, 0::2]
+    odd = lu * before
+    odd += d[..., 1::2]
+    odd[..., :ka] += ul * after
+    d = odd
+    rest = np.empty((2, 5, y.shape[1], ko))
+    np.multiply(ll, before, out=rest[:, 0:2])
+    np.multiply(uu, after, out=rest[:, 2:4, ..., :ka])
+    rest[:, 2:4, ..., ka:] = 0.0
+    np.multiply(lower[:, None, 1::2], g[..., :ko], out=rest[:, 4])
+    np.subtract(y[..., 1::2], rest[:, 4], out=rest[:, 4])
+    rest[:, 4, ..., :ka] -= upper[:, None, 1::2][..., :ka] * g[..., 1:]
+    while d.shape[-1] > BASE_ROWS:
+        even = d[..., 0::2]
+        det = even[0, 0] * even[1, 1] - even[0, 1] * even[1, 0]
+        # -D^{-1} = [[-D11, D01], [D10, -D00]] / det, applied to [L | U | y]
+        norm = even[0, ::-1, None] * rest[1, ..., 0::2]
+        norm -= even[1, ::-1, None] * rest[0, ..., 0::2]
+        norm[1] *= -1.0
+        norm *= 1.0 / det
+        levels.append((det, norm))
+        # odd row j absorbs even row j through L_j and even row j + 1
+        # through U_j: L_j N_j gives [new L | D | y] terms and U_j N_{j+1}
+        # [D | new U | y] terms; with an even row count the last odd row
+        # has no even row after it, and its U_j is 0
+        odd = rest[..., 1::2]
+        ko, ka = odd.shape[-1], norm.shape[-1] - 1
+        low = _block_product(odd[:, 0:2], norm[..., :ko])
+        up = _block_product(odd[:, 2:4, ..., :ka], norm[..., 1:])
+        d = d[..., 1::2] + low[:, 2:4]
+        d[..., :ka] += up[:, 0:2]
+        low[:, 2:4, ..., :ka] = up[:, 2:4]
+        low[:, 2:4, ..., ka:] = 0.0
+        low[:, 4] += odd[:, 4]
+        low[:, 4, ..., :ka] += up[:, 4]
+        rest = low
+    for level, (det, _) in enumerate(levels):
         if not (np.isfinite(det).all() and det.all()):
             bad = ~np.isfinite(det) | (det == 0.0)
-            at = np.argmax(bad.reshape(-1, bad.shape[-1]).any(axis=0))
-            raise SingularPivot(first + int(nodes[0::2][at]))
-        # -D^{-1} = [[-p11, p01], [p10, -p00]] / det, applied to [L | U | y]
-        rest = even[:, [0, 1, 4, 5, 6]]
-        norm = p[0, ::-1, None] * rest[1]
-        norm -= p[1, ::-1, None] * rest[0]
-        del rest
-        norm[1] *= -1.0
-        norm /= det
-        levels.append(norm)
-        # odd row j absorbs even row j through L_j, which adds L_j times its
-        # [L | U | y] to the new [L | D | y], and even row j + 1 through U_j,
-        # which adds U_j times it to the new [D | U | y]; with an even row
-        # count the last odd row has no even row after it, and its U_j is 0
-        rows = np.zeros_like(odd)
-        rows[:, 2:4] = odd[:, 2:4]
-        rows[:, 6] = odd[:, 6]
-        lower, upper = odd[:, 0:2], odd[:, 4:6, ..., :norm.shape[-1] - 1]
-        before, after = norm[..., :odd.shape[-1]], norm[..., 1:]
-        _add_block_product(rows[:, 0:4], lower, before[:, 0:4])
-        _add_block_product(rows[:, 6:], lower, before[:, 4:])
-        _add_block_product(rows[:, 2:6, ..., :after.shape[-1]], upper,
-                           after[:, 0:4])
-        _add_block_product(rows[:, 6:, ..., :after.shape[-1]], upper,
-                           after[:, 4:])
-        nodes = nodes[1::2]
-    x = np.zeros((2, *rows.shape[2:]))
-    for norm in reversed(levels):
-        # x[k-1] and x[k+1] of each even row k, zero past either end
-        k = norm.shape[-1]
-        pad = np.zeros((2, *x.shape[1:-1], 1))
-        around = np.concatenate((pad, x, pad), axis=-1)
-        before, after = around[..., :k], around[..., 1:k + 1]
-        x_even = (norm[:, 0] * before[0] + norm[:, 1] * before[1]
-                  + norm[:, 2] * after[0] + norm[:, 3] * after[1] - norm[:, 4])
-        full = np.empty((2, *x.shape[1:-1], k + x.shape[-1]))
-        full[..., 0::2] = x_even
-        full[..., 1::2] = x
-        x = full
-    return x
+            at = int(np.argmax(bad.any(axis=0)))
+            raise SingularPivot(first + 2 ** level - 1 + 2 ** (level + 1) * at)
+    # level l's rows sit at x[..., s - 1::s], s = 2^l
+    s = 2 ** len(levels)
+    _solve_base(d, rest[:, 0:2], rest[:, 2:4], rest[:, 4], x[..., s - 1::s],
+                first + s - 1)
+    for level in range(len(levels) - 1, 0, -1):
+        s = 2 ** level
+        norm = levels[level][1]
+        even, odd = x[..., s - 1::2 * s], x[..., 2 * s - 1::2 * s]
+        ke, ko = even.shape[-1], odd.shape[-1]
+        np.negative(norm[:, 4], out=even)
+        even[..., 1:] += (norm[:, 0, ..., 1:] * odd[0, ..., :ke - 1]
+                          + norm[:, 1, ..., 1:] * odd[1, ..., :ke - 1])
+        even[..., :ko] += (norm[:, 2, ..., :ko] * odd[0]
+                           + norm[:, 3, ..., :ko] * odd[1])
+    # level 0: x_e = D^{-1} (y_e - L_e x[k-1] - U_e x[k+1])
+    inverse = levels[0][1]
+    even, odd = x[..., 0::2], x[..., 1::2]
+    ke, ko = even.shape[-1], odd.shape[-1]
+    t = y[..., 0::2]
+    t[..., 1:] -= lower[:, None, 2::2] * odd[..., :ke - 1]
+    t[..., :ko] -= upper[:, None, 0::2][..., :ko] * odd
+    np.multiply(inverse[:, 0], t[0], out=even)
+    even += inverse[:, 1] * t[1]
+
+
+def _inverse(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inverses (2, 2, S, k) of 2x2 blocks p and their determinants."""
+    det = p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0]
+    inverse = p[::-1, ::-1].swapaxes(0, 1) * (1.0 / det)
+    inverse[0, 1] *= -1.0
+    inverse[1, 0] *= -1.0
+    return inverse, det
+
+
+def _diagonal_blocks(c: np.ndarray) -> np.ndarray:
+    """diag(c[:, k]) as 2x2 blocks (2, 2, 1, k) for coefficients c (2, k)."""
+    blocks = np.zeros((2, 2, 1, c.shape[-1]))
+    blocks[0, 0, 0], blocks[1, 1, 0] = c
+    return blocks
+
+
+def _solve_base(d: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                y: np.ndarray, x: np.ndarray, node: int):
+    """Solve the k block rows D, L, U (2, 2, S or 1, k), y (2, S, k) as one
+    dense 2k x 2k system per lane by LU with partial pivoting, into x;
+    raise SingularPivot at `node`, the first row's, if an entry is
+    non-finite or a system is singular."""
+    lanes, k = y.shape[1:]
+    i = np.arange(k)
+    a = np.zeros((lanes, k, 2, k, 2))
+    # a[s, j, :, j', :] is the block of row j at column j'
+    a[:, i, :, i] = d.transpose(3, 2, 0, 1)
+    a[:, i[1:], :, i[:-1]] = lower[..., 1:].transpose(3, 2, 0, 1)
+    a[:, i[:-1], :, i[1:]] = upper[..., :-1].transpose(3, 2, 0, 1)
+    if not np.isfinite(a).all():
+        raise SingularPivot(node)
+    b = y.transpose(1, 2, 0).reshape(lanes, 2 * k, 1)
+    try:
+        solved = np.linalg.solve(a.reshape(lanes, 2 * k, 2 * k), b)
+    except np.linalg.LinAlgError:
+        raise SingularPivot(node) from None
+    x[...] = solved.reshape(lanes, k, 2).transpose(2, 0, 1)
 
 
 def _require_shared_rule(u1: GridFunction, u2: GridFunction) -> QuadratureRule:
@@ -627,13 +741,17 @@ def multi_start(problem: ProblemSpec, params: SolverParams | None = None,
     seed_ids = sorted(seed_ids)
     seeds = np.array([(levels1[tag1] * prof1, levels2[tag2] * prof2)
                       for tag1, tag2 in (s.split("-") for s in seed_ids)])
-    kept: list[Solution] = []
-    for sol in _solve_lanes(problem, op, seeds.reshape(-1, 2, rule.n),
-                            seed_ids, params):
-        if sol is not None and not any(
-                max(np.max(np.abs(sol.u1.values - other.u1.values)),
-                    np.max(np.abs(sol.u2.values - other.u2.values)))
-                <= DEDUPE_TOL * max(1.0, sup_norm(other.u1), sup_norm(other.u2))
-                for other in kept):
-            kept.append(sol)
-    return kept
+    found = [sol for sol in _solve_lanes(problem, op,
+                                         seeds.reshape(-1, 2, rule.n),
+                                         seed_ids, params)
+             if sol is not None]
+    if not found:
+        return []
+    states = np.array([(sol.u1.values, sol.u2.values) for sol in found])
+    radius = DEDUPE_TOL * np.maximum(1.0, np.max(np.abs(states), axis=(1, 2)))
+    kept: list[int] = []
+    for i, state in enumerate(states):
+        if not (np.max(np.abs(states[kept] - state), axis=(1, 2))
+                <= radius[kept]).any():
+            kept.append(i)
+    return [found[i] for i in kept]

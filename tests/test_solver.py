@@ -422,7 +422,7 @@ def test_a_lane_failure_drops_only_its_seed(nine_problem, monkeypatch, caplog,
         d11, d12, d21, d22 = (np.array(d) for d in
                               original_jacobian(self, v1, v2, f))
         hit = marked(v1[..., -1], v2[..., -1])
-        d11[hit, 1:], d22[hit, 1:] = self.inv1[1], self.inv2[1]
+        d11[hit, 1:], d22[hit, 1:] = self.inverse[1]
         d12[hit], d21[hit] = 0.0, 0.0
         return d11, d12, d21, d22
 
@@ -627,6 +627,130 @@ def test_stacked_newton_step_matches_dense_solve(nine_problem, system):
         assert np.max(np.abs(step2 - want2)) <= 1e-9 * scale
 
 
+def trapezoid(n):
+    """The trapezoid rule on n >= 2 uniform nodes (make_rule wants 3)."""
+    weights = np.full(n, 1.0 / (n - 1))
+    weights[[0, -1]] /= 2.0
+    return QuadratureRule(np.linspace(0.0, 1.0, n), weights)
+
+
+@pytest.mark.parametrize("lanes", [1, 3])
+@pytest.mark.parametrize("system", ["nine", "closing_system"])
+def test_newton_step_matches_dense_solve_at_every_small_size(
+        nine_problem, system, lanes):
+    # n = 2..41 nodes give nine m = n - 1 = 1..40 block rows (min(t,s)
+    # leaves t = 0 out) and closing_system m = n = 2..41: odd and even row
+    # counts at every level and both sides of the 8 / 9 row base boundary
+    problem = nine_problem if system == "nine" \
+        else build_problem(closing_problem_config()["problem"])
+    levels1, levels2 = seed_levels(problem)
+    rng = np.random.default_rng(lanes)
+    for n in range(2, 42):
+        rule = trapezoid(n)
+        op = DiscreteOperator(problem, rule)
+        v = np.array([(levels1[tag] * rng.uniform(0.5, 1.5, rule.n),
+                       levels2[tag] * rng.uniform(0.5, 1.5, rule.n))
+                      for tag in ("S", "M", "B")[:lanes]])
+        steps = op.newton_step(v, v - op.apply(v[:, 0], v[:, 1]),
+                               op.nonlinearity(v[:, 0], v[:, 1]))
+        for (v1, v2), (step1, step2) in zip(v, steps):
+            want1, want2 = dense_newton_step(problem, rule, v1, v2)
+            scale = max(np.max(np.abs(want1)), np.max(np.abs(want2)))
+            assert np.max(np.abs(step1 - want1)) <= 1e-9 * scale, rule.n
+            assert np.max(np.abs(step2 - want2)) <= 1e-9 * scale, rule.n
+
+
+def decoupled_pivots(lanes, m, bad):
+    """Identity pivot blocks (2, 2, lanes, m) with the block of each
+    (lane, row) in `bad` set to the value given; with zero off-diagonal
+    blocks every level's pivot of a row is that row's own block."""
+    d = np.zeros((2, 2, lanes, m))
+    d[0, 0] = d[1, 1] = 1.0
+    for (lane, row), value in bad.items():
+        d[:, :, lane, row] = value
+    return d
+
+
+@pytest.mark.parametrize("bad,node", [
+    ({(0, 6): 0.0}, 6),                 # level 0, even row 3
+    ({(0, 5): 0.0}, 5),                 # level 1 (rows 1, 3, ...), its row 2
+    ({(0, 11): 0.0}, 11),               # level 2 (rows 3, 7, ...), its row 2
+    ({(2, 9): 0.0, (0, 13): 0.0}, 9),   # the first node over all lanes
+    ({(1, 1): 0.0, (0, 2): 0.0}, 2),    # level 0 is eliminated first
+    ({(0, 23): 0.0}, 7),                # base (rows 7, 15, ..., 39)
+    ({(1, 4): math.nan}, 4),            # a NaN pivot at level 0
+    ({(1, 31): math.nan}, 7),           # a NaN entry in the base
+], ids=["level0", "level1", "level2", "lanes", "order", "base", "nan",
+        "nan-base"])
+def test_singular_pivot_names_its_node(bad, node):
+    # m = 40 rows eliminate at 40, 20 and 10 rows, and the last 5 (rows 7,
+    # 15, 23, 31, 39) form the base; its error names its first row
+    lanes, m, first = 3, 40, 1
+    zero = np.zeros((2, m))
+    y, x = np.ones((2, lanes, m)), np.empty((2, lanes, m))
+    with pytest.raises(solver.SingularPivot) as err, \
+            np.errstate(all="ignore"):
+        solver._block_cyclic_reduction(
+            solver._level_zero(zero, zero), decoupled_pivots(lanes, m, bad),
+            y, x, first)
+    assert err.value.node == first + node
+
+
+def test_decoupled_pivots_solve_exactly():
+    # the same systems without a bad block: x = y row by row
+    lanes, m = 3, 40
+    zero = np.zeros((2, m))
+    y = np.random.default_rng(0).uniform(-1.0, 1.0, (2, lanes, m))
+    x = np.empty_like(y)
+    solver._block_cyclic_reduction(solver._level_zero(zero, zero),
+                                   decoupled_pivots(lanes, m, {}), y.copy(),
+                                   x, 0)
+    assert np.array_equal(x, y)
+
+
+def zero_pivot_jacobian(monkeypatch, op, bad):
+    """Make DiscreteOperator.jacobian return derivatives equal to the
+    diagonal of (G W)^{-1} plus `bad`: with 0 every block pivot is zero,
+    with NaN non-finite (node 1 is the first: min(t,s) leaves t = 0 out)."""
+    pivot = np.concatenate(([0.0], op.inverse[1][0])) + bad
+    zero = np.zeros(op.rule.n)
+    monkeypatch.setattr(DiscreteOperator, "jacobian",
+                        lambda self, v1, v2, f: (pivot, zero, zero, pivot))
+
+
+@pytest.mark.parametrize("grid_n,bad", [(129, 0.0), (129, math.nan),
+                                        (9, math.nan)],
+                         ids=["zero", "nan", "nan-base"])
+def test_newton_step_raises_singular_pivot_without_warning(
+        nine_problem, monkeypatch, grid_n, bad):
+    # called directly, outside the solver's lanes and their errstate; with
+    # grid_n 9 the base solves all 8 rows at once
+    op = DiscreteOperator(nine_problem, make_rule(grid_n))
+    zero_pivot_jacobian(monkeypatch, op, bad)
+    v = np.ones((2, 2, grid_n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(solver.SingularPivot) as err:
+            op.newton_step(v, v, v)
+    assert err.value.node == 1
+
+
+def test_base_case_pivots_across_rows(nine_problem, monkeypatch):
+    # zero pivot blocks leave the 8-row system itself regular; the base's
+    # partial pivoting solves it where block elimination would stop
+    rule = make_rule(9)
+    op = DiscreteOperator(nine_problem, rule)
+    zero_pivot_jacobian(monkeypatch, op, 0.0)
+    v1, v2 = np.linspace(1.0, 2.0, 9), np.linspace(2.0, 1.0, 9)
+    v = np.array((v1, v2))
+    step1, step2 = op.newton_step(v, v - op.apply(v1, v2),
+                                  op.nonlinearity(v1, v2))
+    want1, want2 = dense_newton_step(nine_problem, rule, v1, v2)
+    scale = max(np.max(np.abs(want1)), np.max(np.abs(want2)))
+    assert np.max(np.abs(step1 - want1)) <= 1e-9 * scale
+    assert np.max(np.abs(step2 - want2)) <= 1e-9 * scale
+
+
 def test_newton_step_reuses_the_residual_evaluation(nine_problem, monkeypatch):
     # each Newton step runs the programs of f1 and f2 once at v for the
     # residual and four times more for the forward differences, never again
@@ -658,10 +782,7 @@ def test_singular_pivot_ends_the_seed(nine_problem, monkeypatch, caplog, bad):
     # pivot (node 1: min(t,s) leaves t = 0 out of the system) exactly zero;
     # NaN derivatives make it non-finite
     op = DiscreteOperator(nine_problem, RULE)
-    pivot = np.concatenate(([0.0], op.inv1[1])) + bad
-    zero = np.zeros(RULE.n)
-    monkeypatch.setattr(DiscreteOperator, "jacobian",
-                        lambda self, v1, v2, f: (pivot, zero, zero, pivot))
+    zero_pivot_jacobian(monkeypatch, op, bad)
     applied = []
     original = DiscreteOperator.apply
 
