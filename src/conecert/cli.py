@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -466,7 +467,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> _ArgumentParser:
+    """The command-line parser, built on its first use: the import stays
+    cheap, and a process that runs `main` many times builds it once."""
     parser = _ArgumentParser(
         prog="conecert",
         description="certify multiplicity hypotheses and locate the multiple "
@@ -486,8 +490,17 @@ def main(argv: list[str] | None = None) -> int:
     p_rcd = sub.add_parser("rcd", help="derive and check the RCD parameters")
     p_rcd.add_argument("config")
     p_rcd.add_argument("--out", default=".")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command line (sys.argv[1:] when argv is None) and return its
+    exit code.  The parser is built on the first call and reused by later
+    calls in the same process, which only callers that run `main` more than
+    once gain from (a benchmark loop, the tests, a library); each call
+    parses into a fresh namespace and writes usage errors to the current
+    sys.stderr, so no call sees another's arguments."""
+    args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
         out_dir = Path(args.out)

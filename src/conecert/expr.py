@@ -696,21 +696,20 @@ def ramp_breakpoints(e: ExprAst) -> tuple[tuple[float, ...], tuple[float, ...]]:
     change slope along that axis, so a box split there gives halves on which
     each such ramp lies in one closed piece."""
     found = {"x1": set(), "x2": set()}
-
-    def walk(node):
+    # an explicit stack: a nested recursive function would be a
+    # function <-> cell cycle left to the cyclic collector on every call
+    stack = [e]
+    while stack:
+        node = stack.pop()
         if isinstance(node, Call):
             arg = node.args[0]
             if node.fn in _RAMPS and isinstance(arg, Var):
                 found[arg.name].update(_RAMPS[node.fn][:2])
-            for a in node.args:
-                walk(a)
+            stack.extend(node.args)
         elif isinstance(node, Neg):
-            walk(node.operand)
+            stack.append(node.operand)
         elif isinstance(node, BinOp):
-            walk(node.left)
-            walk(node.right)
-
-    walk(e)
+            stack += (node.left, node.right)
     return tuple(sorted(found["x1"])), tuple(sorted(found["x2"]))
 
 

@@ -135,6 +135,26 @@ def _split_point(lo: float, hi: float, mid: float, breaks: tuple[float, ...]) ->
     return min(inside, key=lambda b: abs(b - mid)) if inside else mid
 
 
+def _slope_term(d1: interval.Pair, d2: interval.Pair, x1: interval.Pair,
+                x2: interval.Pair, m1: float, m2: float) -> interval.Pair:
+    """d1*(X1 - m1) + d2*(X2 - m2), the mean-value form's slope term."""
+    return interval.add(interval.mul(d1, interval.sub(x1, (m1, m1))),
+                        interval.mul(d2, interval.sub(x2, (m2, m2))))
+
+
+def _mean_value_reach(value: interval.Pair, slope: interval.Pair,
+                      upper: bool) -> float:
+    """A float that the mean-value form f([m]) + slope reaches at its
+    bounding end, given the box's natural enclosure `value`: the form's hi
+    is at least this for an upper bound (< and <=), its lo at most this
+    for a lower one.  f([m]) holds f(m), which `value` holds too, so
+    f([m])'s hi is at least value[0] and its lo at most value[1]; rounding
+    to nearest is monotone and the form's add rounds outward, so its end
+    lies past the float sum.  Where that sum violates the relation the form
+    cannot certify, and the centre's value program need not run."""
+    return value[0] + slope[1] if upper else value[1] + slope[0]
+
+
 def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
                 max_depth: int = DEFAULT_DEPTH) -> CertVerdict:
     """Branch-and-bound verdict for one box inequality.
@@ -158,7 +178,12 @@ def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
     One gradient-program run per box gives both its natural and its
     derivative enclosures; the value-only program runs for the mean-value
     centre, and where only a derivative enclosure leaves its domain.  The
-    midpoints' float program runs in one `float_flags()` scope per call.
+    slope term is computed first, and the centre's run is skipped when the
+    natural enclosure's near end plus that term already violates the
+    relation (`_mean_value_reach`): the form cannot certify such a box,
+    which then takes the path of a failed mean-value test, so the skip
+    changes no verdict and no box count.  The midpoints' float program runs
+    in one `float_flags()` scope per call.
 
     The 2-D boxes partition the root, so only a box with a degenerate side
     (a face or a point) can recur, when both halves of a split collapse onto
@@ -242,13 +267,13 @@ def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
                     stack.append((lo1, hi1, lo2, hi2, dep))
                     continue
                 # the natural enclosure has failed, so the mean-value form
-                # alone decides what their intersection would
+                # alone decides what their intersection would; the centre's
+                # value program runs only where the form may certify
                 with suppress(EvalError, DomainError):
-                    mean_value = interval.add(
-                        enclose((m1, m1), (m2, m2)), interval.add(
-                            interval.mul(d1, interval.sub(x1, (m1, m1))),
-                            interval.mul(d2, interval.sub(x2, (m2, m2)))))
-                    if certified(mean_value):
+                    slope = _slope_term(d1, d2, x1, x2, m1, m2)
+                    if not violates(_mean_value_reach(value, slope, upper)) \
+                            and certified(interval.add(
+                                enclose((m1, m1), (m2, m2)), slope)):
                         continue
             if dep >= max_depth:
                 depth_capped = True

@@ -77,7 +77,8 @@ def sub(x: Pair, y: Pair) -> Pair:
     return lo, hi
 
 
-def mul(x: Pair, y: Pair) -> Pair:
+def _mul4(x: Pair, y: Pair) -> Pair:
+    # the four-product rule
     a, b = x
     c, d = y
     p = (a * c, a * d, b * c, b * d)
@@ -86,6 +87,42 @@ def mul(x: Pair, y: Pair) -> Pair:
     if not lo <= hi:
         raise _nan(x, y)
     return lo, hi
+
+
+def mul(x: Pair, y: Pair) -> Pair:
+    """[a, b] * [c, d] by Moore's nine sign cases.  In eight of them the
+    signs name the two products that are the extremes; only when both
+    factors straddle 0 are all four computed.  Rounding to nearest is
+    monotone, so the extremes of the rounded products are the rounded
+    extremes, and nextafter steps -0.0 and 0.0 to the same float: the
+    result has the bits of the four-product rule.  A chosen product that
+    is infinite or NaN (an overflow, or 0 * inf) falls back to that rule,
+    which keeps the bits and the DomainError of those cases."""
+    a, b = x
+    c, d = y
+    if a >= 0.0:
+        if c >= 0.0:
+            lo, hi = a * c, b * d
+        elif d <= 0.0:
+            lo, hi = b * c, a * d
+        else:
+            lo, hi = b * c, b * d
+    elif b <= 0.0:
+        if c >= 0.0:
+            lo, hi = a * d, b * c
+        elif d <= 0.0:
+            lo, hi = b * d, a * c
+        else:
+            lo, hi = a * d, a * c
+    elif c >= 0.0:
+        lo, hi = a * d, b * d
+    elif d <= 0.0:
+        lo, hi = b * c, a * c
+    else:
+        lo, hi = min(a * d, b * c), max(a * c, b * d)
+    if _NINF < lo < inf and _NINF < hi < inf:
+        return nextafter(lo, _NINF), nextafter(hi, inf)
+    return _mul4(x, y)
 
 
 def div(x: Pair, y: Pair) -> Pair:

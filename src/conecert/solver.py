@@ -563,22 +563,27 @@ def _solve_lanes(problem: ProblemSpec, op: DiscreteOperator, seeds: np.ndarray,
         a lane where it raises EvalError or SingularPivot.  A batch that
         raises is run again one lane at a time to find those lanes; only
         this error path pays for that."""
+        # no caught error outlives its handler: one kept in a local would
+        # close the cycle error -> traceback -> this frame, which pins the
+        # whole solve stack until the cyclic collector runs
         try:
             return fn(v, *args)
         except (EvalError, SingularPivot) as err:
-            batch_error = err
+            if len(lane) == 1:  # a lone lane's error is the batch's
+                log_pivot(int(lane[0]), err)
+                return np.full_like(v, np.nan)
         out = np.full_like(v, np.nan)
         for i, s in enumerate(lane.tolist()):
             try:
-                if len(lane) == 1:
-                    raise batch_error  # a lone lane's error is the batch's
                 out[i] = fn(v[i:i + 1], *(x[i:i + 1] for x in args))[0]
-            except SingularPivot as err:
-                log.info("seed %s: singular Jacobian at node %d",
-                         seed_ids[s], err.node)
-            except EvalError:
-                pass
+            except (EvalError, SingularPivot) as err:
+                log_pivot(s, err)
         return out
+
+    def log_pivot(s, err):
+        if isinstance(err, SingularPivot):
+            log.info("seed %s: singular Jacobian at node %d",
+                     seed_ids[s], err.node)
 
     def nonlinearity(v):
         return op.nonlinearity(v[:, 0], v[:, 1], locate=False)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import re
@@ -590,6 +592,33 @@ def test_solve_seed_list(tmp_path):
     report = read_report(tmp_path)
     assert {e["seed_id"] for e in report["solutions"]} == {"S-S", "B-B"}
     assert report["config_echo"]["seed_list"] == ["B-B", "S-S"]
+
+
+def test_a_second_call_does_not_inherit_the_first_calls_seed_list(tmp_path):
+    # main builds one parser per process and parses each call afresh
+    path = write_config(tmp_path, nine_config() | {"solver": {"grid_n": 65}})
+    assert main(["solve", path, "--out", str(tmp_path / "a"),
+                 "--seed-list", "S-S"]) == 0
+    assert main(["solve", path, "--out", str(tmp_path / "b")]) == 0
+    assert cli._parser() is cli._parser()
+    assert read_report(tmp_path / "a")["config_echo"]["seed_list"] == ["S-S"]
+    report = read_report(tmp_path / "b")
+    assert report["config_echo"]["seed_list"] is None
+    assert len(report["solutions"]) > 1
+
+
+def test_a_usage_error_after_a_run_goes_to_the_current_stderr(tmp_path,
+                                                               capsys):
+    # the reused parser writes its usage to sys.stderr as it is at the call
+    path = write_config(tmp_path, closing_rcd_config())
+    assert main(["rcd", path, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert _exit_status(["rcd"]) == 3
+    assert err.getvalue().startswith("usage: conecert rcd")
+    assert "the following arguments are required: config" in err.getvalue()
+    assert capsys.readouterr().err == ""
 
 
 def test_solve_grid_n_flag(tmp_path, capsys):

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conecert import interval
+from conecert import hypotheses, interval
 from conecert.expr import (BinOp, Call, Const, EvalError, NamedConst, Neg,
                            ParseError, Var, eval_interval, eval_point,
                            eval_values, first_failure, gradient_program,
                            interval_program, parse_expr, ramp_breakpoints)
 from conecert.hypotheses import BoxIneq, certify_box, grid_oracle
-from conecert.interval import E, PI, Interval
+from conecert.interval import E, PI, Interval, midpoint
 
 EXPR_POOL = [
     "0.5 + 5*phi(x1)*psi(x2)",
@@ -519,6 +519,30 @@ def test_lattice_violation_never_passes(src, relation, b1, b2, gap):
     q = BoxIneq(tree, b, relation, bound, "t")
     assert grid_oracle(q, 201).first_violation is not None
     assert certify_box(q, budget=500).status != "Pass", (src, relation, b, bound)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(GRADIENT_POOL), st.sampled_from(["<", "<=", ">", ">="]),
+       *_BOXES)
+def test_mean_value_skip_never_drops_a_certifying_form(src, relation, b1, b2):
+    # certify_box skips the mean-value centre's value program when the
+    # natural enclosure's near end plus the slope term already violates the
+    # relation; at bounds on and beside both the full form's end and that
+    # sum, a skipped form never certifies
+    tree = parse_expr(src)
+    value, d1, d2 = gradient_program(tree)(b1, b2)
+    m1, m2 = midpoint(*b1), midpoint(*b2)
+    slope = hypotheses._slope_term(d1, d2, b1, b2, m1, m2)
+    form = interval.add(interval_program(tree)((m1, m1), (m2, m2)), slope)
+    upper = relation in ("<", "<=")
+    reach = hypotheses._mean_value_reach(value, slope, upper)
+    end = form[1] if upper else form[0]
+    for at in (end, reach):
+        for bound in (math.nextafter(at, -math.inf), at,
+                      math.nextafter(at, math.inf)):
+            certified = hypotheses._certified_fn(relation, bound)(form)
+            skipped = hypotheses._violates_fn(relation, bound)(reach)
+            assert not (skipped and certified), (src, relation, b1, b2, bound)
 
 
 @pytest.mark.parametrize("src, lo, hi, slope", [

@@ -1,7 +1,11 @@
 import math
+import struct
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conecert.errors import DomainError
 from conecert.interval import (Interval, absolute, add, cos, div, exp, log,
@@ -22,6 +26,53 @@ def assert_tight(iv, lo, hi):
 
 def test_mul_positive():
     assert_tight(mul((1.0, 2.0), (3.0, 4.0)), 3.0, 8.0)
+
+
+def _four_products(x, y):
+    """The rule the nine sign cases of `mul` replace: the extremes of all
+    four endpoint products, each stepped outward."""
+    a, b = x
+    c, d = y
+    p = (a * c, a * d, b * c, b * d)
+    lo = math.nextafter(min(p), -math.inf)
+    hi = math.nextafter(max(p), math.inf)
+    if not lo <= hi:
+        raise DomainError(f"NaN endpoint from [{a!r}, {b!r}] and "
+                          f"[{c!r}, {d!r}]")
+    return lo, hi
+
+
+def _bits(kernel, x, y):
+    """The kernel's result as raw bytes (so the sign of a zero counts), or
+    the message of its DomainError."""
+    try:
+        return struct.pack("<2d", *kernel(x, y))
+    except DomainError as err:
+        return str(err)
+
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, sys.float_info.min,
+                -sys.float_info.min, 1.0, -1.0, 1e308, -1e308,
+                sys.float_info.max, -sys.float_info.max, math.inf, -math.inf)
+_ENDPOINTS = (st.sampled_from(_EDGE_FLOATS) | st.floats(-10.0, 10.0)
+              | st.floats(allow_nan=False))
+_PAIRS = st.tuples(_ENDPOINTS, _ENDPOINTS).map(lambda p: tuple(sorted(p)))
+
+
+# 0 * inf alone, both factors straddling 0, signed zeros, an overflow, and
+# an infinite end met by a negative factor
+@example((0.0, 0.0), (-math.inf, -math.inf))
+@example((-math.inf, 0.0), (0.0, 0.0))
+@example((-1.0, 2.0), (-3.0, 4.0))
+@example((-0.0, 0.0), (-5e-324, 5e-324))
+@example((1e308, 1e308), (10.0, 10.0))
+@example((-2.0, -1.0), (-math.inf, 3.0))
+@settings(max_examples=500, deadline=None)
+@given(_PAIRS, _PAIRS)
+def test_mul_sign_cases_match_the_four_product_rule(x, y):
+    # signed zeros, subnormals, overflowing products and infinities (0 * inf
+    # is NaN) included: the same bits, or the same DomainError
+    assert _bits(mul, x, y) == _bits(_four_products, x, y)
 
 
 def test_add_identity():

@@ -1,5 +1,6 @@
 """The configs shipped under configs/ must keep working as documented."""
 
+import gc
 import hashlib
 import json
 from pathlib import Path
@@ -51,3 +52,22 @@ def test_closing_rcd_config_passes(tmp_path):
 def test_closing_system_config_verifies(tmp_path):
     assert main(["verify", str(CONFIGS / "closing_system.json"),
                  "--out", str(tmp_path)]) == 0
+
+
+def test_nine_leaves_no_cycles_once_warm(tmp_path):
+    # a warm verify and solve free everything by reference counting: a
+    # reference cycle made per call (a nested recursive function, a parser
+    # rebuilt per call, a caught error kept in a local) would wait for the
+    # cyclic collector, and hold its memory until then
+    argvs = [[command, str(CONFIGS / "nine.json"),
+              "--out", str(tmp_path / command)] for command in ("verify", "solve")]
+    for argv in argvs:
+        assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in argvs:
+            assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,5 +1,7 @@
+import gc
 import logging
 import math
+import types
 import warnings
 
 import numpy as np
@@ -799,6 +801,35 @@ def test_singular_pivot_ends_the_seed(nine_problem, monkeypatch, caplog, bad):
     assert "seed M-M: singular Jacobian at node 1" in caplog.messages
     # no second Picard round after the failed Newton phase
     assert len(applied) == params.picard_steps
+
+
+@pytest.mark.parametrize("lanes", ["batch", "lone"])
+def test_an_error_path_solve_leaves_no_frame_for_the_collector(
+        nine_problem, monkeypatch, lanes):
+    # every Newton step raises SingularPivot, handled lane by lane (nine
+    # seeds) or as the batch's error (one seed); a caught error that
+    # outlived its handler would tie error -> traceback -> frame into a
+    # cycle holding the solve's frames and arrays until the cyclic
+    # collector runs
+    op = DiscreteOperator(nine_problem, RULE)
+    zero_pivot_jacobian(monkeypatch, op, 0.0)
+    params = SolverParams(picard_steps=1)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        if lanes == "batch":
+            assert multi_start(nine_problem, params) == []
+        else:
+            seed = GridFunction(RULE, 1.5 * np.minimum(2 * RULE.nodes, 1.0))
+            assert solve_from(nine_problem, seed, seed, params, op=op) is None
+        gc.collect()
+        frames = [o.f_code.co_name for o in gc.garbage
+                  if isinstance(o, types.FrameType)
+                  and o.f_code.co_filename == solver.__file__]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert frames == []
 
 
 def test_newton_starts_from_the_evaluated_picard_iterate(nine_problem):
