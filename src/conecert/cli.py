@@ -189,10 +189,6 @@ def _kernel_echo(kernel: KernelKind) -> dict:
     return {"kind": "rcd", "beta": kernel.beta}
 
 
-def _window_for(kernel: KernelKind) -> float:
-    return 0.5 if isinstance(kernel, DirichletNeumann) else 0.0
-
-
 def build_problem(cfg: dict) -> ProblemSpec:
     if not isinstance(cfg, dict):
         raise ConfigError("problem must be an object")
@@ -220,10 +216,8 @@ def build_problem(cfg: dict) -> ProblemSpec:
     pairs = {key: _as_pair(reg[key], f"region.{key}")
              for key in _REGION_KEYS
              if reg.get(key) is not None}
-    region = RegionSpec(**pairs,
-                        window=(_window_for(kernel1), _window_for(kernel2)))
     return ProblemSpec(kernel1=kernel1, kernel2=kernel2, f1=f1, f2=f2,
-                       region=region, mode=str(cfg["mode"]),
+                       region=RegionSpec(**pairs), mode=str(cfg["mode"]),
                        remark52=bool(remark52))
 
 
@@ -240,7 +234,7 @@ def _problem_echo(cfg: dict, problem: ProblemSpec) -> dict:
             "d": list(region.d), "a": list(region.a), "c": list(region.c),
             "b": list(region.b_effective()),
             "annulus": list(region.annulus) if region.annulus else None,
-            "window": list(region.window),
+            "window": [problem.kernel1.window, problem.kernel2.window],
         },
     }
 

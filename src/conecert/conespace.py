@@ -2,8 +2,9 @@
 
 A candidate solution is carried as its values on a quadrature rule's nodes.
 The two functionals of interest are the sup norm and the windowed minimum
-min_{t >= t0} u(t); membership in the cone P requires the windowed minimum
-over [1/2, 1] to dominate half the sup norm.
+min_{t >= t0} u(t).  The window start t0 belongs to the kernel (its
+`window`): 1/2 for the DirichletNeumann kernel, whose cone P requires the
+minimum over [1/2, 1] to dominate half the sup norm, and 0 for RCD.
 
 Per-component region tags:
 
@@ -60,16 +61,15 @@ def nontrivial(u: GridFunction, eps: float) -> bool:
 
 @dataclass(frozen=True)
 class RegionSpec:
-    """Per-component thresholds d_j < a_j < c_j, optional b_j (default 2*a_j),
-    optional annulus (r, R) for hybrid mode, and the min-window start per
-    component (0.5 for the DirichletNeumann kernel, 0.0 for RCD)."""
+    """Per-component thresholds d_j < a_j < c_j, optional b_j (default 2*a_j)
+    and optional annulus (r, R) for hybrid mode.  The min-window start is
+    not region data: each kernel has its own (classify's `windows`)."""
 
     d: tuple[float, float]
     a: tuple[float, float]
     c: tuple[float, float]
     b: tuple[float, float] | None = None
     annulus: tuple[float, float] | None = None
-    window: tuple[float, float] = (0.5, 0.5)
 
     def __post_init__(self):
         for j in range(2):
@@ -87,9 +87,6 @@ class RegionSpec:
             r, big_r = self.annulus
             if not (0.0 < r < big_r):
                 raise ConfigError(f"need 0 < r < R, got r={r}, R={big_r}")
-        for w in self.window:
-            if w not in (0.0, 0.5):
-                raise ConfigError(f"window start must be 0 or 1/2, got {w}")
 
     def b_effective(self) -> tuple[float, float]:
         if self.b is not None:
@@ -131,9 +128,11 @@ def _component_tag(u: GridFunction, d: float, a: float, window: float) -> str:
     return "M"
 
 
-def classify(u1: GridFunction, u2: GridFunction, spec: RegionSpec) -> RegionLabel:
-    """Per-component region tags; component 2 lives on the annulus exactly
-    when the spec has one.  Raises OutsideAmbientError when the pair
+def classify(u1: GridFunction, u2: GridFunction, spec: RegionSpec,
+             windows: tuple[float, float]) -> RegionLabel:
+    """Per-component region tags, component j's windowed minimum starting
+    at windows[j] (its kernel's `window`); component 2 lives on the annulus
+    exactly when the spec has one.  Raises OutsideAmbientError when the pair
     violates the ambient precondition (sup <= c_j, or the annulus)."""
     s1 = sup_norm(u1)
     if s1 > spec.c[0]:
@@ -146,8 +145,8 @@ def classify(u1: GridFunction, u2: GridFunction, spec: RegionSpec) -> RegionLabe
                 f"sup_norm(u2)={s2} outside the annulus [{r}, {big_r}]")
     elif s2 > spec.c[1]:
         raise OutsideAmbientError(f"sup_norm(u2)={s2} exceeds c2={spec.c[1]}")
-    tag1 = _component_tag(u1, spec.d[0], spec.a[0], spec.window[0])
+    tag1 = _component_tag(u1, spec.d[0], spec.a[0], windows[0])
     if spec.annulus is not None:
         return RegionLabel(tag1, "annulus")
     return RegionLabel(tag1, _component_tag(u2, spec.d[1], spec.a[1],
-                                            spec.window[1]))
+                                            windows[1]))

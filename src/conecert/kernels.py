@@ -28,6 +28,7 @@ order, since the kink lies inside a Simpson panel at every odd node.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,14 +37,18 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class DirichletNeumann:
-    """min(t,s) kernel."""
+    """min(t,s) kernel; its cone window starts at t = 1/2."""
+
+    window: ClassVar[float] = 0.5
 
 
 @dataclass(frozen=True)
 class ReactionConvectionDiffusion:
-    """exp((t-s)/beta) above the diagonal, 1 below; beta > 0."""
+    """exp((t-s)/beta) above the diagonal, 1 below; beta > 0.  Its cone
+    window is all of [0, 1]."""
 
     beta: float
+    window: ClassVar[float] = 0.0
 
     def __post_init__(self):
         if not (self.beta > 0.0):

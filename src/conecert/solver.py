@@ -5,13 +5,13 @@ The system's operator is discretized on the quadrature rule's own nodes:
     (T_j u)(t_i) = sum_m w_m * G_j(t_i, t_m) * f_j(u1(t_m), u2(t_m)),
 
 and a fixed point of the discrete map is hunted per seed by damped Picard
-iteration followed by Newton on F(u) = u - T(u), globalized by a
-backtracking line search on the sup-norm residual (Armijo; Dennis &
-Schnabel 1983, section 6.3): a step that finds no residual decrease ends
-the seed, so a diverging seed stops at its first failed search.  An
+iteration, then by Newton on F(u) = u - T(u) from the last Picard iterate,
+globalized by a backtracking line search on the sup-norm residual (Armijo;
+Dennis & Schnabel 1983, section 6.3): a step that finds no residual decrease
+ends the seed, so a diverging seed stops at its first failed search.  An
 EvalError of f (a float operation that overflows, divides by zero or is
-invalid) names the first failing grid node and ends only the seed whose
-state made it; at a trial step of the line search it rejects that trial.
+invalid) ends only the seed whose state made it; at a trial step of the
+line search it rejects that trial.  Only `apply` names the failing grid node.
 f1 and f2 are compiled once per operator, and each batched evaluation runs
 their programs in one scope of the float table's flags (expr.float_flags).
 That scope covers the program runs only: the lanes' own arithmetic (a
@@ -176,40 +176,39 @@ class DiscreteOperator:
             except EvalError as err:
                 at, error = first_failure(f, v1, v2, err)
                 raise EvalError(error.offset, f"{error.message} at grid node "
-                                f"{at % v1.shape[-1]}") from error
+                                f"{at % np.shape(v1)[-1]}") from error
 
-    def nonlinearity(self, v1: np.ndarray, v2: np.ndarray,
-                     locate: bool = True) -> np.ndarray:
+    def nonlinearity(self, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
         """(f1, f2) at the nodes of v, written into one (..., 2, n) array by
-        both programs in one `float_flags()` scope.  An EvalError names its
-        first failing grid node, unless `locate` is false: a caller that
-        discards the error skips that bisection."""
+        both programs in one `float_flags()` scope.  An EvalError names no
+        grid node: `apply` names it when it evaluates f itself, and the
+        solver's lanes discard it."""
         v1 = np.asarray(v1, dtype=float)
         v2 = np.asarray(v2, dtype=float)
         shape = np.broadcast(v1, v2).shape
         out = np.empty((*shape[:-1], 2, shape[-1]))
         program1, program2 = self.programs
-        try:
-            with float_flags():
-                out[..., 0, :] = program1(v1, v2)
-                out[..., 1, :] = program2(v1, v2)
-        except EvalError:
-            if locate:
-                self._locate(v1, v2)
-            raise
+        with float_flags():
+            out[..., 0, :] = program1(v1, v2)
+            out[..., 1, :] = program2(v1, v2)
         return out
 
     def apply(self, v1: np.ndarray, v2: np.ndarray,
               f: np.ndarray | None = None) -> np.ndarray:
         """(T1 v, T2 v) as one (..., 2, n) array, for states v1, v2 of shape
         (..., n); f is `nonlinearity(v1, v2)`, evaluated here unless the
-        caller already has it.
+        caller already has it, and an EvalError of that evaluation names its
+        first failing grid node.
 
         (T_j v)_i = sum_{m <= i} b_m f_m + c_i sum_{m > i} d_m f_m: a
         forward prefix sum, and a backward one per generator block whose
         total is carried into the previous block through its link."""
         if f is None:
-            f = self.nonlinearity(v1, v2)
+            try:
+                f = self.nonlinearity(v1, v2)
+            except EvalError:
+                self._locate(v1, v2)
+                raise
         b, c, d = self.gen
         out = np.add.accumulate(b * f, axis=-1)
         df = d * f
@@ -510,7 +509,8 @@ def _ambient_bounds(problem: ProblemSpec) -> tuple[float, float]:
 def _classify_or_outside(problem: ProblemSpec, u1: GridFunction,
                          u2: GridFunction) -> RegionLabel | str:
     try:
-        return classify(u1, u2, problem.region)
+        return classify(u1, u2, problem.region,
+                        (problem.kernel1.window, problem.kernel2.window))
     except OutsideAmbientError:
         return "outside-ambient"
 
@@ -518,14 +518,15 @@ def _classify_or_outside(problem: ProblemSpec, u1: GridFunction,
 def solve_from(problem: ProblemSpec, seed1: GridFunction, seed2: GridFunction,
                params: SolverParams | None = None, seed_id: str = "seed",
                op: DiscreteOperator | None = None) -> Solution | None:
-    """At most `picard_steps` damped Picard steps from one seed pair, then
-    at most MAX_NEWTON Newton steps from the Picard iterate of least
-    residual, reusing its f and T(v).  Each Newton step v - t*delta takes
-    the first t = 1, 1/2, ..., 2^-MAX_HALVINGS whose residual is below
-    (1 - ARMIJO*t) times the current one, and the seed ends when none is.
-    None if no fixed point with residual <= newton_tol is reached.  Each
-    iterate and each trial step is evaluated once.  This is multi_start's
-    engine run on one seed."""
+    """Picard from one seed pair: the seed, then at most `picard_steps` - 1
+    damped steps, each evaluated; then at most MAX_NEWTON Newton steps from
+    the last evaluated iterate, reusing its f and T(v).  Each Newton step
+    v - t*delta takes the first t = 1, 1/2, ..., 2^-MAX_HALVINGS whose
+    residual is below (1 - ARMIJO*t) times the current one, and the seed
+    ends when none is, as it does when f fails to evaluate or T(v) is
+    non-finite at a Picard iterate.  None if no fixed point with residual
+    <= newton_tol is reached.  Each iterate and each trial step is
+    evaluated once.  This is multi_start's engine run on one seed."""
     params = params or SolverParams()
     rule = _require_shared_rule(seed1, seed2)
     if op is None:
@@ -568,25 +569,21 @@ def _solve_lanes(problem: ProblemSpec, op: DiscreteOperator, seeds: np.ndarray,
         # whole solve stack until the cyclic collector runs
         try:
             return fn(v, *args)
-        except (EvalError, SingularPivot) as err:
-            if len(lane) == 1:  # a lone lane's error is the batch's
-                log_pivot(int(lane[0]), err)
-                return np.full_like(v, np.nan)
+        except (EvalError, SingularPivot):
+            pass
         out = np.full_like(v, np.nan)
         for i, s in enumerate(lane.tolist()):
             try:
                 out[i] = fn(v[i:i + 1], *(x[i:i + 1] for x in args))[0]
-            except (EvalError, SingularPivot) as err:
-                log_pivot(s, err)
+            except EvalError:
+                pass
+            except SingularPivot as err:
+                log.info("seed %s: singular Jacobian at node %d",
+                         seed_ids[s], err.node)
         return out
 
-    def log_pivot(s, err):
-        if isinstance(err, SingularPivot):
-            log.info("seed %s: singular Jacobian at node %d",
-                     seed_ids[s], err.node)
-
     def nonlinearity(v):
-        return op.nonlinearity(v[:, 0], v[:, 1], locate=False)
+        return op.nonlinearity(v[:, 0], v[:, 1])
 
     def evaluate(lane, v):
         """Each lane's residual, f and T(v), each lane counted as one
@@ -621,45 +618,39 @@ def _solve_lanes(problem: ProblemSpec, op: DiscreteOperator, seeds: np.ndarray,
             pending = pending[~ok]
         return _keep(found, lane, new_res, new_v, new_f, new_tv)
 
-    # Picard; the seed is evaluated even with no Picard steps: Newton
-    # starts there.  best_* hold each lane's least-residual iterate.
+    # each settled lane's state, NaN for a lane that never settles (a
+    # settled v is finite, since its residual is)
+    final = np.full_like(seeds, np.nan)
+
+    def settle(lane, res, v, f, tv):
+        """Record in `final` each lane at newton_tol; the rest run on."""
+        at = res <= tol
+        final[lane[at]] = v[at]
+        return _keep(~at, lane, res, v, f, tv)
+
+    # Picard: the seed, then damped steps.  A lane whose f raises or whose
+    # T(v) is non-finite ends there; the rest take their last evaluated
+    # iterate, with its f and T(v), into Newton.
     lane, v = np.arange(len(seeds)), seeds
-    has_best = np.zeros(len(seeds), dtype=bool)
-    best_res = np.zeros(len(seeds))
-    best_v, best_f, best_tv = (np.empty_like(seeds) for _ in range(3))
-    for _ in range(max(params.picard_steps, 1)):
+    for k in range(max(params.picard_steps, 1)):
         if not lane.size:
             break
+        if k:
+            v = (1.0 - lam) * v + lam * tv
         ok, res, f, tv = evaluate(lane, v)
-        lane, v, res, f, tv = _keep(ok, lane, v, res, f, tv)
-        better = ~has_best[lane] | (res < best_res[lane])
-        at = lane[better]
-        has_best[at] = True
-        best_res[at], best_v[at] = res[better], v[better]
-        best_f[at], best_tv[at] = f[better], tv[better]
-        lane, v, tv = _keep(~(res <= tol), lane, v, tv)
-        v = (1.0 - lam) * v + lam * tv
+        lane, res, v, f, tv = settle(*_keep(ok, lane, res, v, f, tv))
 
-    # Newton from the best Picard iterate, each step cut back by the line
-    # search, keeping the state of each lane that reaches the tolerance
-    lane = np.flatnonzero(has_best)
-    res, v, f, tv = best_res[lane], best_v[lane], best_f[lane], best_tv[lane]
-    converged = np.zeros(len(seeds), dtype=bool)
-    final = np.empty_like(seeds)
-    for newton in range(MAX_NEWTON + 1):
-        at = res <= tol
-        converged[lane[at]] = True
-        final[lane[at]] = v[at]
-        lane, res, v, f, tv = _keep(~at, lane, res, v, f, tv)
-        if not lane.size or newton == MAX_NEWTON:
+    # Newton, each step cut back by the line search
+    for _ in range(MAX_NEWTON):
+        if not lane.size:
             break
         step = lanewise(op.newton_step, lane, v, v - tv, f)
         lane, res, v, step = _keep(np.isfinite(step).all(axis=(1, 2)),
                                    lane, res, v, step)
-        lane, res, v, f, tv = line_search(lane, res, v, step)
+        lane, res, v, f, tv = settle(*line_search(lane, res, v, step))
 
     solutions: list[Solution | None] = [None] * len(seeds)
-    lane = np.flatnonzero(converged)
+    lane = np.flatnonzero(~np.isnan(final[:, 0, 0]))
     v = final[lane]
     # nonnegativity check with round-off slack, then clamp the slack away
     lane, v = _keep(~(v.min(axis=(1, 2)) < -1e-10), lane, v)
@@ -722,7 +713,8 @@ def multi_start(problem: ProblemSpec, params: SolverParams | None = None,
     params = params or SolverParams()
     if params.grid_n < 3:
         raise ConfigError(f"grid_n must be at least 3, got {params.grid_n}")
-    if 0.5 in problem.region.window and (params.grid_n - 1) % 2 != 0:
+    if 0.5 in (problem.kernel1.window, problem.kernel2.window) \
+            and (params.grid_n - 1) % 2 != 0:
         raise ConfigError(
             f"grid_n must be odd so t=1/2 is a node, got {params.grid_n}")
     try:

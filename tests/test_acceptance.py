@@ -130,8 +130,7 @@ def test_criterion_5_operator_sanity():
         assert abs(t1[-1] - 0.5) <= 1e-12
 
         kappa = 2.0
-        rcd_region = RegionSpec(d=(0.5, 0.5), a=(1.0, 1.0), c=(5.0, 5.0),
-                                window=(0.0, 0.0))
+        rcd_region = RegionSpec(d=(0.5, 0.5), a=(1.0, 1.0), c=(5.0, 5.0))
         for beta in (1.0, 0.37):
             rcd_problem = ProblemSpec(ReactionConvectionDiffusion(beta),
                                       ReactionConvectionDiffusion(beta),

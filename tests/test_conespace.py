@@ -11,6 +11,7 @@ from conecert.solver import ProblemSpec
 
 RULE = make_rule(129)
 SPEC = RegionSpec(d=(0.5, 0.5), a=(1.0, 1.0), c=(5.0, 5.0))
+DN = (DirichletNeumann.window, DirichletNeumann.window)  # (1/2, 1/2)
 
 
 def const(level, rule=RULE):
@@ -39,9 +40,9 @@ def test_min_window_requires_node():
 
 
 def test_classify_examples():
-    assert classify(const(0.3), const(0.3), SPEC) == RegionLabel("S", "S")
-    assert classify(const(2.0), const(2.0), SPEC) == RegionLabel("B", "B")
-    assert classify(const(0.7), const(2.0), SPEC) == RegionLabel("M", "B")
+    assert classify(const(0.3), const(0.3), SPEC, DN) == RegionLabel("S", "S")
+    assert classify(const(2.0), const(2.0), SPEC, DN) == RegionLabel("B", "B")
+    assert classify(const(0.7), const(2.0), SPEC, DN) == RegionLabel("M", "B")
     assert region_index(RegionLabel("S", "S")) == 4
     assert region_index(RegionLabel("B", "B")) == 1
     assert region_index(RegionLabel("M", "B")) == 6
@@ -53,34 +54,34 @@ def test_classify_nine_full_map():
             ("B", "M"): 5, ("M", "B"): 6, ("S", "M"): 7, ("M", "S"): 8,
             ("M", "M"): 9}
     for (t1, t2), idx in want.items():
-        label = classify(by_tag[t1], by_tag[t2], SPEC)
+        label = classify(by_tag[t1], by_tag[t2], SPEC, DN)
         assert (label.comp1, label.comp2) == (t1, t2)
         assert region_index(label) == idx
 
 
 def test_classify_ties_are_middle():
     # boundaries are resolved strictly: sup == d and min == a both land in M
-    assert classify(const(0.5), const(0.3), SPEC).comp1 == "M"
-    assert classify(const(1.0), const(0.3), SPEC).comp1 == "M"
+    assert classify(const(0.5), const(0.3), SPEC, DN).comp1 == "M"
+    assert classify(const(1.0), const(0.3), SPEC, DN).comp1 == "M"
 
 
 def test_classify_outside_ambient():
     with pytest.raises(OutsideAmbientError):
-        classify(const(6.0), const(1.0), SPEC)
+        classify(const(6.0), const(1.0), SPEC, DN)
 
 
 def test_classify_hybrid():
     spec = RegionSpec(d=(0.5, 0.5), a=(1.0, 1.0), c=(5.0, 5.0),
                       annulus=(2.0, 5.0))
-    label = classify(const(2.0), const(3.0), spec)
+    label = classify(const(2.0), const(3.0), spec, DN)
     assert label == RegionLabel("B", "annulus")
     assert region_index(label) == 1
-    assert region_index(classify(const(0.2), const(3.0), spec)) == 2
-    assert region_index(classify(const(0.7), const(3.0), spec)) == 3
+    assert region_index(classify(const(0.2), const(3.0), spec, DN)) == 2
+    assert region_index(classify(const(0.7), const(3.0), spec, DN)) == 3
     with pytest.raises(OutsideAmbientError):
-        classify(const(2.0), const(1.0), spec)
+        classify(const(2.0), const(1.0), spec, DN)
     with pytest.raises(OutsideAmbientError):
-        classify(const(2.0), const(5.5), spec)
+        classify(const(2.0), const(5.5), spec, DN)
 
 
 def test_hybrid_requires_annulus():
@@ -90,7 +91,7 @@ def test_hybrid_requires_annulus():
     dn = DirichletNeumann()
     with pytest.raises(ConfigError):
         ProblemSpec(dn, dn, one, one, SPEC, "hybrid")
-    assert classify(const(1.0), const(1.0), SPEC).comp2 != "annulus"
+    assert classify(const(1.0), const(1.0), SPEC, DN).comp2 != "annulus"
 
 
 def test_region_index_all_labels():
@@ -118,8 +119,6 @@ def test_region_spec_validation():
         RegionSpec(d=(0.5, 0.5), a=(1.0, 1.0), c=(0.9, 5.0))  # c <= a
     with pytest.raises(ConfigError):
         RegionSpec(d=(0.5, 0.5), a=(1.0, 1.0), c=(5.0, 5.0), annulus=(5.0, 2.0))
-    with pytest.raises(ConfigError):
-        RegionSpec(d=(0.5, 0.5), a=(1.0, 1.0), c=(5.0, 5.0), window=(0.3, 0.5))
 
 
 def test_s_and_b_mutually_exclusive():
@@ -128,7 +127,7 @@ def test_s_and_b_mutually_exclusive():
     for _ in range(300):
         u = GridFunction(RULE, rng.uniform(0, 6, RULE.n))
         is_s = sup_norm(u) < SPEC.d[0]
-        is_b = min_window(u, SPEC.window[0]) > SPEC.a[0]
+        is_b = min_window(u, DN[0]) > SPEC.a[0]
         assert not (is_s and is_b)
         assert min_window(u, 0.5) <= sup_norm(u)
         assert min_window(u, 0.0) <= sup_norm(u)
@@ -140,8 +139,8 @@ def test_classification_stable_under_refinement():
     for fn in (lambda t: 0.3 * np.minimum(2 * t, 1.0),
                lambda t: 2.0 * np.minimum(2 * t, 1.0),
                lambda t: 0.7 * np.minimum(2 * t, 1.0)):
-        coarse_label = classify(sample(fn), sample(fn), SPEC)
-        fine_label = classify(sample(fn, fine), sample(fn, fine), SPEC)
+        coarse_label = classify(sample(fn), sample(fn), SPEC, DN)
+        fine_label = classify(sample(fn, fine), sample(fn, fine), SPEC, DN)
         assert coarse_label == fine_label
 
 

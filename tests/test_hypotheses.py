@@ -448,7 +448,7 @@ def test_thm53_templates_and_bounds():
     s10 = 4.0 - math.sqrt(15.0)
     st10 = 4.0 + math.sqrt(15.0)
     region = RegionSpec(d=(s8, s10), a=(st8, st10),
-                        c=(st8 * math.e, st10 * math.e), window=(0.0, 0.0))
+                        c=(st8 * math.e, st10 * math.e))
     p1 = math.exp(-1.0)
     q1 = 10 * st10 * math.e
     p2 = 3 * math.exp(-1.0)
@@ -480,8 +480,7 @@ def test_thm53_templates_and_bounds():
 
 def test_thm53_plain_relation_is_nonstrict():
     beta = 1.0
-    region = RegionSpec(d=(0.1, 0.1), a=(1.0, 1.0), c=(4.0, 4.0),
-                        window=(0.0, 0.0))
+    region = RegionSpec(d=(0.1, 0.1), a=(1.0, 1.0), c=(4.0, 4.0))
     f = parse_expr("0.05 + x1*0")
     problem = ProblemSpec(ReactionConvectionDiffusion(beta),
                           ReactionConvectionDiffusion(beta), f, f,

@@ -72,8 +72,7 @@ def test_apply_T_zero_nonlinearity():
 def test_apply_T_rcd_constant_matches_row_integral():
     kappa = 2.0
     beta = 1.0
-    region = RegionSpec(d=(0.5, 0.5), a=(1.0, 1.0), c=(5.0, 5.0),
-                        window=(0.0, 0.0))
+    region = RegionSpec(d=(0.5, 0.5), a=(1.0, 1.0), c=(5.0, 5.0))
     problem = ProblemSpec(ReactionConvectionDiffusion(beta),
                           ReactionConvectionDiffusion(beta),
                           parse_expr(f"{kappa}"), parse_expr(f"{kappa}"),
@@ -98,6 +97,10 @@ def test_apply_T_eval_error_names_grid_node():
     with pytest.raises(EvalError) as err:
         op.apply(values, np.ones(RULE.n))
     assert "grid node 7" in err.value.message
+    # nonlinearity, which the solver's lanes call, leaves the node unnamed
+    with pytest.raises(EvalError) as err:
+        op.nonlinearity(values, np.ones(RULE.n))
+    assert "grid node" not in err.value.message
     # in a stack of states the node is named within its lane
     stacked = np.ones((3, RULE.n))
     stacked[1, 7] = 2.0
@@ -270,8 +273,7 @@ def test_apply_matches_dense_oracle(kernel_pair, n, scheme):
     # f_j = x_j, so T_j v = G_j W v_j against the dense Green matrix
     k1, k2 = kernel_pair
     mode = "nine" if isinstance(k1, DirichletNeumann) else "thm53"
-    region = RegionSpec(d=(0.5, 0.5), a=(1.0, 1.0), c=(5.0, 5.0),
-                        window=(0.5, 0.5) if mode == "nine" else (0.0, 0.0))
+    region = RegionSpec(d=(0.5, 0.5), a=(1.0, 1.0), c=(5.0, 5.0))
     problem = ProblemSpec(k1, k2, parse_expr("x1"), parse_expr("x2"),
                           region, mode)
     rule = rule_for(n, scheme)
@@ -327,8 +329,7 @@ STACKED_KERNELS = {
 def test_stacked_operator_is_bit_identical_to_each_state(kernel_pair):
     k1, k2 = kernel_pair
     mode = "nine" if isinstance(k1, DirichletNeumann) else "thm53"
-    region = RegionSpec(d=(0.5, 0.5), a=(1.0, 1.0), c=(5.0, 5.0),
-                        window=(0.5, 0.5) if mode == "nine" else (0.0, 0.0))
+    region = RegionSpec(d=(0.5, 0.5), a=(1.0, 1.0), c=(5.0, 5.0))
     problem = ProblemSpec(k1, k2, parse_expr("1 + x1*x2 - cos(x1)"),
                           parse_expr("exp(-x2)*x1 + 0.5"), region, mode)
     op = DiscreteOperator(problem, RULE)
@@ -840,6 +841,81 @@ def test_newton_starts_from_the_evaluated_picard_iterate(nine_problem):
     assert iterations == {seed_id: {"S-S": 2, "M-M": 6}.get(seed_id, 4)
                           for seed_id in ("B-B", "B-M", "B-S", "M-B", "M-M",
                                           "M-S", "S-B", "S-M", "S-S")}
+
+
+def counted_calls(monkeypatch, *names):
+    """Count the calls of the named DiscreteOperator methods."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def run(*args, _name=name, _fn=getattr(DiscreteOperator, name),
+                **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(DiscreteOperator, name, run)
+    return calls
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_picard_failure_ends_its_seed(nine_problem, monkeypatch):
+    # f = exp(x1) + exp(x2) drives the iterates up until f overflows at the
+    # third Picard iterate: the seed ends there, with no Newton step from an
+    # earlier iterate
+    f = parse_expr("exp(x1) + exp(x2)")
+    problem = ProblemSpec(DirichletNeumann(), DirichletNeumann(), f, f,
+                          nine_problem.region, "nine")
+    rule = make_rule(33)
+    calls = counted_calls(monkeypatch, "apply", "jacobian")
+    seed = GridFunction(rule, 3.0 * np.minimum(2 * rule.nodes, 1.0))
+    assert solve_from(problem, seed, seed, SolverParams(grid_n=33)) is None
+    assert calls == {"apply": 3, "jacobian": 0}
+
+
+def test_newton_starts_from_the_last_picard_iterate(nine_problem,
+                                                     monkeypatch):
+    # three Picard steps leave the M-M seed short of newton_tol, and Newton
+    # linearizes at the third evaluated iterate: the seed, then two damped
+    # steps v <- (1 - damping) v + damping T(v)
+    params = SolverParams(picard_steps=3)
+    op = DiscreteOperator(nine_problem, RULE)
+    seed = GridFunction(RULE, 1.5 * np.minimum(2 * RULE.nodes, 1.0))
+    v = np.array([[seed.values, seed.values]])
+    for _ in range(2):
+        v = (1.0 - params.damping) * v \
+            + params.damping * op.apply(v[:, 0], v[:, 1])
+    assert op.residual_values(v)[0] > params.newton_tol
+    linearized_at = []
+    jacobian = DiscreteOperator.jacobian
+
+    def recorded(self, v1, v2, f):
+        linearized_at.append((v1.copy(), v2.copy()))
+        return jacobian(self, v1, v2, f)
+
+    monkeypatch.setattr(DiscreteOperator, "jacobian", recorded)
+    assert solve_from(nine_problem, seed, seed, params, op=op) is not None
+    assert np.array_equal(linearized_at[0][0], v[:, 0])
+    assert np.array_equal(linearized_at[0][1], v[:, 1])
+
+
+def test_the_cone_window_comes_from_the_kernel():
+    # a thm53 problem built in code, with a RegionSpec of d, a and c only,
+    # gets the RCD kernel's window (all of [0, 1]) as the CLI's does
+    cli_problem = build_problem(closing_problem_config()["problem"])
+    region = cli_problem.region
+    problem = ProblemSpec(ReactionConvectionDiffusion(1.0),
+                          ReactionConvectionDiffusion(1.0),
+                          cli_problem.f1, cli_problem.f2,
+                          RegionSpec(d=region.d, a=region.a, c=region.c),
+                          "thm53", remark52=True)
+    # u1(0) <= a1 < u1(1/2): M over [0, 1], B over [1/2, 1] only
+    u1 = GridFunction(RULE, 5.0 + 2.0 * RULE.nodes)
+    u2 = const_fn(0.05)
+    assert u1.values[0] <= region.a[0] < u1.values[RULE.n // 2]
+    assert str(solver._classify_or_outside(problem, u1, u2)) == "M-S"
+    # no window starts at 1/2, so an even grid_n is allowed
+    params = SolverParams(grid_n=128)
+    sols = multi_start(problem, params)
+    assert len(sols) == 4
+    assert_same_solutions(sols, multi_start(cli_problem, params))
 
 
 # ---------------------------------------------------------------------------
