@@ -104,20 +104,19 @@ class RegionLabel:
         return f"{self.comp1}-{c2}"
 
 
-_NINE_INDEX = {
-    ("B", "B"): 1, ("B", "S"): 2, ("S", "B"): 3, ("S", "S"): 4,
-    ("B", "M"): 5, ("M", "B"): 6, ("S", "M"): 7, ("M", "S"): 8,
-    ("M", "M"): 9,
-}
-_HYBRID_INDEX = {"B": 1, "S": 2, "M": 3}
+# the localization regions in the paper's numbering, region k at position
+# k - 1: the nine tag pairs, and the three hybrid regions of component 1's
+# tag with component 2 on the annulus
+NINE_REGIONS = tuple(RegionLabel(*tags) for tags in
+                     ("BB", "BS", "SB", "SS", "BM", "MB", "SM", "MS", "MM"))
+HYBRID_REGIONS = tuple(RegionLabel(tag, "annulus") for tag in "BSM")
 
 
 def region_index(label: RegionLabel) -> int:
     """Index of the localization region a label pair falls in (1-based);
     an annulus label indexes the three hybrid regions."""
-    if label.comp2 == "annulus":
-        return _HYBRID_INDEX[label.comp1]
-    return _NINE_INDEX[(label.comp1, label.comp2)]
+    regions = HYBRID_REGIONS if label.comp2 == "annulus" else NINE_REGIONS
+    return regions.index(label) + 1
 
 
 def _component_tag(u: GridFunction, d: float, a: float, window: float) -> str:

@@ -47,12 +47,13 @@ so reports are deterministic regardless of exploration order.
 from __future__ import annotations
 
 import math
+import operator
 from contextlib import suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .conespace import RegionLabel
+from .conespace import HYBRID_REGIONS, NINE_REGIONS, RegionLabel
 from . import interval
 from .errors import ConfigError, DomainError
 from .expr import (EvalError, ExprAst, eval_point, eval_values, first_failure,
@@ -61,6 +62,7 @@ from .expr import (EvalError, ExprAst, eval_point, eval_values, first_failure,
 # only for benchmarks/spans.py, which patches it (AttributeError if absent)
 from .expr import eval_interval  # noqa: F401
 from .interval import Interval, midpoint
+from .kernels import rcd_lambda
 
 DEFAULT_BUDGET = 100_000
 DEFAULT_DEPTH = 40
@@ -89,29 +91,12 @@ class CertVerdict:
     note: str = ""
 
 
-def _certified_fn(relation: Relation, bound: float):
-    """Whether an enclosure (lo, hi) proves the relation."""
-    if relation == "<=":
-        return lambda enc: enc[1] <= bound
-    if relation == "<":
-        return lambda enc: enc[1] < bound
-    if relation == ">=":
-        return lambda enc: enc[0] >= bound
-    if relation == ">":
-        return lambda enc: enc[0] > bound
-    raise ValueError(f"unknown relation {relation!r}")
-
-
-def _violates_fn(relation: Relation, bound: float):
-    if relation == "<=":
-        return lambda v: v > bound
-    if relation == "<":
-        return lambda v: v >= bound
-    if relation == ">=":
-        return lambda v: v < bound
-    if relation == ">":
-        return lambda v: v <= bound
-    raise ValueError(f"unknown relation {relation!r}")
+# each relation's comparison `holds(value, bound)` and whether it bounds f
+# from above: an enclosure (lo, hi) proves the relation when its end
+# enc[upper] holds, and a point value violates it when the value does not
+# hold (the float programs return finite values only)
+_RELATIONS = {"<=": (operator.le, True), "<": (operator.lt, True),
+              ">=": (operator.ge, False), ">": (operator.gt, False)}
 
 
 def _extremal_end(d: tuple[float, float], lo: float, hi: float,
@@ -199,9 +184,8 @@ def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
     gradient = gradient_program(q.expr)
     point = float_program(q.expr)
     breaks1, breaks2 = ramp_breakpoints(q.expr)
-    certified = _certified_fn(q.relation, q.bound)
-    violates = _violates_fn(q.relation, q.bound)
-    upper = q.relation in ("<", "<=")
+    holds, upper = _RELATIONS[q.relation]
+    bound = q.bound
     b1, b2 = q.box
     stack = [(b1.lo, b1.hi, b2.lo, b2.hi, 0)]
     proved = set()  # faces and points whose whole subtree was certified
@@ -243,7 +227,7 @@ def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
                 value = d1 = None
                 with suppress(EvalError):
                     value = enclose(x1, x2)
-            if value is not None and certified(value):
+            if value is not None and holds(value[upper], bound):
                 continue
             m1 = midpoint(lo1, hi1)
             m2 = midpoint(lo2, hi2)
@@ -254,7 +238,7 @@ def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
                                 f"({m1!r}, {m2!r}) of sub-box "
                                 f"{Interval(lo1, hi1)} x "
                                 f"{Interval(lo2, hi2)}") from err
-            if violates(val):
+            if not holds(val, bound):
                 return CertVerdict("Fail", (m1, m2, val), explored, depth_capped)
             if d1 is not None:
                 end1 = _extremal_end(d1, lo1, hi1, upper)
@@ -271,9 +255,9 @@ def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
                 # value program runs only where the form may certify
                 with suppress(EvalError, DomainError):
                     slope = _slope_term(d1, d2, x1, x2, m1, m2)
-                    if not violates(_mean_value_reach(value, slope, upper)) \
-                            and certified(interval.add(
-                                enclose((m1, m1), (m2, m2)), slope)):
+                    if holds(_mean_value_reach(value, slope, upper), bound) \
+                            and holds(interval.add(enclose((m1, m1), (m2, m2)),
+                                                   slope)[upper], bound):
                         continue
             if dep >= max_depth:
                 depth_capped = True
@@ -340,12 +324,12 @@ def grid_oracle(q: BoxIneq, n: int = DEFAULT_ORACLE_N) -> OracleResult:
 
     x1, x2, sup = point(int(np.argmax(vals)))
     y1, y2, inf = point(int(np.argmin(vals)))
-    # each relation bounds one side, so some lattice point violates it
-    # exactly when the sup or the inf does
-    violates = _violates_fn(q.relation, q.bound)
+    # (inf, sup) encloses the lattice's values, so some lattice point
+    # violates the relation exactly when the end it bounds does
+    holds, upper = _RELATIONS[q.relation]
     first = None
-    if violates(sup) or violates(inf):
-        first = point(int(np.argmax(violates(vals))))
+    if not holds((inf, sup)[upper], q.bound):
+        first = point(int(np.argmax(~holds(vals, q.bound))))
     return OracleResult(sup=sup, inf=inf, argmax=(x1, x2), argmin=(y1, y2),
                         n=n, first_violation=first)
 
@@ -353,15 +337,15 @@ def grid_oracle(q: BoxIneq, n: int = DEFAULT_ORACLE_N) -> OracleResult:
 def oracle_agrees(q: BoxIneq, verdict: CertVerdict, oracle: OracleResult) -> bool | None:
     """Cross-check: Pass must see no violating sample, Fail at least one
     (and a witness that re-evaluates as a violation).  None for Unknown."""
-    violates = _violates_fn(q.relation, q.bound)
-    any_violation = bool(violates(oracle.sup) or violates(oracle.inf))
+    any_violation = oracle.first_violation is not None
     if verdict.status == "Pass":
         return not any_violation
     if verdict.status == "Fail":
         if verdict.witness is None:
             return False
         x1, x2, _ = verdict.witness
-        return any_violation and bool(violates(eval_point(q.expr, x1, x2)))
+        holds, _ = _RELATIONS[q.relation]
+        return any_violation and not holds(eval_point(q.expr, x1, x2), q.bound)
     return None
 
 
@@ -392,17 +376,13 @@ class HypothesisReport:
     promised: Promised | None
 
 
+# each theorem's regions in the paper's numbering; thm53's are the four
+# with no big tag
 _PROMISED = {
-    "thm51": Promised(3, 2, (
-        RegionLabel("B", "annulus"), RegionLabel("S", "annulus"),
-        RegionLabel("M", "annulus"))),
-    "thm52": Promised(9, 4, (
-        RegionLabel("B", "B"), RegionLabel("B", "S"), RegionLabel("S", "B"),
-        RegionLabel("S", "S"), RegionLabel("B", "M"), RegionLabel("M", "B"),
-        RegionLabel("S", "M"), RegionLabel("M", "S"), RegionLabel("M", "M"))),
-    "thm53": Promised(4, 1, (
-        RegionLabel("S", "S"), RegionLabel("S", "M"),
-        RegionLabel("M", "S"), RegionLabel("M", "M"))),
+    "thm51": Promised(3, 2, HYBRID_REGIONS),
+    "thm52": Promised(9, 4, NINE_REGIONS),
+    "thm53": Promised(4, 1, tuple(
+        r for r in NINE_REGIONS if "B" not in (r.comp1, r.comp2))),
 }
 _PROMISED["thm53_remark52"] = _PROMISED["thm53"]
 
@@ -500,7 +480,7 @@ def expand_conditions(problem) -> list[BoxIneq]:
     ambient = (iv(0, c[0]), iv(0, c[1]))
     conds = []
     for j, (f, kernel_beta) in enumerate(((f1, betas[0]), (f2, betas[1])), start=1):
-        growth_bound = a[j - 1] / (kernel_beta * (1.0 - math.exp(-1.0 / kernel_beta)))
+        growth_bound = a[j - 1] / rcd_lambda(kernel_beta)
         if strict_positive:
             conds.append(BoxIneq(f, ambient, ">", 0.0, f"thm53.a{j}"))
         else:

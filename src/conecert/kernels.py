@@ -27,6 +27,7 @@ order, since the kink lies inside a Simpson panel at every odd node.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -53,6 +54,13 @@ class ReactionConvectionDiffusion:
     def __post_init__(self):
         if not (self.beta > 0.0):
             raise DomainError(f"beta must be positive, got {self.beta}")
+
+
+def rcd_lambda(beta: float) -> float:
+    """lambda(beta) = beta*(1 - exp(-1/beta)), the RCD kernel's row integral
+    at t = 0 (the integral of exp(-s/beta) over [0, 1]).  expm1 keeps it
+    free of cancellation, so it tends to 1 for large beta instead of to 0."""
+    return -beta * math.expm1(-1.0 / beta)
 
 
 KernelKind = DirichletNeumann | ReactionConvectionDiffusion

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from .errors import ConfigError, DomainError
 from .hypotheses import CertVerdict
 from .interval import Interval
+from .kernels import rcd_lambda
 
 GUARD = 1e-12
 
@@ -236,14 +237,14 @@ def build_params(p: RcdParams) -> DerivedParams:
 
 
 def check_5_16(d: DerivedParams, beta1: float, beta2: float) -> CertVerdict:
-    """beta_j - beta_j*exp(-1/beta_j) must exceed
-    s_tilde(k_j) / f_j(evaluated at the theorem's corner); Pass needs both.
+    """lambda(beta_j) = beta_j*(1 - exp(-1/beta_j)) (kernels.rcd_lambda)
+    must exceed s_tilde(k_j) / f_j(evaluated at the theorem's corner); Pass
+    needs both.
 
     The right-hand sides are beta-independent (the exp(1/beta) factors of
     p_j and q_j cancel at the corner), so they are taken from the closed
     form and the given betas enter the left side only."""
-    lhs1 = beta1 - beta1 * math.exp(-1.0 / beta1)
-    lhs2 = beta2 - beta2 * math.exp(-1.0 / beta2)
+    lhs1, lhs2 = rcd_lambda(beta1), rcd_lambda(beta2)
     rhs1, rhs2 = diffusion_thresholds(d)
     return _first_failure([
         (_strict(rhs1, lhs1), lhs1, rhs1,

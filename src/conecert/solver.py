@@ -160,10 +160,13 @@ class DiscreteOperator:
         # (G_j W)^{-1} for the Newton step, on the m nodes from `first` on,
         # as stacked (2, m) lower, diagonal and upper coefficients with
         # lower[:, 0] and upper[:, -1] zero; ProblemSpec gives both
-        # components one kernel kind, so both inverses start at one node
-        self.inverse = _weighted_inverse((k1, k2), rule)
+        # components one kernel kind, so both inverses start at one node.
+        # A huge RCD beta overflows them to inf, silently: the pivots are
+        # then non-finite, which ends every Newton step
+        with np.errstate(all="ignore"):
+            self.inverse = _weighted_inverse((k1, k2), rule)
+            self.couplings = _level_zero(*self.inverse[::2])
         self.first = rule.n - self.inverse[1].shape[-1]
-        self.couplings = _level_zero(*self.inverse[::2])
         self.programs = (float_program(problem.f1), float_program(problem.f2))
 
     def _locate(self, v1: np.ndarray, v2: np.ndarray):
@@ -180,9 +183,9 @@ class DiscreteOperator:
 
     def nonlinearity(self, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
         """(f1, f2) at the nodes of v, written into one (..., 2, n) array by
-        both programs in one `float_flags()` scope.  An EvalError names no
-        grid node: `apply` names it when it evaluates f itself, and the
-        solver's lanes discard it."""
+        both programs in one `float_flags()` scope; the one place that runs
+        f's programs.  An EvalError names no grid node: `apply` names it
+        when it evaluates f itself, and the solver's lanes discard it."""
         v1 = np.asarray(v1, dtype=float)
         v2 = np.asarray(v2, dtype=float)
         shape = np.broadcast(v1, v2).shape
@@ -232,20 +235,16 @@ class DiscreteOperator:
     def jacobian(self, v1, v2, f: np.ndarray) -> tuple[np.ndarray, ...]:
         """Nodal derivatives (d11, d12, d21, d22) of (f1, f2) at v, where
         dij = df_i/dx_j, by forward differences from the base values
-        f = `nonlinearity(v1, v2)`.  The four program runs share one
-        `float_flags()` scope, which covers nothing else: a difference that
-        overflows follows the caller's flags (the solver's lanes make it
-        inf, and the Newton step ends that seed).  An EvalError names no
-        grid node: the one caller, newton_step in the solver's lanes,
-        discards it."""
+        f = `nonlinearity(v1, v2)`, and the columns j = 1, 2 from
+        `nonlinearity` at v + h e_j.  A difference that overflows follows
+        the caller's flags (the solver's lanes make it inf, and the Newton
+        step ends that seed).  An EvalError names no grid node: the one
+        caller, newton_step in the solver's lanes, discards it."""
         h = FD_STEP
-        program1, program2 = self.programs
-        up1, up2 = v1 + h, v2 + h
-        with float_flags():
-            g11, g12 = program1(up1, v2), program1(v1, up2)
-            g21, g22 = program2(up1, v2), program2(v1, up2)
-        f1, f2 = f[..., 0, :], f[..., 1, :]
-        return (g11 - f1) / h, (g12 - f1) / h, (g21 - f2) / h, (g22 - f2) / h
+        up1 = self.nonlinearity(v1 + h, v2) - f
+        up2 = self.nonlinearity(v1, v2 + h) - f
+        return (up1[..., 0, :] / h, up2[..., 0, :] / h,
+                up1[..., 1, :] / h, up2[..., 1, :] / h)
 
     def newton_step(self, v: np.ndarray, r: np.ndarray,
                     f: np.ndarray) -> np.ndarray:
@@ -523,10 +522,11 @@ def solve_from(problem: ProblemSpec, seed1: GridFunction, seed2: GridFunction,
     the last evaluated iterate, reusing its f and T(v).  Each Newton step
     v - t*delta takes the first t = 1, 1/2, ..., 2^-MAX_HALVINGS whose
     residual is below (1 - ARMIJO*t) times the current one, and the seed
-    ends when none is, as it does when f fails to evaluate or T(v) is
-    non-finite at a Picard iterate.  None if no fixed point with residual
-    <= newton_tol is reached.  Each iterate and each trial step is
-    evaluated once.  This is multi_start's engine run on one seed."""
+    ends when none is, as it does at a Picard iterate whose residual is
+    non-finite (f fails to evaluate, or v or T(v) is non-finite).  None if
+    no fixed point with residual <= newton_tol is reached.  Each iterate
+    and each trial step is evaluated once.  This is multi_start's engine
+    run on one seed."""
     params = params or SolverParams()
     rule = _require_shared_rule(seed1, seed2)
     if op is None:
@@ -587,19 +587,21 @@ def _solve_lanes(problem: ProblemSpec, op: DiscreteOperator, seeds: np.ndarray,
 
     def evaluate(lane, v):
         """Each lane's residual, f and T(v), each lane counted as one
-        iteration, and whether its f evaluates and its T(v) is finite."""
+        iteration, and whether the residual is finite: it is not where f
+        fails to evaluate (a NaN f), where T(v) is non-finite, or where v
+        itself overflowed in a damped or trial step."""
         iterations[lane] += 1
         f = lanewise(nonlinearity, lane, v)
         tv = op.apply(v[:, 0], v[:, 1], f)
-        return (np.isfinite(tv).all(axis=(1, 2)),
-                np.max(np.abs(v - tv), axis=(1, 2)), f, tv)
+        res = np.max(np.abs(v - tv), axis=(1, 2))
+        return np.isfinite(res), res, f, tv
 
     def line_search(lane, res, v, step):
         """The lanes with a trial v - t*step, t = 1, 1/2, ...,
         2^-MAX_HALVINGS, whose residual is below (1 - ARMIJO*t) * res, each
         with its first such trial and that trial's residual, f and T(v).
         The lanes still pending at a t are evaluated in one batch; a trial
-        whose f raises or whose T(v) is non-finite is rejected."""
+        whose residual is non-finite is rejected."""
         found = np.zeros(len(lane), dtype=bool)
         new_res = np.empty_like(res)
         new_v, new_f, new_tv = (np.empty_like(v) for _ in range(3))
@@ -628,9 +630,9 @@ def _solve_lanes(problem: ProblemSpec, op: DiscreteOperator, seeds: np.ndarray,
         final[lane[at]] = v[at]
         return _keep(~at, lane, res, v, f, tv)
 
-    # Picard: the seed, then damped steps.  A lane whose f raises or whose
-    # T(v) is non-finite ends there; the rest take their last evaluated
-    # iterate, with its f and T(v), into Newton.
+    # Picard: the seed, then damped steps.  A lane whose residual is
+    # non-finite ends there; the rest take their last evaluated iterate,
+    # with its f and T(v), into Newton.
     lane, v = np.arange(len(seeds)), seeds
     for k in range(max(params.picard_steps, 1)):
         if not lane.size:
@@ -733,7 +735,8 @@ def multi_start(problem: ProblemSpec, params: SolverParams | None = None,
     if seed_list is not None:
         unknown = sorted(set(seed_list) - set(seed_ids))
         if unknown:
-            raise ConfigError(f"unknown seed ids: {', '.join(unknown)}")
+            raise ConfigError(
+                f"unknown seed ids: {', '.join(map(repr, unknown))}")
         seed_ids = [s for s in seed_ids if s in set(seed_list)]
     seed_ids = sorted(seed_ids)
     seeds = np.array([(levels1[tag1] * prof1, levels2[tag2] * prof2)

@@ -594,6 +594,18 @@ def test_solve_seed_list(tmp_path):
     assert report["config_echo"]["seed_list"] == ["B-B", "S-S"]
 
 
+def test_unknown_seed_ids_are_shown_quoted(tmp_path, capsys):
+    # a trailing comma gives an empty id, which must show in the message
+    path = write_config(tmp_path, nine_config())
+    assert main(["solve", path, "--out", str(tmp_path / "out"),
+                 "--seed-list", "S-S,"]) == 3
+    assert capsys.readouterr().err == "config error: unknown seed ids: ''\n"
+    assert main(["solve", path, "--out", str(tmp_path / "out"),
+                 "--seed-list", "X-Y,S-S,A"]) == 3
+    assert capsys.readouterr().err == \
+        "config error: unknown seed ids: 'A', 'X-Y'\n"
+
+
 def test_a_second_call_does_not_inherit_the_first_calls_seed_list(tmp_path):
     # main builds one parser per process and parses each call afresh
     path = write_config(tmp_path, nine_config() | {"solver": {"grid_n": 65}})

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conecert import hypotheses
 from conecert.conespace import (GridFunction, RegionLabel, RegionSpec,
                                 classify, min_window, nontrivial,
                                 region_index, sup_norm)
@@ -102,6 +103,15 @@ def test_region_index_all_labels():
             ("M", "M"): 9,
             ("B", "annulus"): 1, ("S", "annulus"): 2, ("M", "annulus"): 3}
     assert {key: region_index(RegionLabel(*key)) for key in want} == want
+
+
+def test_promised_regions_follow_the_region_numbering():
+    # each theorem's promised regions are listed in region_index order
+    promised = {tid: [region_index(r) for r in p.regions]
+                for tid, p in hypotheses._PROMISED.items()}
+    assert promised["thm51"] == [1, 2, 3]
+    assert promised["thm52"] == list(range(1, 10))
+    assert promised["thm53"] == promised["thm53_remark52"] == [4, 7, 8, 9]
 
 
 def test_nontrivial():

@@ -534,14 +534,13 @@ def test_mean_value_skip_never_drops_a_certifying_form(src, relation, b1, b2):
     m1, m2 = midpoint(*b1), midpoint(*b2)
     slope = hypotheses._slope_term(d1, d2, b1, b2, m1, m2)
     form = interval.add(interval_program(tree)((m1, m1), (m2, m2)), slope)
-    upper = relation in ("<", "<=")
+    holds, upper = hypotheses._RELATIONS[relation]
     reach = hypotheses._mean_value_reach(value, slope, upper)
-    end = form[1] if upper else form[0]
-    for at in (end, reach):
+    for at in (form[upper], reach):
         for bound in (math.nextafter(at, -math.inf), at,
                       math.nextafter(at, math.inf)):
-            certified = hypotheses._certified_fn(relation, bound)(form)
-            skipped = hypotheses._violates_fn(relation, bound)(reach)
+            certified = holds(form[upper], bound)
+            skipped = not holds(reach, bound)
             assert not (skipped and certified), (src, relation, b1, b2, bound)
 
 

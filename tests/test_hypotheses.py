@@ -338,6 +338,48 @@ def test_soundness_pairing():
 
 
 # ---------------------------------------------------------------------------
+# the relation table
+
+
+def _reference_certified(relation, bound):
+    """Whether an enclosure (lo, hi) proves the relation, one rule per
+    relation as first written."""
+    if relation == "<=":
+        return lambda enc: enc[1] <= bound
+    if relation == "<":
+        return lambda enc: enc[1] < bound
+    if relation == ">=":
+        return lambda enc: enc[0] >= bound
+    return lambda enc: enc[0] > bound
+
+
+def _reference_violates(relation, bound):
+    if relation == "<=":
+        return lambda v: v > bound
+    if relation == "<":
+        return lambda v: v >= bound
+    if relation == ">=":
+        return lambda v: v < bound
+    return lambda v: v <= bound
+
+
+@pytest.mark.parametrize("relation", ["<", "<=", ">", ">="])
+def test_relation_table_matches_the_four_way_reference(relation):
+    holds, upper = hypotheses._RELATIONS[relation]
+    specials = [0.0, -0.0, math.inf, -math.inf]
+    for bound in [0.0, -0.0, 1.0, -2.5, 1e-300, math.inf, -math.inf]:
+        values = specials + [math.nextafter(bound, -math.inf), bound,
+                             math.nextafter(bound, math.inf)]
+        certified = _reference_certified(relation, bound)
+        violates = _reference_violates(relation, bound)
+        for v in values:
+            assert (not holds(v, bound)) == violates(v), (bound, v)
+            for w in values:
+                enc = (min(v, w), max(v, w))
+                assert holds(enc[upper], bound) == certified(enc), (bound, enc)
+
+
+# ---------------------------------------------------------------------------
 # theorem templates
 
 def nine_problem():

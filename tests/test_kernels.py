@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conecert.errors import DomainError
 from conecert.kernels import (DirichletNeumann, QuadratureRule,
                               ReactionConvectionDiffusion, green_matrix,
-                              inverse_tridiagonal, make_rule)
+                              inverse_tridiagonal, make_rule, rcd_lambda)
 
 DN = DirichletNeumann()
 RCD1 = ReactionConvectionDiffusion(1.0)
@@ -60,12 +62,31 @@ def test_row_integral_rcd_at_one():
 
 
 def test_row_integral_rcd_at_zero():
-    # beta (1 - e^(-1/beta)), within the trapezoid rule's O(h^2) error
+    # lambda(beta) = beta (1 - e^(-1/beta)), within the trapezoid rule's
+    # O(h^2) error
     rule = make_rule(129)
-    for beta in (0.3, 1.0, 2.5):
-        expected = beta * (1.0 - math.exp(-1.0 / beta))
+    for beta in (0.3, 1.0, 2.5, 1e17):
         got = row_integral(ReactionConvectionDiffusion(beta), 0.0, rule)
-        assert got == pytest.approx(expected, abs=(1.0 / 128) ** 2 / beta)
+        assert got == pytest.approx(rcd_lambda(beta),
+                                    abs=(1.0 / 128) ** 2 / beta)
+
+
+def test_rcd_lambda_at_one_has_the_old_bits():
+    # beta*(1 - exp(-1/beta)) and beta - beta*exp(-1/beta) at beta = 1,
+    # the value of every shipped config
+    assert rcd_lambda(1.0) == 1.0 - math.exp(-1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(10.0, 1e300))
+def test_rcd_lambda_for_large_beta(beta):
+    # lambda(beta) = 1 - x/2 + x^2/6 - x^3/24 + ... with x = 1/beta, an
+    # alternating series with decreasing terms for x <= 1/10: it lies in
+    # [1 - x/2, 1 - x/2 + x^2/6], up to a few ulps of rounding
+    lam = rcd_lambda(beta)
+    excess = lam - (1.0 - 1.0 / (2.0 * beta))
+    ulps = 4.0 * math.ulp(1.0)
+    assert -ulps <= excess <= 1.0 / (6.0 * beta * beta) + ulps, beta
 
 
 def test_monotone_in_t_and_bounds():

@@ -5,6 +5,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from conecert.cli import main
 
 TESTS = Path(__file__).resolve().parent
@@ -71,3 +73,58 @@ def test_nine_leaves_no_cycles_once_warm(tmp_path):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _with_beta(tmp_path, name, beta) -> str:
+    """configs/<name>.json with every RCD beta set to `beta`."""
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    if "rcd" in cfg:
+        cfg["rcd"].update(beta1=beta, beta2=beta)
+    else:
+        for kernel in ("kernel1", "kernel2"):
+            cfg["problem"][kernel]["beta"] = beta
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("beta", [1e17, 1e300])
+def test_closing_system_verifies_at_a_huge_beta(tmp_path, beta):
+    # lambda(beta) = beta*(1 - exp(-1/beta)) tends to 1; written with
+    # 1 - exp(-1/beta) it cancels to 0 from beta ~ 2e16 on, and thm53.c's
+    # bound a/lambda(beta) divided by zero
+    out = tmp_path / "out"
+    assert main(["verify", _with_beta(tmp_path, "closing_system", beta),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    bounds = {v["condition_id"]: v["bound"] for v in report["verdicts"]}
+    a = json.loads((CONFIGS / "closing_system.json").read_text()
+                   )["problem"]["region"]["a"]
+    assert (bounds["thm53.c1"], bounds["thm53.c2"]) == pytest.approx(a)
+
+
+def test_closing_rcd_passes_5_16_at_a_huge_beta(tmp_path):
+    # the left side lambda(beta) is about 1, not the cancelled 0
+    out = tmp_path / "out"
+    assert main(["rcd", _with_beta(tmp_path, "closing_rcd", 1e17),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "rcd_report.json").read_text())
+    status = {v["condition_id"]: v["status"] for v in report["verdicts"]}
+    assert status["ineq_5_16"] == "Pass"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("picard_steps", [200, 1])
+def test_closing_system_solves_without_warning_at_a_huge_beta(tmp_path,
+                                                               picard_steps):
+    # the Newton set-up's (G W)^{-1} products overflow at beta = 1e300; they
+    # make every Newton pivot non-finite, with no warning, so only the
+    # Picard-first run finds the four solutions
+    path = _with_beta(tmp_path, "closing_system", 1e300)
+    cfg = json.loads(Path(path).read_text())
+    cfg["solver"]["picard_steps"] = picard_steps
+    Path(path).write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["solve", path, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert len(report["solutions"]) == (4 if picard_steps > 1 else 0)

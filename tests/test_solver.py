@@ -11,7 +11,7 @@ from conecert import kernels, solver
 from conecert.cli import build_problem
 from conecert.conespace import GridFunction, RegionSpec, sup_norm
 from conecert.errors import ConfigError
-from conecert.expr import EvalError, parse_expr
+from conecert.expr import EvalError, float_flags, parse_expr
 from conecert.hypotheses import BoxIneq, grid_oracle
 from conecert.interval import Interval
 from conecert.kernels import (DirichletNeumann, QuadratureRule,
@@ -777,6 +777,30 @@ def test_newton_step_reuses_the_residual_evaluation(nine_problem, monkeypatch):
                       seed_id="M-M") is not None
     assert calls["jacobian"] > 0
     assert calls["program"] == 2 * calls["apply"] + 4 * calls["jacobian"]
+
+
+def test_jacobian_runs_f_through_nonlinearity(nine_problem, monkeypatch):
+    # its two columns are two nonlinearity calls, at v1 + h and at v2 + h,
+    # and give the bits of the four program runs they replace
+    op = DiscreteOperator(nine_problem, RULE)
+    v1 = 1.5 * np.minimum(2 * RULE.nodes, 1.0)
+    v2 = 0.3 + 0.2 * RULE.nodes
+    f = op.nonlinearity(v1, v2)
+    calls = []
+    nonlinearity = op.nonlinearity
+    monkeypatch.setattr(op, "nonlinearity",
+                        lambda x1, x2: calls.append(1) or nonlinearity(x1, x2))
+    got = op.jacobian(v1, v2, f)
+    assert len(calls) == 2
+    h = solver.FD_STEP
+    program1, program2 = op.programs
+    with float_flags():
+        want = ((program1(v1 + h, v2) - f[0]) / h,
+                (program1(v1, v2 + h) - f[0]) / h,
+                (program2(v1 + h, v2) - f[1]) / h,
+                (program2(v1, v2 + h) - f[1]) / h)
+    for column, expected in zip(got, want):
+        assert np.array_equal(column, expected)
 
 
 @pytest.mark.parametrize("bad", [0.0, math.nan], ids=["zero", "nan"])
