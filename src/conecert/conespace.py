@@ -15,6 +15,8 @@ Per-component region tags:
 Without an annulus the tag pair indexes the nine disjoint localization
 regions; with one (hybrid mode) component 2 is only constrained to the
 annulus r <= ||u2|| <= R and the component-1 tag indexes three regions.
+A pair whose sup norms leave the ambient set (RegionSpec.sup_bounds) is
+labelled "outside-ambient".
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, OutsideAmbientError
+from .errors import ConfigError
 from .kernels import QuadratureRule
 
 
@@ -45,18 +47,20 @@ def sup_norm(u: GridFunction) -> float:
     return float(np.max(np.abs(u.values)))
 
 
+def window_node(rule: QuadratureRule, t0: float) -> int:
+    """Index of the node at the window start t0, matched to 1e-12 (the
+    linspace node nearest 1/2 can be 1/2 minus an ulp); a ConfigError names
+    the grid when t0 is no node of it."""
+    idx = np.flatnonzero(np.abs(rule.nodes - t0) <= 1e-12)
+    if len(idx) == 0:
+        raise ConfigError(f"grid_n = {rule.n} has no node at t = {t0}, where "
+                          f"a cone window starts")
+    return int(idx[0])
+
+
 def min_window(u: GridFunction, t0: float) -> float:
     """Minimum of the node values over nodes >= t0; t0 must be a grid node."""
-    idx = np.flatnonzero(np.abs(u.rule.nodes - t0) <= 1e-12)
-    if len(idx) == 0:
-        raise ValueError(f"t0={t0} is not a grid node")
-    return float(np.min(u.values[idx[0]:]))
-
-
-def nontrivial(u: GridFunction, eps: float) -> bool:
-    if not (eps > 0.0):
-        raise ValueError("eps must be positive")
-    return sup_norm(u) > eps
+    return float(np.min(u.values[window_node(u.rule, t0):]))
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,11 @@ class RegionSpec:
             return self.b
         return (2.0 * self.a[0], 2.0 * self.a[1])
 
+    def sup_bounds(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """Each component's sup-norm range in the ambient set: [0, c_j], or
+        the annulus [r, R] for component 2 when there is one."""
+        return (0.0, self.c[0]), self.annulus or (0.0, self.c[1])
+
 
 @dataclass(frozen=True)
 class RegionLabel:
@@ -128,22 +137,14 @@ def _component_tag(u: GridFunction, d: float, a: float, window: float) -> str:
 
 
 def classify(u1: GridFunction, u2: GridFunction, spec: RegionSpec,
-             windows: tuple[float, float]) -> RegionLabel:
+             windows: tuple[float, float]) -> RegionLabel | str:
     """Per-component region tags, component j's windowed minimum starting
     at windows[j] (its kernel's `window`); component 2 lives on the annulus
-    exactly when the spec has one.  Raises OutsideAmbientError when the pair
-    violates the ambient precondition (sup <= c_j, or the annulus)."""
-    s1 = sup_norm(u1)
-    if s1 > spec.c[0]:
-        raise OutsideAmbientError(f"sup_norm(u1)={s1} exceeds c1={spec.c[0]}")
-    s2 = sup_norm(u2)
-    if spec.annulus is not None:
-        r, big_r = spec.annulus
-        if not (r <= s2 <= big_r):
-            raise OutsideAmbientError(
-                f"sup_norm(u2)={s2} outside the annulus [{r}, {big_r}]")
-    elif s2 > spec.c[1]:
-        raise OutsideAmbientError(f"sup_norm(u2)={s2} exceeds c2={spec.c[1]}")
+    exactly when the spec has one.  "outside-ambient" when a sup norm
+    leaves its range in spec.sup_bounds()."""
+    for u, (lo, hi) in zip((u1, u2), spec.sup_bounds()):
+        if not (lo <= sup_norm(u) <= hi):
+            return "outside-ambient"
     tag1 = _component_tag(u1, spec.d[0], spec.a[0], windows[0])
     if spec.annulus is not None:
         return RegionLabel(tag1, "annulus")

@@ -7,7 +7,3 @@ class DomainError(ValueError):
 
 class ConfigError(ValueError):
     """A configuration violates an ordering invariant or is malformed."""
-
-
-class OutsideAmbientError(ValueError):
-    """A grid function lies outside the ambient box required for classification."""

@@ -55,8 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conespace import (GridFunction, RegionLabel, RegionSpec, classify,
-                        nontrivial, sup_norm)
-from .errors import ConfigError, OutsideAmbientError
+                        window_node)
+from .errors import ConfigError
 from .expr import (EvalError, ExprAst, eval_values, first_failure,
                    float_flags, float_program)
 from .kernels import (DirichletNeumann, KernelKind, QuadratureRule,
@@ -498,25 +498,21 @@ def residual(problem: ProblemSpec, u1: GridFunction, u2: GridFunction) -> float:
         np.array((u1.values, u2.values))))
 
 
-def _ambient_bounds(problem: ProblemSpec) -> tuple[float, float]:
-    region = problem.region
-    if region.annulus is not None:
-        return region.c[0], region.annulus[1]
-    return region.c
+def _windows(problem: ProblemSpec) -> tuple[float, float]:
+    return problem.kernel1.window, problem.kernel2.window
 
 
-def _classify_or_outside(problem: ProblemSpec, u1: GridFunction,
-                         u2: GridFunction) -> RegionLabel | str:
-    try:
-        return classify(u1, u2, problem.region,
-                        (problem.kernel1.window, problem.kernel2.window))
-    except OutsideAmbientError:
-        return "outside-ambient"
+def _operator(problem: ProblemSpec, rule: QuadratureRule) -> DiscreteOperator:
+    """The operator on rule, once both kernels' cone windows start at a node
+    of it (a ConfigError names the grid otherwise)."""
+    for window in _windows(problem):
+        window_node(rule, window)
+    return DiscreteOperator(problem, rule)
 
 
 def solve_from(problem: ProblemSpec, seed1: GridFunction, seed2: GridFunction,
-               params: SolverParams | None = None, seed_id: str = "seed",
-               op: DiscreteOperator | None = None) -> Solution | None:
+               params: SolverParams | None = None,
+               seed_id: str = "seed") -> Solution | None:
     """Picard from one seed pair: the seed, then at most `picard_steps` - 1
     damped steps, each evaluated; then at most MAX_NEWTON Newton steps from
     the last evaluated iterate, reusing its f and T(v).  Each Newton step
@@ -528,9 +524,7 @@ def solve_from(problem: ProblemSpec, seed1: GridFunction, seed2: GridFunction,
     and each trial step is evaluated once.  This is multi_start's engine
     run on one seed."""
     params = params or SolverParams()
-    rule = _require_shared_rule(seed1, seed2)
-    if op is None:
-        op = DiscreteOperator(problem, rule)
+    op = _operator(problem, _require_shared_rule(seed1, seed2))
     v = np.array((seed1.values, seed2.values))
     if float(np.min(v)) < 0.0:
         raise ValueError("seeds must be nonnegative")
@@ -660,20 +654,17 @@ def _solve_lanes(problem: ProblemSpec, op: DiscreteOperator, seeds: np.ndarray,
         return solutions
     v = np.maximum(v, 0.0)
     res = op.residual_values(v)
-    amb1, amb2 = _ambient_bounds(problem)
-    for s, (v1, v2), r in zip(lane.tolist(), v, res.tolist()):
-        if r > tol:
+    far = [FAR_FIELD_FACTOR * hi for _, hi in problem.region.sup_bounds()]
+    for s, (v1, v2), r, sups in zip(lane.tolist(), v, res.tolist(),
+                                    v.max(axis=2).tolist()):
+        if r > tol or sups[0] > far[0] or sups[1] > far[1]:
             continue
         u1 = GridFunction(op.rule, v1)
         u2 = GridFunction(op.rule, v2)
-        if sup_norm(u1) > FAR_FIELD_FACTOR * amb1 \
-                or sup_norm(u2) > FAR_FIELD_FACTOR * amb2:
-            continue
         solutions[s] = Solution(
             u1=u1, u2=u2, residual=r,
-            region=_classify_or_outside(problem, u1, u2),
-            nontrivial=(nontrivial(u1, NONTRIVIAL_EPS),
-                        nontrivial(u2, NONTRIVIAL_EPS)),
+            region=classify(u1, u2, problem.region, _windows(problem)),
+            nontrivial=(sups[0] > NONTRIVIAL_EPS, sups[1] > NONTRIVIAL_EPS),
             iterations=int(iterations[s]), seed_id=seed_ids[s])
     return solutions
 
@@ -715,17 +706,13 @@ def multi_start(problem: ProblemSpec, params: SolverParams | None = None,
     params = params or SolverParams()
     if params.grid_n < 3:
         raise ConfigError(f"grid_n must be at least 3, got {params.grid_n}")
-    if 0.5 in (problem.kernel1.window, problem.kernel2.window) \
-            and (params.grid_n - 1) % 2 != 0:
-        raise ConfigError(
-            f"grid_n must be odd so t=1/2 is a node, got {params.grid_n}")
     try:
         rule = make_rule(params.grid_n)
     except (MemoryError, ValueError) as err:
         # numpy refuses a count beyond its index range, or memory runs out
         raise ConfigError(
             f"grid_n = {params.grid_n:.6g} is too large: {err}") from err
-    op = DiscreteOperator(problem, rule)
+    op = _operator(problem, rule)
     t = rule.nodes
     prof1 = _seed_profile(problem.kernel1, t)
     prof2 = _seed_profile(problem.kernel2, t)

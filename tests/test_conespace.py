@@ -3,9 +3,9 @@ import pytest
 
 from conecert import hypotheses
 from conecert.conespace import (GridFunction, RegionLabel, RegionSpec,
-                                classify, min_window, nontrivial,
-                                region_index, sup_norm)
-from conecert.errors import ConfigError, OutsideAmbientError
+                                classify, min_window, region_index,
+                                sup_norm, window_node)
+from conecert.errors import ConfigError
 from conecert.expr import parse_expr
 from conecert.kernels import DirichletNeumann, make_rule
 from conecert.solver import ProblemSpec
@@ -40,6 +40,17 @@ def test_min_window_requires_node():
         min_window(const(1.0), 0.3)
 
 
+def test_window_node_matches_to_1e_12():
+    # linspace's node nearest 1/2 is an ulp short of it at n = 99
+    rule = make_rule(99)
+    assert rule.nodes[49] == 0.49999999999999994
+    assert window_node(rule, 0.5) == 49
+    assert window_node(RULE, 0.5) == 64 and window_node(RULE, 0.0) == 0
+    with pytest.raises(ConfigError, match="grid_n = 128 has no node at "
+                                          "t = 0.5"):
+        window_node(make_rule(128), 0.5)
+
+
 def test_classify_examples():
     assert classify(const(0.3), const(0.3), SPEC, DN) == RegionLabel("S", "S")
     assert classify(const(2.0), const(2.0), SPEC, DN) == RegionLabel("B", "B")
@@ -67,8 +78,7 @@ def test_classify_ties_are_middle():
 
 
 def test_classify_outside_ambient():
-    with pytest.raises(OutsideAmbientError):
-        classify(const(6.0), const(1.0), SPEC, DN)
+    assert classify(const(6.0), const(1.0), SPEC, DN) == "outside-ambient"
 
 
 def test_classify_hybrid():
@@ -79,10 +89,8 @@ def test_classify_hybrid():
     assert region_index(label) == 1
     assert region_index(classify(const(0.2), const(3.0), spec, DN)) == 2
     assert region_index(classify(const(0.7), const(3.0), spec, DN)) == 3
-    with pytest.raises(OutsideAmbientError):
-        classify(const(2.0), const(1.0), spec, DN)
-    with pytest.raises(OutsideAmbientError):
-        classify(const(2.0), const(5.5), spec, DN)
+    assert classify(const(2.0), const(1.0), spec, DN) == "outside-ambient"
+    assert classify(const(2.0), const(5.5), spec, DN) == "outside-ambient"
 
 
 def test_hybrid_requires_annulus():
@@ -114,12 +122,17 @@ def test_promised_regions_follow_the_region_numbering():
     assert promised["thm53"] == promised["thm53_remark52"] == [4, 7, 8, 9]
 
 
-def test_nontrivial():
-    assert not nontrivial(const(0.0), 1e-6)
-    assert nontrivial(sample(lambda t: t), 1e-6)
-    assert not nontrivial(const(1e-9), 1e-6)
-    with pytest.raises(ValueError):
-        nontrivial(const(1.0), 0.0)
+def test_sup_bounds():
+    # [0, c_j] per component, or the annulus for component 2 in hybrid mode;
+    # both ends belong to the ambient set
+    assert SPEC.sup_bounds() == ((0.0, 5.0), (0.0, 5.0))
+    spec = RegionSpec(d=(0.5, 0.5), a=(1.0, 1.0), c=(5.0, 6.0),
+                      annulus=(2.0, 4.0))
+    assert spec.sup_bounds() == ((0.0, 5.0), (2.0, 4.0))
+    assert classify(const(5.0), const(4.0), spec, DN) == \
+        RegionLabel("B", "annulus")
+    assert classify(const(5.0), const(5.0), SPEC, DN) == RegionLabel("B", "B")
+    assert classify(const(5.0), const(4.5), spec, DN) == "outside-ambient"
 
 
 def test_region_spec_validation():

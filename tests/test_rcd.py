@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conecert import rcd
 from conecert.errors import ConfigError, DomainError
 from conecert.rcd import (RcdParams, build_params, check_5_11, check_all,
                           check_m_range, check_5_16, diffusion_thresholds,
@@ -322,6 +323,14 @@ def test_h_sign_change_samples():
         return (s / st) * math.exp(math.sqrt(z * (z - 4.0))) - 4.0 / 3.0
     assert h(5.0) > 0.0
     assert h(4.9) < 0.0
+
+
+def test_h_increases_across_the_bisection_bracket():
+    # h_root_bracket bisects [4, 6] on the sign of h, which holds because h
+    # is nondecreasing there and changes sign between the ends
+    samples = [rcd._h(4.0 + 2.0 * i / 100.0) for i in range(101)]
+    assert all(a <= b for a, b in zip(samples, samples[1:]))
+    assert samples[0] <= 0.0 <= samples[-1]
 
 
 def test_rcd_params_validation():

@@ -9,7 +9,7 @@ import pytest
 
 from conecert import kernels, solver
 from conecert.cli import build_problem
-from conecert.conespace import GridFunction, RegionSpec, sup_norm
+from conecert.conespace import GridFunction, RegionSpec, classify, sup_norm
 from conecert.errors import ConfigError
 from conecert.expr import EvalError, float_flags, parse_expr
 from conecert.hypotheses import BoxIneq, grid_oracle
@@ -226,8 +226,31 @@ def test_multi_start_seed_list_filter(nine_problem):
 
 
 def test_multi_start_requires_odd_grid(nine_problem):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="grid_n = 128 .* t = 0.5"):
         multi_start(nine_problem, SolverParams(grid_n=128))
+
+
+def test_solve_from_checks_the_window_before_solving(nine_problem,
+                                                     monkeypatch):
+    # the seeds' grid has no node at t = 1/2: the ConfigError comes before
+    # the operator is built, for a seed that would converge (S-S) as for
+    # one that would not
+    rule = make_rule(128)
+    calls = counted_calls(monkeypatch, "apply")
+    for level in (0.25, 3.0):
+        seed = GridFunction(rule, level * np.minimum(2 * rule.nodes, 1.0))
+        with pytest.raises(ConfigError, match="grid_n = 128 .* t = 0.5"):
+            solve_from(nine_problem, seed, seed, SolverParams(grid_n=128))
+    assert calls == {"apply": 0}
+
+
+def test_newton_first_at_grid_n_99_finds_every_region(nine_problem):
+    # node 49 of 99 is 1/2 minus an ulp, and window_node's 1e-12 match
+    # takes it as the window start
+    assert make_rule(99).nodes[49] < 0.5
+    sols = multi_start(nine_problem, SolverParams(grid_n=99, picard_steps=1))
+    assert sorted(str(sol.region) for sol in sols) == \
+        sorted(f"{a}-{b}" for a in "BMS" for b in "BMS")
 
 
 def test_classification_stable_under_refinement(nine_problem):
@@ -822,7 +845,7 @@ def test_singular_pivot_ends_the_seed(nine_problem, monkeypatch, caplog, bad):
     params = SolverParams(picard_steps=1)
     with caplog.at_level(logging.INFO, logger="conecert.solver"):
         assert solve_from(nine_problem, seed, seed, params,
-                          seed_id="M-M", op=op) is None
+                          seed_id="M-M") is None
     assert "seed M-M: singular Jacobian at node 1" in caplog.messages
     # no second Picard round after the failed Newton phase
     assert len(applied) == params.picard_steps
@@ -846,7 +869,7 @@ def test_an_error_path_solve_leaves_no_frame_for_the_collector(
             assert multi_start(nine_problem, params) == []
         else:
             seed = GridFunction(RULE, 1.5 * np.minimum(2 * RULE.nodes, 1.0))
-            assert solve_from(nine_problem, seed, seed, params, op=op) is None
+            assert solve_from(nine_problem, seed, seed, params) is None
         gc.collect()
         frames = [o.f_code.co_name for o in gc.garbage
                   if isinstance(o, types.FrameType)
@@ -915,7 +938,7 @@ def test_newton_starts_from_the_last_picard_iterate(nine_problem,
         return jacobian(self, v1, v2, f)
 
     monkeypatch.setattr(DiscreteOperator, "jacobian", recorded)
-    assert solve_from(nine_problem, seed, seed, params, op=op) is not None
+    assert solve_from(nine_problem, seed, seed, params) is not None
     assert np.array_equal(linearized_at[0][0], v[:, 0])
     assert np.array_equal(linearized_at[0][1], v[:, 1])
 
@@ -934,7 +957,8 @@ def test_the_cone_window_comes_from_the_kernel():
     u1 = GridFunction(RULE, 5.0 + 2.0 * RULE.nodes)
     u2 = const_fn(0.05)
     assert u1.values[0] <= region.a[0] < u1.values[RULE.n // 2]
-    assert str(solver._classify_or_outside(problem, u1, u2)) == "M-S"
+    windows = (problem.kernel1.window, problem.kernel2.window)
+    assert str(classify(u1, u2, problem.region, windows)) == "M-S"
     # no window starts at 1/2, so an even grid_n is allowed
     params = SolverParams(grid_n=128)
     sols = multi_start(problem, params)
