@@ -35,7 +35,10 @@ closure of the node whose operation raised turns either into an EvalError
 at its source offset.  Compiled programs are cached by node identity, not
 by equality (equal trees may carry different offsets), so the hundreds of
 evaluations of one expression in a solve or a branch and bound compile it
-once.
+once.  `eval_values` also hands the float program an arena: one block per
+call, with a slot for each value in both variables that is live at once,
+which the nodes in both variables write into with their ufuncs' `out=`
+(`_compile` numbers the slots), so a lattice allocates no temporary per node.
 
 The ramps are monotone (phi and psi nondecreasing, capphi nonincreasing) and
 exact in float arithmetic (2z - 1 and 2 - 2z by Sterbenz's lemma on
@@ -305,10 +308,11 @@ def parse_expr(src: str) -> ExprAst:
 # evaluation: one compiler over two arithmetic tables
 
 # a ramp clips its argument first, so none overflows it; 2z - 1 and 2 - 2z
-# are exact on [1/2, 1], so the bits are those of clipping them to [0, 1]
+# are exact on [1/2, 1], so the bits are those of clipping them to [0, 1].
+# Each `_into` form runs the same ufuncs in the same order, into `out`.
 
-def _clip(v, lo: float, hi: float):
-    return np.minimum(np.maximum(v, lo), hi)
+def _clip(v, lo: float, hi: float, out=None):
+    return np.minimum(np.maximum(v, lo, out=out), hi, out=out)
 
 
 def _phi(z):
@@ -323,12 +327,27 @@ def _capphi(z):
     return 2.0 - 2.0 * _clip(z, 0.5, 1.0)
 
 
+def _phi_into(z, out):
+    np.multiply(2.0, _clip(z, 0.5, 1.0, out), out=out)
+    return np.subtract(out, 1.0, out=out)
+
+
+def _psi_into(z, out):
+    return _clip(z, 0.0, 1.0, out)
+
+
+def _capphi_into(z, out):
+    np.multiply(2.0, _clip(z, 0.5, 1.0, out), out=out)
+    return np.subtract(2.0, out, out=out)
+
+
 @dataclass(frozen=True)
 class _Table:
     const: object              # float -> value
     named: dict                # "pi" | "e" -> value
     ops: dict                  # operator, "neg" or builtin name -> function
     natural_exponent: bool     # ^ takes a constant natural exponent only
+    into: dict | None = None   # the ops with an `out=` argument, by name
 
 
 _FLOATS = _Table(
@@ -338,7 +357,12 @@ _FLOATS = _Table(
          "/": operator.truediv, "^": np.power, "neg": operator.neg, "exp": np.exp,
          "cos": np.cos, "sin": np.sin, "ln": np.log, "abs": np.abs, "phi": _phi,
          "psi": _psi, "capphi": _capphi, "min": np.minimum, "max": np.maximum},
-    natural_exponent=False)
+    natural_exponent=False,
+    into={"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.true_divide,
+          "^": np.power, "neg": np.negative, "exp": np.exp, "cos": np.cos,
+          "sin": np.sin, "ln": np.log, "abs": np.abs, "phi": _phi_into,
+          "psi": _psi_into, "capphi": _capphi_into,
+          "min": np.minimum, "max": np.maximum})
 
 # The gradient table: each value is (v, d1, d2), three endpoint pairs that
 # enclose f and its partial derivatives in x1 and x2 over the box, built
@@ -540,50 +564,112 @@ def _failure(offset: int, err: Exception) -> EvalError:
     return EvalError(offset, message)
 
 
-def _unary(fn, arg, offset: int):
-    def run(x1, x2):
+def _unary(fn, arg, offset: int, into=None, slot: int = 0):
+    """The closure of a node with one operand, which runs fn on it.  Given
+    `into`, fn's ufunc form with ``out=``, it is the closure of a float node
+    in both variables: run with an arena as third argument, it writes its
+    value into the arena's slot `slot` instead of a new array."""
+    if into is None:
+        def run(x1, x2):
+            try:
+                return fn(arg(x1, x2))
+            except (DomainError, FloatingPointError) as err:
+                raise _failure(offset, err) from err
+        return run
+
+    def run_in_slot(x1, x2, arena=None):
         try:
-            return fn(arg(x1, x2))
+            if arena is None:
+                return fn(arg(x1, x2))
+            return into(arg(x1, x2, arena), out=arena[slot, ...])
         except (DomainError, FloatingPointError) as err:
             raise _failure(offset, err) from err
-    return run
+    return run_in_slot
 
 
-def _binary(fn, left, right, offset: int):
-    def run(x1, x2):
+def _drop_arena(program):
+    return lambda x1, x2, arena: program(x1, x2)
+
+
+def _binary(fn, left, right, offset: int, into=None, slot: int = 0,
+            full=(True, True)):
+    """The closure of a node with two operands, as `_unary`'s; `full` says
+    which operands are in both variables and so take the arena too."""
+    if into is None:
+        def run(x1, x2):
+            try:
+                return fn(left(x1, x2), right(x1, x2))
+            except (DomainError, FloatingPointError) as err:
+                raise _failure(offset, err) from err
+        return run
+
+    left_in = left if full[0] else _drop_arena(left)
+    right_in = right if full[1] else _drop_arena(right)
+
+    def run_in_slot(x1, x2, arena=None):
         try:
-            return fn(left(x1, x2), right(x1, x2))
+            if arena is None:
+                return fn(left(x1, x2), right(x1, x2))
+            return into(left_in(x1, x2, arena), right_in(x1, x2, arena),
+                        out=arena[slot, ...])
         except (DomainError, FloatingPointError) as err:
             raise _failure(offset, err) from err
-    return run
+    return run_in_slot
 
 
-def _compile(node: ExprAst, table: _Table):
+_BOTH = 3  # the variables a node uses, as bits: 1 for x1, 2 for x2
+
+
+def _compile(node: ExprAst, table: _Table, slot: int = 0):
     """The program ``(x1, x2) -> value`` of node over one table: nested
     closures, one per node, each calling its table function on its
     children's values.  A DomainError or FloatingPointError of that function
     becomes an EvalError at the node's source offset.  Interval programs
     take a natural-number exponent only, so compiling one raises that
-    EvalError for the first other `^`, before any evaluation."""
+    EvalError for the first other `^`, before any evaluation.
+
+    Returns (program, uses, slots).  uses has bit 1 set when node depends on
+    x1 and bit 2 when on x2.  In the float table, a node in both variables
+    has the full broadcast shape on every input, while on a lattice
+    (n, 1) x (1, n) a node in one variable has n elements only; so each node
+    in both variables is given a slot of an arena, `slot` for node itself.
+    Operands run left to right, as without an arena, so the first failing
+    operation is the same; one in both variables holds its slot while the
+    next runs in the slot after it, and the node then overwrites its first
+    such operand's slot: Sethi-Ullman numbering with the operands in source
+    order.  slots is one past the highest slot the subtree writes, 0 if
+    none, so the root's is the number of values in both variables that are
+    ever live at once."""
     if isinstance(node, Var):
-        return _x1 if node.name == "x1" else _x2
+        return (_x1, 1, 0) if node.name == "x1" else (_x2, 2, 0)
     if isinstance(node, Const):
-        return _constant(table.const(node.value))
+        return _constant(table.const(node.value)), 0, 0
     if isinstance(node, NamedConst):
-        return _constant(table.named[node.name])
+        return _constant(table.named[node.name]), 0, 0
     if isinstance(node, Neg):
-        return _unary(table.ops["neg"], _compile(node.operand, table), node.offset)
-    if isinstance(node, Call):
-        args = [_compile(a, table) for a in node.args]
-        if len(args) == 2:
-            return _binary(table.ops[node.fn], *args, node.offset)
-        return _unary(table.ops[node.fn], args[0], node.offset)
-    left = _compile(node.left, table)
-    if node.op == "^" and table.natural_exponent:
-        right = _constant(_natural_exponent(node))
+        name, operands = "neg", (node.operand,)
+    elif isinstance(node, Call):
+        name, operands = node.fn, node.args
     else:
-        right = _compile(node.right, table)
-    return _binary(table.ops[node.op], left, right, node.offset)
+        name, operands = node.op, (node.left, node.right)
+    args, full, uses, slots = [], [], 0, 0
+    for i, operand in enumerate(operands):
+        if i == 1 and name == "^" and table.natural_exponent:
+            program, used, top = _constant(_natural_exponent(node)), 0, 0
+        else:
+            program, used, top = _compile(operand, table, slot + sum(full))
+        args.append(program)
+        full.append(used == _BOTH)
+        uses |= used
+        slots = max(slots, top)
+    into = None
+    if table.into is not None and uses == _BOTH:
+        into = table.into[name]
+        slots = max(slots, slot + 1)
+    if len(args) == 1:
+        return _unary(table.ops[name], *args, node.offset, into, slot), uses, slots
+    return (_binary(table.ops[name], *args, node.offset, into, slot, full),
+            uses, slots)
 
 
 # compiled programs by (id(node), id(table)); each entry holds a weak
@@ -593,14 +679,15 @@ _PROGRAMS: dict = {}
 
 
 def _program(e: ExprAst, table: _Table):
+    """e's program over table and its arena's slot count, compiled once."""
     key = (id(e), id(table))
     hit = _PROGRAMS.get(key)
     if hit is not None and hit[0]() is e:
         return hit[1]
-    program = _compile(e, table)
+    program, _, slots = _compile(e, table)
     _PROGRAMS[key] = (weakref.ref(e, lambda _ref: _PROGRAMS.pop(key, None)),
-                      program)
-    return program
+                      (program, slots))
+    return program, slots
 
 
 def float_flags() -> np.errstate:
@@ -619,8 +706,9 @@ def float_program(e: ExprAst):
     scalars and arrays.  Inside `float_flags()` it returns a finite value or
     raises the EvalError of its first failing operation.  The value may be
     a scalar, may have fewer elements than the broadcast arguments, and is
-    the argument itself for a bare variable."""
-    return _program(e, _FLOATS)
+    the argument itself for a bare variable.  When e is in both variables,
+    the program also takes an arena, as `eval_values` passes it."""
+    return _program(e, _FLOATS)[0]
 
 
 def eval_point(e: ExprAst, x1: float, x2: float) -> float:
@@ -633,15 +721,23 @@ def eval_point(e: ExprAst, x1: float, x2: float) -> float:
 
 def eval_values(e: ExprAst, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Vectorised evaluation over numpy arrays (broadcasting applies), in
-    its own `float_flags()` scope: a new array of the broadcast shape, all
-    elements finite, or an EvalError.  The program's own result is returned
-    when it already is such an array; a scalar, a smaller result or an
-    input is copied out to that shape."""
+    its own `float_flags()` scope: an array of the broadcast shape that
+    shares no memory with the arguments, all elements finite, or an
+    EvalError.  When e is in both variables, every node in both variables
+    writes its value into a slot of one block allocated per call,
+    ``np.empty((k, *shape))`` with k fixed at compile time (`_compile`), and
+    the root's slot, a view of that block, is returned; so a lattice makes
+    no full-size temporary per node.  Otherwise the program's own result is
+    returned when it already is a new array of that shape, and a scalar, a
+    smaller result or an input is copied out to a fresh array."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    with float_flags():
-        out = float_program(e)(x1, x2)
+    program, slots = _program(e, _FLOATS)
     shape = np.broadcast_shapes(x1.shape, x2.shape)
+    with float_flags():
+        if slots:
+            return program(x1, x2, np.empty((slots, *shape)))
+        out = program(x1, x2)
     if isinstance(out, np.ndarray) and out.shape == shape \
             and out is not x1 and out is not x2:
         return out
@@ -671,7 +767,7 @@ def interval_program(e: ExprAst):
     """The compiled enclosure ``(x1, x2) -> (lo, hi)`` of e over endpoint
     pairs: the gradient program's value, with exactly zero derivative seeds.
     Raises EvalError for a `^` without a constant natural exponent."""
-    program = _program(e, _GRADIENTS)
+    program = _program(e, _GRADIENTS)[0]
 
     def run(x1, x2):
         return program((x1, _ZERO, _ZERO), (x2, _ZERO, _ZERO))[0]
@@ -683,7 +779,7 @@ def gradient_program(e: ExprAst):
     over endpoint pairs: v is `interval_program(e)`'s enclosure, and d1, d2
     enclose the partial derivatives (at a kink, every one-sided slope) over
     the box.  Raises EvalError as `interval_program` does."""
-    program = _program(e, _GRADIENTS)
+    program = _program(e, _GRADIENTS)[0]
 
     def run(x1, x2):
         return program((x1, _ONE, _ZERO), (x2, _ZERO, _ONE))

@@ -318,6 +318,26 @@ def test_failure_that_is_not_a_verdict_is_exit_3(tmp_path, capsys, argv,
     assert (tmp_path / "file").read_text() == ""
 
 
+def test_oracle_arena_that_cannot_be_allocated_is_exit_3(tmp_path, capsys,
+                                                          monkeypatch):
+    # the lattice's arena is allocated inside eval_values, under
+    # grid_oracle's handler for a lattice too large for memory
+    empty = np.empty
+
+    def refusing(shape, *args, **kwargs):
+        if len(shape) == 3 and tuple(shape[1:]) == (201, 201):
+            raise MemoryError(f"cannot allocate {shape}")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refusing)
+    path = write_config(tmp_path, nine_config())
+    assert main(["verify", path, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: oracle_n = 201 is too large: cannot allocate")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_null_solver_key_is_default(tmp_path):
     cfg = nine_config()
     (tmp_path / "default").mkdir()

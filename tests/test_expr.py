@@ -1,15 +1,20 @@
+import dataclasses
+import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conecert import hypotheses, interval
+from conecert import expr, hypotheses, interval
 from conecert.expr import (BinOp, Call, Const, EvalError, NamedConst, Neg,
                            ParseError, Var, eval_interval, eval_point,
-                           eval_values, first_failure, gradient_program,
-                           interval_program, parse_expr, ramp_breakpoints)
+                           eval_values, first_failure, float_flags,
+                           float_program, gradient_program, interval_program,
+                           parse_expr, ramp_breakpoints)
 from conecert.hypotheses import BoxIneq, certify_box, grid_oracle
 from conecert.interval import E, PI, Interval, midpoint
 
@@ -289,6 +294,103 @@ def test_first_failure_indexes_the_broadcast_lattice():
         eval_values(tree, g1, g2)
     at, error = first_failure(tree, g1, g2, err.value)
     assert at == 1 and error.offset == 14  # (x1, x2) = (0, 1)
+
+
+def _arena_free(tree, x1, x2):
+    """eval_values as the program computes it with no arena: one new array
+    per operation, copied out to the broadcast shape."""
+    x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
+    with float_flags():
+        out = float_program(tree)(x1, x2)
+    return np.broadcast_to(out, np.broadcast_shapes(x1.shape, x2.shape)).copy()
+
+
+def _value_or_error(evaluate, tree, x1, x2):
+    try:
+        return evaluate(tree, x1, x2)
+    except EvalError as err:
+        return err
+
+
+def _array(values, shape):
+    return np.array(values[:math.prod(shape)]).reshape(shape)
+
+
+def _numbered(node, offsets):
+    """A copy of node whose offsets number its nodes in pre-order, so that
+    an EvalError's offset says which node failed."""
+    fields = {"offset": next(offsets)}
+    if isinstance(node, Neg):
+        fields["operand"] = _numbered(node.operand, offsets)
+    elif isinstance(node, BinOp):
+        fields["left"] = _numbered(node.left, offsets)
+        fields["right"] = _numbered(node.right, offsets)
+    elif isinstance(node, Call):
+        fields["args"] = tuple(_numbered(a, offsets) for a in node.args)
+    return dataclasses.replace(node, **fields)
+
+
+# leaves in both variables as well, so that nodes in both variables nest
+# and the arena's slots are taken and reused at several depths
+_IN_BOTH = st.builds(BinOp, st.sampled_from(["+", "-", "*", "/"]),
+                     st.builds(Var, st.just("x1")), st.builds(Var, st.just("x2")))
+_ARENA_TREES = st.recursive(_IN_BOTH | _IN_BOTH | _LEAVES, _extend,
+                            max_leaves=12).map(
+    lambda tree: _numbered(tree, itertools.count()))
+
+# the three layouts the checker and the solver pass: a broadcast lattice
+# (n, 1) x (1, n), equal shapes (S, n) x (S, n) as first_failure and the
+# solver's _locate pass them, and a scalar with an array
+_LAYOUTS = st.one_of(
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).map(
+        lambda n: ((n[0], 1), (1, n[1]))),
+    st.tuples(st.integers(1, 3), st.integers(1, 3)).map(lambda s: (s, s)),
+    st.integers(1, 4).flatmap(
+        lambda n: st.sampled_from([((), (n,)), ((n,), ())])))
+
+
+# both operands of the sum fail at every point, the product first
+@example(parse_expr("x1*x2 + x1/(x2 - x2)"), ((2, 1), (1, 2)), [1e308] * 18)
+@settings(max_examples=300, deadline=None)
+@given(_ARENA_TREES, _LAYOUTS, st.lists(_POINTS, min_size=18, max_size=18))
+def test_eval_values_matches_the_arena_free_program(tree, layout, points):
+    # the arena changes where values are written, not which operations run
+    # or in what order: the same bits, or the same first failure
+    x1, x2 = _array(points, layout[0]), _array(points[9:], layout[1])
+    got = _value_or_error(eval_values, tree, x1, x2)
+    want = _value_or_error(_arena_free, tree, x1, x2)
+    assert type(got) is type(want), (tree, got, want)
+    if isinstance(want, EvalError):
+        assert (got.offset, got.message) == (want.offset, want.message)
+        at, error = first_failure(tree, x1, x2, got)
+        with mock.patch.object(expr, "eval_values", _arena_free):
+            want_at, want_error = first_failure(tree, x1, x2, want)
+        assert at == want_at
+        assert (error.offset, error.message) == (want_error.offset,
+                                                 want_error.message)
+    else:
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), tree
+        assert not np.shares_memory(got, x1) and not np.shares_memory(got, x2)
+
+
+def test_a_lattice_holds_two_full_size_values_at_most():
+    # verify-tight's f1 is a sum of two terms in both variables, so two
+    # 201^2 values are live at once and its arena has two slots.  The peak
+    # is those two arrays plus numpy's iteration buffers and the one-variable
+    # terms (about 762 KiB, as without an arena); a third full-size value
+    # would take it past 2.5 arrays.
+    f1 = parse_expr("4.5 + 5*phi(x1)*psi(x2) - 4*capphi(x1)"
+                    " + 0.9235570431227818*x1*(6.0 - x1)/9.0*cos(x2)")
+    g = np.linspace(0.0, 5.0, 201)
+    eval_values(f1, g[:, None], g[None, :])  # compiled outside the trace
+    tracemalloc.start()
+    try:
+        eval_values(f1, g[:, None], g[None, :])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 201 * 201 * 8
 
 
 # ---------------------------------------------------------------------------
