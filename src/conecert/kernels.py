@@ -13,11 +13,11 @@ images into the cone used downstream.  Both are semiseparable: below and on
 the diagonal G(t_i, t_m) is b_m, a function of the column alone, and above
 it a product c_i d_m (generators).
 The solver applies the operator through these generators with two prefix
-sums in O(n), and its Newton step uses the closed-form tridiagonal inverse of
-the Green matrix (inverse_tridiagonal) that the same structure gives.
+sums in O(n), and its Newton step marches the same generators through the
+integral form of the linearized system, also in O(n).
 green_matrix builds the dense matrix G(t_i, s_m), which no solve forms; it
-is the only evaluation of G itself, and the tests check the generators and
-the tridiagonal inverse against it.
+is the only evaluation of G itself, and the tests check the generators
+against it.
 
 Quadrature is the composite trapezoid rule on a uniform grid (make_rule).
 Operator evaluation happens at grid t-values only, so the min(t,s) kink
@@ -131,35 +131,6 @@ def generators(kernel: KernelKind, nodes: np.ndarray, starts: np.ndarray
     r = x[starts]
     ref = np.repeat(r, np.diff(starts, append=len(t)))
     return one, np.exp(x - ref), np.exp(ref - x), np.exp(r[:-1] - r[1:])
-
-
-def inverse_tridiagonal(kernel: KernelKind, nodes: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lower, diag, upper) of the inverse of green_matrix(kernel, t, t).
-
-    Both kernels are semiseparable, so the inverse is tridiagonal and follows
-    in closed form from the node gaps d_k = t[k+1] - t[k], which need not be
-    uniform: row k of G^{-1} x is a_k (x_k - x_{k-1}) - b_k (x_{k+1} - x_k),
-    with x_{-1} = 0 and b = 0 in the last row.
-
-    * min(t,s): G has a zero row and column at t = 0, so the inverse is the
-      one of the block on the nodes t > 0 (length n - 1 when t[0] = 0).
-      There a_k = 1/d_{k-1} and b_k = 1/d_k, the first node's left gap being
-      its distance to 0.
-    * RCD: with c_k = exp(-d_k/beta) and q_k = 1 - c_k, a_k = 1/q_{k-1} and
-      b_k = c_k/q_k, where a_0 = 1.
-    """
-    t = np.asarray(nodes, dtype=float)
-    _check_nodes(t)
-    if isinstance(kernel, DirichletNeumann):
-        a = 1.0 / np.diff(t[t > 0.0], prepend=0.0)
-        b = a[1:]
-    else:
-        x = np.diff(t) / kernel.beta
-        q = -np.expm1(-x)
-        b = np.exp(-x) / q
-        a = np.concatenate(([1.0], 1.0 / q))
-    return -a[1:], a + np.append(b, 0.0), -b
 
 
 @dataclass(frozen=True, eq=False)

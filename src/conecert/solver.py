@@ -22,14 +22,15 @@ The nonlinearities' derivatives are forward finite differences at the nodes
 differentiation).  Both
 kernels are semiseparable, so no n x n matrix is ever formed.  The operator
 is applied from the kernels' generators (kernels.generators) with two prefix
-sums along the node axis, in O(n).  The Green matrices have tridiagonal
-inverses (kernels.inverse_tridiagonal), so the Newton system, multiplied
-through by the inverse kernel matrix, is 2x2-block tridiagonal, and its
-off-diagonal blocks are diagonal and the same for every seed.  Block cyclic
-reduction solves it in about log2 n numpy passes: the first level works on
-those shared diagonals, later levels on compact block rows, and the last at
-most 8 rows are solved densely, by LU with partial pivoting.  A zero or
-non-finite block pivot, or a singular or non-finite base, ends the seed.
+sums along the node axis, in O(n).  The Newton step solves the linearized
+system in its integral form, delta = r + K Df delta, by one backward march
+of the same generators' partial sums (Keller 1968), closed by one 2x2 solve
+per seed and run as a two-level scan over chunks of about sqrt(n / 3)
+nodes, in O(n).  It multiplies nothing through by an inverse kernel matrix,
+so Df keeps its weight at every RCD beta; where f decreases steeply, the
+chunks are shot one by one (Conte 1966), so only one chunk's growth costs
+precision.  A singular or non-finite system gives a non-finite step, which
+ends the seed.
 
 Seeds are constant-level profiles keyed to the region thresholds, so each of
 the localization regions the theorems promise has a starter inside it.
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +63,7 @@ from .expr import (EvalError, ExprAst, eval_values, first_failure,
                    float_flags, float_program)
 from .kernels import (DirichletNeumann, KernelKind, QuadratureRule,
                       ReactionConvectionDiffusion, generator_blocks,
-                      generators, inverse_tridiagonal, make_rule, same_rule)
+                      generators, make_rule, same_rule)
 # only for benchmarks/spans.py, which patches it (AttributeError if absent)
 from .kernels import green_matrix  # noqa: F401
 
@@ -81,9 +83,7 @@ MAX_NEWTON = 25  # Newton steps per seed after its Picard phase
 # taken at the first t whose residual is below (1 - ARMIJO * t) * res(v)
 MAX_HALVINGS = 6
 ARMIJO = 1e-4
-# the Newton step's block cyclic reduction solves its last at most this many
-# block rows as one dense system
-BASE_ROWS = 8
+MARCH_GROWTH = 32.0  # basis growth that makes newton_step shoot per chunk
 DEDUPE_TOL = 1e-6  # dedupe distance / max(1, sup norm of the kept solution)
 NONTRIVIAL_EPS = 1e-6  # a component of sup norm at most this is trivial
 
@@ -157,16 +157,9 @@ class DiscreteOperator:
         stops = np.append(starts[1:], rule.n)
         links = [None, *link.T]
         self.blocks = list(zip(starts.tolist(), stops.tolist(), links))[::-1]
-        # (G_j W)^{-1} for the Newton step, on the m nodes from `first` on,
-        # as stacked (2, m) lower, diagonal and upper coefficients with
-        # lower[:, 0] and upper[:, -1] zero; ProblemSpec gives both
-        # components one kernel kind, so both inverses start at one node.
-        # A huge RCD beta overflows them to inf, silently: the pivots are
-        # then non-finite, which ends every Newton step
-        with np.errstate(all="ignore"):
-            self.inverse = _weighted_inverse((k1, k2), rule)
-            self.couplings = _level_zero(*self.inverse[::2])
-        self.first = rule.n - self.inverse[1].shape[-1]
+        # the link at each node: a block's link at its start, 1 elsewhere
+        self.link = np.ones((2, rule.n))
+        self.link[:, starts[1:]] = link
         self.programs = (float_program(problem.f1), float_program(problem.f2))
 
     def _locate(self, v1: np.ndarray, v2: np.ndarray):
@@ -246,6 +239,7 @@ class DiscreteOperator:
         return (up1[..., 0, :] / h, up2[..., 0, :] / h,
                 up1[..., 1, :] / h, up2[..., 1, :] / h)
 
+    @np.errstate(all="ignore")
     def newton_step(self, v: np.ndarray, r: np.ndarray,
                     f: np.ndarray) -> np.ndarray:
         """Solve J delta = r for the Jacobian J = I - K Df of F(v) = v - T(v),
@@ -253,236 +247,121 @@ class DiscreteOperator:
         stacked (..., 2, n); each leading index is its own system.
 
         K = diag(K1, K2) with K_j = G_j W, and Df is the 2x2 block of nodal
-        derivative diagonals.  Multiplying by K^{-1} gives the equivalent
-        (K^{-1} - Df) delta = K^{-1} r: a 2x2-block tridiagonal system whose
-        off-diagonal blocks are diagonal and the same for every system,
-        solved in O(n) by block cyclic reduction (_block_cyclic_reduction).
-        For min(t,s) the row and column at t = 0 are those of I, so delta
-        there is r.  The solve runs in one errstate scope that warns of
-        nothing, and raises SingularPivot for a zero or non-finite block
-        pivot, or for a singular or non-finite base system (the last at
-        most BASE_ROWS rows, which are solved with partial pivoting)."""
-        first, n = self.first, r.shape[-1]
-        lower, diag, upper = self.inverse
-        delta = r.copy().reshape(-1, 2, n)
-        x = delta[..., first:].transpose(1, 0, 2)  # (2, S, m), holds r
-        with np.errstate(all="ignore"):
-            y = diag[:, None] * x  # K^{-1} r, both components at once
-            y[..., 1:] += lower[:, None, 1:] * x[..., :-1]
-            y[..., :-1] += upper[:, None, :-1] * x[..., 1:]
-            # the pivot blocks are passed unnamed: with no reference left
-            # here, the reduction frees them after its first level
-            _block_cyclic_reduction(self.couplings, self._pivots(v, f), y, x,
-                                    first)
-        return delta.reshape(r.shape)
+        derivative diagonals.  In the integral form delta = r + K g, with
+        g = Df delta, `apply`'s generators give delta_i = r_i + P_i + c_i T_i,
+        where P_i sums b_m g_m over m <= i and T_i sums d_m g_m over m > i.
+        One backward march (Keller 1968) runs y = (P, T) from (Pi, 0) at the
+        last node: g_i = Df_i delta_i, P -= b_i g_i, T += d_i g_i, and at a
+        block start T is multiplied by the block's link, as in `apply`.
+        P_{-1} = 0 fixes the unknown total Pi, one 2x2 solve per system.
 
-    def _pivots(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """The diagonal blocks K^{-1} - Df of newton_step's system as
-        (2, 2, S, m), for states v (..., 2, n) flattened to S lanes."""
-        first, n = self.first, v.shape[-1]
-        d = np.empty((2, 2, v[..., 0, 0].size, n - first))
-        derivatives = self.jacobian(v[..., 0, :], v[..., 1, :], f)
-        for block, dij in zip(d.reshape(4, *d.shape[2:]), derivatives):
-            np.negative(dij.reshape(-1, n)[:, first:], out=block)
-        d[0, 0] += self.inverse[1][0]
-        d[1, 1] += self.inverse[1][1]
-        return d
+        Each node's map of y is affine, so the march runs as a two-level
+        scan.  All chunks of `width` nodes march at once, each composing its
+        4x5 affine map of y and recording delta at its nodes as affine in y
+        at its last node; then a run over the chunks carries y, affine in
+        Pi, to the closing solve, and gives each chunk's y and so delta.
+        A system whose Pi columns grow past MARCH_GROWTH takes that run
+        again as multiple shooting.  A singular or non-finite system gives a
+        non-finite step, never an error or a warning."""
+        n = r.shape[-1]
+        r = r.reshape(-1, 2, n)
+        lanes = len(r)
+        # step k of chunk j is node j * width + k (_by_step)
+        width = math.isqrt(n // 3) + 1
+        b, c, d = self.gen
+        derivatives = np.array([x.reshape(lanes, n) for x in self.jacobian(
+            v[..., 0, :], v[..., 1, :], f)]).reshape(2, 2, lanes, n)
+        # e[k, row, col]: the change of y[row] per unit of delta[col]; it
+        # and rhs are 0 past n, where each step is the identity
+        e = (_by_step(np.array((-b, self.link * d)), width)[:, :, :, None, None]
+             * _by_step(derivatives, width)[:, None]
+             ).reshape(width, 4, 2, lanes, -1)
+        rhs = _by_step(r.transpose(1, 0, 2), width)
+        c = _by_step(c, width)[:, :, None, None]
+        link = _by_step(self.link, width, fill=1.0)[:, :, None, None]
+        linked = (link != 1.0).reshape(width, -1).any(axis=1)
 
-
-class SingularPivot(ArithmeticError):
-    """A zero or non-finite 2x2 pivot in the block-tridiagonal Newton solve,
-    or a singular or non-finite system at its base."""
-
-    def __init__(self, node: int):
-        super().__init__(f"singular 2x2 pivot at grid node {node}")
-        self.node = node
-
-
-def _weighted_inverse(kernels: tuple[KernelKind, KernelKind],
-                      rule: QuadratureRule
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lower, diag, upper) of (G_j W)^{-1} = W^{-1} G_j^{-1}, each stacked
-    (2, m) over the two kernels: row k of G_j^{-1} divided by the weight of
-    node k.  lower[:, k] multiplies node k - 1 and upper[:, k] node k + 1,
-    so lower[:, 0] and upper[:, -1] are zero."""
-    rows = []
-    for kernel in kernels:
-        lower, diag, upper = inverse_tridiagonal(kernel, rule.nodes)
-        w = rule.weights[rule.n - len(diag):]
-        rows.append((np.append(0.0, lower / w[1:]), diag / w,
-                     np.append(upper / w[:-1], 0.0)))
-    return tuple(np.array(c) for c in zip(*rows))
-
-
-def _level_zero(lower: np.ndarray, upper: np.ndarray) -> tuple:
-    """Block cyclic reduction's first-level coefficients for the off-diagonal
-    blocks L_k = diag(lower[:, k]) and U_k = diag(upper[:, k]), which are
-    the same for every system: lower and upper (2, m), then four lane-free
-    (2, 2, 1, k) products over the odd rows o.
-
-    Row o's reduced blocks are -L_o D_{o-1}^{-1} L_{o-1} (its new L),
-    -L_o D_{o-1}^{-1} U_{o-1} and -U_o D_{o+1}^{-1} L_{o+1} (added to its D)
-    and -U_o D_{o+1}^{-1} U_{o+1} (its new U).  With diagonal L and U, entry
-    [a, b] of each is (D^{-1})[a, b] times -c_o[a] c_e[b], the product held
-    here.  The last two exist for the (m - 1) // 2 odd rows that have a row
-    after them."""
-    m = lower.shape[-1]
-    lo, uo = lower[:, 1::2], upper[:, 1:m - 1:2]
-    pairs = ((lo, lower[:, 0:m - 1:2]), (lo, upper[:, 0:m - 1:2]),
-             (uo, lower[:, 2::2]), (uo, upper[:, 2::2]))
-    return (lower, upper,
-            *(-(a[:, None] * b[None])[:, :, None] for a, b in pairs))
-
-
-def _block_product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m x node by node, for 2x2 blocks m (2, 2, S, k) and 2-row blocks x
-    (2, c, S, k)."""
-    out = m[:, 0, None] * x[0]
-    out += m[:, 1, None] * x[1]
-    return out
-
-
-def _block_cyclic_reduction(couplings: tuple, d: np.ndarray, y: np.ndarray,
-                            x: np.ndarray, first: int):
-    """Solve L_k x[k-1] + D_k x[k] + U_k x[k+1] = y_k, k < m, into x, for
-    S independent systems at once: pivot blocks d (2, 2, S, m), right-hand
-    sides y (2, S, m), overwritten, and x (2, S, m), which may be a strided
-    view.  L_k = diag(lower[:, k]) and U_k = diag(upper[:, k]) are the same
-    for every system; `couplings` is `_level_zero(lower, upper)`.
-
-    Each level solves the even local rows for their unknowns, x[k] =
-    D_k^{-1} (y_k - L_k x[k-1] - U_k x[k+1]), and substitutes them into the
-    odd rows, which form the next level's system (Heller 1976).  The first
-    level works on the diagonal L and U: its reduced blocks are D^{-1} of
-    the even rows times lane-free products.  Later levels hold each row as
-    D (2, 2, S, k) and [L | U | y] (2, 5, S, k), and update the odd rows by
-    the two block products L_o (-D^{-1} [L | U | y]) of the row before and
-    U_o (-D^{-1} [L | U | y]) of the row after.  Once at most BASE_ROWS rows
-    remain, they are solved as one dense 2k x 2k system per lane by LU with
-    partial pivoting, and back substitution writes each level's even rows
-    into x in place.
-
-    Raises SingularPivot at the first zero or non-finite pivot determinant
-    in elimination order: level by level, then by node, and over a batch
-    the first over all systems; then, if the base system has a non-finite
-    entry or is singular, at the base's first node.  `first` offsets the
-    node index it reports."""
-    lower, upper, *products = couplings
-    if y.shape[-1] <= BASE_ROWS:
-        _solve_base(d, _diagonal_blocks(lower), _diagonal_blocks(upper), y,
-                    x, first)
-        return
-    # level 0: (-D^{-1} L)[a, b] = -(D^{-1})[a, b] lower[b], so the odd rows'
-    # reduced blocks are D^{-1} of an even row scaled by a product
-    ll, lu, ul, uu = products
-    ko, ka = ll.shape[-1], ul.shape[-1]
-    inverse, det = _inverse(d[..., 0::2])
-    levels = [(det, inverse)]  # per level: its pivot determinants and solve
-    before, after = inverse[..., :ko], inverse[..., 1:]
-    g = inverse[:, 0] * y[0, :, 0::2]  # D^{-1} y of the even rows
-    g += inverse[:, 1] * y[1, :, 0::2]
-    odd = lu * before
-    odd += d[..., 1::2]
-    odd[..., :ka] += ul * after
-    d = odd
-    rest = np.empty((2, 5, y.shape[1], ko))
-    np.multiply(ll, before, out=rest[:, 0:2])
-    np.multiply(uu, after, out=rest[:, 2:4, ..., :ka])
-    rest[:, 2:4, ..., ka:] = 0.0
-    np.multiply(lower[:, None, 1::2], g[..., :ko], out=rest[:, 4])
-    np.subtract(y[..., 1::2], rest[:, 4], out=rest[:, 4])
-    rest[:, 4, ..., :ka] -= upper[:, None, 1::2][..., :ka] * g[..., 1:]
-    while d.shape[-1] > BASE_ROWS:
-        even = d[..., 0::2]
-        det = even[0, 0] * even[1, 1] - even[0, 1] * even[1, 0]
-        # -D^{-1} = [[-D11, D01], [D10, -D00]] / det, applied to [L | U | y]
-        norm = even[0, ::-1, None] * rest[1, ..., 0::2]
-        norm -= even[1, ::-1, None] * rest[0, ..., 0::2]
-        norm[1] *= -1.0
-        norm *= 1.0 / det
-        levels.append((det, norm))
-        # odd row j absorbs even row j through L_j and even row j + 1
-        # through U_j: L_j N_j gives [new L | D | y] terms and U_j N_{j+1}
-        # [D | new U | y] terms; with an even row count the last odd row
-        # has no even row after it, and its U_j is 0
-        odd = rest[..., 1::2]
-        ko, ka = odd.shape[-1], norm.shape[-1] - 1
-        low = _block_product(odd[:, 0:2], norm[..., :ko])
-        up = _block_product(odd[:, 2:4, ..., :ka], norm[..., 1:])
-        d = d[..., 1::2] + low[:, 2:4]
-        d[..., :ka] += up[:, 0:2]
-        low[:, 2:4, ..., :ka] = up[:, 2:4]
-        low[:, 2:4, ..., ka:] = 0.0
-        low[:, 4] += odd[:, 4]
-        low[:, 4, ..., :ka] += up[:, 4]
-        rest = low
-    for level, (det, _) in enumerate(levels):
-        if not (np.isfinite(det).all() and det.all()):
-            bad = ~np.isfinite(det) | (det == 0.0)
-            at = int(np.argmax(bad.any(axis=0)))
-            raise SingularPivot(first + 2 ** level - 1 + 2 ** (level + 1) * at)
-    # level l's rows sit at x[..., s - 1::s], s = 2^l
-    s = 2 ** len(levels)
-    _solve_base(d, rest[:, 0:2], rest[:, 2:4], rest[:, 4], x[..., s - 1::s],
-                first + s - 1)
-    for level in range(len(levels) - 1, 0, -1):
-        s = 2 ** level
-        norm = levels[level][1]
-        even, odd = x[..., s - 1::2 * s], x[..., 2 * s - 1::2 * s]
-        ke, ko = even.shape[-1], odd.shape[-1]
-        np.negative(norm[:, 4], out=even)
-        even[..., 1:] += (norm[:, 0, ..., 1:] * odd[0, ..., :ke - 1]
-                          + norm[:, 1, ..., 1:] * odd[1, ..., :ke - 1])
-        even[..., :ko] += (norm[:, 2, ..., :ko] * odd[0]
-                           + norm[:, 3, ..., :ko] * odd[1])
-    # level 0: x_e = D^{-1} (y_e - L_e x[k-1] - U_e x[k+1])
-    inverse = levels[0][1]
-    even, odd = x[..., 0::2], x[..., 1::2]
-    ke, ko = even.shape[-1], odd.shape[-1]
-    t = y[..., 0::2]
-    t[..., 1:] -= lower[:, None, 2::2] * odd[..., :ke - 1]
-    t[..., :ko] -= upper[:, None, 0::2][..., :ko] * odd
-    np.multiply(inverse[:, 0], t[0], out=even)
-    even += inverse[:, 1] * t[1]
+        chunks = rhs.shape[-1]
+        # each chunk's map of y from its last node to before its first, and
+        # delta at each of its nodes, affine in y at its last node: columns
+        # (P_1, P_2, T_1, T_2, 1)
+        maps = np.zeros((4, 5, lanes, chunks))
+        for i in range(4):
+            maps[i, i] = 1.0
+        deltas = np.empty((width, 2, 5, lanes, chunks))
+        for k in range(width - 1, -1, -1):
+            delta = deltas[k]
+            np.multiply(c[k], maps[2:4], out=delta)
+            delta += maps[0:2]
+            delta[:, 4] += rhs[k]
+            if linked[k]:
+                maps[2:4] *= link[k]
+            maps += e[k, :, 0, None] * delta[0]
+            maps += e[k, :, 1, None] * delta[1]
+        # y before chunk j's first node, and a constant 1, is ys[j] @ (x, 1)
+        # for the 5 x 3 basis ys[j]: ys[chunks] holds (Pi, 0, 1) at the last
+        # node with x = Pi, and ys[j] = square[j] @ ys[j + 1] with the same x
+        square = np.zeros((chunks, lanes, 5, 5))
+        square[..., :4, :] = maps.transpose(3, 2, 0, 1)
+        square[..., 4, 4] = 1.0
+        ys = np.zeros((chunks + 1, lanes, 5, 3))
+        ys[-1, :, 0, 0] = ys[-1, :, 1, 1] = ys[-1, :, 4, 2] = 1.0
+        for j in range(chunks - 1, -1, -1):
+            np.matmul(square[j], ys[j + 1], out=ys[j])
+        # The Pi columns start orthonormal.  Where the system's modes grow
+        # them by g, the constant column grows with them and the two cancel
+        # in delta, losing a factor g of precision (single shooting).  So a
+        # lane whose Pi columns grew past MARCH_GROWTH, or overflowed, runs
+        # over the chunks again with its basis renewed after each one (Conte
+        # 1966): ys[j] R_j = square[j] @ ys[j + 1], with the Pi columns made
+        # orthonormal and the constant column orthogonal to them.
+        growth = np.abs(ys[..., :4, :2]).max(axis=(0, 2, 3))
+        grown = np.flatnonzero(~(growth <= MARCH_GROWTH))
+        factors = []
+        if len(grown):
+            steps, bases = square[:, grown], ys[:, grown]
+            for j in range(chunks - 1, -1, -1):
+                y = np.matmul(steps[j], bases[j + 1], out=bases[j])
+                q, r = np.linalg.qr(y[..., :2])
+                s = np.matmul(q.transpose(0, 2, 1), y[..., 2:])
+                y[..., :2] = q
+                y[..., 2:] -= q @ s
+                factors.append((r, s[..., 0]))
+            ys[:, grown] = bases
+        # P_{-1} = A x + q = 0, by Cramer's rule
+        (a11, a12, q1), (a21, a22, q2) = ys[0, :, 0].T, ys[0, :, 1].T
+        det = a11 * a22 - a12 * a21
+        xs = np.empty((chunks + 1, lanes, 2))
+        xs[:, :, 0] = (a12 * q2 - a22 * q1) / det
+        xs[:, :, 1] = (a21 * q1 - a11 * q2) / det
+        # x_j = R_j x_{j+1} + s_j, x_{j+1} in the basis past the renewal
+        x = xs[0, grown]
+        for j, (r, s) in enumerate(reversed(factors)):
+            x = x - s
+            x[:, 1] /= r[:, 1, 1]
+            x[:, 0] = (x[:, 0] - r[:, 0, 1] * x[:, 1]) / r[:, 0, 0]
+            xs[j + 1, grown] = x
+        # y at each chunk's last node, then delta at its nodes
+        y = ys[1:, :, :4, 0] * xs[1:, :, 0, None]
+        y += ys[1:, :, :4, 1] * xs[1:, :, 1, None]
+        y += ys[1:, :, :4, 2]
+        y = y.transpose(2, 1, 0)
+        delta = deltas[:, :, 4]
+        for i in range(4):
+            delta += deltas[:, :, i] * y[i]
+        delta = delta.transpose(2, 1, 3, 0).reshape(lanes, 2, -1)[..., :n]
+        return delta.reshape(v.shape)
 
 
-def _inverse(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The inverses (2, 2, S, k) of 2x2 blocks p and their determinants."""
-    det = p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0]
-    inverse = p[::-1, ::-1].swapaxes(0, 1) * (1.0 / det)
-    inverse[0, 1] *= -1.0
-    inverse[1, 0] *= -1.0
-    return inverse, det
-
-
-def _diagonal_blocks(c: np.ndarray) -> np.ndarray:
-    """diag(c[:, k]) as 2x2 blocks (2, 2, 1, k) for coefficients c (2, k)."""
-    blocks = np.zeros((2, 2, 1, c.shape[-1]))
-    blocks[0, 0, 0], blocks[1, 1, 0] = c
-    return blocks
-
-
-def _solve_base(d: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                y: np.ndarray, x: np.ndarray, node: int):
-    """Solve the k block rows D, L, U (2, 2, S or 1, k), y (2, S, k) as one
-    dense 2k x 2k system per lane by LU with partial pivoting, into x;
-    raise SingularPivot at `node`, the first row's, if an entry is
-    non-finite or a system is singular."""
-    lanes, k = y.shape[1:]
-    i = np.arange(k)
-    a = np.zeros((lanes, k, 2, k, 2))
-    # a[s, j, :, j', :] is the block of row j at column j'
-    a[:, i, :, i] = d.transpose(3, 2, 0, 1)
-    a[:, i[1:], :, i[:-1]] = lower[..., 1:].transpose(3, 2, 0, 1)
-    a[:, i[:-1], :, i[1:]] = upper[..., :-1].transpose(3, 2, 0, 1)
-    if not np.isfinite(a).all():
-        raise SingularPivot(node)
-    b = y.transpose(1, 2, 0).reshape(lanes, 2 * k, 1)
-    try:
-        solved = np.linalg.solve(a.reshape(lanes, 2 * k, 2 * k), b)
-    except np.linalg.LinAlgError:
-        raise SingularPivot(node) from None
-    x[...] = solved.reshape(lanes, k, 2).transpose(2, 0, 1)
+def _by_step(x: np.ndarray, width: int, fill: float = 0.0) -> np.ndarray:
+    """x (..., n) step-major as (width, ..., chunks), chunks = ceil(n /
+    width): entry [k, ..., j] is node j * width + k, and `fill` past n."""
+    n = x.shape[-1]
+    chunks = -(-n // width)
+    padded = np.full((*x.shape[:-1], chunks * width), fill)
+    padded[..., :n] = x
+    return np.moveaxis(padded.reshape(*x.shape[:-1], chunks, width),
+                       -1, 0).copy()
 
 
 def _require_shared_rule(u1: GridFunction, u2: GridFunction) -> QuadratureRule:
@@ -555,25 +434,22 @@ def _solve_lanes(problem: ProblemSpec, op: DiscreteOperator, seeds: np.ndarray,
 
     def lanewise(fn, lane, v, *args):
         """fn(v, *args) over the lanes, with NaN in place of the result of
-        a lane where it raises EvalError or SingularPivot.  A batch that
-        raises is run again one lane at a time to find those lanes; only
-        this error path pays for that."""
+        a lane where it raises EvalError.  A batch that raises is run again
+        one lane at a time to find those lanes; only this error path pays
+        for that."""
         # no caught error outlives its handler: one kept in a local would
         # close the cycle error -> traceback -> this frame, which pins the
         # whole solve stack until the cyclic collector runs
         try:
             return fn(v, *args)
-        except (EvalError, SingularPivot):
+        except EvalError:
             pass
         out = np.full_like(v, np.nan)
-        for i, s in enumerate(lane.tolist()):
+        for i in range(len(lane)):
             try:
                 out[i] = fn(v[i:i + 1], *(x[i:i + 1] for x in args))[0]
             except EvalError:
                 pass
-            except SingularPivot as err:
-                log.info("seed %s: singular Jacobian at node %d",
-                         seed_ids[s], err.node)
         return out
 
     def nonlinearity(v):
@@ -641,8 +517,10 @@ def _solve_lanes(problem: ProblemSpec, op: DiscreteOperator, seeds: np.ndarray,
         if not lane.size:
             break
         step = lanewise(op.newton_step, lane, v, v - tv, f)
-        lane, res, v, step = _keep(np.isfinite(step).all(axis=(1, 2)),
-                                   lane, res, v, step)
+        finite = np.isfinite(step).all(axis=(1, 2))
+        for s in lane[~finite].tolist():
+            log.info("seed %s: Newton step not finite", seed_ids[s])
+        lane, res, v, step = _keep(finite, lane, res, v, step)
         lane, res, v, f, tv = settle(*line_search(lane, res, v, step))
 
     solutions: list[Solution | None] = [None] * len(seeds)

@@ -250,3 +250,16 @@ def test_criterion_10_newton_first_finds_every_promised_region():
             found = {str(sol.region) for sol in sols}
             assert promised <= found, sorted(promised - found)
             assert found - promised <= {"outside-ambient"}, sorted(found)
+
+
+def test_criterion_10_newton_first_closing_system_at_every_beta():
+    with criterion("10 (Newton-first closing system at every beta)"):
+        # verify passes the closing system at every beta; Newton first at
+        # grid_n 129 finds exactly its four promised regions at each
+        cfg = closing_problem_config()["problem"]
+        for beta in (1.0, 1e10, 1e11, 1e13, 1e17, 1e100, 1e300):
+            cfg["kernel1"]["beta"] = cfg["kernel2"]["beta"] = beta
+            sols = multi_start(build_problem(cfg),
+                               SolverParams(grid_n=129, picard_steps=1))
+            assert sorted(str(sol.region) for sol in sols) == [
+                "M-M", "M-S", "S-M", "S-S"], beta

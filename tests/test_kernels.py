@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from conecert.errors import DomainError
 from conecert.kernels import (DirichletNeumann, QuadratureRule,
-                              ReactionConvectionDiffusion, green_matrix,
-                              inverse_tridiagonal, make_rule, rcd_lambda)
+                              ReactionConvectionDiffusion, generators,
+                              green_matrix, make_rule, rcd_lambda)
 
 DN = DirichletNeumann()
 RCD1 = ReactionConvectionDiffusion(1.0)
@@ -127,17 +127,41 @@ def test_green_matrix_small_beta_is_warning_free():
                 assert mat[i, m] == pytest.approx(green, rel=1e-15, abs=0.0)
 
 
+def difference_operator(kernel, t):
+    """(lower, diag, upper) of the inverse of green_matrix(kernel, t, t) in
+    closed form, the three-point difference operator of the kernel's
+    boundary-value problem, from the node gaps d_k = t[k+1] - t[k]: row k
+    of G^{-1} x is a_k (x_k - x_{k-1}) - b_k (x_{k+1} - x_k), with
+    x_{-1} = 0 and b = 0 in the last row.
+
+    * min(t,s): G has a zero row and column at t = 0, so this inverts the
+      block on the nodes t > 0, with a_k = 1/d_{k-1} and b_k = 1/d_k, the
+      first node's left gap being its distance to 0.
+    * RCD: with c_k = exp(-d_k/beta) and q_k = 1 - c_k, a_k = 1/q_{k-1}
+      and b_k = c_k/q_k, where a_0 = 1."""
+    if isinstance(kernel, DirichletNeumann):
+        a = 1.0 / np.diff(t[t > 0.0], prepend=0.0)
+        b = a[1:]
+    else:
+        x = np.diff(t) / kernel.beta
+        q = -np.expm1(-x)
+        b = np.exp(-x) / q
+        a = np.concatenate(([1.0], 1.0 / q))
+    return -a[1:], a + np.append(b, 0.0), -b
+
+
 @pytest.mark.parametrize("kernel", [DN, RCD1, ReactionConvectionDiffusion(0.3),
                                     ReactionConvectionDiffusion(0.05)],
                          ids=["min", "rcd1", "rcd0.3", "rcd0.05"])
 @pytest.mark.parametrize("n", [3, 9, 129])
 @pytest.mark.parametrize("spacing", ["uniform", "chebyshev"])
 def test_inverse_tridiagonal_inverts_green_matrix(kernel, n, spacing):
-    # make_rule's nodes and a non-uniform node set; min(t,s) is inverted on
-    # the nodes t > 0, where G is regular
+    # green_matrix is the inverse of its boundary-value problem's closed-form
+    # difference operator, on make_rule's nodes and on a non-uniform node
+    # set; min(t,s) is inverted on the nodes t > 0, where G is regular
     nodes = make_rule(n).nodes if spacing == "uniform" \
         else 0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, n)))
-    lower, diag, upper = inverse_tridiagonal(kernel, nodes)
+    lower, diag, upper = difference_operator(kernel, nodes)
     t = nodes[1:] if isinstance(kernel, DirichletNeumann) else nodes
     assert len(diag) == len(t)
     inverse = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
@@ -146,10 +170,10 @@ def test_inverse_tridiagonal_inverts_green_matrix(kernel, n, spacing):
     assert float(np.max(np.abs(product - np.eye(len(t))))) <= 1e-14 * scale
 
 
-def test_inverse_tridiagonal_rejects_bad_nodes():
+def test_generators_reject_bad_nodes():
     for nodes in ([0.0, 0.5, 0.5, 1.0], [0.0, 0.7, 0.3, 1.0], [-0.1, 1.0], [0.5]):
         with pytest.raises(DomainError):
-            inverse_tridiagonal(RCD1, np.array(nodes))
+            generators(RCD1, np.array(nodes), np.array([0]))
 
 
 def test_make_rule_trapezoid_3():

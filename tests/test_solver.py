@@ -418,12 +418,13 @@ def test_multi_start_with_no_seeds(nine_problem):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("failure", ["eval-error", "non-finite", "pivot"])
+@pytest.mark.parametrize("failure", ["eval-error", "non-finite",
+                                     "nan-derivatives"])
 def test_a_lane_failure_drops_only_its_seed(nine_problem, monkeypatch, caplog,
                                             failure):
     # the B-B seed is the one state with x1 = x2 = 3 (at t >= 1/2): there
-    # its f raises, its f is infinite, or (Newton first) its Jacobian makes
-    # every block pivot zero
+    # its f raises, its f is infinite, or (Newton first) its derivatives are
+    # NaN, which makes its Newton step non-finite
     def marked(x1, x2):
         return (np.asarray(x1) == 3.0) & (np.asarray(x2) == 3.0)
 
@@ -445,18 +446,19 @@ def test_a_lane_failure_drops_only_its_seed(nine_problem, monkeypatch, caplog,
     original_jacobian = DiscreteOperator.jacobian
 
     def jacobian(self, v1, v2, f):
-        d11, d12, d21, d22 = (np.array(d) for d in
-                              original_jacobian(self, v1, v2, f))
+        derivatives = tuple(np.array(d) for d in
+                            original_jacobian(self, v1, v2, f))
         hit = marked(v1[..., -1], v2[..., -1])
-        d11[hit, 1:], d22[hit, 1:] = self.inverse[1]
-        d12[hit], d21[hit] = 0.0, 0.0
-        return d11, d12, d21, d22
+        for d in derivatives:
+            d[hit] = np.nan
+        return derivatives
 
-    if failure == "pivot":
+    if failure == "nan-derivatives":
         monkeypatch.setattr(DiscreteOperator, "jacobian", jacobian)
     else:
         monkeypatch.setattr(solver, "float_program", float_program)
-    params = SolverParams(picard_steps=1 if failure == "pivot" else 200)
+    params = SolverParams(picard_steps=1 if failure == "nan-derivatives"
+                          else 200)
     others = [f"{a}-{b}" for a in "SMB" for b in "SMB" if a + b != "BB"]
     with caplog.at_level(logging.INFO, logger="conecert.solver"):
         sols = multi_start(nine_problem, params)
@@ -464,9 +466,9 @@ def test_a_lane_failure_drops_only_its_seed(nine_problem, monkeypatch, caplog,
                                             seed_list=others))
     assert_same_solutions(sols, _sorted_solutions(nine_problem, params,
                                                   others))
-    pivot_logs = [m for m in caplog.messages if "singular Jacobian" in m]
-    assert pivot_logs == (["seed B-B: singular Jacobian at node 1"]
-                          if failure == "pivot" else [])
+    step_logs = [m for m in caplog.messages if "Newton step" in m]
+    assert step_logs == (["seed B-B: Newton step not finite"]
+                         if failure == "nan-derivatives" else [])
 
 
 def test_newton_first_closing_system_warns_nothing():
@@ -592,7 +594,7 @@ def test_newton_first_hybrid_keeps_its_region_set(hybrid_problem, monkeypatch,
 
 
 # ---------------------------------------------------------------------------
-# the structured Newton step
+# the Newton step's march
 
 
 def dense_newton_step(problem, rule, v1, v2):
@@ -611,12 +613,29 @@ def dense_newton_step(problem, rule, v1, v2):
     return step[:n], step[n:]
 
 
+def closing_problem(beta1, beta2):
+    """closing_system with its beta = 1 coefficients and the kernels' betas
+    set; a beta below 1/EXP_SPAN = 2e-3 cuts its generators into blocks."""
+    cfg = closing_problem_config()["problem"]
+    cfg["kernel1"]["beta"], cfg["kernel2"]["beta"] = beta1, beta2
+    return build_problem(cfg)
+
+
 @pytest.mark.parametrize("grid_n,scheme", [(129, "trapezoid"),
                                            (513, "trapezoid"),
                                            (129, "simpson")])
-@pytest.mark.parametrize("system", ["nine", "closing_system"])
+@pytest.mark.parametrize("system", [
+    "nine", "closing_system", (1e10, 1e10), (1e13, 1e13), (1e17, 1e17),
+    (1e100, 1e100), (1e-3, 1e-3), (1e-4, 1e-4), (1.0, 1e-4)],
+    ids=lambda system: system if isinstance(system, str)
+    else "closing_system-beta{:g}-{:g}".format(*system))
 def test_newton_step_matches_dense_solve(nine_problem, system, grid_n, scheme):
+    # a pair is closing_system's kernel betas: the inverse kernel matrix
+    # has entries of about beta / h^2, so a solve multiplied through by it
+    # loses Df from beta = 1e10 on; the integral form keeps it at every
+    # beta, across 2 to 20 generator blocks too
     problem = nine_problem if system == "nine" \
+        else closing_problem(*system) if isinstance(system, tuple) \
         else build_problem(closing_problem_config()["problem"])
     rule = rule_for(grid_n, scheme)
     op = DiscreteOperator(problem, rule)
@@ -630,8 +649,8 @@ def test_newton_step_matches_dense_solve(nine_problem, system, grid_n, scheme):
                                       op.nonlinearity(v1, v2))
         want1, want2 = dense_newton_step(problem, rule, v1, v2)
         scale = max(np.max(np.abs(want1)), np.max(np.abs(want2)))
-        assert np.max(np.abs(step1 - want1)) <= 1e-9 * scale
-        assert np.max(np.abs(step2 - want2)) <= 1e-9 * scale
+        assert np.max(np.abs(step1 - want1)) <= 1e-12 * scale
+        assert np.max(np.abs(step2 - want2)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("system", ["nine", "closing_system"])
@@ -649,8 +668,8 @@ def test_stacked_newton_step_matches_dense_solve(nine_problem, system):
     for (v1, v2), (step1, step2) in zip(v, steps):
         want1, want2 = dense_newton_step(problem, RULE, v1, v2)
         scale = max(np.max(np.abs(want1)), np.max(np.abs(want2)))
-        assert np.max(np.abs(step1 - want1)) <= 1e-9 * scale
-        assert np.max(np.abs(step2 - want2)) <= 1e-9 * scale
+        assert np.max(np.abs(step1 - want1)) <= 1e-12 * scale
+        assert np.max(np.abs(step2 - want2)) <= 1e-12 * scale
 
 
 def trapezoid(n):
@@ -664,9 +683,8 @@ def trapezoid(n):
 @pytest.mark.parametrize("system", ["nine", "closing_system"])
 def test_newton_step_matches_dense_solve_at_every_small_size(
         nine_problem, system, lanes):
-    # n = 2..41 nodes give nine m = n - 1 = 1..40 block rows (min(t,s)
-    # leaves t = 0 out) and closing_system m = n = 2..41: odd and even row
-    # counts at every level and both sides of the 8 / 9 row base boundary
+    # n = 2..41 nodes: a last chunk of every length, and n = 2, where
+    # min(t,s)'s only other node is t = 0
     problem = nine_problem if system == "nine" \
         else build_problem(closing_problem_config()["problem"])
     levels1, levels2 = seed_levels(problem)
@@ -682,99 +700,107 @@ def test_newton_step_matches_dense_solve_at_every_small_size(
         for (v1, v2), (step1, step2) in zip(v, steps):
             want1, want2 = dense_newton_step(problem, rule, v1, v2)
             scale = max(np.max(np.abs(want1)), np.max(np.abs(want2)))
-            assert np.max(np.abs(step1 - want1)) <= 1e-9 * scale, rule.n
-            assert np.max(np.abs(step2 - want2)) <= 1e-9 * scale, rule.n
+            assert np.max(np.abs(step1 - want1)) <= 1e-12 * scale, rule.n
+            assert np.max(np.abs(step2 - want2)) <= 1e-12 * scale, rule.n
 
 
-def decoupled_pivots(lanes, m, bad):
-    """Identity pivot blocks (2, 2, lanes, m) with the block of each
-    (lane, row) in `bad` set to the value given; with zero off-diagonal
-    blocks every level's pivot of a row is that row's own block."""
-    d = np.zeros((2, 2, lanes, m))
-    d[0, 0] = d[1, 1] = 1.0
-    for (lane, row), value in bad.items():
-        d[:, :, lane, row] = value
-    return d
+def decreasing_jacobian(monkeypatch, slope):
+    """Make DiscreteOperator.jacobian return Df = slope * v1 * I: with v1
+    near 1, the modes of delta'' = -slope delta (min(t,s)) grow like
+    exp(sqrt(-slope) t), and like exp(-slope t) for RCD at a small beta."""
+    def jacobian(self, v1, v2, f):
+        diagonal = slope * np.asarray(v1, dtype=float)
+        zero = np.zeros_like(diagonal)
+        return diagonal, zero, zero, diagonal
+
+    monkeypatch.setattr(DiscreteOperator, "jacobian", jacobian)
 
 
-@pytest.mark.parametrize("bad,node", [
-    ({(0, 6): 0.0}, 6),                 # level 0, even row 3
-    ({(0, 5): 0.0}, 5),                 # level 1 (rows 1, 3, ...), its row 2
-    ({(0, 11): 0.0}, 11),               # level 2 (rows 3, 7, ...), its row 2
-    ({(2, 9): 0.0, (0, 13): 0.0}, 9),   # the first node over all lanes
-    ({(1, 1): 0.0, (0, 2): 0.0}, 2),    # level 0 is eliminated first
-    ({(0, 23): 0.0}, 7),                # base (rows 7, 15, ..., 39)
-    ({(1, 4): math.nan}, 4),            # a NaN pivot at level 0
-    ({(1, 31): math.nan}, 7),           # a NaN entry in the base
-], ids=["level0", "level1", "level2", "lanes", "order", "base", "nan",
-        "nan-base"])
-def test_singular_pivot_names_its_node(bad, node):
-    # m = 40 rows eliminate at 40, 20 and 10 rows, and the last 5 (rows 7,
-    # 15, 23, 31, 39) form the base; its error names its first row
-    lanes, m, first = 3, 40, 1
-    zero = np.zeros((2, m))
-    y, x = np.ones((2, lanes, m)), np.empty((2, lanes, m))
-    with pytest.raises(solver.SingularPivot) as err, \
-            np.errstate(all="ignore"):
-        solver._block_cyclic_reduction(
-            solver._level_zero(zero, zero), decoupled_pivots(lanes, m, bad),
-            y, x, first)
-    assert err.value.node == first + node
+def spy_renewals(monkeypatch):
+    """The number of lanes in each QR of a basis renewal (np.linalg.qr,
+    which nothing else in a Newton step calls)."""
+    renewals = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a: (renewals.append(len(a)),
+                                                    qr(a))[1])
+    return renewals
 
 
-def test_decoupled_pivots_solve_exactly():
-    # the same systems without a bad block: x = y row by row
-    lanes, m = 3, 40
-    zero = np.zeros((2, m))
-    y = np.random.default_rng(0).uniform(-1.0, 1.0, (2, lanes, m))
-    x = np.empty_like(y)
-    solver._block_cyclic_reduction(solver._level_zero(zero, zero),
-                                   decoupled_pivots(lanes, m, {}), y.copy(),
-                                   x, 0)
-    assert np.array_equal(x, y)
+@pytest.mark.parametrize("system,grid_n,slope", [
+    ("nine", 129, -900.0), ("nine", 513, -900.0), ("nine", 129, -1600.0),
+    ((1e-4, 1e-4), 129, -40.0), ((1e-4, 1e-4), 129, -100.0),
+    ((1.0, 1e-4), 129, -100.0), ((1.0, 1.0), 513, -1000.0),
+    ((1e10, 1e10), 129, -100.0)],
+    ids=lambda x: x if isinstance(x, str) else
+    "beta{:g}-{:g}".format(*x) if isinstance(x, tuple) else f"{x:g}")
+def test_newton_step_matches_dense_solve_for_a_strongly_decreasing_f(
+        nine_problem, monkeypatch, system, grid_n, slope):
+    # single shooting over the chunks would lose about exp(30) here (nine at
+    # slope -900): each lane's basis is renewed after every chunk instead
+    problem = nine_problem if system == "nine" else closing_problem(*system)
+    decreasing_jacobian(monkeypatch, slope)
+    renewals = spy_renewals(monkeypatch)
+    rule = rule_for(grid_n, "trapezoid")
+    op = DiscreteOperator(problem, rule)
+    rng = np.random.default_rng(grid_n)
+    v = rng.uniform(0.9, 1.1, (3, 2, grid_n))
+    steps = op.newton_step(v, v - op.apply(v[:, 0], v[:, 1]),
+                           op.nonlinearity(v[:, 0], v[:, 1]))
+    assert renewals and set(renewals) == {3}
+    for (v1, v2), (step1, step2) in zip(v, steps):
+        want1, want2 = dense_newton_step(problem, rule, v1, v2)
+        scale = max(np.max(np.abs(want1)), np.max(np.abs(want2)))
+        assert np.max(np.abs(step1 - want1)) <= 1e-12 * scale
+        assert np.max(np.abs(step2 - want2)) <= 1e-12 * scale
 
 
-def zero_pivot_jacobian(monkeypatch, op, bad):
-    """Make DiscreteOperator.jacobian return derivatives equal to the
-    diagonal of (G W)^{-1} plus `bad`: with 0 every block pivot is zero,
-    with NaN non-finite (node 1 is the first: min(t,s) leaves t = 0 out)."""
-    pivot = np.concatenate(([0.0], op.inverse[1][0])) + bad
-    zero = np.zeros(op.rule.n)
-    monkeypatch.setattr(DiscreteOperator, "jacobian",
-                        lambda self, v1, v2, f: (pivot, zero, zero, pivot))
+def test_renewed_lanes_keep_the_step_of_each_lane_alone(nine_problem,
+                                                        monkeypatch):
+    # Df = -900 v1: lanes at v1 = 1 grow past MARCH_GROWTH and are renewed,
+    # the lane at v1 = 1e-3 is not, and each lane's step is bit for bit its
+    # step alone
+    decreasing_jacobian(monkeypatch, -900.0)
+    op = DiscreteOperator(nine_problem, RULE)
+    rng = np.random.default_rng(7)
+    v = rng.uniform(0.9, 1.1, (3, 2, RULE.n)) * np.array([1.0, 1e-3, 1.0])[
+        :, None, None]
+    r = v - op.apply(v[:, 0], v[:, 1])
+    f = op.nonlinearity(v[:, 0], v[:, 1])
+    renewals = spy_renewals(monkeypatch)
+    steps = op.newton_step(v, r, f)
+    assert renewals and set(renewals) == {2}
+    for lane in range(3):
+        assert np.array_equal(steps[lane],
+                              op.newton_step(v[lane], r[lane], f[lane]))
 
 
-@pytest.mark.parametrize("grid_n,bad", [(129, 0.0), (129, math.nan),
-                                        (9, math.nan)],
-                         ids=["zero", "nan", "nan-base"])
-def test_newton_step_raises_singular_pivot_without_warning(
-        nine_problem, monkeypatch, grid_n, bad):
-    # called directly, outside the solver's lanes and their errstate; with
-    # grid_n 9 the base solves all 8 rows at once
-    op = DiscreteOperator(nine_problem, make_rule(grid_n))
-    zero_pivot_jacobian(monkeypatch, op, bad)
-    v = np.ones((2, 2, grid_n))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(solver.SingularPivot) as err:
-            op.newton_step(v, v, v)
-    assert err.value.node == 1
+def singular_jacobian(monkeypatch, bad):
+    """Make DiscreteOperator.jacobian return Df = 0 but at the node t = 1/2
+    of a uniform odd grid, where d11 = d22 = 1 / (t w) = 1 / K_j[m, m]
+    exactly (on 129 nodes t w = 2^-8), plus `bad`: with 0, J = I - K Df
+    is singular and the march's closing 2x2 system is exactly zero; with
+    NaN, every derivative is NaN."""
+    def jacobian(self, v1, v2, f):
+        n = self.rule.n
+        pivot = np.zeros(np.shape(v1))
+        pivot[..., n // 2] = 1.0 / (self.rule.nodes[n // 2]
+                                    * self.rule.weights[n // 2])
+        zero = np.zeros_like(pivot)
+        return pivot + bad, zero + bad, zero + bad, pivot + bad
+
+    monkeypatch.setattr(DiscreteOperator, "jacobian", jacobian)
 
 
-def test_base_case_pivots_across_rows(nine_problem, monkeypatch):
-    # zero pivot blocks leave the 8-row system itself regular; the base's
-    # partial pivoting solves it where block elimination would stop
-    rule = make_rule(9)
-    op = DiscreteOperator(nine_problem, rule)
-    zero_pivot_jacobian(monkeypatch, op, 0.0)
-    v1, v2 = np.linspace(1.0, 2.0, 9), np.linspace(2.0, 1.0, 9)
-    v = np.array((v1, v2))
-    step1, step2 = op.newton_step(v, v - op.apply(v1, v2),
-                                  op.nonlinearity(v1, v2))
-    want1, want2 = dense_newton_step(nine_problem, rule, v1, v2)
-    scale = max(np.max(np.abs(want1)), np.max(np.abs(want2)))
-    assert np.max(np.abs(step1 - want1)) <= 1e-9 * scale
-    assert np.max(np.abs(step2 - want2)) <= 1e-9 * scale
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [0.0, math.nan], ids=["zero", "nan"])
+def test_newton_step_at_a_singular_pivot_is_non_finite_without_warning(
+        nine_problem, monkeypatch, bad):
+    # called directly, outside the solver's lanes and their errstate
+    singular_jacobian(monkeypatch, bad)
+    op = DiscreteOperator(nine_problem, RULE)
+    v = np.ones((2, 2, RULE.n))
+    step = op.newton_step(v, v, v)
+    assert not np.isfinite(step).any()
 
 
 def test_newton_step_reuses_the_residual_evaluation(nine_problem, monkeypatch):
@@ -828,11 +854,9 @@ def test_jacobian_runs_f_through_nonlinearity(nine_problem, monkeypatch):
 
 @pytest.mark.parametrize("bad", [0.0, math.nan], ids=["zero", "nan"])
 def test_singular_pivot_ends_the_seed(nine_problem, monkeypatch, caplog, bad):
-    # derivatives equal to the diagonal of (G W)^{-1} make the first block
-    # pivot (node 1: min(t,s) leaves t = 0 out of the system) exactly zero;
-    # NaN derivatives make it non-finite
-    op = DiscreteOperator(nine_problem, RULE)
-    zero_pivot_jacobian(monkeypatch, op, bad)
+    # a singular Jacobian makes the closing 2x2 pivot exactly zero, and NaN
+    # derivatives make it NaN: either way the Newton step is not finite
+    singular_jacobian(monkeypatch, bad)
     applied = []
     original = DiscreteOperator.apply
 
@@ -846,7 +870,7 @@ def test_singular_pivot_ends_the_seed(nine_problem, monkeypatch, caplog, bad):
     with caplog.at_level(logging.INFO, logger="conecert.solver"):
         assert solve_from(nine_problem, seed, seed, params,
                           seed_id="M-M") is None
-    assert "seed M-M: singular Jacobian at node 1" in caplog.messages
+    assert "seed M-M: Newton step not finite" in caplog.messages
     # no second Picard round after the failed Newton phase
     assert len(applied) == params.picard_steps
 
@@ -854,13 +878,15 @@ def test_singular_pivot_ends_the_seed(nine_problem, monkeypatch, caplog, bad):
 @pytest.mark.parametrize("lanes", ["batch", "lone"])
 def test_an_error_path_solve_leaves_no_frame_for_the_collector(
         nine_problem, monkeypatch, lanes):
-    # every Newton step raises SingularPivot, handled lane by lane (nine
-    # seeds) or as the batch's error (one seed); a caught error that
-    # outlived its handler would tie error -> traceback -> frame into a
-    # cycle holding the solve's frames and arrays until the cyclic
+    # every Newton step's forward differences raise EvalError, handled lane
+    # by lane (nine seeds) or as the batch's error (one seed); a caught
+    # error that outlived its handler would tie error -> traceback -> frame
+    # into a cycle holding the solve's frames and arrays until the cyclic
     # collector runs
-    op = DiscreteOperator(nine_problem, RULE)
-    zero_pivot_jacobian(monkeypatch, op, 0.0)
+    def jacobian(self, v1, v2, f):
+        raise EvalError(0, "crafted failure")
+
+    monkeypatch.setattr(DiscreteOperator, "jacobian", jacobian)
     params = SolverParams(picard_steps=1)
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
