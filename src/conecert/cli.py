@@ -9,6 +9,13 @@ report's "timings" block carries deterministic work counters instead).
 Exit codes: 0 all checks passed / run completed, 1 some check failed,
 2 inconclusive (budget exhausted), 3 malformed config or command line, a
 domain error, or a report that cannot be written.
+
+Each subcommand imports its engine when it runs: `verify` loads
+`hypotheses` and `solve` loads `solver`, each with the expression compiler
+`expr`, and `rcd` loads `rcd` alone.  Reading a config needs only
+`syntax`, `conespace` and `kernels`, so `import conecert.cli` loads none of
+the engines, and the checker, solver and rcd key tables are read from their
+engines on first use.
 """
 
 from __future__ import annotations
@@ -24,13 +31,11 @@ import sys
 import time
 from pathlib import Path
 
-from . import hypotheses, rcd, solver
-from .conespace import RegionLabel, RegionSpec, region_index, sup_norm
-from .errors import ConfigError, DomainError
-from .expr import EvalError, ParseError, parse_expr
+from .conespace import (ProblemSpec, RegionLabel, RegionSpec, region_index,
+                        sup_norm)
+from .errors import ConfigError, DomainError, EvalError, ParseError
 from .kernels import DirichletNeumann, KernelKind, ReactionConvectionDiffusion
-from .rcd import RcdParams
-from .solver import ProblemSpec, SolverParams
+from .syntax import parse_expr
 
 EXIT_ALL_PASS = 0
 EXIT_SOME_FAIL = 1
@@ -108,12 +113,28 @@ def _as_pair(value, name: str) -> tuple[float, float]:
 
 _REQUIRED = object()
 
-_CHECKER_DEFAULTS = {"budget": hypotheses.DEFAULT_BUDGET,
-                     "depth": hypotheses.DEFAULT_DEPTH,
-                     "oracle_n": hypotheses.DEFAULT_ORACLE_N}
-_SOLVER_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SolverParams)}
-_RCD_KEYS = dict.fromkeys((f.name for f in dataclasses.fields(RcdParams)),
-                          _REQUIRED)
+
+@functools.cache
+def _checker_defaults() -> dict:
+    from . import hypotheses
+    return {"budget": hypotheses.DEFAULT_BUDGET,
+            "depth": hypotheses.DEFAULT_DEPTH,
+            "oracle_n": hypotheses.DEFAULT_ORACLE_N}
+
+
+@functools.cache
+def _solver_defaults() -> dict:
+    from .solver import SolverParams
+    return {f.name: f.default for f in dataclasses.fields(SolverParams)}
+
+
+@functools.cache
+def _rcd_keys() -> dict:
+    from .rcd import RcdParams
+    return dict.fromkeys((f.name for f in dataclasses.fields(RcdParams)),
+                         _REQUIRED)
+
+
 _OUTPUT_DEFAULTS = {"report": "report.json", "csv_dir": "solutions"}
 _ROOT_KEYS = ("problem", "checker", "solver", "rcd", "output")
 _PROBLEM_KEYS = ("mode", "kernel1", "kernel2", "f1", "f2", "region", "remark52")
@@ -272,10 +293,12 @@ def _report_skeleton(config_echo: dict) -> dict:
 
 
 def cmd_verify(cfg: dict, out_dir: Path) -> int:
+    from . import hypotheses
+
     if "problem" not in cfg:
         raise ConfigError("config is missing the 'problem' block")
     problem = build_problem(cfg["problem"])
-    checker = _read_block(cfg, "checker", _CHECKER_DEFAULTS)
+    checker = _read_block(cfg, "checker", _checker_defaults())
     output = _output(cfg)
 
     started = time.monotonic()
@@ -328,18 +351,24 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
 
 def cmd_solve(cfg: dict, out_dir: Path,
               seed_list: list[str] | None = None) -> int:
+    from . import solver
+
     if "problem" not in cfg:
         raise ConfigError("config is missing the 'problem' block")
     problem = build_problem(cfg["problem"])
-    params = SolverParams(**_read_block(cfg, "solver", _SOLVER_DEFAULTS))
+    params = solver.SolverParams(**_read_block(cfg, "solver",
+                                               _solver_defaults()))
     output = _output(cfg)
     started = time.monotonic()
     solutions = solver.multi_start(problem, params, seed_list=seed_list)
 
     csv_dir = out_dir / output["csv_dir"]
-    # every solution shares the rule, so its node column is formatted once
-    nodes = [f"{t:.17g}" for t in solutions[0].u1.rule.nodes.tolist()] \
-        if solutions else []
+    nodes = []
+    if solutions:
+        # a solve with no solution makes no directory; every solution
+        # shares the rule, so its node column is formatted once
+        csv_dir.mkdir(parents=True, exist_ok=True)
+        nodes = [f"{t:.17g}" for t in solutions[0].u1.rule.nodes.tolist()]
     entries = []
     iterations_total = 0
     for sol in solutions:
@@ -377,10 +406,10 @@ def cmd_solve(cfg: dict, out_dir: Path,
 
 
 def _write_solution_csv(sol, nodes: list[str], path: Path):
-    """Write t,u1,u2 rows with 17 significant digits; `nodes` is the t
-    column already formatted.  One %-format of the whole file is faster
-    than a format per row, and %.17g gives the bytes of f"{x:.17g}"."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write t,u1,u2 rows with 17 significant digits into path, whose
+    directory exists; `nodes` is the t column already formatted.  One
+    %-format of the whole file is faster than a format per row, and %.17g
+    gives the bytes of f"{x:.17g}"."""
     rows = itertools.chain.from_iterable(
         zip(nodes, sol.u1.values.tolist(), sol.u2.values.tolist()))
     text = ("t,u1,u2\n" + "%s,%.17g,%.17g\n" * len(nodes)) % tuple(rows)
@@ -396,11 +425,13 @@ def _scalar_verdict_entry(condition_id: str, verdict) -> dict:
 
 
 def cmd_rcd(cfg: dict, out_dir: Path) -> int:
+    from . import rcd
+
     if "rcd" not in cfg:
         raise ConfigError("config is missing the 'rcd' block")
-    values = _read_block(cfg, "rcd", _RCD_KEYS)
+    values = _read_block(cfg, "rcd", _rcd_keys())
     output = _output(cfg)
-    params = RcdParams(**values)
+    params = rcd.RcdParams(**values)
     started = time.monotonic()
 
     checks, (range1, range2), derived = rcd.check_all(params)

@@ -17,6 +17,10 @@ regions; with one (hybrid mode) component 2 is only constrained to the
 annulus r <= ||u2|| <= R and the component-1 tag indexes three regions.
 A pair whose sup norms leave the ambient set (RegionSpec.sup_bounds) is
 labelled "outside-ambient".
+
+`ProblemSpec` joins a system's kernels and nonlinearities to its region
+data under one of `MODES`; `verify` and `solve` both take one, so it lives
+here rather than with either engine.
 """
 
 from __future__ import annotations
@@ -26,7 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .kernels import QuadratureRule
+from .kernels import (DirichletNeumann, KernelKind, QuadratureRule,
+                      ReactionConvectionDiffusion)
+from .syntax import ExprAst
+
+MODES = ("nine", "hybrid", "thm53")
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,6 +109,35 @@ class RegionSpec:
         """Each component's sup-norm range in the ambient set: [0, c_j], or
         the annulus [r, R] for component 2 when there is one."""
         return (0.0, self.c[0]), self.annulus or (0.0, self.c[1])
+
+
+@dataclass(frozen=True)
+class ProblemSpec:
+    """A system plus its localization data; `__post_init__` is the one
+    place that states what each mode requires of kernels and region."""
+
+    kernel1: KernelKind
+    kernel2: KernelKind
+    f1: ExprAst
+    f2: ExprAst
+    region: RegionSpec
+    mode: str = "nine"
+    remark52: bool = False
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ConfigError(f"unknown mode {self.mode!r}")
+        kernel = ReactionConvectionDiffusion if self.mode == "thm53" \
+            else DirichletNeumann
+        if not (isinstance(self.kernel1, kernel)
+                and isinstance(self.kernel2, kernel)):
+            raise ConfigError(f"mode {self.mode!r} requires the "
+                              f"{kernel.__name__} kernel for both components")
+        if (self.mode == "hybrid") != (self.region.annulus is not None):
+            raise ConfigError("an annulus (r, R) is required in hybrid mode "
+                              "and allowed only there")
+        if self.remark52 and self.mode != "thm53":
+            raise ConfigError("remark52 is allowed only in thm53 mode")
 
 
 @dataclass(frozen=True)

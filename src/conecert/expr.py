@@ -1,20 +1,10 @@
-"""Nonlinearity expressions f(x1, x2): parsing and evaluation.
+"""Nonlinearity expressions f(x1, x2): compilation and evaluation.
 
-Grammar (standard precedence, ^ binds tighter than unary minus):
-
-    expr    := product (('+' | '-') product)*
-    product := unary (('*' | '/') unary)*
-    unary   := '-' unary | power
-    power   := atom ('^' unary)?          # right-associative
-    atom    := NUMBER | 'x1' | 'x2' | 'pi' | 'e'
-             | NAME '(' expr (',' expr)* ')'
-             | '(' expr ')'
-
-Builtins: exp, cos, sin, ln, abs, phi, psi, capphi (unary); min, max (binary).
-phi, psi and capphi are the saturating piecewise-linear ramps with
-breakpoints at 1/2 and 1; negative arguments are clamped to 0 (operators
-only ever feed nonnegative functions, but quadrature round-off may produce
--eps).
+`syntax` parses expression text into a tree (its names stay importable
+from here); this module compiles and evaluates the trees.  phi, psi and
+capphi are the saturating piecewise-linear ramps with breakpoints at 1/2
+and 1; negative arguments are clamped to 0 (operators only ever feed
+nonnegative functions, but quadrature round-off may produce -eps).
 
 Evaluation compiles each tree once into nested closures, one per node, over
 one of two arithmetic tables: np.float64 scalars and arrays (pointwise, and
@@ -58,250 +48,17 @@ from __future__ import annotations
 
 import math
 import operator
-import re
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import interval as iv
-from .errors import DomainError
+from .errors import DomainError, EvalError, ParseError  # noqa: F401
 from .interval import E, PI, Interval
-
-
-class ParseError(Exception):
-    """Malformed expression text."""
-
-    def __init__(self, offset: int, message: str, expected: str | None = None):
-        self.offset = offset
-        self.message = message
-        self.expected = expected
-        hint = f" (expected {expected})" if expected else ""
-        super().__init__(f"at position {offset}: {message}{hint}")
-
-
-class EvalError(Exception):
-    """Evaluation failure, attributed to a node's source offset.
-
-    A failure that depends on the arguments carries its cause, with its
-    message: numpy's FloatingPointError for a float operation that
-    overflows, divides by zero or is invalid, or a DomainError for an
-    interval one (a divisor enclosure containing 0, say).  A failure of the
-    expression itself (a non-constant exponent in interval mode) carries
-    none."""
-
-    def __init__(self, offset: int, message: str):
-        self.offset = offset
-        self.message = message
-        super().__init__(f"at position {offset}: {message}")
-
-
-# ---------------------------------------------------------------------------
-# AST
-
-
-@dataclass(frozen=True)
-class Const:
-    value: float
-    offset: int = field(default=0, compare=False)
-
-    def __post_init__(self):
-        # the float table raises no flag for an operation on an infinite
-        # operand (inf - x1 is inf), so a non-finite constant is refused
-        if not math.isfinite(self.value):
-            raise ValueError(f"constant {self.value!r} is not finite")
-
-
-@dataclass(frozen=True)
-class NamedConst:
-    name: str  # "pi" | "e"
-    offset: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str  # "x1" | "x2"
-    offset: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "ExprAst"
-    offset: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # "+" | "-" | "*" | "/" | "^"
-    left: "ExprAst"
-    right: "ExprAst"
-    offset: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    args: tuple["ExprAst", ...]
-    offset: int = field(default=0, compare=False)
-
-
-ExprAst = Const | NamedConst | Var | Neg | BinOp | Call
-
-BUILTIN_ARITY = {
-    "exp": 1,
-    "cos": 1,
-    "sin": 1,
-    "ln": 1,
-    "abs": 1,
-    "phi": 1,
-    "psi": 1,
-    "capphi": 1,
-    "min": 2,
-    "max": 2,
-}
-
-NAMED_CONSTS = ("pi", "e")
-
-
-# ---------------------------------------------------------------------------
-# lexer
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
-)
-
-
-def _tokenize(src: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None or m.end() == pos:
-            stripped = src[pos:].lstrip()
-            if not stripped:
-                break
-            bad = len(src) - len(stripped)
-            raise ParseError(bad, f"unexpected character {src[bad]!r}")
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", "", len(src)))
-    return tokens
-
-
-# ---------------------------------------------------------------------------
-# parser
-
-
-class _Parser:
-    def __init__(self, src: str):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, text, off = self.peek()
-        if kind != "op" or text != op:
-            raise ParseError(off, f"got {text!r}" if text else "unexpected end of input",
-                             expected=repr(op))
-        return self.advance()
-
-    def parse(self) -> ExprAst:
-        node = self.sum()
-        kind, text, off = self.peek()
-        if kind != "end":
-            raise ParseError(off, f"unexpected trailing input {text!r}")
-        return node
-
-    def sum(self) -> ExprAst:
-        node = self.product()
-        while True:
-            kind, text, off = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = BinOp(text, node, self.product(), offset=off)
-            else:
-                return node
-
-    def product(self) -> ExprAst:
-        node = self.unary()
-        while True:
-            kind, text, off = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = BinOp(text, node, self.unary(), offset=off)
-            else:
-                return node
-
-    def unary(self) -> ExprAst:
-        kind, text, off = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            return Neg(self.unary(), offset=off)
-        return self.power()
-
-    def power(self) -> ExprAst:
-        node = self.atom()
-        kind, text, off = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            node = BinOp("^", node, self.unary(), offset=off)
-        return node
-
-    def atom(self) -> ExprAst:
-        kind, text, off = self.advance()
-        if kind == "num":
-            if not math.isfinite(float(text)):
-                raise ParseError(off, f"the number {text} overflows a float")
-            return Const(float(text), offset=off)
-        if kind == "name":
-            if text in ("x1", "x2"):
-                return Var(text, offset=off)
-            if text in NAMED_CONSTS:
-                return NamedConst(text, offset=off)
-            if text in BUILTIN_ARITY:
-                self.expect_op("(")
-                args = [self.sum()]
-                while True:
-                    k, t, o = self.peek()
-                    if k == "op" and t == ",":
-                        self.advance()
-                        args.append(self.sum())
-                    else:
-                        break
-                self.expect_op(")")
-                arity = BUILTIN_ARITY[text]
-                if len(args) != arity:
-                    raise ParseError(
-                        off, f"{text} takes {arity} argument(s), got {len(args)}")
-                return Call(text, tuple(args), offset=off)
-            raise ParseError(off, f"unknown identifier {text!r}",
-                             expected="x1, x2, pi, e or a builtin")
-        if kind == "op" and text == "(":
-            node = self.sum()
-            self.expect_op(")")
-            return node
-        raise ParseError(off, f"got {text!r}" if text else "unexpected end of input",
-                         expected="a number, variable or '('")
-
-
-def parse_expr(src: str) -> ExprAst:
-    """Parse expression text into an AST; raises ParseError with a position."""
-    return _Parser(src).parse()
+# the parser's names, importable from here as well
+from .syntax import (BUILTIN_ARITY, NAMED_CONSTS, BinOp, Call,  # noqa: F401
+                     Const, ExprAst, NamedConst, Neg, Var, parse_expr)
 
 
 # ---------------------------------------------------------------------------

@@ -55,14 +55,15 @@ import numpy as np
 
 from .conespace import HYBRID_REGIONS, NINE_REGIONS, RegionLabel
 from . import interval
-from .errors import ConfigError, DomainError
-from .expr import (EvalError, ExprAst, eval_point, eval_values, first_failure,
-                   float_flags, float_program, gradient_program,
-                   interval_program, ramp_breakpoints)
+from .errors import ConfigError, DomainError, EvalError
+from .expr import (eval_point, eval_values, first_failure, float_flags,
+                   float_program, gradient_program, interval_program,
+                   ramp_breakpoints)
 # only for benchmarks/spans.py, which patches it (AttributeError if absent)
 from .expr import eval_interval  # noqa: F401
-from .interval import Interval, midpoint
+from .interval import CertVerdict, Interval, midpoint
 from .kernels import rcd_lambda
+from .syntax import ExprAst
 
 DEFAULT_BUDGET = 100_000
 DEFAULT_DEPTH = 40
@@ -80,15 +81,6 @@ class BoxIneq:
     relation: Relation
     bound: float
     condition_id: str
-
-
-@dataclass(frozen=True)
-class CertVerdict:
-    status: str  # "Pass" | "Fail" | "Unknown"
-    witness: tuple[float, float, float] | None  # (x1, x2, value) for Fail
-    boxes_explored: int = 0
-    max_depth_reached: bool = False
-    note: str = ""
 
 
 # each relation's comparison `holds(value, bound)` and whether it bounds f

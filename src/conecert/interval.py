@@ -18,6 +18,7 @@ overflowed endpoints meet, as in inf - inf or 0 * inf).
 `Interval` is the checked box type callers hold (box sides, parameter
 ranges, returned enclosures), with no arithmetic: its constructor raises
 ValueError for a NaN or reversed pair; a point (lo == hi) is allowed.
+`CertVerdict` is the answer of a check over such boxes or parameters.
 """
 
 from __future__ import annotations
@@ -277,6 +278,18 @@ class Interval:
 
     def __repr__(self) -> str:
         return _fmt(self.lo, self.hi)
+
+
+@dataclass(frozen=True)
+class CertVerdict:
+    """The tri-state answer to one inequality over an `Interval` box (from
+    branch and bound) or at scalar parameters (from `rcd`)."""
+
+    status: str  # "Pass" | "Fail" | "Unknown"
+    witness: tuple[float, float, float] | None  # (x1, x2, value) for Fail
+    boxes_explored: int = 0
+    max_depth_reached: bool = False
+    note: str = ""
 
 
 PI = Interval(nextafter(math.pi, _NINF), nextafter(math.pi, inf))

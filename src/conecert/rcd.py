@@ -34,8 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, DomainError
-from .hypotheses import CertVerdict
-from .interval import Interval
+from .interval import CertVerdict, Interval
 from .kernels import rcd_lambda
 
 GUARD = 1e-12

@@ -56,20 +56,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conespace import (GridFunction, RegionLabel, RegionSpec, classify,
-                        window_node)
-from .errors import ConfigError
-from .expr import (EvalError, ExprAst, eval_values, first_failure,
-                   float_flags, float_program)
+# MODES and ProblemSpec live in conespace; imported from here as well
+from .conespace import (MODES, GridFunction, ProblemSpec,  # noqa: F401
+                        RegionLabel, classify, window_node)
+from .errors import ConfigError, EvalError
+from .expr import eval_values, first_failure, float_flags, float_program
 from .kernels import (DirichletNeumann, KernelKind, QuadratureRule,
-                      ReactionConvectionDiffusion, generator_blocks,
-                      generators, make_rule, same_rule)
+                      generator_blocks, generators, make_rule, same_rule)
 # only for benchmarks/spans.py, which patches it (AttributeError if absent)
 from .kernels import green_matrix  # noqa: F401
 
 log = logging.getLogger(__name__)
-
-MODES = ("nine", "hybrid", "thm53")
 
 # iterates whose sup norm exceeds this multiple of the ambient bound are
 # treated as spurious far-field points and dropped as non-converged
@@ -86,35 +83,6 @@ ARMIJO = 1e-4
 MARCH_GROWTH = 32.0  # basis growth that makes newton_step shoot per chunk
 DEDUPE_TOL = 1e-6  # dedupe distance / max(1, sup norm of the kept solution)
 NONTRIVIAL_EPS = 1e-6  # a component of sup norm at most this is trivial
-
-
-@dataclass(frozen=True)
-class ProblemSpec:
-    """A system plus its localization data; `__post_init__` is the one
-    place that states what each mode requires of kernels and region."""
-
-    kernel1: KernelKind
-    kernel2: KernelKind
-    f1: ExprAst
-    f2: ExprAst
-    region: RegionSpec
-    mode: str = "nine"
-    remark52: bool = False
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        kernel = ReactionConvectionDiffusion if self.mode == "thm53" \
-            else DirichletNeumann
-        if not (isinstance(self.kernel1, kernel)
-                and isinstance(self.kernel2, kernel)):
-            raise ConfigError(f"mode {self.mode!r} requires the "
-                              f"{kernel.__name__} kernel for both components")
-        if (self.mode == "hybrid") != (self.region.annulus is not None):
-            raise ConfigError("an annulus (r, R) is required in hybrid mode "
-                              "and allowed only there")
-        if self.remark52 and self.mode != "thm53":
-            raise ConfigError("remark52 is allowed only in thm53 mode")
 
 
 @dataclass

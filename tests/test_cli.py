@@ -209,9 +209,9 @@ def test_readme_config_block_matches_the_reader():
     assert set(doc) == set(cli._ROOT_KEYS)
     assert set(doc["problem"]) == set(cli._PROBLEM_KEYS)
     assert set(doc["problem"]["region"]) == set(cli._REGION_KEYS)
-    assert set(doc["rcd"]) == set(cli._RCD_KEYS)
-    assert doc["checker"] == cli._CHECKER_DEFAULTS
-    assert doc["solver"] == cli._SOLVER_DEFAULTS
+    assert set(doc["rcd"]) == set(cli._rcd_keys())
+    assert doc["checker"] == cli._checker_defaults()
+    assert doc["solver"] == cli._solver_defaults()
     assert doc["output"] == cli._OUTPUT_DEFAULTS
 
 
@@ -699,11 +699,23 @@ def test_solution_csv_bytes_match_a_per_row_format(tmp_path):
     sol = Sol()
     sol.u1, sol.u2 = GridFunction(rule, u1), GridFunction(rule, u2)
     nodes = [f"{t:.17g}" for t in rule.nodes.tolist()]
-    _write_solution_csv(sol, nodes, tmp_path / "sub" / "got.csv")
+    _write_solution_csv(sol, nodes, tmp_path / "got.csv")
     lines = ["t,u1,u2"] + [f"{t:.17g},{a:.17g},{b:.17g}" for t, a, b
                            in zip(rule.nodes.tolist(), u1.tolist(), u2.tolist())]
-    assert (tmp_path / "sub" / "got.csv").read_bytes() == \
+    assert (tmp_path / "got.csv").read_bytes() == \
         ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_solve_without_a_solution_makes_no_csv_directory(tmp_path):
+    # f overflows at a Picard iterate of every seed, so no seed converges;
+    # the CSV directory is made once per solve, and only for a solution
+    cfg = nine_config()
+    cfg["problem"].update(f1="exp(x1) + exp(x2)", f2="exp(x1) + exp(x2)")
+    assert main(["solve", write_config(tmp_path, cfg), "--out",
+                 str(tmp_path / "out")]) == 0
+    assert read_report(tmp_path / "out")["solutions"] == []
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
+        ["report.json"]
 
 
 # ---------------------------------------------------------------------------

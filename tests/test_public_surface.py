@@ -40,10 +40,11 @@ def test_package_root_exports_what_readme_imports():
                 for node in ast.walk(ast.parse(block))
                 if isinstance(node, ast.ImportFrom) and node.module == "conecert"
                 for alias in node.names}
-    exported = {name for name, value in vars(conecert).items()
-                if not name.startswith("_")
-                and not isinstance(value, types.ModuleType)}
-    assert exported == imported
+    # the root exports lazily, so its names are __all__, not its globals
+    assert set(conecert.__all__) == imported
+    for name in conecert.__all__:
+        assert name in dir(conecert)
+        assert not isinstance(getattr(conecert, name), types.ModuleType)
 
 
 def test_benchmark_names_resolve(monkeypatch):
