@@ -67,8 +67,15 @@ from .syntax import (BUILTIN_ARITY, NAMED_CONSTS, BinOp, Call,  # noqa: F401
 # a ramp clips its argument first, so none overflows it; 2z - 1 and 2 - 2z
 # are exact on [1/2, 1], so the bits are those of clipping them to [0, 1].
 # Each `_into` form runs the same ufuncs in the same order, into `out`.
+# A scalar (a midpoint's) is clipped by comparisons, with numpy's result
+# bits: a tie gives the bound (so -0.0 against 0.0 gives 0.0), and NaN
+# passes through, as np.maximum and np.minimum give them.
 
 def _clip(v, lo: float, hi: float, out=None):
+    if type(v) is np.float64 and out is None:
+        if v <= lo:
+            return np.float64(lo)
+        return np.float64(hi) if v >= hi else v
     return np.minimum(np.maximum(v, lo, out=out), hi, out=out)
 
 

@@ -22,13 +22,19 @@ which are decided by first-order interval branch and bound:
 
 A box that no test decides is split on its widest axis.  Where a ramp
 (phi, psi, capphi) of that bare variable has a breakpoint strictly inside
-the axis, the split is at the breakpoint nearest the midpoint, else at the
-midpoint: the maxima of the paper's nonlinearities sit on such kinks, and
-once a box lies in one closed piece of the ramp its slope there is
-definite, so monotonicity can cut the box to the face on the kink.  Both
-halves of such a split then often collapse onto the same face; a face (or
-point) whose whole subtree was certified is remembered and not decided
-again, and `boxes_explored` counts decided boxes only.
+the axis, the split is at the breakpoint nearest the midpoint: the maxima
+of the paper's nonlinearities sit on such kinks, and once a box lies in one
+closed piece of the ramp its slope there is definite, so monotonicity can
+cut the box to the face on the kink.  Both halves of such a split then
+often collapse onto the same face; a face (or point) whose whole subtree
+was certified is remembered and not decided again, and `boxes_explored`
+counts decided boxes only.  Otherwise, given a guide (the oracle lattice's
+point g of the extremum the relation bounds, and the lattice spacing h),
+an axis on which g and at least one of g - h and g + h lie strictly inside
+is cut at those of g - h and g + h that do, into two or three children:
+the lattice cell that holds the sampled extremum is cut out at once
+instead of halved toward (incumbent-guided subdivision).  Every other
+split is at the midpoint.
 
 A box whose enclosure leaves an operation's domain (a divisor enclosure
 containing 0, say) is simply not certified and gets split; a gradient
@@ -39,9 +45,12 @@ oracle lattice point (the first failing one in row-major order).
 
 A plain-arithmetic grid oracle (dense lattice extrema) runs alongside as an
 independent cross-check; it can never certify, only agree or disagree.
-`check_theorem` evaluates one oracle lattice per condition and canonicalizes
-each Fail witness to the lattice's first violating point in row-major order,
-so reports are deterministic regardless of exploration order.
+`check_theorem` evaluates one oracle lattice per condition, before branch
+and bound, whose splits it guides (`oracle_guide`): a guide only chooses
+where boxes are cut, so it changes box counts, never what a Pass proves.
+It canonicalizes each Fail witness to the lattice's first violating point
+in row-major order, so reports are deterministic regardless of exploration
+order.
 """
 
 from __future__ import annotations
@@ -70,6 +79,9 @@ DEFAULT_DEPTH = 40
 DEFAULT_ORACLE_N = 201
 
 Relation = str  # "<" | "<=" | ">" | ">="
+# ((g1, h1), (g2, h2)): per axis, the coordinate of a point to cut out
+# first and the lattice spacing around it
+Guide = tuple[tuple[float, float], tuple[float, float]]
 
 
 @dataclass(frozen=True)
@@ -105,11 +117,22 @@ def _extremal_end(d: tuple[float, float], lo: float, hi: float,
     return None
 
 
-def _split_point(lo: float, hi: float, mid: float, breaks: tuple[float, ...]) -> float:
-    """Where to split [lo, hi]: the ramp breakpoint strictly inside it that
-    is nearest the midpoint (the lower one on a tie), else the midpoint."""
+def _cuts(lo: float, hi: float, mid: float, breaks: tuple[float, ...],
+          guide: tuple[float, float] | None) -> tuple[float, ...]:
+    """Where to split [lo, hi]: at the ramp breakpoint strictly inside it
+    that is nearest the midpoint (the lower one on a tie); else, when the
+    guide coordinate g of guide = (g, h) is strictly inside, at whichever of
+    g - h and g + h are strictly inside too, cutting out the lattice cell
+    around g; else at the midpoint.  The cuts are in increasing order."""
     inside = [b for b in breaks if lo < b < hi]
-    return min(inside, key=lambda b: abs(b - mid)) if inside else mid
+    if inside:
+        return (min(inside, key=lambda b: abs(b - mid)),)
+    if guide is not None and lo < guide[0] < hi:
+        g, h = guide
+        cuts = tuple(c for c in (g - h, g + h) if lo < c < hi)
+        if cuts:
+            return cuts
+    return (mid,)
 
 
 def _slope_term(d1: interval.Pair, d2: interval.Pair, x1: interval.Pair,
@@ -133,7 +156,8 @@ def _mean_value_reach(value: interval.Pair, slope: interval.Pair,
 
 
 def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
-                max_depth: int = DEFAULT_DEPTH) -> CertVerdict:
+                max_depth: int = DEFAULT_DEPTH, *,
+                guide: Guide | None = None) -> CertVerdict:
     """Branch-and-bound verdict for one box inequality.
 
     Each box is decided in a fixed order: its natural enclosure, then its
@@ -145,9 +169,13 @@ def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
     the box.  A box neither decides is split on the widest axis (x1 wins
     ties), at the breakpoint nearest the midpoint among those strictly
     inside the axis of the ramps applied to that bare variable (collected
-    once from the expression), else at the midpoint; the lower half is
-    explored first.  Exploration order is fixed, so the verdict is
-    deterministic for a given budget/depth.  A Fail's witness is the
+    once from the expression).  Failing that, a `guide` ((g1, h1), (g2,
+    h2)) whose coordinate g on the axis lies strictly inside it cuts the
+    axis at whichever of g - h and g + h lie strictly inside too, giving
+    two or three children; else the split is at the midpoint.  Children
+    are explored lowest first.  With guide=None no split is guided.
+    Exploration order is fixed, so the verdict is deterministic for a
+    given budget/depth/guide.  A Fail's witness is the
     midpoint of the first box found violating.  The condition's programs
     are compiled once, which raises EvalError before any box for an
     expression with no enclosure; the depth-first stack then holds each box
@@ -176,6 +204,7 @@ def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
     gradient = gradient_program(q.expr)
     point = float_program(q.expr)
     breaks1, breaks2 = ramp_breakpoints(q.expr)
+    guide1, guide2 = (None, None) if guide is None else guide
     holds, upper = _RELATIONS[q.relation]
     bound = q.bound
     b1, b2 = q.box
@@ -259,14 +288,15 @@ def certify_box(q: BoxIneq, budget: int = DEFAULT_BUDGET,
             # when the wider one is already degenerate
             split1 = lo1 < m1 < hi1
             split2 = lo2 < m2 < hi2
+            # the children are pushed highest first, so the lowest pops first
             if split1 and (hi1 - lo1 >= hi2 - lo2 or not split2):
-                s = _split_point(lo1, hi1, m1, breaks1)
-                stack.append((s, hi1, lo2, hi2, dep + 1))
-                stack.append((lo1, s, lo2, hi2, dep + 1))
+                ends = (lo1, *_cuts(lo1, hi1, m1, breaks1, guide1), hi1)
+                for k in range(len(ends) - 1, 0, -1):
+                    stack.append((ends[k - 1], ends[k], lo2, hi2, dep + 1))
             elif split2:
-                s = _split_point(lo2, hi2, m2, breaks2)
-                stack.append((lo1, hi1, s, hi2, dep + 1))
-                stack.append((lo1, hi1, lo2, s, dep + 1))
+                ends = (lo2, *_cuts(lo2, hi2, m2, breaks2, guide2), hi2)
+                for k in range(len(ends) - 1, 0, -1):
+                    stack.append((lo1, hi1, ends[k - 1], ends[k], dep + 1))
             else:
                 # point box that neither certifies nor violates (rounding slack)
                 unresolved += 1
@@ -324,6 +354,16 @@ def grid_oracle(q: BoxIneq, n: int = DEFAULT_ORACLE_N) -> OracleResult:
         first = point(int(np.argmax(~holds(vals, q.bound))))
     return OracleResult(sup=sup, inf=inf, argmax=(x1, x2), argmin=(y1, y2),
                         n=n, first_violation=first)
+
+
+def oracle_guide(q: BoxIneq, oracle: OracleResult) -> Guide:
+    """The lattice point of the extremum q's relation bounds (the argmax
+    for < and <=, the argmin for > and >=) and the lattice spacing
+    (hi - lo)/(n - 1) on each axis: `certify_box`'s guide."""
+    _, upper = _RELATIONS[q.relation]
+    point = oracle.argmax if upper else oracle.argmin
+    return tuple((g, (b.hi - b.lo) / (oracle.n - 1))
+                 for g, b in zip(point, q.box))
 
 
 def oracle_agrees(q: BoxIneq, verdict: CertVerdict, oracle: OracleResult) -> bool | None:
@@ -492,18 +532,30 @@ def check_theorem(problem, budget: int = DEFAULT_BUDGET,
                   max_depth: int = DEFAULT_DEPTH,
                   oracle_n: int = DEFAULT_ORACLE_N) -> HypothesisReport:
     """Expand, certify and cross-check each condition, and assemble the
-    report.  Each condition is certified first and then sampled on one
-    oracle lattice, whose first violating point (if any) becomes a Fail's
-    witness, and turns an Unknown into a Fail when its plain-float value
+    report.  Each condition is first sampled on one oracle lattice, whose
+    extremum guides branch and bound (`oracle_guide`), and then certified.
+    The lattice's first violating point (if any) becomes a Fail's witness,
+    and turns an Unknown into a Fail when its plain-float value
     re-evaluates as a violation.  Fail dominates Unknown dominates Pass; the
-    promise is populated only on AllPass."""
+    promise is populated only on AllPass.
+
+    Where the lattice raises (an EvalError at a lattice point, or a
+    ConfigError for an oracle_n too large to allocate), the unguided
+    certifier runs first and the lattice's error is raised only if it
+    finishes: an error of branch and bound, a midpoint's domain error say,
+    still takes precedence, as when it ran before the lattice."""
     if oracle_n < 2:
         raise ConfigError(f"oracle_n must be at least 2, got {oracle_n}")
     tid = _theorem(problem)
     results = []
     for q in expand_conditions(problem):
-        verdict = certify_box(q, budget, max_depth)
-        oracle = grid_oracle(q, oracle_n)
+        try:
+            oracle = grid_oracle(q, oracle_n)
+        except (EvalError, ConfigError):
+            certify_box(q, budget, max_depth)
+            raise
+        verdict = certify_box(q, budget, max_depth,
+                              guide=oracle_guide(q, oracle))
         if verdict.status == "Fail" and oracle.first_violation is not None:
             verdict = replace(verdict, witness=oracle.first_violation)
         elif verdict.status == "Unknown" and oracle.first_violation is not None:

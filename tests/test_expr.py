@@ -174,6 +174,22 @@ def test_ramps_saturate_at_the_ends_of_the_float_range():
             assert eval_point(parse_expr(f"{fn}(x1)"), z, 0.0) == float(want)
 
 
+@given(st.floats(), st.sampled_from(((0.5, 1.0), (0.0, 1.0))))
+@example(-0.0, (0.0, 1.0))
+@example(0.5, (0.5, 1.0))
+@example(1.0, (0.0, 1.0))
+@example(math.nan, (0.0, 1.0))
+def test_scalar_clip_gives_numpy_bits(v, bounds):
+    # a midpoint's ramp compares instead of running two ufuncs, with the
+    # same value and sign: a tie gives the bound, and NaN passes through
+    lo, hi = bounds
+    got = expr._clip(np.float64(v), lo, hi)
+    want = np.minimum(np.maximum(np.float64(v), lo), hi)
+    assert type(got) is np.float64
+    assert np.signbit(got) == np.signbit(want)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
 def test_eval_division_by_zero():
     with pytest.raises(EvalError) as err:
         eval_point(parse_expr("1/x1"), 0.0, 0.0)

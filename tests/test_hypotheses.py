@@ -2,13 +2,16 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conecert.conespace import RegionSpec
 from conecert.errors import ConfigError
 from conecert import hypotheses
 from conecert.expr import EvalError, eval_point, gradient_program, parse_expr
 from conecert.hypotheses import (BoxIneq, certify_box, check_theorem,
-                                 expand_conditions, grid_oracle, oracle_agrees)
+                                 expand_conditions, grid_oracle, oracle_agrees,
+                                 oracle_guide)
 from conecert.interval import Interval
 from conecert.kernels import DirichletNeumann, ReactionConvectionDiffusion
 from conecert.solver import ProblemSpec
@@ -286,6 +289,129 @@ def test_certify_budget_counts_decided_boxes_only(amp):
     short = certify_box(q, budget=boxes - 1)
     assert (short.status, short.boxes_explored) == ("Unknown", boxes - 1)
     assert short.note == "box budget exhausted"
+
+
+# ---------------------------------------------------------------------------
+# the oracle's guide: cut out the lattice cell of the extremum first
+
+# verify-tight's seed-1 `tight0` f1: sup 10 - 1.17e-3 at (3.30, 1), where
+# psi's kink x2 = 1 is
+TIGHT0_F1 = ("4.5 + 5*phi(x1)*psi(x2) - 4*capphi(x1) + 0.9232474034613303"
+             "*x1*(6.600773183084301 - x1)/10.892551653631212*cos(x2)")
+
+
+def test_cuts_follow_breakpoints_then_the_guide_then_the_midpoint():
+    cuts = hypotheses._cuts
+    # a breakpoint strictly inside wins over the guide
+    assert cuts(0.0, 5.0, 2.5, (1.0,), (3.0, 0.25)) == (1.0,)
+    # the guide's cell cut out, or its one side that is strictly inside
+    assert cuts(0.0, 5.0, 2.5, (), (3.0, 0.25)) == (2.75, 3.25)
+    assert cuts(0.0, 5.0, 2.5, (), (0.125, 0.25)) == (0.375,)
+    # a guide on the boundary, or whose cell is wider than the axis, or
+    # none at all: the midpoint
+    for guide in ((0.0, 0.25), (5.0, 0.25), (2.5, 2.5), (2.5, 10.0), None):
+        assert cuts(0.0, 5.0, 2.5, (), guide) == (2.5,)
+
+
+def test_guided_split_cuts_the_tight_peak_in_fewer_boxes():
+    q = BoxIneq(parse_expr(TIGHT0_F1), box(0, 5, 0, 5), "<=", 10.0, "thm52.a1")
+    unguided = certify_box(q)
+    assert certify_box(q, guide=None) == unguided
+    assert (unguided.status, unguided.boxes_explored) == ("Pass", 30)
+    guide = oracle_guide(q, grid_oracle(q, 201))
+    assert guide == ((3.3000000000000003, 0.025), (1.0, 0.025))
+    guided = certify_box(q, guide=guide)
+    assert (guided.status, guided.boxes_explored) == ("Pass", 23)
+    # check_theorem runs the lattice first and passes its guide
+    result = check_theorem(replace(nine_problem(), f1=q.expr)).conditions[0]
+    assert result.cond.condition_id == "thm52.a1"
+    assert result.verdict == guided
+
+
+def test_guided_split_explores_three_children_lowest_first(monkeypatch):
+    runs = _recorded_programs(monkeypatch)
+    q = BoxIneq(parse_expr(TIGHT0_F1), box(0, 5, 0, 5), "<=", 10.0, "thm52.a1")
+    (g, h), _ = guide = oracle_guide(q, grid_oracle(q, 201))
+    certify_box(q, guide=guide)
+    # breakpoints still win: the root splits at phi's kink x1 = 1, not at
+    # the guide's cell around x1 = 3.3
+    assert runs["gradient"][:2] == [((0.0, 5.0), (0.0, 5.0)), ((0.0, 1.0), (0.0, 5.0))]
+    # [1, 5] x [1, 5] has no x1 breakpoint inside: the cell [g - h, g + h]
+    # is cut out of it, and its three children are decided lowest first
+    strip = [x1 for x1, x2 in runs["gradient"] if x2 == (1.0, 5.0)]
+    assert strip == [(0.0, 1.0), (1.0, 5.0), (1.0, g - h), (g - h, g + h), (g + h, 5.0)]
+
+
+@pytest.mark.parametrize("guide", [((0.0, 0.025), (0.0, 0.025)),
+                                   ((2.5, 5.0), (2.5, 5.0)),
+                                   ((5.0, 0.025), (2.5, 10.0))],
+                         ids=["corner", "cell-wider-than-box", "edge-and-wide"])
+def test_guide_on_the_boundary_or_wider_than_the_box_changes_nothing(guide):
+    q = BoxIneq(F_PEAK, box(0, 5, 0, 5), "<", 6.26, "demo.peak")
+    assert certify_box(q, guide=guide) == certify_box(q)
+
+
+@pytest.mark.parametrize("relation, extremum", [("<", "argmax"), ("<=", "argmax"),
+                                                (">", "argmin"), (">=", "argmin")])
+def test_guide_is_the_extremum_the_relation_bounds(relation, extremum):
+    q = BoxIneq(F_PEAK, box(0, 5, 0, 4), relation, 0.0, "g")
+    oracle = grid_oracle(q, 81)
+    assert oracle.argmax == (2.5, 0.0) and oracle.argmin == (2.5, 3.1500000000000004)
+    (g1, h1), (g2, h2) = oracle_guide(q, oracle)
+    assert ((g1, g2), (h1, h2)) == (getattr(oracle, extremum), (0.0625, 0.05))
+
+
+def test_check_theorem_guides_lower_bounds_by_the_argmin(monkeypatch):
+    guides = {}
+    certify = hypotheses.certify_box
+
+    def record(q, *args, guide=None):
+        guides[q.condition_id] = guide
+        return certify(q, *args, guide=guide)
+
+    monkeypatch.setattr(hypotheses, "certify_box", record)
+    problem = nine_problem()
+    report = check_theorem(problem, oracle_n=11)
+    for r in report.conditions:
+        point = r.oracle.argmin if r.cond.relation in (">", ">=") else r.oracle.argmax
+        (g1, _), (g2, _) = guides[r.cond.condition_id]
+        assert (g1, g2) == point
+
+
+def test_two_point_oracle_guides_nothing():
+    # a 2-point lattice is the box's corners, so its guide is on the boundary
+    problem = replace(nine_problem(), f1=parse_expr(TIGHT0_F1))
+    for r in check_theorem(problem, oracle_n=2).conditions:
+        assert r.verdict == certify_box(r.cond)
+
+
+_PEAKS = {
+    "bump": "{a!r}*x1*({p1!r}*2 - x1)/{p1!r}^2*cos(x2 - {p2!r})",
+    "quadratic": "{a!r} - (x1 - {p1!r})^2 - 0.5*(x2 - {p2!r})^2",
+    "gaussian": "{a!r}*exp(-((x1 - {p1!r})^2 + 2*(x2 - {p2!r})^2))",
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(_PEAKS)),
+       p1=st.floats(2.5, 4.5), p2=st.floats(0.25, 4.75),
+       a=st.floats(1.0, 5.0), margin=st.floats(1e-3, 1e-1),
+       holds=st.booleans(), lower=st.booleans(),
+       relation=st.sampled_from(("strict", "plain")),
+       n=st.sampled_from((2, 5, 33, 201)))
+def test_guided_and_unguided_verdicts_agree_on_random_peaks(
+        kind, p1, p2, a, margin, holds, lower, relation, n):
+    # sup f = a at (p1, p2); a lower bound takes -f, whose inf is -a there
+    src = _PEAKS[kind].format(a=a, p1=p1, p2=p2)
+    bound = a + (margin if holds else -margin)
+    if lower:
+        src, bound = f"-({src})", -bound
+    rel = {(False, "strict"): "<", (False, "plain"): "<=",
+           (True, "strict"): ">", (True, "plain"): ">="}[lower, relation]
+    q = BoxIneq(parse_expr(src), box(0, 5, 0, 5), rel, bound, "peak")
+    unguided = certify_box(q)
+    guided = certify_box(q, guide=oracle_guide(q, grid_oracle(q, n)))
+    assert guided.status == unguided.status == ("Pass" if holds else "Fail")
 
 
 # ---------------------------------------------------------------------------
