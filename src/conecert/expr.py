@@ -7,28 +7,32 @@ and 1; negative arguments are clamped to 0 (operators only ever feed
 nonnegative functions, but quadrature round-off may produce -eps).
 
 Evaluation compiles each tree once into nested closures, one per node, over
-one of two arithmetic tables: np.float64 scalars and arrays (pointwise, and
-vectorised for the solver and the grid oracle), or gradient triples of
-outward-rounded endpoint pairs (with the kernels of `interval`: a rigorous
-range enclosure and both partial derivative enclosures, for first-order
-branch and bound; run with exactly zero derivative seeds, the range
-enclosure alone).  Each table supplies every operation: constant lifting,
-the named constants, the operators and the builtins.  The float table is
-`operator` and numpy ufuncs run with numpy's overflow, divide and invalid
-flags raising FloatingPointError (underflow is silent), so from finite
-operands it makes a finite value or raises; a literal that overflows to inf
-is a ParseError.  Those flags have one definition, `float_flags`: the public
-wrappers `eval_point` and `eval_values` enter it per call, while the solver
-and branch and bound enter it once per batch and run the compiled
-`float_program` directly.  The gradient table raises DomainError.  The
-closure of the node whose operation raised turns either into an EvalError
-at its source offset.  Compiled programs are cached by node identity, not
-by equality (equal trees may carry different offsets), so the hundreds of
-evaluations of one expression in a solve or a branch and bound compile it
-once.  `eval_values` also hands the float program an arena: one block per
-call, with a slot for each value in both variables that is live at once,
-which the nodes in both variables write into with their ufuncs' `out=`
-(`_compile` numbers the slots), so a lattice allocates no temporary per node.
+one of three arithmetic tables: np.float64 scalars and arrays (pointwise,
+and vectorised for the solver and the grid oracle); dual triples of them,
+a value and its two partial derivatives at each point (for the solver's
+Newton step); or gradient triples of outward-rounded endpoint pairs (with
+the kernels of `interval`: a rigorous range enclosure and both partial
+derivative enclosures, for first-order branch and bound; run with exactly
+zero derivative seeds, the range enclosure alone).  Each table supplies
+every operation: constant lifting, the named constants, the operators and
+the builtins.  The float table is `operator` and numpy ufuncs run with
+numpy's overflow, divide and invalid flags raising FloatingPointError
+(underflow is silent), so from finite operands it makes a finite value or
+raises; a literal that overflows to inf is a ParseError.  The dual table
+computes its values with the float table's ops and its derivatives with
+numpy ufuncs, under the same flags.  Those flags have one definition,
+`float_flags`: the public wrappers `eval_point` and `eval_values` enter it
+per call, while the solver and branch and bound enter it once per batch
+and run the compiled `float_program` or `dual_program` directly.  The
+gradient table raises DomainError.  The closure of the node whose
+operation raised turns either into an EvalError at its source offset.
+Compiled programs are cached by node identity, not by equality (equal trees
+may carry different offsets), so the hundreds of evaluations of one
+expression in a solve or a branch and bound compile it once.  `eval_values`
+also hands the float program an arena: one block per call, with a slot for
+each value in both variables that is live at once, which the nodes in both
+variables write into with their ufuncs' `out=` (`_compile` numbers the
+slots), so a lattice allocates no temporary per node.
 
 The ramps are monotone (phi and psi nondecreasing, capphi nonincreasing) and
 exact in float arithmetic (2z - 1 and 2 - 2z by Sterbenz's lemma on
@@ -62,7 +66,7 @@ from .syntax import (BUILTIN_ARITY, NAMED_CONSTS, BinOp, Call,  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
-# evaluation: one compiler over two arithmetic tables
+# evaluation: one compiler over three arithmetic tables
 
 # a ramp clips its argument first, so none overflows it; 2z - 1 and 2 - 2z
 # are exact on [1/2, 1], so the bits are those of clipping them to [0, 1].
@@ -298,6 +302,151 @@ _GRADIENTS = _Table(
          "capphi": _g_ramp("capphi"),
          "min": _g_minmax(iv.minimum, True), "max": _g_minmax(iv.maximum, False)},
     natural_exponent=True)
+
+# The dual table: each value is (v, d1, d2), f and its partial derivatives in
+# x1 and x2 at a point (forward-mode differentiation of the program; Griewank
+# & Walther 2008), over np.float64 scalars and arrays.  v comes from the
+# float table's own op, so it has `float_program`'s bits, and the derivative
+# rules are the gradient table's on points.  At a kink each builtin takes its
+# right-hand slope: a ramp on a breakpoint the slope of the piece to its
+# right, abs at 0 the slope 1, and min and max at a tie the min and the max
+# of the operands' derivatives.  A derivative that is exactly 0.0 (of a
+# constant or of a term in the other variable) or 1.0 (of a bare variable)
+# stays a Python float, so it costs no array operation; every other
+# derivative runs through numpy ufuncs, which raise under `float_flags`.
+
+_VALUE = _FLOATS.ops
+
+
+def _zero(d) -> bool:
+    return type(d) is float and d == 0.0
+
+
+def _plus(a, b):
+    if _zero(a):
+        return b
+    return a if _zero(b) else np.add(a, b)
+
+
+def _minus(a, b):
+    if _zero(b):
+        return a
+    return np.negative(b) if _zero(a) else np.subtract(a, b)
+
+
+def _times(s, d):
+    # the factor s is a value or a slope, never a Python float
+    if _zero(d):
+        return 0.0
+    return s if type(d) is float else np.multiply(s, d)
+
+
+def _dual_chain(name: str, slope):
+    """The dual rule of the float table's unary op `name`, whose derivative
+    at u is slope(u, value).  Where both derivatives of u are exactly zero,
+    slope is not run."""
+    fn = _VALUE[name]
+
+    def run(x):
+        u = x[0]
+        value = fn(u)
+        if _zero(x[1]) and _zero(x[2]):
+            return value, 0.0, 0.0
+        s = slope(u, value)
+        return value, _times(s, x[1]), _times(s, x[2])
+    return run
+
+
+def _dual_ramp(name: str):
+    # the slope of the piece to the right of u: s on [lo, hi), 0 elsewhere
+    lo, hi, s = _RAMPS[name]
+    return _dual_chain(name,
+                       lambda u, _: np.where((u >= lo) & (u < hi), s, 0.0))
+
+
+def _dual_add(x, y):
+    return _VALUE["+"](x[0], y[0]), _plus(x[1], y[1]), _plus(x[2], y[2])
+
+
+def _dual_sub(x, y):
+    return _VALUE["-"](x[0], y[0]), _minus(x[1], y[1]), _minus(x[2], y[2])
+
+
+def _dual_neg(x):
+    return _VALUE["neg"](x[0]), _minus(0.0, x[1]), _minus(0.0, x[2])
+
+
+def _dual_mul(x, y):
+    u, w = x[0], y[0]
+    return (_VALUE["*"](u, w), _plus(_times(w, x[1]), _times(u, y[1])),
+            _plus(_times(w, x[2]), _times(u, y[2])))
+
+
+def _dual_div(x, y):
+    # (u/w)' = (u' - (u/w) w') / w, as in the gradient table
+    w = y[0]
+    q = _VALUE["/"](x[0], w)
+    d1 = _minus(x[1], _times(q, y[1]))
+    d2 = _minus(x[2], _times(q, y[2]))
+    return (q, 0.0 if _zero(d1) else np.divide(d1, w),
+            0.0 if _zero(d2) else np.divide(d2, w))
+
+
+def _dual_pow(x, y):
+    # (u^w)' = w u^(w-1) u' + u^w ln(u) w', each term only where its u' or
+    # w' is not exactly zero; with a constant exponent 0, u^0 is constant
+    u, w = x[0], y[0]
+    value = _VALUE["^"](u, w)
+    constant_exponent = _zero(y[1]) and _zero(y[2])
+    d1 = d2 = 0.0
+    if constant_exponent and w == 0.0:
+        return value, d1, d2
+    if not (_zero(x[1]) and _zero(x[2])):
+        s = w * np.power(u, w - 1.0)
+        d1, d2 = _times(s, x[1]), _times(s, x[2])
+    if not constant_exponent:
+        t = np.multiply(value, np.log(u))
+        d1, d2 = _plus(d1, _times(t, y[1])), _plus(d2, _times(t, y[2]))
+    return value, d1, d2
+
+
+def _dual_minmax(name: str, strictly):
+    """The dual rule of min (strictly = np.less) or max (np.greater): the
+    derivative of the operand that is strictly the result, and at a tie
+    the min or the max of both operands' derivatives."""
+    fn = _VALUE[name]
+
+    def run(x, y):
+        u, w = x[0], y[0]
+        value = fn(u, w)
+        first, tie = strictly(u, w), u == w
+        tied = tie.any()
+        out = [value]
+        for a, b in ((x[1], y[1]), (x[2], y[2])):
+            if _zero(a) and _zero(b):
+                out.append(0.0)
+                continue
+            d = np.where(first, a, b)
+            out.append(np.where(tie, fn(a, b), d) if tied else d)
+        return tuple(out)
+    return run
+
+
+_DUALS = _Table(
+    const=lambda v: (np.float64(v), 0.0, 0.0),
+    named={name: (v, 0.0, 0.0) for name, v in _FLOATS.named.items()},
+    ops={"+": _dual_add, "-": _dual_sub, "*": _dual_mul, "/": _dual_div,
+         "^": _dual_pow, "neg": _dual_neg,
+         "exp": _dual_chain("exp", lambda _, value: value),
+         "cos": _dual_chain("cos", lambda u, _: np.negative(np.sin(u))),
+         "sin": _dual_chain("sin", lambda u, _: np.cos(u)),
+         "ln": _dual_chain("ln", lambda u, _: np.divide(1.0, u)),
+         "abs": _dual_chain("abs", lambda u, _: np.where(u >= 0.0, 1.0, -1.0)),
+         "phi": _dual_ramp("phi"), "psi": _dual_ramp("psi"),
+         "capphi": _dual_ramp("capphi"),
+         "min": _dual_minmax("min", np.less),
+         "max": _dual_minmax("max", np.greater)},
+    natural_exponent=False)
 
 
 def _natural_exponent(node: BinOp) -> int:
@@ -535,6 +684,22 @@ def interval_program(e: ExprAst):
 
     def run(x1, x2):
         return program((x1, _ZERO, _ZERO), (x2, _ZERO, _ZERO))[0]
+    return run
+
+
+def dual_program(e: ExprAst):
+    """The compiled derivative program ``(x1, x2) -> (v, d1, d2)`` of e over
+    np.float64 scalars and arrays: v is `float_program(e)`'s value, bit for
+    bit, and d1, d2 are its partial derivatives in x1 and x2 by the chain
+    rule, with each builtin's right-hand slope at its kinks.  Each
+    derivative broadcasts with the arguments but may have fewer elements,
+    or be the Python float 0.0 or 1.0.  Inside
+    `float_flags()` it returns finite values or raises the EvalError of its
+    first failing operation."""
+    program = _program(e, _DUALS)[0]
+
+    def run(x1, x2):
+        return program((x1, 1.0, 0.0), (x2, 0.0, 1.0))
     return run
 
 

@@ -12,25 +12,25 @@ ends the seed, so a diverging seed stops at its first failed search.  An
 EvalError of f (a float operation that overflows, divides by zero or is
 invalid) ends only the seed whose state made it; at a trial step of the
 line search it rejects that trial.  Only `apply` names the failing grid node.
-f1 and f2 are compiled once per operator, and each batched evaluation runs
-their programs in one scope of the float table's flags (expr.float_flags).
-That scope covers the program runs only: the lanes' own arithmetic (a
-forward difference, a trial step) overflows to inf without raising, and the
-finiteness tests end the seed.
-The nonlinearities' derivatives are forward finite differences at the nodes
-(the piecewise ramps are non-smooth at their breakpoints, so no AST
-differentiation).  Both
-kernels are semiseparable, so no n x n matrix is ever formed.  The operator
-is applied from the kernels' generators (kernels.generators) with two prefix
-sums along the node axis, in O(n).  The Newton step solves the linearized
-system in its integral form, delta = r + K Df delta, by one backward march
-of the same generators' partial sums (Keller 1968), closed by one 2x2 solve
-per seed and run as a two-level scan over chunks of about sqrt(n / 3)
-nodes, in O(n).  It multiplies nothing through by an inverse kernel matrix,
-so Df keeps its weight at every RCD beta; where f decreases steeply, the
-chunks are shot one by one (Conte 1966), so only one chunk's growth costs
-precision.  A singular or non-finite system gives a non-finite step, which
-ends the seed.
+f1 and f2 are compiled once per operator, into float programs for their
+values and dual programs (expr.dual_program) for their exact partial
+derivatives at the nodes, which take the right-hand slope at a kink of a
+ramp, abs, min or max.  Each batched evaluation runs the programs in one
+scope of the float table's flags (expr.float_flags), so a value or a
+derivative that overflows raises EvalError.  That scope covers the program
+runs only: the lanes' own arithmetic (a trial step, the Newton step's
+march) overflows to inf without raising, and the finiteness tests end the
+seed.  Both kernels are semiseparable, so no n x n matrix is ever formed.
+The operator is applied from the kernels' generators (kernels.generators)
+with two prefix sums along the node axis, in O(n).  The Newton step solves
+the linearized system in its integral form, delta = r + K Df delta, by one
+backward march of the same generators' partial sums (Keller 1968), closed
+by one 2x2 solve per seed and run as a two-level scan over chunks of about
+sqrt(n / 3) nodes, in O(n).  It multiplies nothing through by an inverse
+kernel matrix, so Df keeps its weight at every RCD beta; where f decreases
+steeply, the chunks are shot one by one (Conte 1966), so only one chunk's
+growth costs precision.  A singular or non-finite system gives a
+non-finite step, which ends the seed.
 
 Seeds are constant-level profiles keyed to the region thresholds, so each of
 the localization regions the theorems promise has a starter inside it.
@@ -60,7 +60,8 @@ import numpy as np
 from .conespace import (MODES, GridFunction, ProblemSpec,  # noqa: F401
                         RegionLabel, classify, window_node)
 from .errors import ConfigError, EvalError
-from .expr import eval_values, first_failure, float_flags, float_program
+from .expr import (dual_program, eval_values, first_failure, float_flags,
+                   float_program)
 from .kernels import (DirichletNeumann, KernelKind, QuadratureRule,
                       generator_blocks, generators, make_rule, same_rule)
 # only for benchmarks/spans.py, which patches it (AttributeError if absent)
@@ -71,9 +72,6 @@ log = logging.getLogger(__name__)
 # iterates whose sup norm exceeds this multiple of the ambient bound are
 # treated as spurious far-field points and dropped as non-converged
 FAR_FIELD_FACTOR = 10.0
-
-# forward-difference step of the Newton Jacobian
-FD_STEP = 1e-7
 
 MAX_NEWTON = 25  # Newton steps per seed after its Picard phase
 # a Newton step v - t*delta is tried at t = 1, 1/2, ..., 2^-MAX_HALVINGS and
@@ -106,8 +104,8 @@ class Solution:
 
 class DiscreteOperator:
     """Semiseparable kernel generators (weights folded in), stacked (2, n)
-    over the two components, plus the two nonlinearities' float programs,
-    compiled once."""
+    over the two components, plus the two nonlinearities' float and dual
+    programs, compiled once."""
 
     def __init__(self, problem: ProblemSpec, rule: QuadratureRule):
         self.problem = problem
@@ -129,6 +127,7 @@ class DiscreteOperator:
         self.link = np.ones((2, rule.n))
         self.link[:, starts[1:]] = link
         self.programs = (float_program(problem.f1), float_program(problem.f2))
+        self.duals = (dual_program(problem.f1), dual_program(problem.f2))
 
     def _locate(self, v1: np.ndarray, v2: np.ndarray):
         """Raise the EvalError of the first of f1, f2 that fails at v, with
@@ -145,8 +144,9 @@ class DiscreteOperator:
     def nonlinearity(self, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
         """(f1, f2) at the nodes of v, written into one (..., 2, n) array by
         both programs in one `float_flags()` scope; the one place that runs
-        f's programs.  An EvalError names no grid node: `apply` names it
-        when it evaluates f itself, and the solver's lanes discard it."""
+        f's float programs (`jacobian` runs its dual programs).  An
+        EvalError names no grid node: `apply` names it when it evaluates f
+        itself, and the solver's lanes discard it."""
         v1 = np.asarray(v1, dtype=float)
         v2 = np.asarray(v2, dtype=float)
         shape = np.broadcast(v1, v2).shape
@@ -193,26 +193,28 @@ class DiscreteOperator:
         return np.max(np.abs(v - self.apply(v[..., 0, :], v[..., 1, :])),
                       axis=(-2, -1))
 
-    def jacobian(self, v1, v2, f: np.ndarray) -> tuple[np.ndarray, ...]:
+    def jacobian(self, v1, v2) -> np.ndarray:
         """Nodal derivatives (d11, d12, d21, d22) of (f1, f2) at v, where
-        dij = df_i/dx_j, by forward differences from the base values
-        f = `nonlinearity(v1, v2)`, and the columns j = 1, 2 from
-        `nonlinearity` at v + h e_j.  A difference that overflows follows
-        the caller's flags (the solver's lanes make it inf, and the Newton
-        step ends that seed).  An EvalError names no grid node: the one
-        caller, newton_step in the solver's lanes, discards it."""
-        h = FD_STEP
-        up1 = self.nonlinearity(v1 + h, v2) - f
-        up2 = self.nonlinearity(v1, v2 + h) - f
-        return (up1[..., 0, :] / h, up2[..., 0, :] / h,
-                up1[..., 1, :] / h, up2[..., 1, :] / h)
+        dij = df_i/dx_j, as the rows of one (4, ...) array, each of v's
+        shape: the derivatives of both dual programs (expr.dual_program),
+        run in one `float_flags()` scope, with each builtin's right-hand
+        slope at its kinks.  A derivative that overflows raises EvalError,
+        which names no grid node: the one caller, newton_step in the
+        solver's lanes, discards it."""
+        v1 = np.asarray(v1, dtype=float)
+        v2 = np.asarray(v2, dtype=float)
+        out = np.empty((4, *np.broadcast(v1, v2).shape))
+        dual1, dual2 = self.duals
+        with float_flags():
+            _, out[0], out[1] = dual1(v1, v2)
+            _, out[2], out[3] = dual2(v1, v2)
+        return out
 
     @np.errstate(all="ignore")
-    def newton_step(self, v: np.ndarray, r: np.ndarray,
-                    f: np.ndarray) -> np.ndarray:
+    def newton_step(self, v: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Solve J delta = r for the Jacobian J = I - K Df of F(v) = v - T(v),
-        with v, r, delta and f = `nonlinearity(v[..., 0, :], v[..., 1, :])`
-        stacked (..., 2, n); each leading index is its own system.
+        with v, r and delta stacked (..., 2, n); each leading index is its
+        own system.
 
         K = diag(K1, K2) with K_j = G_j W, and Df is the 2x2 block of nodal
         derivative diagonals.  In the integral form delta = r + K g, with
@@ -237,8 +239,8 @@ class DiscreteOperator:
         # step k of chunk j is node j * width + k (_by_step)
         width = math.isqrt(n // 3) + 1
         b, c, d = self.gen
-        derivatives = np.array([x.reshape(lanes, n) for x in self.jacobian(
-            v[..., 0, :], v[..., 1, :], f)]).reshape(2, 2, lanes, n)
+        derivatives = np.asarray(self.jacobian(v[..., 0, :], v[..., 1, :])
+                                 ).reshape(2, 2, lanes, n)
         # e[k, row, col]: the change of y[row] per unit of delta[col]; it
         # and rhs are 0 past n, where each step is the identity
         e = (_by_step(np.array((-b, self.link * d)), width)[:, :, :, None, None]
@@ -362,7 +364,7 @@ def solve_from(problem: ProblemSpec, seed1: GridFunction, seed2: GridFunction,
                seed_id: str = "seed") -> Solution | None:
     """Picard from one seed pair: the seed, then at most `picard_steps` - 1
     damped steps, each evaluated; then at most MAX_NEWTON Newton steps from
-    the last evaluated iterate, reusing its f and T(v).  Each Newton step
+    the last evaluated iterate, reusing its T(v).  Each Newton step
     v - t*delta takes the first t = 1, 1/2, ..., 2^-MAX_HALVINGS whose
     residual is below (1 - ARMIJO*t) times the current one, and the seed
     ends when none is, as it does at a Picard iterate whose residual is
@@ -424,72 +426,71 @@ def _solve_lanes(problem: ProblemSpec, op: DiscreteOperator, seeds: np.ndarray,
         return op.nonlinearity(v[:, 0], v[:, 1])
 
     def evaluate(lane, v):
-        """Each lane's residual, f and T(v), each lane counted as one
+        """Each lane's residual and T(v), each lane counted as one
         iteration, and whether the residual is finite: it is not where f
         fails to evaluate (a NaN f), where T(v) is non-finite, or where v
         itself overflowed in a damped or trial step."""
         iterations[lane] += 1
-        f = lanewise(nonlinearity, lane, v)
-        tv = op.apply(v[:, 0], v[:, 1], f)
+        tv = op.apply(v[:, 0], v[:, 1], lanewise(nonlinearity, lane, v))
         res = np.max(np.abs(v - tv), axis=(1, 2))
-        return np.isfinite(res), res, f, tv
+        return np.isfinite(res), res, tv
 
     def line_search(lane, res, v, step):
         """The lanes with a trial v - t*step, t = 1, 1/2, ...,
         2^-MAX_HALVINGS, whose residual is below (1 - ARMIJO*t) * res, each
-        with its first such trial and that trial's residual, f and T(v).
+        with its first such trial and that trial's residual and T(v).
         The lanes still pending at a t are evaluated in one batch; a trial
         whose residual is non-finite is rejected."""
         found = np.zeros(len(lane), dtype=bool)
         new_res = np.empty_like(res)
-        new_v, new_f, new_tv = (np.empty_like(v) for _ in range(3))
+        new_v, new_tv = np.empty_like(v), np.empty_like(v)
         pending = np.arange(len(lane))
         for halving in range(MAX_HALVINGS + 1):
             if not pending.size:
                 break
             t = 0.5 ** halving
             trial = v[pending] - t * step[pending]
-            ok, trial_res, f, tv = evaluate(lane[pending], trial)
+            ok, trial_res, tv = evaluate(lane[pending], trial)
             ok &= trial_res < (1.0 - ARMIJO * t) * res[pending]
             at = pending[ok]
             found[at] = True
             new_res[at], new_v[at] = trial_res[ok], trial[ok]
-            new_f[at], new_tv[at] = f[ok], tv[ok]
+            new_tv[at] = tv[ok]
             pending = pending[~ok]
-        return _keep(found, lane, new_res, new_v, new_f, new_tv)
+        return _keep(found, lane, new_res, new_v, new_tv)
 
     # each settled lane's state, NaN for a lane that never settles (a
     # settled v is finite, since its residual is)
     final = np.full_like(seeds, np.nan)
 
-    def settle(lane, res, v, f, tv):
+    def settle(lane, res, v, tv):
         """Record in `final` each lane at newton_tol; the rest run on."""
         at = res <= tol
         final[lane[at]] = v[at]
-        return _keep(~at, lane, res, v, f, tv)
+        return _keep(~at, lane, res, v, tv)
 
     # Picard: the seed, then damped steps.  A lane whose residual is
     # non-finite ends there; the rest take their last evaluated iterate,
-    # with its f and T(v), into Newton.
+    # with its T(v), into Newton.
     lane, v = np.arange(len(seeds)), seeds
     for k in range(max(params.picard_steps, 1)):
         if not lane.size:
             break
         if k:
             v = (1.0 - lam) * v + lam * tv
-        ok, res, f, tv = evaluate(lane, v)
-        lane, res, v, f, tv = settle(*_keep(ok, lane, res, v, f, tv))
+        ok, res, tv = evaluate(lane, v)
+        lane, res, v, tv = settle(*_keep(ok, lane, res, v, tv))
 
     # Newton, each step cut back by the line search
     for _ in range(MAX_NEWTON):
         if not lane.size:
             break
-        step = lanewise(op.newton_step, lane, v, v - tv, f)
+        step = lanewise(op.newton_step, lane, v, v - tv)
         finite = np.isfinite(step).all(axis=(1, 2))
         for s in lane[~finite].tolist():
             log.info("seed %s: Newton step not finite", seed_ids[s])
         lane, res, v, step = _keep(finite, lane, res, v, step)
-        lane, res, v, f, tv = settle(*line_search(lane, res, v, step))
+        lane, res, v, tv = settle(*line_search(lane, res, v, step))
 
     solutions: list[Solution | None] = [None] * len(seeds)
     lane = np.flatnonzero(~np.isnan(final[:, 0, 0]))

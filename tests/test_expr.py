@@ -711,3 +711,160 @@ def test_broadcast_lattice_is_the_full_lattice_bit_for_bit(src, b1, b2):
     assert np.array_equal(full.view(np.int64), broadcast.view(np.int64)), src
     probe = grid_oracle(BoxIneq(tree, (Interval(*b1), Interval(*b2)), "<=", 0.0, "p"))
     assert (probe.sup, probe.inf) == (full.max(), full.min())
+
+
+# ---------------------------------------------------------------------------
+# dual programs
+
+# random trees over every operator and builtin, with constant natural
+# exponents only, so that the gradient table compiles each of them too
+_VARIABLES = st.builds(Var, st.sampled_from(["x1", "x2"]))
+_MODERATE_LEAVES = (_VARIABLES | _VARIABLES
+                    | st.builds(NamedConst, st.sampled_from(["pi", "e"]))
+                    | st.builds(Const, st.floats(-4.0, 4.0)))
+
+
+def _extend_natural(children):
+    return (st.builds(Neg, children)
+            | st.builds(BinOp, st.sampled_from(["+", "-", "*", "/"]),
+                        children, children)
+            | st.builds(BinOp, st.just("^"), children,
+                        st.builds(Const, st.integers(0, 3).map(float)))
+            | st.builds(Call, st.sampled_from(["exp", "cos", "sin", "ln", "abs",
+                                               "phi", "psi", "capphi"]),
+                        st.tuples(children))
+            | st.builds(Call, st.sampled_from(["min", "max"]),
+                        st.tuples(children, children)))
+
+
+_NATURAL_TREES = st.recursive(_MODERATE_LEAVES, _extend_natural, max_leaves=10)
+_ALL_BUILTINS = parse_expr(
+    "exp(x1)*cos(x2) - sin(x1*x2)/ln(2 + x2^2) + abs(x1 - x2)*phi(x1)"
+    " + psi(x2)^3*capphi(x1/2) - min(x1, x2) + max(x1, 2*x2)^0 + -pi/e")
+
+
+def _on_a_ramp_kink(node, x1, x2) -> bool:
+    """Whether the enclosure of a ramp's argument on the point box reaches
+    one of its breakpoints.  There the gradient table takes the slope of
+    the piece on the enclosure's side (`_kink_slope`: the left piece's on a
+    breakpoint itself) and the dual table the right piece's.  abs, min and
+    max need no such test: where the enclosures reach their kink, the
+    gradient table takes the hull of both slopes."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Call):
+            if node.fn in expr._RAMPS:
+                lo, hi = interval_program(node.args[0])((x1, x1), (x2, x2))
+                if any(lo <= b <= hi for b in expr._RAMPS[node.fn][:2]):
+                    return True
+            stack.extend(node.args)
+        elif isinstance(node, Neg):
+            stack.append(node.operand)
+        elif isinstance(node, BinOp):
+            stack += (node.left, node.right)
+    return False
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=600, deadline=None)
+@given(_NATURAL_TREES, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+@example(_ALL_BUILTINS, 0.7, 1.3)
+@example(_ALL_BUILTINS, 1.6, 0.2)
+def test_dual_derivatives_lie_in_the_gradient_enclosure(tree, x1, x2):
+    # off every ramp kink, each derivative of the dual program lies in the
+    # gradient program's enclosure on the point box, and its value has the
+    # float program's bits; an array run gives each point's bits
+    a1, a2 = np.float64(x1), np.float64(x2)
+    with float_flags():
+        try:
+            want = float_program(tree)(a1, a2)
+        except EvalError:
+            want = None
+        try:
+            value, d1, d2 = expr.dual_program(tree)(a1, a2)
+        except EvalError:
+            return  # where the value fails, or a derivative alone
+        assert want is not None, tree
+        assert np.asarray(value).tobytes() == np.asarray(want).tobytes(), tree
+        points = expr.dual_program(tree)(np.array([a1, a1]), np.array([a2, a2]))
+    for got, single in zip(points, (value, d1, d2)):
+        assert np.array_equal(np.broadcast_to(got, (2,)).view(np.int64),
+                              np.broadcast_to(single, (2,)).view(np.int64)), tree
+    try:
+        _, g1, g2 = gradient_program(tree)((x1, x1), (x2, x2))
+    except EvalError:
+        return
+    # each argument enclosure exists where the gradient program's does
+    if _on_a_ramp_kink(tree, x1, x2):
+        return
+    for d, g in ((d1, g1), (d2, g2)):
+        assert g[0] <= float(d) <= g[1], (tree, x1, x2, d, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["x1^1.5", "(1 + x1 + x2^2)^(-0.7)", "x2^x1",
+                        "(2 + sin(x1))^(x2/3)", "2^(x1*x2) + x1^pi"]),
+       st.floats(0.2, 3.0), st.floats(0.2, 3.0))
+def test_dual_derivatives_of_a_non_natural_power(src, x1, x2):
+    # the gradient table takes natural exponents only: against a central
+    # difference instead
+    tree = parse_expr(src)
+    _, d1, d2 = expr.dual_program(tree)(np.float64(x1), np.float64(x2))
+    h = 1e-6
+    s1 = (eval_point(tree, x1 + h, x2) - eval_point(tree, x1 - h, x2)) / (2 * h)
+    s2 = (eval_point(tree, x1, x2 + h) - eval_point(tree, x1, x2 - h)) / (2 * h)
+    assert float(d1) == pytest.approx(s1, rel=1e-6, abs=1e-8), src
+    assert float(d2) == pytest.approx(s2, rel=1e-6, abs=1e-8), src
+
+
+@pytest.mark.parametrize("src, at, slope", [
+    ("phi(x1)", 0.5, 2.0), ("phi(x1)", 1.0, 0.0),
+    ("psi(x1)", 0.0, 1.0), ("psi(x1)", 1.0, 0.0),
+    ("capphi(x1)", 0.5, -2.0), ("capphi(x1)", 1.0, 0.0),
+    ("abs(x1)", 0.0, 1.0), ("abs(x1)", -0.0, 1.0),
+])
+def test_dual_takes_the_right_hand_slope_at_a_kink(src, at, slope):
+    # as a scalar and inside an array, beside points on either side
+    program = expr.dual_program(parse_expr(src))
+    with float_flags():
+        _, d1, d2 = program(np.float64(at), np.float64(0.0))
+        _, row, _ = program(np.array([at - 0.25, at, at + 0.25]), np.zeros(3))
+    assert float(d1) == slope and d2 == 0.0
+    assert row[1] == slope
+
+
+@pytest.mark.parametrize("fn, want", [("min", (1.0, -2.0)), ("max", (3.0, 0.0))])
+def test_dual_min_and_max_take_the_extreme_derivative_at_a_tie(fn, want):
+    # x1 and 3*x1 - 2*x2 tie at (1, 1), with gradients (1, 0) and (3, -2):
+    # min takes the min of the operands' derivatives, max the max
+    program = expr.dual_program(parse_expr(f"{fn}(x1, 3*x1 - 2*x2)"))
+    with float_flags():
+        _, d1, d2 = program(np.float64(1.0), np.float64(1.0))
+        _, row1, row2 = program(np.array([1.0, 1.0]), np.array([1.0, 1.5]))
+    assert (float(d1), float(d2)) == want
+    assert (row1[0], row2[0]) == want
+    # off the tie, the operand that is the result
+    assert (row1[1], row2[1]) == ((1.0, 0.0) if fn == "max" else (3.0, -2.0))
+
+
+def test_dual_derivatives_exactly_zero_or_one_cost_no_array():
+    # a term in one variable has the Python float 0.0 as its other
+    # derivative, and a bare variable 1.0, whatever the arguments' shapes
+    x1, x2 = np.linspace(0.0, 2.0, 5), np.linspace(1.0, 3.0, 5)
+    with float_flags():
+        assert expr.dual_program(parse_expr("x1"))(x1, x2)[1:] == (1.0, 0.0)
+        _, d1, d2 = expr.dual_program(parse_expr("exp(x1) + 2"))(x1, x2)
+        assert np.array_equal(d1, np.exp(x1)) and type(d2) is float
+        _, d1, d2 = expr.dual_program(parse_expr("3*x2^0 + phi(2)"))(x1, x2)
+        assert type(d1) is float and type(d2) is float and d1 == d2 == 0.0
+
+
+def test_dual_of_a_square_root_at_zero_raises():
+    # x1^0.5 has an infinite derivative at x1 = 0: the dual program raises
+    # the EvalError of its slope's power, where the value is finite
+    tree = parse_expr("x1^0.5")
+    assert eval_point(tree, 0.0, 1.0) == 0.0
+    with float_flags(), pytest.raises(EvalError) as err:
+        expr.dual_program(tree)(np.zeros(3), np.ones(3))
+    assert err.value.offset == 2 and "divide by zero" in err.value.message

@@ -11,7 +11,7 @@ from conecert import kernels, solver
 from conecert.cli import build_problem
 from conecert.conespace import GridFunction, RegionSpec, classify, sup_norm
 from conecert.errors import ConfigError
-from conecert.expr import EvalError, float_flags, parse_expr
+from conecert.expr import EvalError, dual_program, float_flags, parse_expr
 from conecert.hypotheses import BoxIneq, grid_oracle
 from conecert.interval import Interval
 from conecert.kernels import (DirichletNeumann, QuadratureRule,
@@ -360,11 +360,11 @@ def test_stacked_operator_is_bit_identical_to_each_state(kernel_pair):
     f = op.nonlinearity(v[:, 0], v[:, 1])
     assert f.shape == v.shape
     stacked = (f, op.apply(v[:, 0], v[:, 1]), op.residual_values(v),
-               op.jacobian(v[:, 0], v[:, 1], f))
+               op.jacobian(v[:, 0], v[:, 1]))
     for lane in range(3):
         v1, v2 = v[lane]
         alone = (op.nonlinearity(v1, v2), op.apply(v1, v2),
-                 op.residual_values(v[lane]), op.jacobian(v1, v2, f[lane]))
+                 op.residual_values(v[lane]), op.jacobian(v1, v2))
         for got, want in zip(stacked[:3], alone[:3]):
             assert np.array_equal(got[lane], want)
         for got, want in zip(stacked[3], alone[3]):
@@ -445,9 +445,8 @@ def test_a_lane_failure_drops_only_its_seed(nine_problem, monkeypatch, caplog,
 
     original_jacobian = DiscreteOperator.jacobian
 
-    def jacobian(self, v1, v2, f):
-        derivatives = tuple(np.array(d) for d in
-                            original_jacobian(self, v1, v2, f))
+    def jacobian(self, v1, v2):
+        derivatives = original_jacobian(self, v1, v2)
         hit = marked(v1[..., -1], v2[..., -1])
         for d in derivatives:
             d[hit] = np.nan
@@ -482,21 +481,39 @@ def test_newton_first_closing_system_warns_nothing():
     assert {str(s.region) for s in sols} >= {"S-S", "S-M", "M-S", "M-M"}
 
 
-def test_overflowing_forward_differences_end_their_seeds():
-    # f1 stays within 1e308 at every node, but each of its forward
-    # differences overflows: the float flags' raise scope covers f's
-    # program runs only, so each Jacobian is inf and every seed ends
-    # quietly, with no FloatingPointError and no warning
+def test_overflowing_derivatives_end_their_seeds(caplog):
+    # f1 stays within 1e308 at every node, but its exact derivative
+    # 1e318*cos(1e10*x1) overflows: the dual program raises EvalError, and
+    # every seed ends quietly, with no FloatingPointError and no warning
     problem = dirichlet_problem("1e308*sin(1e10*x1)", F_SYMMETRIC_2)
     params = SolverParams(grid_n=33, picard_steps=1)
     op = DiscreteOperator(problem, make_rule(params.grid_n))
     v = np.ones((2, params.grid_n))
-    with np.errstate(over="ignore"):
-        d11 = op.jacobian(v[0], v[1], op.nonlinearity(v[0], v[1]))[0]
-    assert np.isinf(d11).all()
-    with warnings.catch_warnings():
+    with pytest.raises(EvalError, match="overflow"):
+        op.jacobian(v[0], v[1])
+    with warnings.catch_warnings(), \
+            caplog.at_level(logging.INFO, logger="conecert.solver"):
         warnings.simplefilter("error")
         assert multi_start(problem, params) == []
+    assert "Newton step not finite" in caplog.text
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_square_root_ends_each_newton_first_seed_at_t_0(caplog):
+    # x1^0.5 has an infinite derivative at u1 = 0, which every
+    # Dirichlet-Neumann state has at t = 0: the Jacobian raises there, so
+    # each Newton-first seed ends with a non-finite step
+    problem = dirichlet_problem("1 + x1^0.5", F_SYMMETRIC_2)
+    params = SolverParams(grid_n=33, picard_steps=1)
+    op = DiscreteOperator(problem, make_rule(params.grid_n))
+    v1 = np.linspace(0.0, 1.0, params.grid_n)
+    with pytest.raises(EvalError, match="divide by zero"):
+        op.jacobian(v1, v1)
+    assert np.isfinite(op.jacobian(v1[1:], v1[1:])).all()
+    with caplog.at_level(logging.INFO, logger="conecert.solver"):
+        assert multi_start(problem, params) == []
+    assert sorted(caplog.messages) == [
+        f"seed {a}-{b}: Newton step not finite" for a in "BMS" for b in "BMS"]
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +524,9 @@ def count_newton_steps(monkeypatch):
     steps = []
     original = DiscreteOperator.newton_step
 
-    def newton_step(self, v, r, f):
+    def newton_step(self, v, r):
         steps.append(len(v))
-        return original(self, v, r, f)
+        return original(self, v, r)
 
     monkeypatch.setattr(DiscreteOperator, "newton_step", newton_step)
     return steps
@@ -540,9 +557,9 @@ def test_line_search_takes_a_shorter_step_when_the_full_one_fails(
 
     original_step = DiscreteOperator.newton_step
 
-    def newton_step(self, v, r, f):
+    def newton_step(self, v, r):
         events.append("step")
-        return original_step(self, v, r, f)
+        return original_step(self, v, r)
 
     monkeypatch.setattr(DiscreteOperator, "apply", apply)
     monkeypatch.setattr(DiscreteOperator, "newton_step", newton_step)
@@ -569,7 +586,7 @@ def test_a_failed_line_search_ends_the_seed(nine_problem, monkeypatch):
         applied.append(args)
         return original_apply(self, *args)
 
-    def newton_step(self, v, r, f):
+    def newton_step(self, v, r):
         steps.append(len(v))
         return np.zeros_like(r)
 
@@ -604,9 +621,8 @@ def dense_newton_step(problem, rule, v1, v2):
     k1 = green_matrix(problem.kernel1, rule.nodes, rule.nodes) * rule.weights
     k2 = green_matrix(problem.kernel2, rule.nodes, rule.nodes) * rule.weights
     op = DiscreteOperator(problem, rule)
-    f = op.nonlinearity(v1, v2)
     t1, t2 = op.apply(v1, v2)
-    d11, d12, d21, d22 = op.jacobian(v1, v2, f)
+    d11, d12, d21, d22 = op.jacobian(v1, v2)
     jac = np.eye(2 * n) - np.block([[k1 * d11, k1 * d12],
                                     [k2 * d21, k2 * d22]])
     step = np.linalg.solve(jac, np.concatenate((v1 - t1, v2 - t2)))
@@ -645,8 +661,7 @@ def test_newton_step_matches_dense_solve(nine_problem, system, grid_n, scheme):
         v1 = levels1[tag] * rng.uniform(0.5, 1.5, grid_n)
         v2 = levels2[tag] * rng.uniform(0.5, 1.5, grid_n)
         v = np.array((v1, v2))
-        step1, step2 = op.newton_step(v, v - op.apply(v1, v2),
-                                      op.nonlinearity(v1, v2))
+        step1, step2 = op.newton_step(v, v - op.apply(v1, v2))
         want1, want2 = dense_newton_step(problem, rule, v1, v2)
         scale = max(np.max(np.abs(want1)), np.max(np.abs(want2)))
         assert np.max(np.abs(step1 - want1)) <= 1e-12 * scale
@@ -663,8 +678,7 @@ def test_stacked_newton_step_matches_dense_solve(nine_problem, system):
     v = np.array([(levels1[tag] * rng.uniform(0.5, 1.5, RULE.n),
                    levels2[tag] * rng.uniform(0.5, 1.5, RULE.n))
                   for tag in ("S", "M", "B")])
-    steps = op.newton_step(v, v - op.apply(v[:, 0], v[:, 1]),
-                           op.nonlinearity(v[:, 0], v[:, 1]))
+    steps = op.newton_step(v, v - op.apply(v[:, 0], v[:, 1]))
     for (v1, v2), (step1, step2) in zip(v, steps):
         want1, want2 = dense_newton_step(problem, RULE, v1, v2)
         scale = max(np.max(np.abs(want1)), np.max(np.abs(want2)))
@@ -695,8 +709,7 @@ def test_newton_step_matches_dense_solve_at_every_small_size(
         v = np.array([(levels1[tag] * rng.uniform(0.5, 1.5, rule.n),
                        levels2[tag] * rng.uniform(0.5, 1.5, rule.n))
                       for tag in ("S", "M", "B")[:lanes]])
-        steps = op.newton_step(v, v - op.apply(v[:, 0], v[:, 1]),
-                               op.nonlinearity(v[:, 0], v[:, 1]))
+        steps = op.newton_step(v, v - op.apply(v[:, 0], v[:, 1]))
         for (v1, v2), (step1, step2) in zip(v, steps):
             want1, want2 = dense_newton_step(problem, rule, v1, v2)
             scale = max(np.max(np.abs(want1)), np.max(np.abs(want2)))
@@ -708,7 +721,7 @@ def decreasing_jacobian(monkeypatch, slope):
     """Make DiscreteOperator.jacobian return Df = slope * v1 * I: with v1
     near 1, the modes of delta'' = -slope delta (min(t,s)) grow like
     exp(sqrt(-slope) t), and like exp(-slope t) for RCD at a small beta."""
-    def jacobian(self, v1, v2, f):
+    def jacobian(self, v1, v2):
         diagonal = slope * np.asarray(v1, dtype=float)
         zero = np.zeros_like(diagonal)
         return diagonal, zero, zero, diagonal
@@ -744,8 +757,7 @@ def test_newton_step_matches_dense_solve_for_a_strongly_decreasing_f(
     op = DiscreteOperator(problem, rule)
     rng = np.random.default_rng(grid_n)
     v = rng.uniform(0.9, 1.1, (3, 2, grid_n))
-    steps = op.newton_step(v, v - op.apply(v[:, 0], v[:, 1]),
-                           op.nonlinearity(v[:, 0], v[:, 1]))
+    steps = op.newton_step(v, v - op.apply(v[:, 0], v[:, 1]))
     assert renewals and set(renewals) == {3}
     for (v1, v2), (step1, step2) in zip(v, steps):
         want1, want2 = dense_newton_step(problem, rule, v1, v2)
@@ -765,13 +777,11 @@ def test_renewed_lanes_keep_the_step_of_each_lane_alone(nine_problem,
     v = rng.uniform(0.9, 1.1, (3, 2, RULE.n)) * np.array([1.0, 1e-3, 1.0])[
         :, None, None]
     r = v - op.apply(v[:, 0], v[:, 1])
-    f = op.nonlinearity(v[:, 0], v[:, 1])
     renewals = spy_renewals(monkeypatch)
-    steps = op.newton_step(v, r, f)
+    steps = op.newton_step(v, r)
     assert renewals and set(renewals) == {2}
     for lane in range(3):
-        assert np.array_equal(steps[lane],
-                              op.newton_step(v[lane], r[lane], f[lane]))
+        assert np.array_equal(steps[lane], op.newton_step(v[lane], r[lane]))
 
 
 def singular_jacobian(monkeypatch, bad):
@@ -780,7 +790,7 @@ def singular_jacobian(monkeypatch, bad):
     exactly (on 129 nodes t w = 2^-8), plus `bad`: with 0, J = I - K Df
     is singular and the march's closing 2x2 system is exactly zero; with
     NaN, every derivative is NaN."""
-    def jacobian(self, v1, v2, f):
+    def jacobian(self, v1, v2):
         n = self.rule.n
         pivot = np.zeros(np.shape(v1))
         pivot[..., n // 2] = 1.0 / (self.rule.nodes[n // 2]
@@ -799,15 +809,15 @@ def test_newton_step_at_a_singular_pivot_is_non_finite_without_warning(
     singular_jacobian(monkeypatch, bad)
     op = DiscreteOperator(nine_problem, RULE)
     v = np.ones((2, 2, RULE.n))
-    step = op.newton_step(v, v, v)
+    step = op.newton_step(v, v)
     assert not np.isfinite(step).any()
 
 
 def test_newton_step_reuses_the_residual_evaluation(nine_problem, monkeypatch):
     # each Newton step runs the programs of f1 and f2 once at v for the
-    # residual and four times more for the forward differences, never again
-    # at v itself
-    calls = {"program": 0, "apply": 0, "jacobian": 0}
+    # residual and their dual programs once for the Jacobian, never the
+    # float programs again at v or near it
+    calls = {"program": 0, "dual": 0, "apply": 0, "jacobian": 0}
 
     def counted(name, fn):
         def run(*args, **kwargs):
@@ -815,9 +825,12 @@ def test_newton_step_reuses_the_residual_evaluation(nine_problem, monkeypatch):
             return fn(*args, **kwargs)
         return run
 
-    compile_program = solver.float_program
-    monkeypatch.setattr(solver, "float_program",
-                        lambda e: counted("program", compile_program(e)))
+    for compiler, name in (("float_program", "program"),
+                           ("dual_program", "dual")):
+        compile_program = getattr(solver, compiler)
+        monkeypatch.setattr(solver, compiler,
+                            lambda e, _c=compile_program, _n=name:
+                            counted(_n, _c(e)))
     for name in ("apply", "jacobian"):
         monkeypatch.setattr(DiscreteOperator, name,
                             counted(name, getattr(DiscreteOperator, name)))
@@ -825,31 +838,35 @@ def test_newton_step_reuses_the_residual_evaluation(nine_problem, monkeypatch):
     assert solve_from(nine_problem, seed, seed, SolverParams(picard_steps=1),
                       seed_id="M-M") is not None
     assert calls["jacobian"] > 0
-    assert calls["program"] == 2 * calls["apply"] + 4 * calls["jacobian"]
+    assert calls["program"] == 2 * calls["apply"]
+    assert calls["dual"] == 2 * calls["jacobian"]
 
 
-def test_jacobian_runs_f_through_nonlinearity(nine_problem, monkeypatch):
-    # its two columns are two nonlinearity calls, at v1 + h and at v2 + h,
-    # and give the bits of the four program runs they replace
+def test_jacobian_runs_only_the_dual_programs(nine_problem, monkeypatch):
+    # one dual run per component gives the four columns, with the bits of
+    # the dual programs' derivatives; f's float programs never run
     op = DiscreteOperator(nine_problem, RULE)
     v1 = 1.5 * np.minimum(2 * RULE.nodes, 1.0)
     v2 = 0.3 + 0.2 * RULE.nodes
-    f = op.nonlinearity(v1, v2)
     calls = []
-    nonlinearity = op.nonlinearity
-    monkeypatch.setattr(op, "nonlinearity",
-                        lambda x1, x2: calls.append(1) or nonlinearity(x1, x2))
-    got = op.jacobian(v1, v2, f)
+
+    def refused(*args):
+        raise AssertionError("a float program ran")
+
+    def counted(dual):
+        return lambda x1, x2: calls.append(1) or dual(x1, x2)
+
+    monkeypatch.setattr(op, "nonlinearity", refused)
+    op.programs = (refused, refused)
+    op.duals = tuple(counted(dual) for dual in op.duals)
+    got = op.jacobian(v1, v2)
     assert len(calls) == 2
-    h = solver.FD_STEP
-    program1, program2 = op.programs
     with float_flags():
-        want = ((program1(v1 + h, v2) - f[0]) / h,
-                (program1(v1, v2 + h) - f[0]) / h,
-                (program2(v1 + h, v2) - f[1]) / h,
-                (program2(v1, v2 + h) - f[1]) / h)
-    for column, expected in zip(got, want):
-        assert np.array_equal(column, expected)
+        _, d11, d12 = dual_program(nine_problem.f1)(v1, v2)
+        _, d21, d22 = dual_program(nine_problem.f2)(v1, v2)
+    for column, expected in zip(got, (d11, d12, d21, d22)):
+        assert column.shape == v1.shape
+        assert np.array_equal(column, np.broadcast_to(expected, v1.shape))
 
 
 @pytest.mark.parametrize("bad", [0.0, math.nan], ids=["zero", "nan"])
@@ -883,7 +900,7 @@ def test_an_error_path_solve_leaves_no_frame_for_the_collector(
     # error that outlived its handler would tie error -> traceback -> frame
     # into a cycle holding the solve's frames and arrays until the cyclic
     # collector runs
-    def jacobian(self, v1, v2, f):
+    def jacobian(self, v1, v2):
         raise EvalError(0, "crafted failure")
 
     monkeypatch.setattr(DiscreteOperator, "jacobian", jacobian)
@@ -959,9 +976,9 @@ def test_newton_starts_from_the_last_picard_iterate(nine_problem,
     linearized_at = []
     jacobian = DiscreteOperator.jacobian
 
-    def recorded(self, v1, v2, f):
+    def recorded(self, v1, v2):
         linearized_at.append((v1.copy(), v2.copy()))
-        return jacobian(self, v1, v2, f)
+        return jacobian(self, v1, v2)
 
     monkeypatch.setattr(DiscreteOperator, "jacobian", recorded)
     assert solve_from(nine_problem, seed, seed, params) is not None
