@@ -4,11 +4,12 @@ The system's operator is discretized on the quadrature rule's own nodes:
 
     (T_j u)(t_i) = sum_m w_m * G_j(t_i, t_m) * f_j(u1(t_m), u2(t_m)),
 
-and a fixed point of the discrete map is hunted per seed by damped Picard
-iteration, then by Newton on F(u) = u - T(u) from the last Picard iterate,
-globalized by a backtracking line search on the sup-norm residual (Armijo;
-Dennis & Schnabel 1983, section 6.3): a step that finds no residual decrease
-ends the seed, so a diverging seed stops at its first failed search.  An
+and a fixed point of the discrete map is hunted per seed by Newton on
+F(u) = u - T(u), from the seed itself by default (Newton first) or after
+picard_steps - 1 damped Picard steps, globalized by a backtracking line
+search on the sup-norm residual (Armijo; Dennis & Schnabel 1983, section
+6.3): a step that finds no residual decrease ends the seed, so a diverging
+seed stops at its first failed search.  An
 EvalError of f (a float operation that overflows, divides by zero or is
 invalid) ends only the seed whose state made it; at a trial step of the
 line search it rejects that trial.  Only `apply` names the failing grid node.
@@ -24,13 +25,15 @@ seed.  Both kernels are semiseparable, so no n x n matrix is ever formed.
 The operator is applied from the kernels' generators (kernels.generators)
 with two prefix sums along the node axis, in O(n).  The Newton step solves
 the linearized system in its integral form, delta = r + K Df delta, by one
-backward march of the same generators' partial sums (Keller 1968), closed
-by one 2x2 solve per seed and run as a two-level scan over chunks of about
-sqrt(n / 3) nodes, in O(n).  It multiplies nothing through by an inverse
-kernel matrix, so Df keeps its weight at every RCD beta; where f decreases
-steeply, the chunks are shot one by one (Conte 1966), so only one chunk's
-growth costs precision.  A singular or non-finite system gives a
-non-finite step, which ends the seed.
+backward march of the same generators' partial sums (Keller 1968), two
+shears a node, closed by one 2x2 solve per seed and run as a two-level
+scan over chunks of about sqrt(n / 3) nodes, in O(n).  It reads node 0 off
+the closed march, so at min(t,s)'s Dirichlet end the step is the residual
+itself, bit for bit, and a state's u(0) = 0 stays 0.  It multiplies nothing
+through by an inverse kernel matrix, so Df keeps its weight at every RCD
+beta; where f decreases steeply, the chunks are shot one by one (Conte
+1966), so only one chunk's growth costs precision.  A singular or
+non-finite system gives a non-finite step, which ends the seed.
 
 Seeds are constant-level profiles keyed to the region thresholds, so each of
 the localization regions the theorems promise has a starter inside it.
@@ -41,7 +44,8 @@ call, and a seed drops out of the batch when its own rules end it, so every
 seed reaches the iterate and the verdict it would reach alone.  Results are
 deduplicated by pairwise sup distance, relative to the kept solution's sup
 norm, and classified; fixed points outside the ambient box are reported as
-"outside-ambient" rather than discarded.
+"outside-ambient" rather than discarded, and a fixed point with a node
+below 0, outside the cone, is dropped with a log line.
 
 SolverParams holds what a config's `solver` block sets; the rest are
 module constants.
@@ -86,7 +90,7 @@ NONTRIVIAL_EPS = 1e-6  # a component of sup norm at most this is trivial
 @dataclass
 class SolverParams:
     grid_n: int = 129
-    picard_steps: int = 200
+    picard_steps: int = 1
     damping: float = 0.5
     newton_tol: float = 1e-8
 
@@ -123,9 +127,17 @@ class DiscreteOperator:
         stops = np.append(starts[1:], rule.n)
         links = [None, *link.T]
         self.blocks = list(zip(starts.tolist(), stops.tolist(), links))[::-1]
-        # the link at each node: a block's link at its start, 1 elsewhere
-        self.link = np.ones((2, rule.n))
-        self.link[:, starts[1:]] = link
+        # newton_step's march, step-major over chunks of `width` nodes: d,
+        # the shear c_{k-1} link_k - c_k of Z by T (c_{-1} = 0), and the
+        # link at each node (a block's link at its start, 1 elsewhere)
+        self.width = math.isqrt(rule.n // 3) + 1
+        at = np.ones((2, rule.n))
+        at[:, starts[1:]] = link
+        shear = -c
+        shear[:, 1:] += c[:, :-1] * at[:, 1:]
+        self.march = (_by_step(self.gen[2], self.width),
+                      _by_step(shear, self.width),
+                      _by_step(at, self.width, fill=1.0))
         self.programs = (float_program(problem.f1), float_program(problem.f2))
         self.duals = (dual_program(problem.f1), dual_program(problem.f2))
 
@@ -218,12 +230,16 @@ class DiscreteOperator:
 
         K = diag(K1, K2) with K_j = G_j W, and Df is the 2x2 block of nodal
         derivative diagonals.  In the integral form delta = r + K g, with
-        g = Df delta, `apply`'s generators give delta_i = r_i + P_i + c_i T_i,
-        where P_i sums b_m g_m over m <= i and T_i sums d_m g_m over m > i.
-        One backward march (Keller 1968) runs y = (P, T) from (Pi, 0) at the
-        last node: g_i = Df_i delta_i, P -= b_i g_i, T += d_i g_i, and at a
-        block start T is multiplied by the block's link, as in `apply`.
-        P_{-1} = 0 fixes the unknown total Pi, one 2x2 solve per system.
+        g = Df delta, `apply`'s generators give delta_i = r_i + Z_i, where
+        Z_i = P_i + c_i T_i, P_i sums b_m g_m over m <= i and T_i sums
+        d_m g_m over m > i.  Since b = c d, one backward march (Keller 1968)
+        runs y = (Z, T) from (Pi, 0) at the last node by two shears a node:
+        T += d_k g_k with g_k = Df_k (r_k + Z), then Z += (c_{k-1} link_k -
+        c_k) T with c_{-1} = 0, and at a block start T is multiplied by the
+        block's link, as in `apply`.  Z_{-1} = 0 fixes the unknown total
+        Pi, one 2x2 solve per system, and node 0 is read off the closed
+        state as delta_0 = r_0 + c_0 T_{-1}: r_0 itself where c_0 = 0, at
+        min(t,s)'s Dirichlet end, so a step keeps u(0) = 0 exactly.
 
         Each node's map of y is affine, so the march runs as a two-level
         scan.  All chunks of `width` nodes march at once, each composing its
@@ -236,38 +252,36 @@ class DiscreteOperator:
         n = r.shape[-1]
         r = r.reshape(-1, 2, n)
         lanes = len(r)
-        # step k of chunk j is node j * width + k (_by_step)
-        width = math.isqrt(n // 3) + 1
-        b, c, d = self.gen
+        # step k of chunk j is node j * width + k (_by_step); past n, d,
+        # shear and rhs are 0 and link is 1, so each step is the identity
+        width = self.width
+        d, shear, link = self.march
         derivatives = np.asarray(self.jacobian(v[..., 0, :], v[..., 1, :])
                                  ).reshape(2, 2, lanes, n)
-        # e[k, row, col]: the change of y[row] per unit of delta[col]; it
-        # and rhs are 0 past n, where each step is the identity
-        e = (_by_step(np.array((-b, self.link * d)), width)[:, :, :, None, None]
-             * _by_step(derivatives, width)[:, None]
-             ).reshape(width, 4, 2, lanes, -1)
+        # e[k, row, col]: the change of T[row] per unit of delta[col]
+        e = d[:, :, None, None] * _by_step(derivatives, width)
         rhs = _by_step(r.transpose(1, 0, 2), width)
-        c = _by_step(c, width)[:, :, None, None]
-        link = _by_step(self.link, width, fill=1.0)[:, :, None, None]
+        shear = shear[:, :, None, None]
+        link = link[:, :, None, None]
         linked = (link != 1.0).reshape(width, -1).any(axis=1)
 
         chunks = rhs.shape[-1]
         # each chunk's map of y from its last node to before its first, and
         # delta at each of its nodes, affine in y at its last node: columns
-        # (P_1, P_2, T_1, T_2, 1)
+        # (Z_1, Z_2, T_1, T_2, 1)
         maps = np.zeros((4, 5, lanes, chunks))
         for i in range(4):
             maps[i, i] = 1.0
         deltas = np.empty((width, 2, 5, lanes, chunks))
         for k in range(width - 1, -1, -1):
             delta = deltas[k]
-            np.multiply(c[k], maps[2:4], out=delta)
-            delta += maps[0:2]
+            delta[...] = maps[0:2]
             delta[:, 4] += rhs[k]
+            maps[2:4] += e[k, :, 0, None] * delta[0]
+            maps[2:4] += e[k, :, 1, None] * delta[1]
+            maps[0:2] += shear[k] * maps[2:4]
             if linked[k]:
                 maps[2:4] *= link[k]
-            maps += e[k, :, 0, None] * delta[0]
-            maps += e[k, :, 1, None] * delta[1]
         # y before chunk j's first node, and a constant 1, is ys[j] @ (x, 1)
         # for the 5 x 3 basis ys[j]: ys[chunks] holds (Pi, 0, 1) at the last
         # node with x = Pi, and ys[j] = square[j] @ ys[j + 1] with the same x
@@ -298,7 +312,7 @@ class DiscreteOperator:
                 y[..., 2:] -= q @ s
                 factors.append((r, s[..., 0]))
             ys[:, grown] = bases
-        # P_{-1} = A x + q = 0, by Cramer's rule
+        # Z_{-1} = A x + q = 0, by Cramer's rule
         (a11, a12, q1), (a21, a22, q2) = ys[0, :, 0].T, ys[0, :, 1].T
         det = a11 * a22 - a12 * a21
         xs = np.empty((chunks + 1, lanes, 2))
@@ -311,14 +325,16 @@ class DiscreteOperator:
             x[:, 1] /= r[:, 1, 1]
             x[:, 0] = (x[:, 0] - r[:, 0, 1] * x[:, 1]) / r[:, 0, 0]
             xs[j + 1, grown] = x
-        # y at each chunk's last node, then delta at its nodes
-        y = ys[1:, :, :4, 0] * xs[1:, :, 0, None]
-        y += ys[1:, :, :4, 1] * xs[1:, :, 1, None]
-        y += ys[1:, :, :4, 2]
+        # y at the closed state and at each chunk's last node, then delta at
+        # the nodes, node 0 from the closed state's T
+        y = ys[:, :, :4, 0] * xs[:, :, 0, None]
+        y += ys[:, :, :4, 1] * xs[:, :, 1, None]
+        y += ys[:, :, :4, 2]
         y = y.transpose(2, 1, 0)
         delta = deltas[:, :, 4]
         for i in range(4):
-            delta += deltas[:, :, i] * y[i]
+            delta += deltas[:, :, i] * y[i, :, 1:]
+        delta[0, :, :, 0] = rhs[0, :, :, 0] + self.gen[1][:, :1] * y[2:4, :, 0]
         delta = delta.transpose(2, 1, 3, 0).reshape(lanes, 2, -1)[..., :n]
         return delta.reshape(v.shape)
 
@@ -362,16 +378,17 @@ def _operator(problem: ProblemSpec, rule: QuadratureRule) -> DiscreteOperator:
 def solve_from(problem: ProblemSpec, seed1: GridFunction, seed2: GridFunction,
                params: SolverParams | None = None,
                seed_id: str = "seed") -> Solution | None:
-    """Picard from one seed pair: the seed, then at most `picard_steps` - 1
-    damped steps, each evaluated; then at most MAX_NEWTON Newton steps from
-    the last evaluated iterate, reusing its T(v).  Each Newton step
-    v - t*delta takes the first t = 1, 1/2, ..., 2^-MAX_HALVINGS whose
-    residual is below (1 - ARMIJO*t) times the current one, and the seed
-    ends when none is, as it does at a Picard iterate whose residual is
-    non-finite (f fails to evaluate, or v or T(v) is non-finite).  None if
-    no fixed point with residual <= newton_tol is reached.  Each iterate
-    and each trial step is evaluated once.  This is multi_start's engine
-    run on one seed."""
+    """Newton from one seed pair: the seed, then at most `picard_steps` - 1
+    damped Picard steps (none by default), each evaluated; then at most
+    MAX_NEWTON Newton steps from the last evaluated iterate, reusing its
+    T(v).  Each Newton step v - t*delta takes the first t = 1, 1/2, ...,
+    2^-MAX_HALVINGS whose residual is below (1 - ARMIJO*t) times the current
+    one, and the seed ends when none is, as it does at a Picard iterate
+    whose residual is non-finite (f fails to evaluate, or v or T(v) is
+    non-finite).  None if no fixed point with residual <= newton_tol is
+    reached, or if the one reached has a node below 0.  Each iterate and
+    each trial step is evaluated once.  This is multi_start's engine run on
+    one seed."""
     params = params or SolverParams()
     op = _operator(problem, _require_shared_rule(seed1, seed2))
     v = np.array((seed1.values, seed2.values))
@@ -459,14 +476,16 @@ def _solve_lanes(problem: ProblemSpec, op: DiscreteOperator, seeds: np.ndarray,
             pending = pending[~ok]
         return _keep(found, lane, new_res, new_v, new_tv)
 
-    # each settled lane's state, NaN for a lane that never settles (a
-    # settled v is finite, since its residual is)
+    # each settled lane's state and residual, NaN for a lane that never
+    # settles (a settled v is finite, since its residual is)
     final = np.full_like(seeds, np.nan)
+    final_res = np.full(len(seeds), np.nan)
 
     def settle(lane, res, v, tv):
         """Record in `final` each lane at newton_tol; the rest run on."""
         at = res <= tol
         final[lane[at]] = v[at]
+        final_res[lane[at]] = res[at]
         return _keep(~at, lane, res, v, tv)
 
     # Picard: the seed, then damped steps.  A lane whose residual is
@@ -493,18 +512,17 @@ def _solve_lanes(problem: ProblemSpec, op: DiscreteOperator, seeds: np.ndarray,
         lane, res, v, tv = settle(*line_search(lane, res, v, step))
 
     solutions: list[Solution | None] = [None] * len(seeds)
-    lane = np.flatnonzero(~np.isnan(final[:, 0, 0]))
+    lane = np.flatnonzero(~np.isnan(final_res))
+    # a fixed point with a node below 0 lies outside the cone
+    negative = final[lane].min(axis=(1, 2)) < 0.0
+    for s in lane[negative].tolist():
+        log.info("seed %s: final state negative", seed_ids[s])
+    lane = lane[~negative]
     v = final[lane]
-    # nonnegativity check with round-off slack, then clamp the slack away
-    lane, v = _keep(~(v.min(axis=(1, 2)) < -1e-10), lane, v)
-    if not lane.size:
-        return solutions
-    v = np.maximum(v, 0.0)
-    res = op.residual_values(v)
     far = [FAR_FIELD_FACTOR * hi for _, hi in problem.region.sup_bounds()]
-    for s, (v1, v2), r, sups in zip(lane.tolist(), v, res.tolist(),
+    for s, (v1, v2), r, sups in zip(lane.tolist(), v, final_res[lane].tolist(),
                                     v.max(axis=2).tolist()):
-        if r > tol or sups[0] > far[0] or sups[1] > far[1]:
+        if sups[0] > far[0] or sups[1] > far[1]:
             continue
         u1 = GridFunction(op.rule, v1)
         u2 = GridFunction(op.rule, v2)

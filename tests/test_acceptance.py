@@ -8,6 +8,7 @@ import contextlib
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -32,6 +33,9 @@ def criterion(name):
         print(f"acceptance {name}: FAIL")
         raise
     print(f"acceptance {name}: PASS")
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def read_report(tmp_path, name="report.json"):
@@ -263,3 +267,45 @@ def test_criterion_10_newton_first_closing_system_at_every_beta():
                                SolverParams(grid_n=129, picard_steps=1))
             assert sorted(str(sol.region) for sol in sols) == [
                 "M-M", "M-S", "S-M", "S-S"], beta
+
+
+NINE_REGIONS = sorted(f"{a}-{b}" for a in "BMS" for b in "BMS")
+# CI's nine-mode config whose f uses abs, min, max, ln, sin, exp and x1^1.5
+NINE_DUALS_F = (
+    "4.5 + 5*phi(x1)*psi(x2) - 4*capphi(x1) + 0.1*sin(x1)*exp(-x2)"
+    " + 0.05*abs(x1 - x2)",
+    "4.5 + 5*phi(x2)*psi(x1) - 4*capphi(x2) + 0.02*x1^1.5*ln(1 + x2)"
+    " + 0.1*(min(x1, x2) - max(x1 - 1, 0))")
+
+
+def test_criterion_10_the_readme_commands_find_every_promised_region(
+        tmp_path):
+    with criterion("10 (README solve commands find 9/9 and 4/4)"):
+        # Newton first is the shipped default: configs/nine.json and
+        # configs/closing_system.json as shipped, and at grid_n 513
+        for name, want in (("nine", NINE_REGIONS),
+                           ("closing_system", ["M-M", "M-S", "S-M", "S-S"])):
+            cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+            for grid_n in (129, 513):
+                cfg["solver"]["grid_n"] = grid_n
+                out = tmp_path / f"{name}-{grid_n}"
+                assert main(["solve", write_config(tmp_path, cfg),
+                             "--out", str(out)]) == 0
+                got = sorted(s["region"] for s in read_report(out)["solutions"])
+                assert got == want, (name, grid_n, got)
+
+
+def test_criterion_10_newton_first_keeps_u_0_at_0():
+    with criterion("10 (Newton first on an f defined for u >= 0 only)"):
+        # x1^1.5 has no value below 0: a step that left round-off at the
+        # Dirichlet end would make f raise at every trial, and the seed end
+        f1 = "4.5 + 5*phi(x1)*psi(x2) - 4*capphi(x1)"
+        f2 = "4.5 + 5*phi(x2)*psi(x1) - 4*capphi(x2)"
+        for fs in ((f1, f2 + " + 0.02*x1^1.5"), NINE_DUALS_F):
+            cfg = nine_config()["problem"]
+            cfg["f1"], cfg["f2"] = fs
+            problem = build_problem(cfg)
+            for grid_n in (129, 513, 1025):
+                sols = multi_start(problem, SolverParams(grid_n=grid_n))
+                got = sorted(str(sol.region) for sol in sols)
+                assert got == NINE_REGIONS, (fs[1], grid_n, got)

@@ -349,7 +349,7 @@ def test_solve_null_solver_key_is_default(tmp_path):
                  str(tmp_path / "null")]) == 0
     assert (tmp_path / "default" / "report.json").read_bytes() == \
         (tmp_path / "null" / "report.json").read_bytes()
-    assert len(read_report(tmp_path / "null")["solutions"]) == 4
+    assert len(read_report(tmp_path / "null")["solutions"]) == 9
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +707,7 @@ def test_solution_csv_bytes_match_a_per_row_format(tmp_path):
 
 
 def test_solve_without_a_solution_makes_no_csv_directory(tmp_path):
-    # f overflows at a Picard iterate of every seed, so no seed converges;
+    # f grows without bound, so no seed converges (each line search fails);
     # the CSV directory is made once per solve, and only for a solution
     cfg = nine_config()
     cfg["problem"].update(f1="exp(x1) + exp(x2)", f2="exp(x1) + exp(x2)")

@@ -177,6 +177,20 @@ def test_multi_start_symmetric_example(nine_problem):
         assert sol.nontrivial == (True, True)
 
 
+@pytest.mark.parametrize("picard_steps", [1, 200])
+@pytest.mark.parametrize("system", ["nine", "closing_system"])
+def test_a_solution_reports_the_residual_of_its_state(nine_problem, system,
+                                                      picard_steps):
+    # the reported residual is the one its lane settled with, and bit for
+    # bit the residual of the reported state: nothing moves a settled state
+    problem = nine_problem if system == "nine" \
+        else build_problem(closing_problem_config()["problem"])
+    sols = multi_start(problem, SolverParams(picard_steps=picard_steps))
+    assert sols
+    for sol in sols:
+        assert sol.residual == residual(problem, sol.u1, sol.u2)
+
+
 def test_multi_start_dedupe_soundness(nine_problem):
     # each kept solution lies beyond the dedupe distance of every one kept
     # before it: DEDUPE_TOL times max(1, sup norm of the earlier one)
@@ -192,12 +206,13 @@ def test_multi_start_dedupe_soundness(nine_problem):
 def test_multi_start_dedupe_merges_seeds_on_one_fixed_point(nine_problem,
                                                             monkeypatch):
     # Picard first, all nine seeds converge, onto four fixed points
-    sols = multi_start(nine_problem, SolverParams())
+    params = SolverParams(picard_steps=200)
+    sols = multi_start(nine_problem, params)
     assert [(s.seed_id, str(s.region)) for s in sols] == [
         ("B-B", "B-B"), ("B-S", "B-S"), ("S-B", "S-B"), ("S-S", "S-S")]
     # a zero distance merges only bit-identical iterates: dedupe is off
     monkeypatch.setattr(solver, "DEDUPE_TOL", 0.0)
-    assert len(multi_start(nine_problem, SolverParams())) == 9
+    assert len(multi_start(nine_problem, params)) == 9
 
 
 def test_dedupe_does_not_scale_with_the_ambient_bound(nine_problem):
@@ -323,7 +338,9 @@ def test_operator_holds_no_dense_matrix(nine_problem, monkeypatch):
     for attr in vars(op).values():
         items = attr if isinstance(attr, (tuple, list)) else (attr,)
         arrays += [x for x in items if isinstance(x, np.ndarray)]
-    assert arrays and max(x.size for x in arrays) <= 2 * RULE.n
+    # two rows of n nodes each, the Newton step's march padded to whole
+    # chunks of op.width nodes
+    assert arrays and max(x.size for x in arrays) <= 2 * (RULE.n + op.width)
     sols = multi_start(nine_problem, SolverParams(grid_n=129, picard_steps=1))
     assert sorted(str(s.region) for s in sols) == sorted(
         f"{a}-{b}" for a in "SMB" for b in "SMB")
@@ -514,6 +531,25 @@ def test_a_square_root_ends_each_newton_first_seed_at_t_0(caplog):
         assert multi_start(problem, params) == []
     assert sorted(caplog.messages) == [
         f"seed {a}-{b}: Newton step not finite" for a in "BMS" for b in "BMS"]
+
+
+@pytest.mark.parametrize("grid_n", [129, 513])
+def test_an_f_steep_at_u_0_needs_picard_first(nine_problem, caplog, grid_n):
+    # the trade-off of Newton first: x1^0.5 has an infinite slope at
+    # u1 = 0, where every state sits at t = 0, so each Newton-first seed's
+    # Jacobian raises and the seed ends; Picard first reaches 4 of the 9
+    # regions before its first Newton step
+    f2 = parse_expr(F_SYMMETRIC_2 + " + 0.02*x1^0.5")
+    problem = ProblemSpec(DirichletNeumann(), DirichletNeumann(),
+                          nine_problem.f1, f2, nine_problem.region, "nine")
+    with caplog.at_level(logging.INFO, logger="conecert.solver"):
+        assert multi_start(problem, SolverParams(grid_n=grid_n)) == []
+    assert len(caplog.messages) == 9
+    assert all(m.endswith(": Newton step not finite")
+               for m in caplog.messages)
+    sols = multi_start(problem, SolverParams(grid_n=grid_n, picard_steps=200))
+    assert sorted(str(s.region) for s in sols) == [
+        "B-B", "B-S", "S-B", "S-S"]
 
 
 # ---------------------------------------------------------------------------
@@ -813,6 +849,55 @@ def test_newton_step_at_a_singular_pivot_is_non_finite_without_warning(
     assert not np.isfinite(step).any()
 
 
+@pytest.mark.parametrize("grid_n", [129, 513])
+def test_newton_step_keeps_the_dirichlet_row_exact(nine_problem, grid_n):
+    # min(t,s) vanishes at t = 0, so the exact step has delta_0 = r_0; the
+    # march reads node 0 off its closed state as r_0 + c_0 T_{-1}, and
+    # c_0 = t_0 = 0 makes that r_0 bit for bit
+    op = DiscreteOperator(nine_problem, make_rule(grid_n))
+    rng = np.random.default_rng(grid_n)
+    v = rng.uniform(0.0, 5.0, (4, 2, grid_n))
+    r = rng.standard_normal((4, 2, grid_n))
+    step = op.newton_step(v, r)
+    assert np.isfinite(step).all()
+    assert step[..., 0].tobytes() == r[..., 0].tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_nan_derivatives_at_node_0_give_a_non_finite_step(nine_problem,
+                                                          monkeypatch):
+    # lane 0's derivatives are NaN at t = 0 only: its step is non-finite
+    # there too (c_0 T_{-1} is 0 * NaN), and lane 1 keeps its step alone
+    original = DiscreteOperator.jacobian
+
+    def jacobian(self, v1, v2):
+        derivatives = original(self, v1, v2)
+        derivatives[:, 0, 0] = np.nan
+        return derivatives
+
+    op = DiscreteOperator(nine_problem, RULE)
+    rng = np.random.default_rng(3)
+    v = rng.uniform(0.5, 1.5, (2, 2, RULE.n))
+    r = v - op.apply(v[:, 0], v[:, 1])
+    alone = op.newton_step(v[1], r[1])
+    monkeypatch.setattr(DiscreteOperator, "jacobian", jacobian)
+    step = op.newton_step(v, r)
+    assert np.isnan(step[0, :, 0]).all()
+    assert not np.isfinite(step[0]).all()
+    assert np.array_equal(step[1], alone)
+
+
+def test_a_negative_fixed_point_is_dropped_with_a_reason(caplog):
+    # f = -1 has the one fixed point u = -(t - t^2/2) on each component,
+    # below 0 everywhere but at t = 0: each seed converges to it, and the
+    # solver drops it as outside the cone, saying so
+    problem = dirichlet_problem("0 - 1", "0 - 1")
+    with caplog.at_level(logging.INFO, logger="conecert.solver"):
+        assert multi_start(problem, SolverParams(grid_n=33)) == []
+    assert sorted(caplog.messages) == [
+        f"seed {a}-{b}: final state negative" for a in "BMS" for b in "BMS"]
+
+
 def test_newton_step_reuses_the_residual_evaluation(nine_problem, monkeypatch):
     # each Newton step runs the programs of f1 and f2 once at v for the
     # residual and their dual programs once for the Jacobian, never the
@@ -956,7 +1041,8 @@ def test_a_picard_failure_ends_its_seed(nine_problem, monkeypatch):
     rule = make_rule(33)
     calls = counted_calls(monkeypatch, "apply", "jacobian")
     seed = GridFunction(rule, 3.0 * np.minimum(2 * rule.nodes, 1.0))
-    assert solve_from(problem, seed, seed, SolverParams(grid_n=33)) is None
+    assert solve_from(problem, seed, seed,
+                      SolverParams(grid_n=33, picard_steps=200)) is None
     assert calls == {"apply": 3, "jacobian": 0}
 
 
