@@ -7,16 +7,19 @@ and 1; negative arguments are clamped to 0 (operators only ever feed
 nonnegative functions, but quadrature round-off may produce -eps).
 
 Evaluation compiles each tree once into nested closures, one per node, over
-one of three arithmetic tables: np.float64 scalars and arrays (pointwise,
-and vectorised for the solver and the grid oracle); dual triples of them,
-a value and its two partial derivatives at each point (for the solver's
-Newton step); or gradient triples of outward-rounded endpoint pairs (with
-the kernels of `interval`: a rigorous range enclosure and both partial
+an arithmetic table.  The float table runs np.float64 scalars and arrays
+(pointwise, and vectorised for the solver and the grid oracle).  Two
+derivative tables carry each value with its two partial derivatives: the
+dual table at points, over the same scalars and arrays (for the solver's
+Newton step), and the gradient table over outward-rounded endpoint pairs
+(the kernels of `interval`: a rigorous range enclosure and both partial
 derivative enclosures, for first-order branch and bound; run with exactly
-zero derivative seeds, the range enclosure alone).  Each table supplies
-every operation: constant lifting, the named constants, the operators and
-the builtins.  The float table is `operator` and numpy ufuncs run with
-numpy's overflow, divide and invalid flags raising FloatingPointError
+zero derivative seeds, the range enclosure alone).  One builder,
+`_derivative_table`, makes both from one set of derivative rules over two
+arithmetics, each its value ops and its exact-zero-aware derivative
+primitives; the tables differ only in their slopes at a kink, their min
+and max, and their `^`.  The float table is `operator` and numpy ufuncs
+run with numpy's overflow, divide and invalid flags raising FloatingPointError
 (underflow is silent), so from finite operands it makes a finite value or
 raises; a literal that overflows to inf is a ParseError.  The dual table
 computes its values with the float table's ops and its derivatives with
@@ -39,13 +42,9 @@ exact in float arithmetic (2z - 1 and 2 - 2z by Sterbenz's lemma on
 [1/2, 1]), so the interval image of a ramp is the float ramp applied to the
 two endpoints.  In the gradient table a ramp whose argument enclosure lies
 in one closed piece, ends on a breakpoint included, takes that piece's
-slope: s on [lo, hi], 0 on (-inf, lo] and on [hi, inf).  Only an enclosure
-that strictly straddles a breakpoint takes the hull of both slopes.  The
-piece's slope is sound: on such a box f equals the smooth expression
-with the ramp replaced by its affine piece, so the mean-value theorem holds
-with that piece's slope.  `ramp_breakpoints` lists the breakpoints of the
-ramps applied to a bare variable, where branch and bound splits a box so
-that each half lies in one piece of them.
+slope (`_pair_ramp_slope`).  `ramp_breakpoints` lists the breakpoints of
+the ramps applied to a bare variable, where branch and bound splits a box
+so that each half lies in one piece of them.
 """
 
 from __future__ import annotations
@@ -114,8 +113,9 @@ class _Table:
     const: object              # float -> value
     named: dict                # "pi" | "e" -> value
     ops: dict                  # operator, "neg" or builtin name -> function
-    natural_exponent: bool     # ^ takes a constant natural exponent only
     into: dict | None = None   # the ops with an `out=` argument, by name
+    natural_power: object = None  # n -> the rule of u^n, for a table whose
+                                  # ^ takes a constant natural exponent only
 
 
 _FLOATS = _Table(
@@ -125,26 +125,131 @@ _FLOATS = _Table(
          "/": operator.truediv, "^": np.power, "neg": operator.neg, "exp": np.exp,
          "cos": np.cos, "sin": np.sin, "ln": np.log, "abs": np.abs, "phi": _phi,
          "psi": _psi, "capphi": _capphi, "min": np.minimum, "max": np.maximum},
-    natural_exponent=False,
     into={"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.true_divide,
           "^": np.power, "neg": np.negative, "exp": np.exp, "cos": np.cos,
           "sin": np.sin, "ln": np.log, "abs": np.abs, "phi": _phi_into,
           "psi": _psi_into, "capphi": _capphi_into,
           "min": np.minimum, "max": np.maximum})
 
-# The gradient table: each value is (v, d1, d2), three endpoint pairs that
-# enclose f and its partial derivatives in x1 and x2 over the box, built
-# from the pair kernels by the sum, product, quotient and chain rules.  A
-# ramp whose argument enclosure lies in one closed piece takes that piece's
-# slope; at a kink strictly inside the enclosure a builtin takes the hull of
-# its one-sided slopes (its Clarke generalized gradient), so by Lebourg's
-# mean-value theorem a sign-definite d_k proves f monotone in x_k on the
-# closed box.  An exactly zero derivative (of a constant, of a term in one
-# variable only, or of every term under zero seeds) stays exactly zero: 0 +
-# d and 0 * d are exact, and rounding them outward would hide the zero that
-# makes f constant in x_k.  A product with exactly 1 (the derivative of a
-# bare variable) is exact too, so a ramp of x_k keeps a sign-definite slope
-# such as [0, 2] instead of [-5e-324, 2.0000000000000004].
+# The derivative tables: each value is (v, d1, d2), f and its partial
+# derivatives in x1 and x2 (forward-mode differentiation; Griewank & Walther
+# 2008).  `_derivative_table` states each rule once over an arithmetic, its
+# value ops and derivative primitives; the kink slopes, min and max, and ^
+# are passed in.  An exactly zero derivative (of a constant, of a term in
+# one variable, or of every term under zero seeds) stays exactly zero, and a
+# product with an exact 1 (a bare variable's derivative) is exact.
+#
+# The gradient table runs over outward-rounded endpoint pairs (`interval`'s
+# kernels): v, d1 and d2 enclose f and its partial derivatives over the box.
+# Rounding 0 + d or 0 * d outward would hide the zero that makes f constant
+# in x_k, and 1 * d would turn the slope [0, 2] of a ramp of x_k into
+# [-5e-324, 2.0000000000000004].  A ramp whose argument enclosure lies in one
+# closed piece takes that piece's slope; at a kink strictly inside the
+# enclosure a builtin takes the hull of its one-sided slopes (its Clarke
+# generalized gradient), and min and max the hull of both operands'
+# derivatives where their ranges overlap, so by Lebourg's mean-value theorem
+# a sign-definite d_k proves f monotone in x_k on the closed box.  ^ takes a
+# constant natural exponent only.
+#
+# The dual table runs over np.float64 scalars and arrays, at points: v comes
+# from the float table's own op, so it has `float_program`'s bits.  At a kink
+# each builtin takes its right-hand slope: a ramp on a breakpoint the slope
+# of the piece to its right, abs at 0 the slope 1, and min and max at a tie
+# the min and the max of the operands' derivatives.  ^ takes any exponent.
+# An exact 0.0 or 1.0 derivative stays a Python float, which costs no array
+# operation; every other derivative runs through numpy ufuncs, which raise
+# under `float_flags`.
+
+
+@dataclass(frozen=True)
+class _Arithmetic:
+    value: dict    # "+", "-", "*", "/", "neg" or builtin name -> value op
+    lift: object   # float -> value
+    named: dict    # "pi" | "e" -> value
+    zero: object   # the exactly zero derivative, of type `kind`
+    kind: type
+    # the derivative primitives, exact where an operand is exactly zero (and
+    # mul where one is exactly one)
+    add: object    # d + d
+    sub: object    # d - d
+    neg: object    # -d
+    mul: object    # s * d, for a value or slope s
+    div: object    # d / v, for a value v
+
+
+def _derivative_table(a: _Arithmetic, *, ramp_slope, abs_slope, minimum,
+                      maximum, power, natural_exponent: bool) -> _Table:
+    """The table of (v, d1, d2) values over arithmetic a.  ramp_slope(lo,
+    hi, s) is the slope(u, value) of a ramp with breakpoints lo and hi and
+    slope s between them, and abs_slope abs's; minimum and maximum are the
+    rules of min and max.  power is the rule of ^, or, where natural_exponent,
+    the value op and slope of u^n for a natural number n."""
+    value = a.value
+    v_add, v_sub, v_mul, v_div = value["+"], value["-"], value["*"], value["/"]
+    v_neg, v_cos, v_sin = value["neg"], value["cos"], value["sin"]
+    zero, kind = a.zero, a.kind
+    plus, minus, negate, times, over = a.add, a.sub, a.neg, a.mul, a.div
+    one = a.lift(1.0)
+
+    def const(v):
+        return a.lift(v), zero, zero
+
+    def add(x, y):
+        return v_add(x[0], y[0]), plus(x[1], y[1]), plus(x[2], y[2])
+
+    def sub(x, y):
+        return v_sub(x[0], y[0]), minus(x[1], y[1]), minus(x[2], y[2])
+
+    def neg(x):
+        return v_neg(x[0]), negate(x[1]), negate(x[2])
+
+    def mul(x, y):
+        u, w = x[0], y[0]
+        return (v_mul(u, w), plus(times(w, x[1]), times(u, y[1])),
+                plus(times(w, x[2]), times(u, y[2])))
+
+    def div(x, y):
+        # (u/w)' = (u' - (u/w) w') / w; the value op fails on w = 0 first
+        w = y[0]
+        q = v_div(x[0], w)
+        d1 = minus(x[1], times(q, y[1]))
+        d2 = minus(x[2], times(q, y[2]))
+        return q, over(d1, w), over(d2, w)
+
+    def chain(fn, slope):
+        """The rule of the unary value op fn, whose derivative at u is
+        slope(u, fn(u)).  Where both derivatives of u are exactly zero, as
+        in every run of `interval_program`, slope is not run."""
+        def run(x):
+            u, d1, d2 = x
+            v = fn(u)
+            # the type first: == on an array derivative is elementwise
+            if type(d1) is kind and d1 == zero and type(d2) is kind and d2 == zero:
+                return v, zero, zero
+            s = slope(u, v)
+            return v, times(s, d1), times(s, d2)
+        return run
+
+    ops = {"+": add, "-": sub, "*": mul, "/": div, "neg": neg,
+           "exp": chain(value["exp"], lambda _, e: e),
+           "cos": chain(v_cos, lambda u, _: v_neg(v_sin(u))),
+           "sin": chain(v_sin, lambda u, _: v_cos(u)),
+           # the value op fails on u <= 0 before the slope divides by it
+           "ln": chain(value["ln"], lambda u, _: v_div(one, u)),
+           "abs": chain(value["abs"], abs_slope),
+           "min": minimum, "max": maximum}
+    for name, (lo, hi, s) in _RAMPS.items():
+        ops[name] = chain(value[name], ramp_slope(lo, hi, s))
+    named = {name: (v, zero, zero) for name, v in a.named.items()}
+    if natural_exponent:
+        return _Table(const, named, ops, natural_power=lambda n: chain(*power(n)))
+    return _Table(const, named, {**ops, "^": power})
+
+
+# each ramp's breakpoints and its slope between them (0 outside)
+_RAMPS = {"phi": (0.5, 1.0, 2.0), "psi": (0.0, 1.0, 1.0), "capphi": (0.5, 1.0, -2.0)}
+
+# the pair arithmetic's derivative primitives and kink rules
 
 _ZERO = (0.0, 0.0)
 _ONE = (1.0, 1.0)
@@ -171,116 +276,39 @@ def _dmul(s, d):
     return d if s == _ONE else iv.mul(s, d)
 
 
-def _chain(value, slope, x):
-    """(value, s * d1, s * d2) for a unary function of x, where s is the
-    slope enclosure `slope(u)` over x's value u.  Where both derivatives are
-    exactly zero, as in every run of `interval_program`, slope is not run."""
-    if x[1] == _ZERO and x[2] == _ZERO:
-        return value, _ZERO, _ZERO
-    s = slope(x[0])
-    return value, _dmul(s, x[1]), _dmul(s, x[2])
+def _ddiv(d, v):
+    return _ZERO if d == _ZERO else iv.div(d, v)
 
 
-def _g_add(x, y):
-    return iv.add(x[0], y[0]), _dadd(x[1], y[1]), _dadd(x[2], y[2])
-
-
-def _g_sub(x, y):
-    return iv.sub(x[0], y[0]), _dsub(x[1], y[1]), _dsub(x[2], y[2])
-
-
-def _g_neg(x):
-    return iv.neg(x[0]), iv.neg(x[1]), iv.neg(x[2])
-
-
-def _g_mul(x, y):
-    u, v = x[0], y[0]
-    return (iv.mul(u, v), _dadd(_dmul(v, x[1]), _dmul(u, y[1])),
-            _dadd(_dmul(v, x[2]), _dmul(u, y[2])))
-
-
-def _g_div(x, y):
-    # (u/v)' = (u' - (u/v) v') / v; the value kernel rejects 0 in v first
-    v = y[0]
-    q = iv.div(x[0], v)
-    d1 = _dsub(x[1], _dmul(q, y[1]))
-    d2 = _dsub(x[2], _dmul(q, y[2]))
-    return (q, _ZERO if d1 == _ZERO else iv.div(d1, v),
-            _ZERO if d2 == _ZERO else iv.div(d2, v))
-
-
-def _g_pow(x, n: int):
-    if n == 0:
-        return _ONE, _ZERO, _ZERO
-    if n == 1:
-        return x
-    def slope(u):
-        return iv.mul((float(n), float(n)), iv.pow_nat(u, n - 1))
-    return _chain(iv.pow_nat(x[0], n), slope, x)
-
-
-def _g_exp(x):
-    e = iv.exp(x[0])
-    return _chain(e, lambda _: e, x)
-
-
-def _g_log(x):
-    # the value rejects u touching 0 before the slope divides by it
-    return _chain(iv.log(x[0]), lambda u: iv.div(_ONE, u), x)
-
-
-def _g_cos(x):
-    return _chain(iv.cos(x[0]), lambda u: iv.neg(iv.sin(u)), x)
-
-
-def _g_sin(x):
-    return _chain(iv.sin(x[0]), iv.cos, x)
-
-
-def _kink_slope(u, lo: float, hi: float, s: float):
-    """Slope enclosure over u of a continuous function that is constant on
-    (-inf, lo] and on [hi, inf) and affine with slope s on [lo, hi]."""
+def _pair_ramp_slope(lo: float, hi: float, s: float):
+    """The slope enclosure over u of a continuous function that is constant
+    on (-inf, lo] and on [hi, inf) and affine with slope s on [lo, hi]."""
     # An enclosure inside one closed piece takes that piece's slope, even
     # where an end touches a breakpoint: over such a box the ramp equals
     # that affine (or constant) piece of u, so f is the smooth expression
     # with the ramp replaced by it, and the mean-value theorem holds with
     # its slope.  Only an enclosure that strictly straddles a breakpoint
     # needs the hull of both slopes.
-    if u[1] <= lo or u[0] >= hi:
-        return _ZERO
-    if lo <= u[0] and u[1] <= hi:
-        return s, s
-    return min(0.0, s), max(0.0, s)
+    piece, hull = (s, s), (min(0.0, s), max(0.0, s))
+
+    def slope(u, _):
+        if u[1] <= lo or u[0] >= hi:
+            return _ZERO
+        return piece if lo <= u[0] and u[1] <= hi else hull
+    return slope
 
 
-# each ramp's breakpoints and its slope between them (0 outside)
-_RAMPS = {"phi": (0.5, 1.0, 2.0), "psi": (0.0, 1.0, 1.0), "capphi": (0.5, 1.0, -2.0)}
-
-
-def _g_ramp(name: str):
-    fn = getattr(iv, name)
-    lo, hi, s = _RAMPS[name]
-
-    def run(x):
-        return _chain(fn(x[0]), lambda u: _kink_slope(u, lo, hi, s), x)
-    return run
-
-
-def _abs_slope(u):
+def _pair_abs_slope(u, _):
     if u[0] > 0.0:
         return _ONE
     return (-1.0, -1.0) if u[1] < 0.0 else (-1.0, 1.0)
-
-
-def _g_abs(x):
-    return _chain(iv.absolute(x[0]), _abs_slope, x)
 
 
 def _hull(a, b):
     return min(a[0], b[0]), max(a[1], b[1])
 
 
-def _g_minmax(value, lower: bool):
+def _pair_minmax(value, lower: bool):
     # the operand that is strictly below (lower) or above the other over the
     # whole box is the result; where the ranges overlap, either may be
     def run(x, y):
@@ -293,29 +321,30 @@ def _g_minmax(value, lower: bool):
     return run
 
 
-_GRADIENTS = _Table(
-    const=lambda v: ((v, v), _ZERO, _ZERO),
-    named={"pi": ((PI.lo, PI.hi), _ZERO, _ZERO), "e": ((E.lo, E.hi), _ZERO, _ZERO)},
-    ops={"+": _g_add, "-": _g_sub, "*": _g_mul, "/": _g_div, "^": _g_pow,
-         "neg": _g_neg, "exp": _g_exp, "cos": _g_cos, "sin": _g_sin, "ln": _g_log,
-         "abs": _g_abs, "phi": _g_ramp("phi"), "psi": _g_ramp("psi"),
-         "capphi": _g_ramp("capphi"),
-         "min": _g_minmax(iv.minimum, True), "max": _g_minmax(iv.maximum, False)},
-    natural_exponent=True)
+def _pair_power(n: int):
+    """u^n's value op and its slope n u^(n-1), exact for n = 0 and 1."""
+    if n < 2:
+        exact = _ONE if n else _ZERO
+        return (lambda u: iv.pow_nat(u, n)), (lambda u, _: exact)
+    factor = (float(n), float(n))
+    return ((lambda u: iv.pow_nat(u, n)),
+            (lambda u, _: iv.mul(factor, iv.pow_nat(u, n - 1))))
 
-# The dual table: each value is (v, d1, d2), f and its partial derivatives in
-# x1 and x2 at a point (forward-mode differentiation of the program; Griewank
-# & Walther 2008), over np.float64 scalars and arrays.  v comes from the
-# float table's own op, so it has `float_program`'s bits, and the derivative
-# rules are the gradient table's on points.  At a kink each builtin takes its
-# right-hand slope: a ramp on a breakpoint the slope of the piece to its
-# right, abs at 0 the slope 1, and min and max at a tie the min and the max
-# of the operands' derivatives.  A derivative that is exactly 0.0 (of a
-# constant or of a term in the other variable) or 1.0 (of a bare variable)
-# stays a Python float, so it costs no array operation; every other
-# derivative runs through numpy ufuncs, which raise under `float_flags`.
 
-_VALUE = _FLOATS.ops
+_GRADIENTS = _derivative_table(
+    _Arithmetic(
+        value={"+": iv.add, "-": iv.sub, "*": iv.mul, "/": iv.div, "neg": iv.neg,
+               "exp": iv.exp, "cos": iv.cos, "sin": iv.sin, "ln": iv.log,
+               "abs": iv.absolute, "phi": iv.phi, "psi": iv.psi,
+               "capphi": iv.capphi},
+        lift=lambda v: (v, v), named={"pi": (PI.lo, PI.hi), "e": (E.lo, E.hi)},
+        zero=_ZERO, kind=tuple,
+        add=_dadd, sub=_dsub, neg=iv.neg, mul=_dmul, div=_ddiv),
+    ramp_slope=_pair_ramp_slope, abs_slope=_pair_abs_slope,
+    minimum=_pair_minmax(iv.minimum, True), maximum=_pair_minmax(iv.maximum, False),
+    power=_pair_power, natural_exponent=True)
+
+# the point arithmetic's derivative primitives and kink rules
 
 
 def _zero(d) -> bool:
@@ -334,6 +363,10 @@ def _minus(a, b):
     return np.negative(b) if _zero(a) else np.subtract(a, b)
 
 
+def _negate(d):
+    return 0.0 if _zero(d) else np.negative(d)
+
+
 def _times(s, d):
     # the factor s is a value or a slope, never a Python float
     if _zero(d):
@@ -341,81 +374,24 @@ def _times(s, d):
     return s if type(d) is float else np.multiply(s, d)
 
 
-def _dual_chain(name: str, slope):
-    """The dual rule of the float table's unary op `name`, whose derivative
-    at u is slope(u, value).  Where both derivatives of u are exactly zero,
-    slope is not run."""
-    fn = _VALUE[name]
-
-    def run(x):
-        u = x[0]
-        value = fn(u)
-        if _zero(x[1]) and _zero(x[2]):
-            return value, 0.0, 0.0
-        s = slope(u, value)
-        return value, _times(s, x[1]), _times(s, x[2])
-    return run
+def _over(d, w):
+    return 0.0 if _zero(d) else np.divide(d, w)
 
 
-def _dual_ramp(name: str):
+def _point_ramp_slope(lo: float, hi: float, s: float):
     # the slope of the piece to the right of u: s on [lo, hi), 0 elsewhere
-    lo, hi, s = _RAMPS[name]
-    return _dual_chain(name,
-                       lambda u, _: np.where((u >= lo) & (u < hi), s, 0.0))
+    return lambda u, _: np.where((u >= lo) & (u < hi), s, 0.0)
 
 
-def _dual_add(x, y):
-    return _VALUE["+"](x[0], y[0]), _plus(x[1], y[1]), _plus(x[2], y[2])
+def _point_abs_slope(u, _):
+    return np.where(u >= 0.0, 1.0, -1.0)
 
 
-def _dual_sub(x, y):
-    return _VALUE["-"](x[0], y[0]), _minus(x[1], y[1]), _minus(x[2], y[2])
-
-
-def _dual_neg(x):
-    return _VALUE["neg"](x[0]), _minus(0.0, x[1]), _minus(0.0, x[2])
-
-
-def _dual_mul(x, y):
-    u, w = x[0], y[0]
-    return (_VALUE["*"](u, w), _plus(_times(w, x[1]), _times(u, y[1])),
-            _plus(_times(w, x[2]), _times(u, y[2])))
-
-
-def _dual_div(x, y):
-    # (u/w)' = (u' - (u/w) w') / w, as in the gradient table
-    w = y[0]
-    q = _VALUE["/"](x[0], w)
-    d1 = _minus(x[1], _times(q, y[1]))
-    d2 = _minus(x[2], _times(q, y[2]))
-    return (q, 0.0 if _zero(d1) else np.divide(d1, w),
-            0.0 if _zero(d2) else np.divide(d2, w))
-
-
-def _dual_pow(x, y):
-    # (u^w)' = w u^(w-1) u' + u^w ln(u) w', each term only where its u' or
-    # w' is not exactly zero; with a constant exponent 0, u^0 is constant
-    u, w = x[0], y[0]
-    value = _VALUE["^"](u, w)
-    constant_exponent = _zero(y[1]) and _zero(y[2])
-    d1 = d2 = 0.0
-    if constant_exponent and w == 0.0:
-        return value, d1, d2
-    if not (_zero(x[1]) and _zero(x[2])):
-        s = w * np.power(u, w - 1.0)
-        d1, d2 = _times(s, x[1]), _times(s, x[2])
-    if not constant_exponent:
-        t = np.multiply(value, np.log(u))
-        d1, d2 = _plus(d1, _times(t, y[1])), _plus(d2, _times(t, y[2]))
-    return value, d1, d2
-
-
-def _dual_minmax(name: str, strictly):
-    """The dual rule of min (strictly = np.less) or max (np.greater): the
-    derivative of the operand that is strictly the result, and at a tie
-    the min or the max of both operands' derivatives."""
-    fn = _VALUE[name]
-
+def _point_minmax(fn, strictly):
+    """The rule of min (fn = np.minimum, strictly = np.less) or max
+    (np.maximum, np.greater): the derivative of the operand that is strictly
+    the result, and at a tie the min or the max of both operands'
+    derivatives."""
     def run(x, y):
         u, w = x[0], y[0]
         value = fn(u, w)
@@ -432,21 +408,32 @@ def _dual_minmax(name: str, strictly):
     return run
 
 
-_DUALS = _Table(
-    const=lambda v: (np.float64(v), 0.0, 0.0),
-    named={name: (v, 0.0, 0.0) for name, v in _FLOATS.named.items()},
-    ops={"+": _dual_add, "-": _dual_sub, "*": _dual_mul, "/": _dual_div,
-         "^": _dual_pow, "neg": _dual_neg,
-         "exp": _dual_chain("exp", lambda _, value: value),
-         "cos": _dual_chain("cos", lambda u, _: np.negative(np.sin(u))),
-         "sin": _dual_chain("sin", lambda u, _: np.cos(u)),
-         "ln": _dual_chain("ln", lambda u, _: np.divide(1.0, u)),
-         "abs": _dual_chain("abs", lambda u, _: np.where(u >= 0.0, 1.0, -1.0)),
-         "phi": _dual_ramp("phi"), "psi": _dual_ramp("psi"),
-         "capphi": _dual_ramp("capphi"),
-         "min": _dual_minmax("min", np.less),
-         "max": _dual_minmax("max", np.greater)},
-    natural_exponent=False)
+def _point_power(x, y):
+    # (u^w)' = w u^(w-1) u' + u^w ln(u) w', each term only where its u' or
+    # w' is not exactly zero; with a constant exponent 0, u^0 is constant
+    u, w = x[0], y[0]
+    value = np.power(u, w)
+    constant_exponent = _zero(y[1]) and _zero(y[2])
+    d1 = d2 = 0.0
+    if constant_exponent and w == 0.0:
+        return value, d1, d2
+    if not (_zero(x[1]) and _zero(x[2])):
+        s = w * np.power(u, w - 1.0)
+        d1, d2 = _times(s, x[1]), _times(s, x[2])
+    if not constant_exponent:
+        t = np.multiply(value, np.log(u))
+        d1, d2 = _plus(d1, _times(t, y[1])), _plus(d2, _times(t, y[2]))
+    return value, d1, d2
+
+
+_DUALS = _derivative_table(
+    _Arithmetic(value=_FLOATS.ops, lift=np.float64, named=_FLOATS.named,
+                zero=0.0, kind=float,
+                add=_plus, sub=_minus, neg=_negate, mul=_times, div=_over),
+    ramp_slope=_point_ramp_slope, abs_slope=_point_abs_slope,
+    minimum=_point_minmax(np.minimum, np.less),
+    maximum=_point_minmax(np.maximum, np.greater),
+    power=_point_power, natural_exponent=False)
 
 
 def _natural_exponent(node: BinOp) -> int:
@@ -538,7 +525,8 @@ def _compile(node: ExprAst, table: _Table, slot: int = 0):
     closures, one per node, each calling its table function on its
     children's values.  A DomainError or FloatingPointError of that function
     becomes an EvalError at the node's source offset.  Interval programs
-    take a natural-number exponent only, so compiling one raises that
+    take a natural-number exponent only: u^n is then a node with one
+    operand, running the table's rule of u^n, and compiling raises that
     EvalError for the first other `^`, before any evaluation.
 
     Returns (program, uses, slots).  uses has bit 1 set when node depends on
@@ -565,12 +553,12 @@ def _compile(node: ExprAst, table: _Table, slot: int = 0):
         name, operands = node.fn, node.args
     else:
         name, operands = node.op, (node.left, node.right)
+    natural = name == "^" and table.natural_power is not None
+    if natural:
+        operands = (node.left,)
     args, full, uses, slots = [], [], 0, 0
-    for i, operand in enumerate(operands):
-        if i == 1 and name == "^" and table.natural_exponent:
-            program, used, top = _constant(_natural_exponent(node)), 0, 0
-        else:
-            program, used, top = _compile(operand, table, slot + sum(full))
+    for operand in operands:
+        program, used, top = _compile(operand, table, slot + sum(full))
         args.append(program)
         full.append(used == _BOTH)
         uses |= used
@@ -579,10 +567,10 @@ def _compile(node: ExprAst, table: _Table, slot: int = 0):
     if table.into is not None and uses == _BOTH:
         into = table.into[name]
         slots = max(slots, slot + 1)
+    fn = table.natural_power(_natural_exponent(node)) if natural else table.ops[name]
     if len(args) == 1:
-        return _unary(table.ops[name], *args, node.offset, into, slot), uses, slots
-    return (_binary(table.ops[name], *args, node.offset, into, slot, full),
-            uses, slots)
+        return _unary(fn, *args, node.offset, into, slot), uses, slots
+    return _binary(fn, *args, node.offset, into, slot, full), uses, slots
 
 
 # compiled programs by (id(node), id(table)); each entry holds a weak

@@ -746,10 +746,10 @@ _ALL_BUILTINS = parse_expr(
 def _on_a_ramp_kink(node, x1, x2) -> bool:
     """Whether the enclosure of a ramp's argument on the point box reaches
     one of its breakpoints.  There the gradient table takes the slope of
-    the piece on the enclosure's side (`_kink_slope`: the left piece's on a
-    breakpoint itself) and the dual table the right piece's.  abs, min and
-    max need no such test: where the enclosures reach their kink, the
-    gradient table takes the hull of both slopes."""
+    the piece on the enclosure's side (`_pair_ramp_slope`: the left
+    piece's on a breakpoint itself) and the dual table the right piece's.
+    abs, min and max need no such test: where the enclosures reach their
+    kink, the gradient table takes the hull of both slopes."""
     stack = [node]
     while stack:
         node = stack.pop()
@@ -802,13 +802,25 @@ def test_dual_derivatives_lie_in_the_gradient_enclosure(tree, x1, x2):
         assert g[0] <= float(d) <= g[1], (tree, x1, x2, d, g)
 
 
+def test_both_derivative_tables_run_one_copy_of_each_shared_rule():
+    # the gradient and dual tables are one builder over two arithmetics:
+    # each of these rules is the same code in both, so a fix to one is a fix
+    # to the other
+    for op in ("+", "-", "*", "/", "neg", "exp", "cos", "sin", "ln"):
+        gradient, dual = expr._GRADIENTS.ops[op], expr._DUALS.ops[op]
+        assert gradient is not dual, op
+        assert gradient.__code__ is dual.__code__, op
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(["x1^1.5", "(1 + x1 + x2^2)^(-0.7)", "x2^x1",
-                        "(2 + sin(x1))^(x2/3)", "2^(x1*x2) + x1^pi"]),
+                        "(2 + sin(x1))^(x2/3)", "2^(x1*x2) + x1^pi",
+                        "(2 + cos(x1*x2))^1.5 - exp(-x1)/ln(1 + x2)^0.5"]),
        st.floats(0.2, 3.0), st.floats(0.2, 3.0))
 def test_dual_derivatives_of_a_non_natural_power(src, x1, x2):
     # the gradient table takes natural exponents only: against a central
-    # difference instead
+    # difference instead, which also checks the rules both tables share
+    # from the dual side
     tree = parse_expr(src)
     _, d1, d2 = expr.dual_program(tree)(np.float64(x1), np.float64(x2))
     h = 1e-6

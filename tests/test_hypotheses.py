@@ -140,19 +140,37 @@ def test_pass_requires_strict_enclosure_for_strict_relations():
 TIGHT_F1 = "4.5 + 5*phi(x1)*psi(x2) - 4*capphi(x1) + {}*x1*(6.0 - x1)/9.0*cos(x2)"
 
 
-@pytest.mark.parametrize("amp, budget, status, boxes", [
-    ("0.9235570431227818", 100_000, "Pass", 42),     # eps = 1e-3
-    ("0.9346619374288674", 100_000, "Fail", 9),      # eps = -5e-3
-    ("0.925406008024745", 2000, "Pass", 72),         # eps = 1e-6
-    ("0.925406008024745", 20, "Unknown", 20),        # eps = 1e-6
+def _tight(amp, budget, status, boxes):
+    """A row of TIGHT_F1 at amplitude amp, named by amp and its outcome."""
+    return pytest.param(TIGHT_F1.format(amp), budget, status, boxes,
+                        id=f"{amp}-{budget}-{status}-{boxes}")
+
+
+# nine's f1 plus a bump of height 0.499 at (3, 1), through other derivative
+# rules: sup f1 = 10 - 1e-3 on [0, 5]^2
+NINE_F1 = "4.5 + 5*phi(x1)*psi(x2) - 4*capphi(x1)"
+
+
+@pytest.mark.parametrize("f, budget, status, boxes", [
+    _tight("0.9235570431227818", 100_000, "Pass", 42),     # eps = 1e-3
+    _tight("0.9346619374288674", 100_000, "Fail", 9),      # eps = -5e-3
+    _tight("0.925406008024745", 2000, "Pass", 72),         # eps = 1e-6
+    _tight("0.925406008024745", 20, "Unknown", 20),        # eps = 1e-6
+    pytest.param(NINE_F1 + " + 0.499*x1*(6 - x1)/9*exp(-abs(x2 - 1))",
+                 100_000, "Pass", 88, id="exp-abs"),
+    pytest.param(NINE_F1 + " + 0.499*max(x1*(6 - x1)/9 - (x2 - 1)^2, -1)",
+                 100_000, "Pass", 110, id="max-pow"),
+    pytest.param(NINE_F1 + " + 0.499*x1*(6 - x1)/9*cos(x2 - 1) - 0.1*sin(x2 - 1)^2",
+                 100_000, "Pass", 110, id="cos-sin-pow"),
+    pytest.param(NINE_F1 + " - 0.499*(-(x1*(6 - x1)/9))/(1 + ln(1 + (x2 - 1)^2))",
+                 100_000, "Pass", 106, id="neg-quotient-ln"),
 ])
-def test_certify_tight_condition_explores_pinned_boxes(amp, budget, status, boxes):
+def test_certify_tight_condition_explores_pinned_boxes(f, budget, status, boxes):
     # the exploration is part of the contract: the same split order, the
     # same enclosures and the same first-order tests visit exactly these
     # many boxes; no row reaches the depth cap, and the Unknown is the
     # budget's
-    q = BoxIneq(parse_expr(TIGHT_F1.format(amp)), box(0, 5, 0, 5), "<=", 10.0,
-                "thm52.a1")
+    q = BoxIneq(parse_expr(f), box(0, 5, 0, 5), "<=", 10.0, "thm52.a1")
     verdict = certify_box(q, budget=budget)
     assert (verdict.status, verdict.boxes_explored) == (status, boxes)
     assert not verdict.max_depth_reached
