@@ -56,10 +56,9 @@ def sup_norm(u: GridFunction) -> float:
 
 
 def window_node(rule: QuadratureRule, t0: float) -> int:
-    """Index of the node at the window start t0, matched to 1e-12 (the
-    linspace node nearest 1/2 can be 1/2 minus an ulp); a ConfigError names
+    """Index of the node equal to the window start t0; a ConfigError names
     the grid when t0 is no node of it."""
-    idx = np.flatnonzero(np.abs(rule.nodes - t0) <= 1e-12)
+    idx = np.flatnonzero(rule.nodes == t0)
     if len(idx) == 0:
         raise ConfigError(f"grid_n = {rule.n} has no node at t = {t0}, where "
                           f"a cone window starts")

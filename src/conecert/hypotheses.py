@@ -1,6 +1,7 @@
 """Certify or refute the box inequalities behind the multiplicity theorems.
 
-Each theorem's hypotheses expand into a handful of statements of the form
+Each theorem's hypotheses expand (one template, its bounds and box ends
+read from kernels.cone_constants) into a handful of statements of the form
 
     f(x1, x2)  REL  bound   for all (x1, x2) in a closed box,
 
@@ -71,7 +72,7 @@ from .expr import (eval_point, eval_values, first_failure, float_flags,
 # only for benchmarks/spans.py, which patches it (AttributeError if absent)
 from .expr import eval_interval  # noqa: F401
 from .interval import CertVerdict, Interval, midpoint
-from .kernels import rcd_lambda
+from .kernels import cone_constants
 from .syntax import ExprAst
 
 DEFAULT_BUDGET = 100_000
@@ -434,98 +435,68 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
-def _finite(value: float, what: str) -> float:
-    _require(math.isfinite(value), f"{what} overflows to {value}")
-    return value
-
-
-def _bounded(conds: list[BoxIneq]) -> list[BoxIneq]:
-    for q in conds:
-        _finite(q.bound, f"{q.condition_id}: the bound")
-    return conds
+def _box(j: int, own: tuple[float, float], other: tuple[float, float]
+         ) -> tuple[Interval, Interval]:
+    """The box with component j's range `own` and the other one's `other`."""
+    own, other = Interval(*own), Interval(*other)
+    return (own, other) if j == 0 else (other, own)
 
 
 def expand_conditions(problem) -> list[BoxIneq]:
-    """Instantiate the condition templates of the problem's theorem, boxes
-    and bounds as printed; the theorem's ordering invariants are validated
-    first (ConfigError names the violated inequality, or the ordering term
-    or condition bound that overflows).  RegionSpec already holds
-    0 < d < a < c, and ProblemSpec makes kernels and annulus consistent
-    with the mode."""
+    """The problem's theorem, from one per-component template over the
+    kernels' `cone_constants` (M, m_W, e_W, 1/gamma).  Component j, the
+    other's sup norm in [lo, hi] ([0, c], or hybrid's annulus), gets
+    a: f_j <= c_j/M on [0, c_j] x [0, hi] (thm53: f_j >= 0, > 0 with
+    remark52), b: f_j < d_j/M on [0, d_j] x [0, hi] and c: f_j > a_j/m_W on
+    [a_j, b_j] x [gamma*lo, hi] ([a_j, c_j] in thm53).  thm51 takes
+    component 1, then d: f_2 < r/M on [0, c_1] x [0, r] and e: f_2 > R/e_W
+    on [0, c_1] x [gamma*R, R].  The orderings a_j/gamma < c_j (<= in thm52
+    and with remark52), b_j <= c_j (not in thm53) and r/gamma < R come
+    first; ConfigError names the one violated, or a bound that overflows."""
     tid = _theorem(problem)
     region = problem.region
-    f1, f2 = problem.f1, problem.f2
+    fs = (problem.f1, problem.f2)
     d, a, c = region.d, region.a, region.c
     b = region.b_effective()
-    iv = Interval
-
-    if tid == "thm51":
-        r, big_r = region.annulus
-        _require(2.0 * a[0] < c[0], f"need 2a < c, got a={a[0]}, c={c[0]}")
-        _require(b[0] <= c[0], f"need b <= c, got b={b[0]}, c={c[0]}")
-        _require(2.0 * r < big_r, f"need 0 < 2r < R, got r={r}, R={big_r}")
-        return _bounded([
-            BoxIneq(f1, (iv(0, c[0]), iv(0, big_r)), "<=", 2.0 * c[0], "thm51.a"),
-            BoxIneq(f1, (iv(0, d[0]), iv(0, big_r)), "<", 2.0 * d[0], "thm51.b"),
-            BoxIneq(f1, (iv(a[0], b[0]), iv(0.5 * r, big_r)), ">", 4.0 * a[0],
-                    "thm51.c"),
-            BoxIneq(f2, (iv(0, c[0]), iv(0, r)), "<", 2.0 * r, "thm51.d"),
-            BoxIneq(f2, (iv(0, c[0]), iv(0.5 * big_r, big_r)), ">",
-                    8.0 * big_r / 3.0, "thm51.e"),
-        ])
-
-    if tid == "thm52":
-        for j in range(2):
-            _require(2.0 * a[j] <= c[j],
-                     f"component {j + 1}: need 2a <= c, got a={a[j]}, c={c[j]}")
-            _require(b[j] <= c[j],
-                     f"component {j + 1}: need b <= c, got b={b[j]}, c={c[j]}")
-        ambient = (iv(0, c[0]), iv(0, c[1]))
-        return _bounded([
-            BoxIneq(f1, ambient, "<=", 2.0 * c[0], "thm52.a1"),
-            BoxIneq(f1, (iv(0, d[0]), iv(0, c[1])), "<", 2.0 * d[0], "thm52.b1"),
-            BoxIneq(f1, (iv(a[0], b[0]), iv(0, c[1])), ">", 4.0 * a[0], "thm52.c1"),
-            BoxIneq(f2, ambient, "<=", 2.0 * c[1], "thm52.a2"),
-            BoxIneq(f2, (iv(0, c[0]), iv(0, d[1])), "<", 2.0 * d[1], "thm52.b2"),
-            BoxIneq(f2, (iv(0, c[0]), iv(a[1], b[1])), ">", 4.0 * a[1], "thm52.c2"),
-        ])
-
-    # thm53 / thm53_remark52
-    betas = (problem.kernel1.beta, problem.kernel2.beta)
-    strict_positive = problem.remark52
-    for j in range(2):
-        try:
-            growth = a[j] * math.exp(1.0 / betas[j])
-        except OverflowError:
-            growth = math.inf
-        _finite(growth, f"component {j + 1}: a*exp(1/beta) with "
-                        f"beta={betas[j]!r}")
-        if strict_positive:
-            _require(growth <= _finite(c[j] * (1.0 + 1e-12),
-                                       f"component {j + 1}: c*(1 + 1e-12)"),
-                     f"component {j + 1}: need a*exp(1/beta) <= c, got "
-                     f"{growth} > {c[j]}")
-        else:
-            _require(growth < c[j],
-                     f"component {j + 1}: need a*exp(1/beta) < c, got "
-                     f"{growth} >= {c[j]}")
-    ambient = (iv(0, c[0]), iv(0, c[1]))
+    big_m, m_w, e_w, inv_gamma = zip(cone_constants(problem.kernel1),
+                                     cone_constants(problem.kernel2))
+    krasnoselskii = tid.startswith("thm53")
+    order = "<=" if tid in ("thm52", "thm53_remark52") else "<"
+    components = (0,) if region.annulus else (0, 1)
     conds = []
-    for j, (f, kernel_beta) in enumerate(((f1, betas[0]), (f2, betas[1])), start=1):
-        growth_bound = a[j - 1] / rcd_lambda(kernel_beta)
-        if strict_positive:
-            conds.append(BoxIneq(f, ambient, ">", 0.0, f"thm53.a{j}"))
-        else:
-            conds.append(BoxIneq(f, ambient, ">=", 0.0, f"thm53.a{j}"))
-        if j == 1:
-            small = (iv(0, d[0]), iv(0, c[1]))
-            big = (iv(a[0], c[0]), iv(0, c[1]))
-        else:
-            small = (iv(0, c[0]), iv(0, d[1]))
-            big = (iv(0, c[0]), iv(a[1], c[1]))
-        conds.append(BoxIneq(f, small, "<", d[j - 1], f"thm53.b{j}"))
-        conds.append(BoxIneq(f, big, ">", growth_bound, f"thm53.c{j}"))
-    return _bounded(conds)
+    for j in components:
+        k = 1 - j
+        growth = a[j] * inv_gamma[j]
+        _require(_RELATIONS[order][0](growth, c[j]),
+                 f"component {j + 1}: need a/gamma {order} c, got "
+                 f"a/gamma={growth}, c={c[j]}")
+        _require(krasnoselskii or b[j] <= c[j],
+                 f"component {j + 1}: need b <= c, got b={b[j]}, c={c[j]}")
+        lo_k, hi_k = region.sup_bounds()[k]
+        suffix = str(j + 1) if len(components) == 2 else ""
+        a_id, b_id, c_id = (f"{tid[:5]}.{x}{suffix}" for x in "abc")
+        rel, bound = ((">" if problem.remark52 else ">=", 0.0) if krasnoselskii
+                      else ("<=", c[j] / big_m[j]))
+        top = c[j] if krasnoselskii else b[j]
+        f, whole, on_w = fs[j], (0, hi_k), (lo_k / inv_gamma[k], hi_k)
+        conds += [BoxIneq(f, _box(j, (0, c[j]), whole), rel, bound, a_id),
+                  BoxIneq(f, _box(j, (0, d[j]), whole), "<", d[j] / big_m[j],
+                          b_id),
+                  BoxIneq(f, _box(j, (a[j], top), on_w), ">", a[j] / m_w[j],
+                          c_id)]
+    if region.annulus:
+        r, big_r = region.annulus
+        _require(r * inv_gamma[1] < big_r, f"component 2: need r/gamma < R, "
+                 f"got r/gamma={r * inv_gamma[1]}, R={big_r}")
+        inner, outer = (0, r), (big_r / inv_gamma[1], big_r)
+        conds += [BoxIneq(fs[1], _box(1, inner, (0, c[0])), "<",
+                          r / big_m[1], "thm51.d"),
+                  BoxIneq(fs[1], _box(1, outer, (0, c[0])), ">",
+                          big_r / e_w[1], "thm51.e")]
+    for q in conds:
+        _require(math.isfinite(q.bound),
+                 f"{q.condition_id}: the bound overflows to {q.bound}")
+    return conds
 
 
 def check_theorem(problem, budget: int = DEFAULT_BUDGET,

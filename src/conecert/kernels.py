@@ -19,6 +19,16 @@ green_matrix builds the dense matrix G(t_i, s_m), which no solve forms; it
 is the only evaluation of G itself, and the tests check the generators
 against it.
 
+The theorems' bounds and orderings are functionals of G and its cone window
+W (each kernel's `window`, W = [window, 1]); cone_constants is their one
+definition:
+
+    M    = max_t int_0^1 G(t,s) ds         1/2 for min(t,s), 1 for RCD
+    m_W  = min_{t in W} int_W G(t,s) ds    1/4,   lambda(beta) (rcd_lambda)
+    e_W  = int_W G(1,s) ds                 3/8,   1
+    1/gamma, where gamma is the largest   2,     exp(1/beta)
+      constant with G(t,s) >= gamma*max_tau G(tau,s) for t in W
+
 Quadrature is the composite trapezoid rule on a uniform grid (make_rule).
 Operator evaluation happens at grid t-values only, so the min(t,s) kink
 always sits on a node and trapezoid keeps O(h^2); Simpson would gain no
@@ -64,6 +74,20 @@ def rcd_lambda(beta: float) -> float:
 
 
 KernelKind = DirichletNeumann | ReactionConvectionDiffusion
+
+
+def cone_constants(kernel: KernelKind) -> tuple[float, float, float, float]:
+    """(M, m_W, e_W, 1/gamma) of the kernel, 1/gamma inf where exp(1/beta)
+    overflows.  1/gamma, not gamma: a*exp(1/beta) is then one rounding, as a
+    config's c is (closing_system's c is it bit for bit), where
+    a/fl(exp(-1/beta)) can land an ulp above it."""
+    if isinstance(kernel, DirichletNeumann):
+        return (0.5, 0.25, 0.375, 2.0)
+    try:
+        inv_gamma = math.exp(1.0 / kernel.beta)
+    except OverflowError:
+        inv_gamma = math.inf
+    return (1.0, rcd_lambda(kernel.beta), 1.0, inv_gamma)
 
 
 def green_matrix(kernel: KernelKind, t: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -167,10 +191,12 @@ def same_rule(a: QuadratureRule, b: QuadratureRule) -> bool:
 
 
 def make_rule(n: int) -> QuadratureRule:
-    """Composite trapezoid rule on n >= 3 uniform nodes."""
+    """Composite trapezoid rule on n >= 3 uniform nodes.  Node k is the
+    correctly rounded k/(n - 1), so an odd n puts its middle node at 1/2
+    exactly (linspace misses it by an ulp at n = 99, say)."""
     if n < 3:
         raise ValueError(f"need at least 3 nodes, got {n}")
     h = 1.0 / (n - 1)
     weights = np.full(n, h)
     weights[0] = weights[-1] = h / 2.0
-    return QuadratureRule(np.linspace(0.0, 1.0, n), weights)
+    return QuadratureRule(np.arange(n) / (n - 1), weights)

@@ -247,17 +247,24 @@ def test_size_floor_is_exit_3(tmp_path, capsys, command, make, block, key,
 
 @pytest.mark.parametrize("make,message", [
     pytest.param(_edited(nine_config, ("problem", "region", "c"), 1e308),
-                 "thm52.a1: the bound overflows to inf", id="nine-2c"),
+                 "config error: thm52.a1: the bound overflows to inf",
+                 id="nine-2c"),
+    # R/e_W = R/0.375 overflows for R above 0.375 times the largest float
     pytest.param(_edited(hybrid_config, ("problem", "region", "annulus"),
                          [2.0, 1e308]),
-                 "thm51.e: the bound overflows to inf", id="hybrid-8R/3"),
+                 "config error: thm51.e: the bound overflows to inf",
+                 id="hybrid-8R/3"),
+    # 1/gamma = exp(1/beta) overflows, so the ordering a/gamma <= c fails
     pytest.param(_edited(closing_problem_config,
                          ("problem", "kernel1", "beta"), 1e-300),
-                 "component 1: a*exp(1/beta) with beta=1e-300 overflows to inf",
-                 id="thm53-exp"),
+                 "config error: component 1: need a/gamma <= c, got "
+                 "a/gamma=inf, c=15.843307541695367", id="thm53-exp"),
+    # remark52's ordering a/gamma <= c has no slack term to overflow; the
+    # ambient box [0, c1] then overflows f1 on the oracle lattice
     pytest.param(_edited(closing_problem_config, ("problem", "region", "c"),
                          [1.7976931348623157e308, 30.0]),
-                 "component 1: c*(1 + 1e-12) overflows to inf",
+                 "evaluation error: at position 17: overflow encountered in "
+                 "multiply at the lattice point (1.6359007527247071e+308, 0.0)",
                  id="thm53-remark52-slack"),
 ])
 def test_theorem_bound_overflow_is_exit_3(tmp_path, capsys, make, message):
@@ -265,7 +272,7 @@ def test_theorem_bound_overflow_is_exit_3(tmp_path, capsys, make, message):
     # traceback from math.exp or from the report writer
     path = write_config(tmp_path, make())
     assert main(["verify", path, "--out", str(tmp_path / "out")]) == 3
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert capsys.readouterr().err == f"{message}\n"
     assert not (tmp_path / "out").exists()
 
 

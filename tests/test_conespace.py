@@ -40,11 +40,14 @@ def test_min_window_requires_node():
         min_window(const(1.0), 0.3)
 
 
-def test_window_node_matches_to_1e_12():
-    # linspace's node nearest 1/2 is an ulp short of it at n = 99
-    rule = make_rule(99)
-    assert rule.nodes[49] == 0.49999999999999994
-    assert window_node(rule, 0.5) == 49
+def test_window_node_is_the_exact_middle_node():
+    # make_rule's nodes are the correctly rounded k/(n - 1), so the middle
+    # node of every odd grid is 1/2 exactly (linspace's is an ulp short of
+    # it at n = 99, 197, ...), and the window start is matched exactly
+    for n in range(3, 4002, 2):
+        rule = make_rule(n)
+        assert rule.nodes[(n - 1) // 2] == 0.5, n
+        assert window_node(rule, 0.5) == (n - 1) // 2, n
     assert window_node(RULE, 0.5) == 64 and window_node(RULE, 0.0) == 0
     with pytest.raises(ConfigError, match="grid_n = 128 has no node at "
                                           "t = 0.5"):

@@ -569,6 +569,61 @@ def test_template_fidelity_thm52():
     ]
 
 
+def test_every_bound_box_end_and_ordering_reads_the_cone_constants(
+        monkeypatch):
+    # a table no kernel has, (M, m_W, e_W, 1/gamma) = (1/3, 1/5, 1/7, 3):
+    # a factor written into a template instead of read from cone_constants
+    # would show in a bound, a box end or an ordering
+    monkeypatch.setattr(hypotheses, "cone_constants",
+                        lambda kernel: (1 / 3, 1 / 5, 1 / 7, 3.0))
+    rcd = ReactionConvectionDiffusion(1.0)
+    region = RegionSpec(d=(0.5, 0.5), a=(1.0, 1.0), c=(5.0, 5.0))
+
+    def expanded(problem):
+        return [(q.condition_id, q.relation, q.bound, q.box[0].lo, q.box[0].hi,
+                 q.box[1].lo, q.box[1].hi) for q in expand_conditions(problem)]
+
+    def approx(rows):
+        return [(i, r, *map(lambda v: pytest.approx(v, rel=1e-15), vals))
+                for i, r, *vals in rows]
+
+    nine = replace(nine_problem(), region=region)
+    assert expanded(nine) == approx([
+        ("thm52.a1", "<=", 15.0, 0, 5, 0, 5),
+        ("thm52.b1", "<", 1.5, 0, 0.5, 0, 5),
+        ("thm52.c1", ">", 5.0, 1, 2, 0, 5),
+        ("thm52.a2", "<=", 15.0, 0, 5, 0, 5),
+        ("thm52.b2", "<", 1.5, 0, 5, 0, 0.5),
+        ("thm52.c2", ">", 5.0, 0, 5, 1, 2),
+    ])
+    hybrid = replace(hybrid_problem(),
+                     region=replace(region, annulus=(1.0, 5.0)))
+    assert expanded(hybrid) == approx([
+        ("thm51.a", "<=", 15.0, 0, 5, 0, 5),
+        ("thm51.b", "<", 1.5, 0, 0.5, 0, 5),
+        ("thm51.c", ">", 5.0, 1, 2, 1 / 3, 5),
+        ("thm51.d", "<", 3.0, 0, 5, 0, 1),
+        ("thm51.e", ">", 35.0, 0, 5, 5 / 3, 5),
+    ])
+    thm53 = ProblemSpec(rcd, rcd, F_A, F_B, region, "thm53")
+    assert expanded(thm53) == approx([
+        ("thm53.a1", ">=", 0.0, 0, 5, 0, 5),
+        ("thm53.b1", "<", 1.5, 0, 0.5, 0, 5),
+        ("thm53.c1", ">", 5.0, 1, 5, 0, 5),
+        ("thm53.a2", ">=", 0.0, 0, 5, 0, 5),
+        ("thm53.b2", "<", 1.5, 0, 5, 0, 0.5),
+        ("thm53.c2", ">", 5.0, 0, 5, 1, 5),
+    ])
+    # a/gamma = 3a, not 2a, against c; r/gamma = 3r against R
+    with pytest.raises(ConfigError, match="need a/gamma <= c, got "
+                                          "a/gamma=3.0, c=2.9"):
+        expand_conditions(replace(nine, region=replace(region, c=(2.9, 5.0))))
+    with pytest.raises(ConfigError, match="need r/gamma < R, got "
+                                          "r/gamma=3.0, R=2.9"):
+        expand_conditions(replace(hybrid, region=replace(
+            region, annulus=(1.0, 2.9))))
+
+
 def test_check_thm52_symmetric_example():
     report = check_theorem(nine_problem())
     assert report.overall == "AllPass"
@@ -612,7 +667,8 @@ def test_ordering_violation_is_config_error():
                           bad, "nine")
     with pytest.raises(ConfigError) as err:
         expand_conditions(problem)
-    assert "2a <= c" in str(err.value)
+    assert str(err.value) == ("component 1: need a/gamma <= c, got "
+                              "a/gamma=2.0, c=1.9")
 
 
 def test_kernel_theorem_mismatch():

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conecert.errors import DomainError
+from conecert.conespace import window_node
 from conecert.kernels import (DirichletNeumann, QuadratureRule,
-                              ReactionConvectionDiffusion, generators,
-                              green_matrix, make_rule, rcd_lambda)
+                              ReactionConvectionDiffusion, cone_constants,
+                              generators, green_matrix, make_rule, rcd_lambda)
 
 DN = DirichletNeumann()
 RCD1 = ReactionConvectionDiffusion(1.0)
@@ -212,3 +213,71 @@ def test_quadrature_matches_row_integral():
             tol = 1e-12 if kernel is DN else h * h
             for t in (0.0, rule.nodes[n // 2], 1.0):
                 assert abs(row_integral(kernel, t, rule) - closed(t)) <= tol
+
+
+# ---------------------------------------------------------------------------
+# the cone constants
+
+
+CONE_KERNELS = [DN, *(ReactionConvectionDiffusion(beta)
+                      for beta in (1e-2, 1.0, 1e17))]
+
+
+def _exact_constants(kernel):
+    """M, m_W, e_W and gamma from their definitions, at 50 digits: the
+    integrals by mpmath quadrature split at the kink s = t, the extrema over
+    t on a lattice of W (each row integral is monotone in t, so its extremum
+    sits on an end of W), and gamma's minimum over a lattice in t and s."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    if isinstance(kernel, DirichletNeumann):
+        green = min
+    else:
+        beta = mp.mpf(kernel.beta)
+
+        def green(t, s):
+            return mp.exp((t - s) / beta) if t <= s else mp.one
+    w0 = mp.mpf(kernel.window)
+
+    def row(t, lo):
+        return mp.quad(lambda s: green(t, s), sorted({lo, min(max(t, lo), 1), 1}))
+
+    lattice = [mp.mpf(k) / 8 for k in range(9)]
+    window = [t for t in lattice if t >= w0]
+    big_m = max(row(t, 0) for t in lattice)
+    m_w = min(row(t, w0) for t in window)
+    e_w = row(mp.one, w0)
+    gamma = min(green(t, s) / max(green(tau, s) for tau in lattice)
+                for t in window for s in lattice[1:])
+    return big_m, m_w, e_w, gamma
+
+
+@pytest.mark.parametrize("kernel", CONE_KERNELS, ids=repr)
+def test_cone_constants_match_their_definitions(kernel):
+    got = cone_constants(kernel)
+    big_m, m_w, e_w, gamma = _exact_constants(kernel)
+    exact = (big_m, m_w, e_w, 1 / gamma)
+    # exp(1/beta) inherits the rounding of 1/beta, times 1/beta
+    slack = 1.0 + 1.0 / getattr(kernel, "beta", 1.0)
+    for value, want, tol in zip(got, exact, (1, 1, 1, slack)):
+        assert abs(value - want) <= 4e-16 * tol * want, (got, exact)
+
+
+@pytest.mark.parametrize("kernel", [DN, RCD1, ReactionConvectionDiffusion(0.1)],
+                         ids=repr)
+def test_trapezoid_row_sums_converge_to_the_constants(kernel):
+    # the Nystrom row sums of green_matrix: their max over [0, 1] tends to M
+    # and, with the trapezoid rule of the window's nodes, their min over W
+    # to m_W, at O(h^2) (exactly for the piecewise-linear min(t,s))
+    big_m, m_w, _, _ = cone_constants(kernel)
+    for n in (33, 129, 513):
+        rule = make_rule(n)
+        h = 1.0 / (n - 1)
+        green = green_matrix(kernel, rule.nodes, rule.nodes)
+        k = window_node(rule, kernel.window)
+        weights = np.full(n - k, h)
+        weights[[0, -1]] /= 2.0
+        assert abs(np.max(green @ rule.weights) - big_m) <= 1e-14
+        assert abs(np.min(green[k:, k:] @ weights) - m_w) \
+            <= h * h / (8 * getattr(kernel, "beta", 1.0))
