@@ -70,11 +70,13 @@ def _exp(x: float, what: str) -> float:
 
 
 def s_pair(k: float) -> tuple[float, float]:
-    """The stationary points (s, s_tilde) of g_k; requires k >= 4."""
+    """The stationary points (s, s_tilde) of g_k; requires k >= 4.  s is
+    1/s_tilde (s * s_tilde = 1), which keeps the digits that the difference
+    (k - 2 - sqrt(k(k - 4)))/2 loses to cancellation as k grows."""
     if k < 4.0:
         raise DomainError(f"s_pair requires k >= 4, got k={k}")
-    disc = math.sqrt(k * (k - 4.0))
-    return ((k - 2.0 - disc) / 2.0, (k - 2.0 + disc) / 2.0)
+    s_tilde = (k - 2.0 + math.sqrt(k * (k - 4.0))) / 2.0
+    return 1.0 / s_tilde, s_tilde
 
 
 def check_5_11(k1: float, k2: float) -> CertVerdict:

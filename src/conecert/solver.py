@@ -41,11 +41,12 @@ multi_start advances all its seeds in lockstep on one stacked (S, 2, n)
 state: the operator, its Jacobian and the Newton step take any leading batch
 axis, each Picard step, Newton step and line-search trial is one batched
 call, and a seed drops out of the batch when its own rules end it, so every
-seed reaches the iterate and the verdict it would reach alone.  Results are
-deduplicated by pairwise sup distance, relative to the kept solution's sup
-norm, and classified; fixed points outside the ambient box are reported as
-"outside-ambient" rather than discarded, and a fixed point with a node
-below 0, outside the cone, is dropped with a log line.
+seed reaches the iterate and the verdict it would reach alone.  The settled
+states are deduplicated by pairwise sup distance, relative to the kept
+state's sup norm, and only a kept one is built into a classified Solution.
+A fixed point outside the ambient box, however large, is reported as
+"outside-ambient"; only one with a node below 0, outside the cone, is
+dropped, with a log line.
 
 SolverParams holds what a config's `solver` block sets; the rest are
 module constants.
@@ -72,10 +73,6 @@ from .kernels import (DirichletNeumann, KernelKind, QuadratureRule,
 from .kernels import green_matrix  # noqa: F401
 
 log = logging.getLogger(__name__)
-
-# iterates whose sup norm exceeds this multiple of the ambient bound are
-# treated as spurious far-field points and dropped as non-converged
-FAR_FIELD_FACTOR = 10.0
 
 MAX_NEWTON = 25  # Newton steps per seed after its Picard phase
 # a Newton step v - t*delta is tried at t = 1, 1/2, ..., 2^-MAX_HALVINGS and
@@ -388,13 +385,17 @@ def solve_from(problem: ProblemSpec, seed1: GridFunction, seed2: GridFunction,
     non-finite).  None if no fixed point with residual <= newton_tol is
     reached, or if the one reached has a node below 0.  Each iterate and
     each trial step is evaluated once.  This is multi_start's engine run on
-    one seed."""
+    one seed, and its Solution is built as multi_start builds each of its
+    own."""
     params = params or SolverParams()
     op = _operator(problem, _require_shared_rule(seed1, seed2))
     v = np.array((seed1.values, seed2.values))
     if float(np.min(v)) < 0.0:
         raise ValueError("seeds must be nonnegative")
-    return _solve_lanes(problem, op, v[None], [seed_id], params)[0]
+    lane, states, res, iterations = _solve_lanes(op, v[None], [seed_id], params)
+    if not lane.size:
+        return None
+    return _solution(op, states[0], res[0], iterations[0], seed_id)
 
 
 def _keep(mask: np.ndarray, *arrays):
@@ -405,11 +406,13 @@ def _keep(mask: np.ndarray, *arrays):
 
 
 @np.errstate(all="ignore")
-def _solve_lanes(problem: ProblemSpec, op: DiscreteOperator, seeds: np.ndarray,
-                 seed_ids: list[str], params: SolverParams
-                 ) -> list[Solution | None]:
+def _solve_lanes(op: DiscreteOperator, seeds: np.ndarray,
+                 seed_ids: list[str], params: SolverParams):
     """solve_from's rules for every lane of the stacked (S, 2, n) seed
-    states at once: entry s is lane s's Solution or None.
+    states at once.  Returns the lanes that settle in the cone, in lane
+    order, as arrays: their lane indices (L,), states (L, 2, n), residuals
+    (L,) and iteration counts (L,).  A lane that settles with a node below
+    0 is logged and left out; no settled state is dropped for its size.
 
     Each step is one batched call over the lanes still running, held in the
     lane index array `lane`, and a lane leaves it when its own rules end it.
@@ -511,27 +514,24 @@ def _solve_lanes(problem: ProblemSpec, op: DiscreteOperator, seeds: np.ndarray,
         lane, res, v, step = _keep(finite, lane, res, v, step)
         lane, res, v, tv = settle(*line_search(lane, res, v, step))
 
-    solutions: list[Solution | None] = [None] * len(seeds)
-    lane = np.flatnonzero(~np.isnan(final_res))
     # a fixed point with a node below 0 lies outside the cone
+    lane = np.flatnonzero(~np.isnan(final_res))
     negative = final[lane].min(axis=(1, 2)) < 0.0
     for s in lane[negative].tolist():
         log.info("seed %s: final state negative", seed_ids[s])
     lane = lane[~negative]
-    v = final[lane]
-    far = [FAR_FIELD_FACTOR * hi for _, hi in problem.region.sup_bounds()]
-    for s, (v1, v2), r, sups in zip(lane.tolist(), v, final_res[lane].tolist(),
-                                    v.max(axis=2).tolist()):
-        if sups[0] > far[0] or sups[1] > far[1]:
-            continue
-        u1 = GridFunction(op.rule, v1)
-        u2 = GridFunction(op.rule, v2)
-        solutions[s] = Solution(
-            u1=u1, u2=u2, residual=r,
-            region=classify(u1, u2, problem.region, _windows(problem)),
-            nontrivial=(sups[0] > NONTRIVIAL_EPS, sups[1] > NONTRIVIAL_EPS),
-            iterations=int(iterations[s]), seed_id=seed_ids[s])
-    return solutions
+    return lane, final[lane], final_res[lane], iterations[lane]
+
+
+def _solution(op: DiscreteOperator, v: np.ndarray, res: float,
+              iterations: int, seed_id: str) -> Solution:
+    """The classified Solution of one settled (2, n) state v of op."""
+    u1, u2 = GridFunction(op.rule, v[0]), GridFunction(op.rule, v[1])
+    sup1, sup2 = v.max(axis=1).tolist()
+    region = classify(u1, u2, op.problem.region, _windows(op.problem))
+    return Solution(u1=u1, u2=u2, residual=float(res), region=region,
+                    nontrivial=(sup1 > NONTRIVIAL_EPS, sup2 > NONTRIVIAL_EPS),
+                    iterations=int(iterations), seed_id=seed_id)
 
 
 def _seed_profile(kernel: KernelKind, t: np.ndarray) -> np.ndarray:
@@ -562,12 +562,13 @@ def seed_levels(problem: ProblemSpec) -> tuple[dict[str, float], dict[str, float
 
 def multi_start(problem: ProblemSpec, params: SolverParams | None = None,
                 seed_list: list[str] | None = None) -> list[Solution]:
-    """Run every seed combination, deduplicate and classify the survivors.
+    """Run every seed combination, deduplicate the settled states and build
+    a Solution, through the helper solve_from shares, for each one kept.
 
-    Dedupe drops a solution within sup distance DEDUPE_TOL * max(1, |w|)
-    of an already-kept one w, over both components: a fixed point's own
+    Dedupe drops a state within sup distance DEDUPE_TOL * max(1, |w|) of
+    an already-kept one w, over both components: a fixed point's own
     scale, not the region's, so a loose ambient bound merges nothing.
-    Processing order is sorted by seed_id so the output is deterministic."""
+    States are taken in seed_id order, so the output is deterministic."""
     params = params or SolverParams()
     if params.grid_n < 3:
         raise ConfigError(f"grid_n must be at least 3, got {params.grid_n}")
@@ -593,17 +594,13 @@ def multi_start(problem: ProblemSpec, params: SolverParams | None = None,
     seed_ids = sorted(seed_ids)
     seeds = np.array([(levels1[tag1] * prof1, levels2[tag2] * prof2)
                       for tag1, tag2 in (s.split("-") for s in seed_ids)])
-    found = [sol for sol in _solve_lanes(problem, op,
-                                         seeds.reshape(-1, 2, rule.n),
-                                         seed_ids, params)
-             if sol is not None]
-    if not found:
-        return []
-    states = np.array([(sol.u1.values, sol.u2.values) for sol in found])
+    lane, states, res, iterations = _solve_lanes(
+        op, seeds.reshape(-1, 2, rule.n), seed_ids, params)
     radius = DEDUPE_TOL * np.maximum(1.0, np.max(np.abs(states), axis=(1, 2)))
     kept: list[int] = []
     for i, state in enumerate(states):
         if not (np.max(np.abs(states[kept] - state), axis=(1, 2))
                 <= radius[kept]).any():
             kept.append(i)
-    return [found[i] for i in kept]
+    return [_solution(op, states[i], res[i], iterations[i], seed_ids[lane[i]])
+            for i in kept]

@@ -219,6 +219,20 @@ def test_eval_values_vectorised_matches_point():
             assert vals[i] == eval_point(tree, x1[i], x2[i]), (src, x1[i], x2[i])
 
 
+@pytest.mark.parametrize("fn", ["phi", "psi", "capphi"])
+def test_a_ramp_of_both_variables_on_a_lattice_matches_point(fn):
+    # an argument in both variables is a full-size lattice value, so the
+    # ramp writes into the arena (its `out=` form); that form gives
+    # eval_point's value at every point, bit for bit, across the kinks
+    # x1*x2/4 = 1/2 and 1 and at negative arguments
+    grid = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+    tree = parse_expr(f"{fn}(x1*x2/4)")
+    got = eval_values(tree, grid[:, None], grid[None, :])
+    want = np.array([[eval_point(tree, a, b) for b in grid] for a in grid])
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("src", ["x1", "x2", "5", "x1*x2 + 1"])
 @pytest.mark.parametrize("lattice", ["full", "broadcast"])
 def test_eval_values_returns_a_new_array(src, lattice):

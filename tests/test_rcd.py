@@ -58,6 +58,19 @@ def test_s_pair_examples():
         s_pair(3.9)
 
 
+@pytest.mark.parametrize("k", [4.0, 4.5, 8.0, 10.0, 50.0, 300.0, 700.0, 1e5])
+def test_s_pair_matches_50_digits(k):
+    # s = 1/s_tilde loses nothing to cancellation: the difference
+    # (k - 2 - sqrt(k(k - 4)))/2 is off by 1.1e-15 relative at k = 8 and by
+    # 8.9e-12 at k = 700
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    disc = mp.sqrt(mp.mpf(k) * (k - 4))
+    for got, want in zip(s_pair(k), ((k - 2 - disc) / 2, (k - 2 + disc) / 2)):
+        assert abs(got - want) <= 4e-16 * want, (k, got)
+
+
 def test_root_identities():
     for k in np.linspace(4.01, 50.0, 47):
         s, st = s_pair(float(k))

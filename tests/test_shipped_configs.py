@@ -5,26 +5,49 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conecert import rcd
 from conecert.cli import main
+from conecert.kernels import rcd_lambda
 
 TESTS = Path(__file__).resolve().parent
 CONFIGS = TESTS.parent / "configs"
+
+
+def numpy_blas() -> dict:
+    """numpy's BLAS, as its build configuration names it."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # before numpy 1.26, show_config prints
+        return {"name": "unknown"}
 
 
 def assert_pinned_bytes(out: Path):
     """Every file under `out` has the SHA-256 that tests/nine.sha256 (the
     `sha256sum` list CI checks too) pins for it, and no pinned file under
     `out` is missing.  nine's f uses only the ramps and + - * /, and its
-    enclosures only nextafter, so its bytes do not depend on the CPU."""
+    enclosures only nextafter, so its verify bytes do not depend on the
+    CPU.  Its solve bytes do: the Newton step's 5x5 matrix products go to
+    numpy's BLAS, and the pinned bytes are those of OpenBLAS's FMA kernels
+    for x86-64.  A kernel without FMA writes other last digits, so a
+    mismatch names the BLAS it ran on."""
     pinned = dict(line.split()[::-1] for line in
                   (TESTS / "nine.sha256").read_text().splitlines())
     got = {p.relative_to(out.parent).as_posix():
            hashlib.sha256(p.read_bytes()).hexdigest()
            for p in out.rglob("*") if p.is_file()}
     assert got == {path: digest for path, digest in pinned.items()
-                   if path.startswith(f"{out.name}/")}
+                   if path.startswith(f"{out.name}/")}, \
+        f"pinned for OpenBLAS's FMA kernels; numpy's BLAS: {numpy_blas()}"
+
+
+def test_a_pinned_bytes_mismatch_names_numpy_blas(tmp_path):
+    (tmp_path / "solve").mkdir()
+    (tmp_path / "solve" / "report.json").write_text("{}")
+    with pytest.raises(AssertionError, match="numpy's BLAS: {'name'"):
+        assert_pinned_bytes(tmp_path / "solve")
 
 
 def test_nine_config_verifies(tmp_path):
@@ -50,6 +73,27 @@ def test_hybrid_config_fails_condition_e(tmp_path):
 def test_closing_rcd_config_passes(tmp_path):
     assert main(["rcd", str(CONFIGS / "closing_rcd.json"),
                  "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("scale, status, code", [
+    (1 - 1e-11, "Fail", 1), (1 - 1e-13, "Unknown", 2), (1.0, "Unknown", 2),
+    (1 + 1e-13, "Unknown", 2), (1 + 1e-11, "Pass", 0)])
+def test_closing_rcd_guard_band(tmp_path, scale, status, code):
+    # m2 = scale * m2_lo / lambda(beta1) puts the first diffusion inequality
+    # lambda(beta1) > m2_lo / m2 about (scale - 1) * 0.63 from equality:
+    # within rcd.GUARD (1e-12) ineq_5_16 is neither proved nor refuted, and
+    # rcd exits 2; 6e-12 away it is decided
+    cfg = json.loads((CONFIGS / "closing_rcd.json").read_text())
+    p = cfg["rcd"]
+    _, m2_range = rcd.m_ranges(p["k1"], p["k2"], p["r1"], p["r2"])
+    p["m2"] = scale * m2_range.lo / rcd_lambda(p["beta1"])
+    path = tmp_path / "closing_rcd.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["rcd", str(path), "--out", str(tmp_path)]) == code
+    report = json.loads((tmp_path / "rcd_report.json").read_text())
+    verdicts = {v["condition_id"]: v["status"] for v in report["verdicts"]}
+    assert verdicts.pop("ineq_5_16") == status
+    assert set(verdicts.values()) == {"Pass"}
 
 
 def test_closing_system_config_verifies(tmp_path):

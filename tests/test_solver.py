@@ -20,7 +20,7 @@ from conecert.kernels import (DirichletNeumann, QuadratureRule,
 from conecert.solver import (DiscreteOperator, ProblemSpec, SolverParams,
                              multi_start, residual, seed_levels,
                              solve_from)
-from conftest import F_SYMMETRIC_2, closing_problem_config
+from conftest import F_SYMMETRIC_2, closing_problem_config, nine_config
 
 RULE = make_rule(129)
 
@@ -894,6 +894,39 @@ def test_a_negative_fixed_point_is_dropped_with_a_reason(caplog):
         assert multi_start(problem, SolverParams(grid_n=33)) == []
     assert sorted(caplog.messages) == [
         f"seed {a}-{b}: final state negative" for a in "BMS" for b in "BMS"]
+
+
+@pytest.mark.parametrize("level, sup", [("101", 50.5), ("99", 49.5)])
+def test_a_fixed_point_far_beyond_the_ambient_box_is_reported(level, sup):
+    # f = level has the one fixed point u = level * (t - t^2/2), of sup norm
+    # level / 2: at 101 that is 10.1 times nine's c = 5, and it is reported
+    # as outside-ambient, as at 99, not dropped for its size
+    cfg = nine_config()["problem"]
+    cfg["f1"] = cfg["f2"] = level
+    sols = multi_start(build_problem(cfg), SolverParams(grid_n=129))
+    assert [str(s.region) for s in sols] == ["outside-ambient"]
+    assert sup_norm(sols[0].u1) == sup_norm(sols[0].u2) == \
+        pytest.approx(sup, rel=1e-12)
+
+
+@pytest.mark.parametrize("system, count", [("closing_system", 4),
+                                           ("hybrid", 1)])
+def test_only_a_kept_state_is_classified(hybrid_problem, monkeypatch, system,
+                                         count):
+    # dedupe runs on the settled states, so classify runs once per solution
+    # reported, not once per seed that settles
+    problem = hybrid_problem if system == "hybrid" \
+        else build_problem(closing_problem_config()["problem"])
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return classify(*args)
+
+    monkeypatch.setattr(solver, "classify", spy)
+    sols = multi_start(problem, SolverParams(grid_n=129))
+    assert len(sols) == count
+    assert len(calls) == count
 
 
 def test_newton_step_reuses_the_residual_evaluation(nine_problem, monkeypatch):
